@@ -22,9 +22,7 @@ iterate is still emitted).
 
 Reports are deterministic: keys sorted, floats at 17 significant digits, no
 timestamps, and the effective config plus its SHA-256 embedded, so the same
-config and version always produce byte-identical artifacts.  `--seed` is
-accepted for harness symmetry but nothing in this pipeline draws random
-numbers.
+config and version always produce byte-identical artifacts.
 """
 
 import argparse
@@ -738,9 +736,6 @@ def _parser():
                    help="write the produced field/table CSV here")
     p.add_argument("--levels", type=int, default=None,
                    help="refinement levels for diagnose (default 2)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved for randomized property tests; the core "
-                        "pipeline is deterministic and ignores it")
     p.add_argument("--override", action="append", default=[],
                    metavar="KEY=VALUE",
                    help="dot-path config override, value parsed as JSON "
