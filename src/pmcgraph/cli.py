@@ -433,16 +433,6 @@ def _solver_of(cfg):
         raise CLIConfigError(f"solver: {exc}") from exc
 
 
-def _trace_of(cfg, grid):
-    psi_expr = (cfg["barriers"] or {}).get("psi")
-    if psi_expr is None:
-        return None
-    try:
-        return field_from_expr(grid, psi_expr)
-    except (ParseError, ValueError) as exc:
-        raise CLIConfigError(f"barriers: psi: {exc}") from exc
-
-
 def _barrier_builder(cfg, grid, solk):
     """-> callable fine_grid -> BarrierPair, rebuilt from expressions.
 
@@ -492,7 +482,7 @@ def _effective_prescription(kind, presc, factor, grid):
     return conformal_transform_pmc(presc, factor, grid.dimension)
 
 
-def _box_of(cfg, grid, solk):
+def _box_of(grid, solk):
     if solk.box is not None:
         return WorkingBox.from_grid(grid, solk.box)
     return None
@@ -583,7 +573,7 @@ def _cmd_check_monotone(cfg, args):
     kind, presc = _prescription_of(cfg)
     factor, _meta = _factor_of(cfg)
     solk = _solver_of(cfg)
-    box = _box_of(cfg, grid, solk)
+    box = _box_of(grid, solk)
     if box is None:
         if cfg["barriers"] is None:
             raise CLIConfigError("check-monotone needs a box or a barriers section")
@@ -611,7 +601,7 @@ def _cmd_transform(cfg, args):
             "transform needs a conformal metric; in the product metric the "
             "prescription is already in solver form")
     solk = _solver_of(cfg)
-    box = _box_of(cfg, grid, solk)
+    box = _box_of(grid, solk)
     if box is None:
         raise CLIConfigError("transform needs an explicit box z-range to sample")
     H_prime = _effective_prescription(kind, presc, factor, grid)
@@ -694,7 +684,7 @@ def _cmd_eval_residual(cfg, args):
         raise CLIConfigError("split prescriptions are product-metric only")
     H = presc.composite() if kind == "split" else presc
     solk = _solver_of(cfg)
-    box = _box_of(cfg, grid, solk)
+    box = _box_of(grid, solk)
     try:
         res = pmc_residual(grid, u, H, F=factor, box=box)
     except ValueError as exc:

@@ -21,6 +21,10 @@ Numbers are decimal literals with optional fraction and exponent part.
 Evaluation is vectorized over numpy arrays.  Domain problems (division by
 zero, ln of a negative, ...) are not caught eagerly; `eval_checked` raises
 once a non-finite value appears, naming the first offending sample point.
+
+A tree may also hold `Func` nodes, numeric functions given as Python code;
+where such a node has no derivative rule, `Func.diff` takes a centered
+difference of step `FD_STEP`, the only finite-difference code in the package.
 """
 
 from __future__ import annotations
@@ -31,12 +35,15 @@ __all__ = [
     "ParseError",
     "EvalDomainError",
     "ExprNode",
+    "Func",
     "parse_expr",
     "eval_checked",
+    "takes_differences",
 ]
 
 FUNCTIONS_1 = ("sin", "cos", "tan", "exp", "ln", "sqrt", "tanh", "abs")
 FUNCTIONS_2 = ("min", "max")
+FD_STEP = 1e-6
 
 
 class ParseError(ValueError):
@@ -260,6 +267,50 @@ class Call(ExprNode):
         else:  # pragma: no cover - parser rejects unknown names
             raise ValueError(f"no derivative rule for {self.name}")
         return _mul(outer, du)
+
+
+class Func(Call):
+    """Call of a numeric function given as Python code.
+
+    `fn(*values)` maps the evaluated arguments to values.  `rules[i]`, when
+    given, is a node for the partial of fn in its i-th argument, built over
+    the same argument nodes; `diff` chains it with that argument's own
+    derivative.  An argument without a rule is differentiated by a centered
+    difference of step FD_STEP, and the node standing for that difference
+    has `differenced` set.
+    """
+
+    def __init__(self, name, fn, args, rules=None, differenced=False):
+        self.name = name
+        self.fn = fn
+        self.args = tuple(args)
+        self.rules = tuple(rules) if rules is not None else (None,) * len(self.args)
+        self.differenced = differenced
+
+    def eval(self, env):
+        return self.fn(*(a.eval(env) for a in self.args))
+
+    def diff(self, name):
+        out = Const(0.0)
+        for i, (arg, rule) in enumerate(zip(self.args, self.rules)):
+            darg = arg.diff(name)
+            if _is_const(darg, 0.0):
+                continue
+            if rule is None:
+                rule = Func(f"d{i + 1}{self.name}", _centered(self.fn, i),
+                            self.args, differenced=True)
+            out = _add(out, _mul(rule, darg))
+        return out
+
+
+def _centered(fn, i):
+    """fn's centered difference quotient in its i-th argument."""
+    def quotient(*values):
+        hi, lo = list(values), list(values)
+        hi[i] = np.asarray(values[i], dtype=float) + FD_STEP
+        lo[i] = np.asarray(values[i], dtype=float) - FD_STEP
+        return (fn(*hi) - fn(*lo)) / (2.0 * FD_STEP)
+    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +594,28 @@ def rename_var(node, old, new):
         return Neg(rename_var(node.a, old, new))
     if isinstance(node, _Binary):
         return type(node)(rename_var(node.a, old, new), rename_var(node.b, old, new))
+    if isinstance(node, Func):
+        return Func(node.name, node.fn,
+                    tuple(rename_var(a, old, new) for a in node.args),
+                    tuple(r if r is None else rename_var(r, old, new)
+                          for r in node.rules),
+                    node.differenced)
     if isinstance(node, Call):
         return Call(node.name, tuple(rename_var(a, old, new) for a in node.args))
     raise TypeError(f"cannot rename variables in {node!r}")
+
+
+def takes_differences(node):
+    """True when evaluating `node` takes a centered difference somewhere."""
+    if isinstance(node, Func) and node.differenced:
+        return True
+    if isinstance(node, Neg):
+        return takes_differences(node.a)
+    if isinstance(node, _Binary):
+        return takes_differences(node.a) or takes_differences(node.b)
+    if isinstance(node, Call):
+        return any(takes_differences(a) for a in node.args)
+    return False
 
 
 def eval_checked(node, env, label="expression"):

@@ -22,8 +22,8 @@ from .calculus import (
     _div_values,
     _to_faces,
 )
-from .expr import eval_checked, parse_expr, rename_var, _add, _mul, _sub, _call
-from .expr import Const, Var
+from .expr import Const, Func, Var, eval_checked, parse_expr, rename_var, takes_differences
+from .expr import _add, _call, _mul, _sub
 from .grid import ScalarField, face_positions, face_shape
 from .pmc import PMCFunction, graph_normal_env
 
@@ -39,74 +39,55 @@ __all__ = [
     "jacobi_residual",
 ]
 
-FD_STEP = 1e-6
 FACTOR_VARS = ("x1", "x2", "r")
 
 
 class ConformalFactor:
     """Scale exponent f(x, r) of a conformal product metric e^{2f}(dx²+dr²).
 
-    Carries evaluation plus the base-gradient and height-derivative of f.
-    `derivative_mode` records whether those are analytic (symbolic, or
-    caller-supplied closures) or centered finite differences.
+    The factor is an expression tree over x1, x2, r, and its base gradient
+    and height derivative are the tree's derivatives.  `derivative_mode` is
+    'analytic' when those are exact (parsed text, or a callable with
+    derivative rules) and 'fd' when one of them falls back to a centered
+    difference.
     """
 
-    def __init__(self, fn, d_base=None, d_r=None, derivative_mode="fd",
-                 text=None, ast=None):
-        self._fn = fn
-        self._d_base = d_base  # tuple of closures or None
-        self._d_r = d_r
-        self.derivative_mode = derivative_mode
-        self.text = text
+    def __init__(self, ast, text=None):
         self.ast = ast
+        self.text = text
+        self._d_base = tuple(ast.diff(v) for v in ("x1", "x2"))
+        self._d_r = ast.diff("r")
 
     @classmethod
     def from_expr(cls, text):
-        ast = parse_expr(text, FACTOR_VARS)
-        fn = lambda env: eval_checked(ast, env, label="conformal factor")
-        d_base = tuple(
-            (lambda node: lambda env: eval_checked(node, env, label="factor gradient"))(
-                ast.diff(v))
-            for v in ("x1", "x2"))
-        dr_ast = ast.diff("r")
-        d_r = lambda env: eval_checked(dr_ast, env, label="factor height derivative")
-        return cls(fn, d_base, d_r, derivative_mode="analytic", text=text, ast=ast)
+        return cls(parse_expr(text, FACTOR_VARS), text=text)
 
     @classmethod
     def from_callable(cls, f, d_base=None, d_r=None):
         """Wrap f(x1, x2, r); derivatives by central differences unless given."""
-        fn = lambda env: f(env["x1"], env["x2"], env["r"])
-        mode = "analytic" if (d_base is not None and d_r is not None) else "fd"
-        db = None
-        if d_base is not None:
-            db = tuple((lambda g: lambda env: g(env["x1"], env["x2"], env["r"]))(g)
-                       for g in d_base)
-        dr = None
-        if d_r is not None:
-            dr = lambda env: d_r(env["x1"], env["x2"], env["r"])
-        return cls(fn, db, dr, derivative_mode=mode)
+        args = [Var(v) for v in FACTOR_VARS]
+        given = list(d_base) if d_base is not None else [None, None]
+        given.append(d_r)
+        rules = [None if g is None else Func(f"d{v}f", g, args)
+                 for v, g in zip(FACTOR_VARS, given)]
+        return cls(Func("f", f, args, rules))
 
-    def _fd(self, var, env):
-        hi = dict(env)
-        lo = dict(env)
-        hi[var] = np.asarray(env[var], dtype=float) + FD_STEP
-        lo[var] = np.asarray(env[var], dtype=float) - FD_STEP
-        return (self._fn(hi) - self._fn(lo)) / (2.0 * FD_STEP)
+    @property
+    def derivative_mode(self):
+        exact = not any(takes_differences(d) for d in self._d_base + (self._d_r,))
+        return "analytic" if exact else "fd"
 
     def eval(self, x1, x2, r):
-        return np.asarray(self._fn({"x1": x1, "x2": x2, "r": r}), dtype=float)
+        return eval_checked(self.ast, {"x1": x1, "x2": x2, "r": r},
+                            label="conformal factor")
 
     def d_x(self, axis, x1, x2, r):
-        env = {"x1": x1, "x2": x2, "r": r}
-        if self._d_base is not None:
-            return np.asarray(self._d_base[axis](env), dtype=float)
-        return np.asarray(self._fd(("x1", "x2")[axis], env), dtype=float)
+        return eval_checked(self._d_base[axis], {"x1": x1, "x2": x2, "r": r},
+                            label="factor gradient")
 
     def d_r(self, x1, x2, r):
-        env = {"x1": x1, "x2": x2, "r": r}
-        if self._d_r is not None:
-            return np.asarray(self._d_r(env), dtype=float)
-        return np.asarray(self._fd("r", env), dtype=float)
+        return eval_checked(self._d_r, {"x1": x1, "x2": x2, "r": r},
+                            label="factor height derivative")
 
     def __repr__(self):
         src = f" {self.text!r}" if self.text else ""
@@ -201,31 +182,22 @@ def conformal_transform_pmc(H, F, n):
         H'(x, r, Y, t) = e^{f} H(x, r, Y, t) - n (<Df, Y> + f_r t),
 
     with factor derivatives at (x, r).  The height slot of the factor maps
-    onto the prescription's z argument.  When both sides carry expression
-    trees the transform is symbolic, so partials of H' stay exact.
+    onto the prescription's z argument.  The transform is built on the two
+    expression trees, so H' has exact partials wherever H and f do.
     """
     n = int(n)
-    if H.ast is not None and F.ast is not None:
-        f_ast = rename_var(F.ast, "r", "z")
-        d1 = rename_var(F.ast.diff("x1"), "r", "z")
-        d2 = rename_var(F.ast.diff("x2"), "r", "z")
-        fr = rename_var(F.ast.diff("r"), "r", "z")
-        drift = _add(_add(_mul(d1, Var("y1")), _mul(d2, Var("y2"))),
-                     _mul(fr, Var("t")))
-        ast = _sub(_mul(_call("exp", (f_ast,)), H.ast), _mul(Const(float(n)), drift))
-        text = None
-        if H.text and F.text:
-            text = f"exp({F.text})*({H.text}) - {n}*<D({F.text}),(Y,t)>"
-        return PMCFunction.from_ast(ast, provenance="transformed", text=text,
-                                    label="transformed curvature")
-
-    def fn(env):
-        fenv = {"x1": env["x1"], "x2": env["x2"], "r": env["z"]}
-        drift = F.d_x(0, **fenv) * env["y1"] + F.d_x(1, **fenv) * env["y2"] \
-            + F.d_r(**fenv) * env["t"]
-        return np.exp(F.eval(**fenv)) * H._fn(env) - n * drift
-
-    return PMCFunction(fn, provenance="transformed")
+    f_ast = rename_var(F.ast, "r", "z")
+    d1 = rename_var(F.ast.diff("x1"), "r", "z")
+    d2 = rename_var(F.ast.diff("x2"), "r", "z")
+    fr = rename_var(F.ast.diff("r"), "r", "z")
+    drift = _add(_add(_mul(d1, Var("y1")), _mul(d2, Var("y2"))),
+                 _mul(fr, Var("t")))
+    ast = _sub(_mul(_call("exp", (f_ast,)), H.ast), _mul(Const(float(n)), drift))
+    text = None
+    if H.text and F.text:
+        text = f"exp({F.text})*({H.text}) - {n}*<D({F.text}),(Y,t)>"
+    return PMCFunction(ast, provenance="transformed", text=text,
+                       label="transformed curvature")
 
 
 # ---------------------------------------------------------------------------
@@ -241,34 +213,24 @@ class WarpedProfile:
     handed to the adaptive quadrature of 1/h.
     """
 
-    def __init__(self, h, h_prime=None, quad_tol=1e-12, text=None, ast=None):
-        self._h = h
-        self._h_prime = h_prime
+    def __init__(self, ast, quad_tol=1e-12, text=None):
+        self.ast = ast
         self.quad_tol = float(quad_tol)
         self.text = text
-        self.ast = ast
+        self._h_prime = ast.diff("r")
 
     @classmethod
     def from_expr(cls, text, quad_tol=1e-12):
-        ast = parse_expr(text, ("r",))
-        h = lambda r: eval_checked(ast, {"r": r}, label="warp profile")
-        d = ast.diff("r")
-        hp = lambda r: eval_checked(d, {"r": r}, label="warp profile derivative")
-        return cls(h, hp, quad_tol=quad_tol, text=text, ast=ast)
+        return cls(parse_expr(text, ("r",)), quad_tol=quad_tol, text=text)
 
     def h(self, r):
-        return np.asarray(self._h(r), dtype=float)
+        return eval_checked(self.ast, {"r": r}, label="warp profile")
 
     def h_prime(self, r):
-        if self._h_prime is not None:
-            return np.asarray(self._h_prime(r), dtype=float)
-        return np.asarray(
-            (self._h(np.asarray(r, dtype=float) + FD_STEP)
-             - self._h(np.asarray(r, dtype=float) - FD_STEP)) / (2 * FD_STEP),
-            dtype=float)
+        return eval_checked(self._h_prime, {"r": r}, label="warp profile derivative")
 
     def __repr__(self):
-        return f"WarpedProfile({self.text!r})" if self.text else "WarpedProfile(callable)"
+        return f"WarpedProfile({self.text!r})"
 
 
 BISECTION_TOL = 1e-10
@@ -279,8 +241,10 @@ def warped_to_conformal(P, interval):
 
     For the profile h on [r_lo, r_hi] the substitution s(r) = ∫ dρ/h(ρ)
     turns the warped metric into e^{2f(s)}(dx² + ds²) with f(s) = ln h(r(s)).
-    Returns (factor, (0, s(r_hi))); the factor's height derivative is
-    f_s(s) = h'(r(s)), by the chain rule through ds = dr/h.
+    Returns (factor, (0, s(r_hi))).  The factor's tree holds f, its height
+    derivative f_s = h'(r(s)) (chain rule through ds = dr/h) and f_ss =
+    h''(r(s)) h(r(s)), each evaluating r(s) once per point, so prescriptions
+    pulled back through it keep exact first partials.
 
     The inverse r(s) is recovered by bisection to 1e-10; the forward map
     uses adaptive quadrature of 1/h, so each factor evaluation is exact to
@@ -324,12 +288,22 @@ def warped_to_conformal(P, interval):
         flat = np.array([r_of_s_scalar(v) for v in np.atleast_1d(arr).reshape(-1)])
         return flat.reshape(arr.shape) if arr.shape else float(flat[0])
 
-    fn = lambda env: np.log(P.h(r_of_s(env["r"])))
-    d_base = (lambda env: np.zeros_like(np.asarray(env["r"], dtype=float)),
-              lambda env: np.zeros_like(np.asarray(env["r"], dtype=float)))
-    d_r = lambda env: P.h_prime(r_of_s(env["r"]))
-    mode = "analytic" if P._h_prime is not None else "fd"
-    factor = ConformalFactor(fn, d_base, d_r, derivative_mode=mode,
+    h2 = P.ast.diff("r").diff("r")
+
+    def f(s):
+        return np.log(P.h(r_of_s(s)))
+
+    def f_s(s):
+        return P.h_prime(r_of_s(s))
+
+    def f_ss(s):
+        r = r_of_s(s)
+        return eval_checked(h2, {"r": r}, label="warp profile second derivative") * P.h(r)
+
+    s_var = Var("r")
+    f_ss_node = Func("f_ss", f_ss, (s_var,))
+    f_s_node = Func("f_s", f_s, (s_var,), (f_ss_node,))
+    factor = ConformalFactor(Func("f", f, (s_var,), (f_s_node,)),
                              text=f"ln h(r(s)), h = {P.text}" if P.text else None)
     factor.r_of_s = r_of_s
     factor.s_of_r = s_of_r

@@ -3,8 +3,10 @@
 A prescription is evaluated with base point x, height z, the horizontal
 part Y of the upward unit normal and its vertical part t = 1/omega; for the
 graph of u these are Y = -Du/omega, t = 1/omega, so |Y|^2 + t^2 = 1 with
-t > 0.  Partial derivatives are symbolic when the prescription came from
-expression text, centered finite differences (step 1e-6) otherwise.
+t > 0.  Every prescription is an expression tree (`expr.ExprNode`), and its
+partial derivatives are the tree's symbolic derivatives; only a `Func` node
+built without a derivative rule, such as a wrapped Python callable, is
+differentiated by a centered difference.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import mean_curvature_product_values, node_gradients
-from .expr import ExprNode, eval_checked, parse_expr
+from .expr import Add, Func, Mul, Var, eval_checked, parse_expr, takes_differences
 
 __all__ = [
     "PMCFunction",
@@ -26,7 +28,6 @@ __all__ = [
 ]
 
 PMC_VARS = ("x1", "x2", "z", "y1", "y2", "t")
-FD_STEP = 1e-6
 
 # slack admitted when testing sampled partials against 0 (exact symbolic
 # partials of z-free prescriptions evaluate to the literal 0.0)
@@ -38,58 +39,48 @@ def _env_of(x1, x2, z, y1, y2, t):
 
 
 class PMCFunction:
-    """Curvature prescription with evaluation and first partials.
+    """Curvature prescription H(x1, x2, z, y1, y2, t) held as one expression tree.
+
+    Parsed text, wrapped callables and every rewrite (composite, tilt term,
+    conformal pullback, penalty) are trees, and the first partials are the
+    tree's `diff`.  `has_exact_partials` is False when one of them takes a
+    centered difference (a `Func` node without a derivative rule).
 
     Parameters
     ----------
-    fn : callable
-        Maps an environment dict with keys x1,x2,z,y1,y2,t (scalars or
-        broadcastable arrays) to values.
-    partials : dict, optional
-        Map from variable name to a function with the same signature.
-        Missing entries fall back to centered differences.
+    ast : ExprNode
+        Tree over the variables x1, x2, z, y1, y2, t.
     provenance : str
         How the prescription was built: 'expression', 'callable',
         'composite', 'transformed' or 'penalized'.
+    text : str, optional
+        Source text, when there is one.
+    label : str
+        Name used in domain-error messages.
     """
 
-    def __init__(self, fn, partials=None, provenance="callable", text=None, ast=None):
-        self._fn = fn
-        self._partials = dict(partials or {})
+    def __init__(self, ast, provenance="expression", text=None, label="curvature"):
+        self.ast = ast
         self.provenance = provenance
         self.text = text
-        self.ast = ast
-
-    @classmethod
-    def from_ast(cls, ast, provenance="expression", text=None, label="curvature"):
-        fn = lambda env: eval_checked(ast, env, label=label)
-        partials = {}
-        for var in PMC_VARS:
-            d = ast.diff(var)
-            partials[var] = (lambda node: lambda env: eval_checked(
-                node, env, label=f"d/d{var} of {label}"))(d)
-        return cls(fn, partials, provenance=provenance, text=text, ast=ast)
+        self.label = label
+        self._partials = {var: ast.diff(var) for var in PMC_VARS}
 
     @classmethod
     def from_callable(cls, fn, provenance="callable"):
-        """Wrap fn(x1, x2, z, y1, y2, t); partials by finite differences."""
-        return cls(lambda env: fn(env["x1"], env["x2"], env["z"],
-                                  env["y1"], env["y2"], env["t"]),
-                   provenance=provenance)
+        """Wrap fn(x1, x2, z, y1, y2, t); partials by centered differences."""
+        return cls(Func("H", fn, [Var(v) for v in PMC_VARS]), provenance=provenance)
 
     # -- evaluation ---------------------------------------------------------
 
+    def _fn(self, env):
+        return eval_checked(self.ast, env, label=self.label)
+
     def eval(self, x1, x2, z, y1, y2, t):
-        return np.asarray(self._fn(_env_of(x1, x2, z, y1, y2, t)), dtype=float)
+        return self._fn(_env_of(x1, x2, z, y1, y2, t))
 
     def _partial(self, var, env):
-        if var in self._partials:
-            return np.asarray(self._partials[var](env), dtype=float)
-        hi = dict(env)
-        lo = dict(env)
-        hi[var] = np.asarray(env[var], dtype=float) + FD_STEP
-        lo[var] = np.asarray(env[var], dtype=float) - FD_STEP
-        return np.asarray((self._fn(hi) - self._fn(lo)) / (2.0 * FD_STEP), dtype=float)
+        return eval_checked(self._partials[var], env, label=f"d/d{var} of {self.label}")
 
     def d_z(self, x1, x2, z, y1, y2, t):
         return self._partial("z", _env_of(x1, x2, z, y1, y2, t))
@@ -102,7 +93,7 @@ class PMCFunction:
 
     @property
     def has_exact_partials(self):
-        return all(v in self._partials for v in PMC_VARS)
+        return not any(takes_differences(d) for d in self._partials.values())
 
     def __repr__(self):
         src = f" {self.text!r}" if self.text else ""
@@ -111,8 +102,7 @@ class PMCFunction:
 
 def parse_pmc(expr):
     """Parse curvature-prescription text over variables x1,x2,z,y1,y2,t."""
-    ast = parse_expr(expr, PMC_VARS)
-    return PMCFunction.from_ast(ast, provenance="expression", text=expr)
+    return PMCFunction(parse_expr(expr, PMC_VARS), text=expr)
 
 
 class QuasiDecomposition:
@@ -131,38 +121,19 @@ class QuasiDecomposition:
 
     @classmethod
     def from_exprs(cls, h1_text, h2_text):
-        h1 = PMCFunction.from_ast(parse_expr(h1_text, cls.H1_VARS),
-                                  provenance="expression", text=h1_text,
-                                  label="decreasing part")
-        h2 = PMCFunction.from_ast(parse_expr(h2_text, cls.H2_VARS),
-                                  provenance="expression", text=h2_text,
-                                  label="bounded part")
+        h1 = PMCFunction(parse_expr(h1_text, cls.H1_VARS), text=h1_text,
+                         label="decreasing part")
+        h2 = PMCFunction(parse_expr(h2_text, cls.H2_VARS), text=h2_text,
+                         label="bounded part")
         return cls(h1, h2)
 
     def composite(self):
         """The full prescription H1 + t*H2 as a PMCFunction."""
-        if self.H1.ast is not None and self.H2.ast is not None:
-            from .expr import Mul, Add, Var  # AST assembly
-
-            ast = Add(self.H1.ast, Mul(Var("t"), self.H2.ast))
-            text = None
-            if self.H1.text and self.H2.text:
-                text = f"({self.H1.text}) + t*({self.H2.text})"
-            return PMCFunction.from_ast(ast, provenance="composite", text=text)
-
-        h1, h2 = self.H1, self.H2
-
-        def fn(env):
-            return (h1._fn(env) + env["t"] * h2._fn(env))
-
-        partials = {
-            "z": lambda env: h1._partial("z", env),
-            "t": lambda env: np.asarray(h2._fn(env), dtype=float),
-        }
-        for var in ("x1", "x2", "y1", "y2"):
-            partials[var] = (lambda v: lambda env: h1._partial(v, env)
-                             + env["t"] * h2._partial(v, env))(var)
-        return PMCFunction(fn, partials, provenance="composite")
+        ast = Add(self.H1.ast, Mul(Var("t"), self.H2.ast))
+        text = None
+        if self.H1.text and self.H2.text:
+            text = f"({self.H1.text}) + t*({self.H2.text})"
+        return PMCFunction(ast, provenance="composite", text=text)
 
 
 class WorkingBox:
@@ -278,8 +249,12 @@ def check_quasi_decreasing(D, box, samples=9):
 
 def graph_normal_env(grid, values):
     """Evaluation environment for a graph: base coords, height, unit normal."""
+    return _normal_env(grid, values, node_gradients(grid, values))
+
+
+def _normal_env(grid, values, grads):
+    """`graph_normal_env` given the node gradients of `values`."""
     pos = grid.node_positions()
-    grads = node_gradients(grid, values)
     omega = np.sqrt(1.0 + sum(g * g for g in grads))
     env = {
         "x1": pos[0],

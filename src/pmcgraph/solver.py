@@ -18,7 +18,7 @@ solve is a SuperLU factorization under a minimum-degree column ordering.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import functools
 
 import numpy as np
@@ -30,11 +30,12 @@ from .calculus import (
     mean_curvature_product_values,
     node_gradients,
 )
-from .expr import Const, Var, _mul, _sub
+from .expr import Const, Func, Var, _mul, _sub
 from .grid import ScalarField, sup_norm
 from .pmc import (
     PMCFunction,
     WorkingBox,
+    _normal_env,
     check_monotone,
     check_quasi_decreasing,
     graph_normal_env,
@@ -81,6 +82,7 @@ class MonotonicityError(SolverFailure):
     """An accepted sweep moved down by more than the abort threshold."""
 
 
+@dataclasses.dataclass
 class SolveConfig:
     """Knobs shared by the inner and outer solvers.
 
@@ -91,44 +93,51 @@ class SolveConfig:
     by half its span.
     """
 
-    def __init__(self, tol_inner=1e-10, tol_outer=1e-8, max_newton=50,
-                 max_outer=200, armijo_c=1e-4, min_step=2.0 ** -20,
-                 gamma="auto", samples=9, theta_threshold=1e-3,
-                 allowance_constant=10.0, box=None, cutoff=None,
-                 refine_check=True):
-        if not (tol_inner > 0.0 and tol_outer > 0.0):
+    tol_inner: float = 1e-10
+    tol_outer: float = 1e-8
+    max_newton: int = 50
+    max_outer: int = 200
+    armijo_c: float = 1e-4
+    min_step: float = 2.0 ** -20
+    gamma: object = "auto"
+    samples: int = 9
+    theta_threshold: float = 1e-3
+    allowance_constant: float = 10.0
+    box: object = None
+    cutoff: object = None
+    refine_check: bool = True
+
+    def __post_init__(self):
+        if not (self.tol_inner > 0.0 and self.tol_outer > 0.0):
             raise ValueError("tolerances must be positive")
-        if int(max_newton) < 1 or int(max_outer) < 1:
+        if int(self.max_newton) < 1 or int(self.max_outer) < 1:
             raise ValueError("iteration caps must be at least 1")
-        if not 0.0 < armijo_c < 1.0:
+        if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo constant must lie in (0, 1)")
-        if gamma != "auto":
-            gamma = float(gamma)
-            if not gamma > 0.0:
+        if self.gamma != "auto":
+            self.gamma = float(self.gamma)
+            if not self.gamma > 0.0:
                 raise ValueError("explicit gamma must be positive")
-        if box is not None:
-            a, b = float(box[0]), float(box[1])
+        if self.box is not None:
+            a, b = float(self.box[0]), float(self.box[1])
             if not a < b:
                 raise ValueError(f"box z-range must be increasing, got ({a}, {b})")
-            box = (a, b)
-        if cutoff is not None:
-            c1, c2 = float(cutoff[0]), float(cutoff[1])
+            self.box = (a, b)
+        if self.cutoff is not None:
+            c1, c2 = float(self.cutoff[0]), float(self.cutoff[1])
             if not c1 < c2:
                 raise ValueError(f"cutoff plateau must be increasing, got ({c1}, {c2})")
-            cutoff = (c1, c2)
-        self.tol_inner = float(tol_inner)
-        self.tol_outer = float(tol_outer)
-        self.max_newton = int(max_newton)
-        self.max_outer = int(max_outer)
-        self.armijo_c = float(armijo_c)
-        self.min_step = float(min_step)
-        self.gamma = gamma
-        self.samples = int(samples)
-        self.theta_threshold = float(theta_threshold)
-        self.allowance_constant = float(allowance_constant)
-        self.box = box
-        self.cutoff = cutoff
-        self.refine_check = bool(refine_check)
+            self.cutoff = (c1, c2)
+        self.tol_inner = float(self.tol_inner)
+        self.tol_outer = float(self.tol_outer)
+        self.max_newton = int(self.max_newton)
+        self.max_outer = int(self.max_outer)
+        self.armijo_c = float(self.armijo_c)
+        self.min_step = float(self.min_step)
+        self.samples = int(self.samples)
+        self.theta_threshold = float(self.theta_threshold)
+        self.allowance_constant = float(self.allowance_constant)
+        self.refine_check = bool(self.refine_check)
 
 
 class BarrierPair:
@@ -294,12 +303,8 @@ def gamma_for(H, h, box, samples=9):
     construction.
     """
     env = box.sample_lattice(samples)
-    Hv = np.broadcast_to(H.eval(**env), env["z"].shape)
-    dz = np.broadcast_to(H._partial("z", env), env["z"].shape)
-    if h is None:
-        slope = dz.copy()
-    else:
-        slope = h.h_prime(env["z"]) * Hv + h.h(env["z"]) * dz
+    cut_H = H if h is None else penalized_pmc(H, h, 0.0)
+    slope = np.broadcast_to(cut_H._partial("z", env), env["z"].shape)
     if not np.all(np.isfinite(slope)):
         k = int(np.flatnonzero(~np.isfinite(slope))[0])
         raise ValueError(
@@ -319,19 +324,10 @@ def penalized_pmc(H, cutoff, gamma):
     not here, so this object's height slope is h'H + hH_z - gamma <= -1 by
     the gamma certificate, uniformly on the working box.
     """
-    g = float(gamma)
-
-    def fn(env):
-        return cutoff.h(env["z"]) * H._fn(env) - g * np.asarray(env["z"], dtype=float)
-
-    partials = {
-        "z": lambda env: (cutoff.h_prime(env["z"]) * H._fn(env)
-                          + cutoff.h(env["z"]) * H._partial("z", env) - g),
-    }
-    for var in ("x1", "x2", "y1", "y2", "t"):
-        partials[var] = (lambda v: lambda env: cutoff.h(env["z"])
-                         * H._partial(v, env))(var)
-    return PMCFunction(fn, partials, provenance="penalized")
+    z = Var("z")
+    cut = Func("cutoff", cutoff.h, (z,), (Func("cutoff'", cutoff.h_prime, (z,)),))
+    ast = _sub(_mul(cut, H.ast), _mul(Const(float(gamma)), z))
+    return PMCFunction(ast, provenance="penalized", label=H.label)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +506,8 @@ def _jacobian_coefficients(grid, values, F):
         parts.append((1.0 + tsq) / om3)
         parts.extend(-comps[ax] * comps[c] / om3 for c in range(dim) if c != ax)
 
-    env, omega_node = graph_normal_env(grid, values)
     grads = node_gradients(grid, values)
+    env, omega_node = _normal_env(grid, values, grads)
     om3 = omega_node ** 3
 
     def partial(var):
@@ -909,19 +905,9 @@ def outer_iterate(H, B, cfg=None):
 
 
 def _with_constant_tilt_term(Fbase, A):
-    """Prescription Fbase - A*t, symbolic when possible."""
-    if Fbase.ast is not None:
-        ast = _sub(Fbase.ast, _mul(Const(float(A)), Var("t")))
-        return PMCFunction.from_ast(ast, provenance="expression")
-    partials = dict()
-
-    def fn(env):
-        return Fbase._fn(env) - float(A) * np.asarray(env["t"], dtype=float)
-
-    for var in ("x1", "x2", "z", "y1", "y2"):
-        partials[var] = (lambda v: lambda env: Fbase._partial(v, env))(var)
-    partials["t"] = lambda env: Fbase._partial("t", env) - float(A)
-    return PMCFunction(fn, partials, provenance="callable")
+    """Prescription Fbase - A*t."""
+    ast = _sub(Fbase.ast, _mul(Const(float(A)), Var("t")))
+    return PMCFunction(ast, label=Fbase.label)
 
 
 def barriers_from_phi(grid, Fbase, phi, psi, cfg=None, box=None):
@@ -1000,10 +986,9 @@ def solve_quasi(D, B, cfg=None):
         fine_pair = BarrierPair(
             refine_field(B.u1, fine), refine_field(B.u0, fine),
             refine_field(B.psi, fine) if B.psi is not None else None)
-        fine_cfg = copy.copy(cfg)
-        fine_cfg.refine_check = False
         try:
-            _, fine_report = outer_iterate(H, fine_pair, fine_cfg)
+            _, fine_report = outer_iterate(
+                H, fine_pair, dataclasses.replace(cfg, refine_check=False))
         except (ValueError, SolverFailure) as exc:
             # refined non-flat barriers can fail their own residual check;
             # report the attempt rather than abort the whole solve

@@ -288,6 +288,15 @@ def test_criterion_05_conformal_reduction_equivalence():
                 f"(tol_inner + gamma*tol_outer) = {bound:.2e}, gamma {gamma:.2f}")
 
 
+def test_horosphere_counters_are_pinned():
+    # iteration counters are deterministic: a change to the conformal path
+    # must not move them (reuses the cached solve of criterion 5)
+    code, doc, _u = horosphere_run()
+    assert code == 0
+    assert doc["outer_count"] == 153
+    assert sum(doc["inner_newton_counts"]) == 239
+
+
 def test_criterion_06_warped_round_trip():
     with criterion(6):
         profile = WarpedProfile.from_expr("r")

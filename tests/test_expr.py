@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from pmcgraph.expr import EvalDomainError, ParseError, eval_checked, parse_expr
+from pmcgraph.expr import (
+    EvalDomainError,
+    Func,
+    ParseError,
+    eval_checked,
+    parse_expr,
+    takes_differences,
+)
 
 VARS = ("x1", "x2", "z", "y1", "y2", "t")
 
@@ -142,3 +149,19 @@ def test_non_finite_eval_names_the_point():
 def test_division_not_checked_until_evaluation():
     node = parse_expr("1/z", VARS)  # parses fine
     assert eval_checked(node, {"z": 4.0}) == 0.25
+
+
+def test_func_node_chain_rule_and_difference_fallback():
+    # a Python-coded square applied to 2x: the rule gives 2a, chained with
+    # d(2x)/dx = 2; without a rule a centered difference stands in
+    arg = parse_expr("2*x", ("x",))
+    rule = Func("twice", lambda a: 2.0 * a, (arg,))
+    exact = Func("sq", lambda a: a * a, (arg,), (rule,)).diff("x")
+    assert eval_checked(exact, {"x": 1.5}) == 12.0
+    assert not takes_differences(exact)
+
+    approx = Func("sq", lambda a: a * a, (arg,)).diff("x")
+    assert takes_differences(approx)
+    assert abs(eval_checked(approx, {"x": 1.5}) - 12.0) < 1e-8
+    # an absent variable folds to the literal 0
+    assert eval_checked(Func("sq", lambda a: a * a, (arg,)).diff("y"), {}) == 0.0

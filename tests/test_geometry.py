@@ -168,6 +168,22 @@ def test_warped_roundtrip():
     assert np.max(np.abs(back - r)) < 1e-9
 
 
+def test_warped_transform_has_exact_height_partial():
+    # h = r^2 on [1, 2]: s = 1 - 1/r, and for H = 0 in one dimension the
+    # pullback is H' = -h'(r(s)) t, so dH'/dz = -h''(r) h(r) t = -2 r^2 t
+    P = WarpedProfile.from_expr("r^2")
+    F, (_, s_hi) = warped_to_conformal(P, (1.0, 2.0))
+    Hp = conformal_transform_pmc(parse_pmc("0"), F, 1)
+    assert Hp.has_exact_partials
+    assert F.derivative_mode == "analytic"
+    s = np.array([0.05, 0.2, 0.35, 0.45])
+    t = np.array([1.0, 0.8, 0.5, 0.3])
+    r = 1.0 / (1.0 - s)
+    zero = np.zeros_like(s)
+    dz = Hp.d_z(zero, zero, s, zero, zero, t)
+    np.testing.assert_allclose(dz, -2.0 * r * r * t, rtol=1e-8, atol=0.0)
+
+
 def test_warped_rejects_nonpositive_profile():
     P = WarpedProfile.from_expr("1 - r")
     with pytest.raises(ValueError, match="must be positive"):
