@@ -634,7 +634,7 @@ def _cmd_reparam(cfg, args):
     factor, meta = _factor_of(cfg)
     r_lo, r_hi = c["warped"]["interval"]
     r = np.linspace(r_lo, r_hi, 1001)
-    s = np.array([factor.s_of_r(v) for v in r])
+    s = factor.s_of_r(r)
     f = np.asarray(factor.eval(np.zeros_like(s), np.zeros_like(s), s))
     payload = {
         "conformal": meta,

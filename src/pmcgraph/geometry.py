@@ -11,7 +11,6 @@ so that every solve runs against the product operator.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from .calculus import (
     face_gradients,
@@ -209,8 +208,10 @@ class WarpedProfile:
 
     The height substitution ds = dr/h(r) turns that metric into the
     conformal form e^{2f}(dx² + ds²) with f = ln h, which is how the rest
-    of the package consumes it.  `quad_tol` is the absolute tolerance
-    handed to the adaptive quadrature of 1/h.
+    of the package consumes it.  `quad_tol` is the absolute tolerance of
+    s: `warped_to_conformal` splits a panel of its Gauss–Legendre table of
+    ∫ dr/h until the one-panel and two-half-panel values differ by at most
+    `quad_tol`, and keeps the halves.
     """
 
     def __init__(self, ast, quad_tol=1e-12, text=None):
@@ -233,7 +234,73 @@ class WarpedProfile:
         return f"WarpedProfile({self.text!r})"
 
 
-BISECTION_TOL = 1e-10
+GL_NODES = 10
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
+MAX_PANELS = 2048
+MAX_NEWTON = 100
+
+
+def quad(fn, a, b):
+    """Gauss–Legendre integral of fn over [a, b], elementwise in a and b.
+
+    `fn` maps an array of abscissae to values of the same shape; every
+    interval gets the GL_NODES-point rule in one call of fn.  The weighted
+    sum runs node by node, so an entry does not depend on the shape of a
+    and b: an array call equals the per-scalar calls bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    half = 0.5 * (b - a)
+    vals = fn((a + half)[..., None] + half[..., None] * _GL_X)
+    acc = _GL_W[0] * vals[..., 0]
+    for i in range(1, GL_NODES):
+        acc = acc + _GL_W[i] * vals[..., i]
+    return half * acc
+
+
+def _tabulate(inv_h, r_lo, r_hi, tol):
+    """-> (R, S): edges of Gauss–Legendre panels covering [r_lo, r_hi] and
+    S[k] = ∫ inv_h over [r_lo, R[k]].
+
+    Adaptive bisection, one level at a time: a panel whose value differs
+    from the sum of its two halves by more than `tol` is split, otherwise
+    its halves enter the table.  Raises ValueError when the table would
+    pass MAX_PANELS or a panel can no longer be halved.
+    """
+    edges, values = [], []
+    a, b = np.array([r_lo]), np.array([r_hi])
+    whole = quad(inv_h, a, b)
+    while a.size:
+        m = 0.5 * (a + b)
+        halves = quad(inv_h, np.concatenate([a, m]), np.concatenate([m, b]))
+        left, right = halves[:a.size], halves[a.size:]
+        err = np.abs(left + right - whole)
+        ok = err <= tol
+        edges += [a[ok], m[ok]]
+        values += [left[ok], right[ok]]
+        split = ~ok
+        count = sum(e.size for e in edges) + 2 * np.count_nonzero(split)
+        if count > MAX_PANELS or np.any(((m <= a) | (m >= b)) & split):
+            worst = int(np.argmax(err))
+            raise ValueError(
+                f"cannot tabulate s = ∫ dr/h on [{r_lo:.6g}, {r_hi:.6g}] to "
+                f"{tol:.3g} within {MAX_PANELS} panels; the panel "
+                f"[{a[worst]:.17g}, {b[worst]:.17g}] still misses it by {err[worst]:.3g}")
+        a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
+        whole = np.concatenate([left[split], right[split]])
+    edges, values = np.concatenate(edges), np.concatenate(values)
+    order = np.argsort(edges)
+    R = np.append(edges[order], r_hi)
+    S = np.concatenate([[0.0], np.cumsum(values[order])])
+    return R, S
+
+
+def _outside(values, lo, hi, what, where):
+    """Raise the range error for the first entry of `values` outside [lo, hi]."""
+    bad = ~((values >= lo) & (values <= hi))
+    if bad.any():
+        v = values.reshape(-1)[np.flatnonzero(bad)[0]]
+        raise ValueError(f"{what} {v:.6g} outside the {where}")
 
 
 def warped_to_conformal(P, interval):
@@ -246,9 +313,12 @@ def warped_to_conformal(P, interval):
     h''(r(s)) h(r(s)), each evaluating r(s) once per point, so prescriptions
     pulled back through it keep exact first partials.
 
-    The inverse r(s) is recovered by bisection to 1e-10; the forward map
-    uses adaptive quadrature of 1/h, so each factor evaluation is exact to
-    quadrature tolerance rather than to any grid resolution.
+    s(r) is tabulated once, on adaptive composite Gauss–Legendre panels of
+    1/h (to `P.quad_tol`, see `WarpedProfile`).  `factor.s_of_r` adds one
+    Gauss–Legendre integral from the panel's left edge; `factor.r_of_s`
+    starts from linear interpolation in the table and takes Newton steps
+    r <- r - (s(r) - s) h(r), kept inside a shrinking bracket by bisection.
+    Both take scalars or arrays, and return a float for a scalar.
     """
     r_lo, r_hi = float(interval[0]), float(interval[1])
     if not r_lo < r_hi:
@@ -260,33 +330,55 @@ def warped_to_conformal(P, interval):
         raise ValueError(
             f"warp profile must be positive on the interval; h({probe[k]:.6g}) = {hv[k]:.6g}")
 
-    def s_of_r(r):
-        if r <= r_lo:
-            return 0.0
-        val, _err = quad(lambda rho: 1.0 / float(P.h(rho)), r_lo, r,
-                         epsabs=P.quad_tol, epsrel=1e-13, limit=200)
-        return val
-
-    s_hi = s_of_r(r_hi)
-
-    def r_of_s_scalar(s):
-        if s < -1e-9 or s > s_hi + 1e-9:
+    def inv_h(r):
+        hr = np.broadcast_to(P.h(r), r.shape)
+        if np.min(hr) <= 0.0:
+            k = np.unravel_index(int(np.argmin(hr)), hr.shape)
             raise ValueError(
-                f"height {s:.6g} outside the reparameterized range [0, {s_hi:.6g}]")
-        s = min(max(s, 0.0), s_hi)
-        lo, hi = r_lo, r_hi
-        while hi - lo > BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            if s_of_r(mid) < s:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                f"warp profile must be positive on the interval; h({r[k]:.6g}) = {hr[k]:.6g}")
+        return 1.0 / hr
+
+    R, S = _tabulate(inv_h, r_lo, r_hi, P.quad_tol)
+    last = R.size - 2
+    s_hi = float(S[-1])
+    r_tol = 4.0 * np.finfo(float).eps * max(abs(r_lo), abs(r_hi))
+
+    def s_of_r(r):
+        r = np.asarray(r, dtype=float)
+        _outside(r, r_lo, r_hi, "radius", f"warped interval [{r_lo:.6g}, {r_hi:.6g}]")
+        k = np.minimum(np.searchsorted(R, r, side="right") - 1, last)
+        s = S[k] + quad(inv_h, R[k], r)
+        return s if s.ndim else float(s)
 
     def r_of_s(s):
-        arr = np.asarray(s, dtype=float)
-        flat = np.array([r_of_s_scalar(v) for v in np.atleast_1d(arr).reshape(-1)])
-        return flat.reshape(arr.shape) if arr.shape else float(flat[0])
+        s = np.asarray(s, dtype=float)
+        _outside(s, -1e-9, s_hi + 1e-9, "height",
+                 f"reparameterized range [0, {s_hi:.6g}]")
+        target = np.clip(s, 0.0, s_hi).reshape(-1)
+        k = np.minimum(np.searchsorted(S, target, side="right") - 1, last)
+        r = np.interp(target, S, R)
+        lo, hi = R[k], R[k + 1]
+        todo = np.arange(r.size)
+        for _ in range(MAX_NEWTON):
+            if not todo.size:
+                break
+            x, kk = r[todo], k[todo]
+            g = S[kk] + quad(inv_h, R[kk], x) - target[todo]
+            lo[todo] = np.where(g < 0.0, x, lo[todo])
+            hi[todo] = np.where(g > 0.0, x, hi[todo])
+            newton = x - g * P.h(x)
+            # a Newton step inside the bracket is taken, otherwise the
+            # bracket is halved; a step below r_tol ends that point
+            done = np.abs(newton - x) <= r_tol
+            inside = (newton > lo[todo]) & (newton < hi[todo])
+            r[todo] = np.where(inside, newton, np.where(done, x, 0.5 * (lo[todo] + hi[todo])))
+            todo = todo[~done & (hi[todo] - lo[todo] > r_tol)]
+        if todo.size:
+            raise ValueError(
+                f"r(s) did not converge in {MAX_NEWTON} steps at height "
+                f"{target[todo[0]]:.17g}")
+        r = r.reshape(s.shape)
+        return r if r.ndim else float(r)
 
     h2 = P.ast.diff("r").diff("r")
 

@@ -2,17 +2,21 @@
 deterministic artifacts.
 
 Everything runs in-process through cli.main(argv) — same code path as the
-console script, without subprocess overhead.  Exit-code contract: 0 pass,
+console script, without subprocess overhead — except the import check,
+which needs a fresh interpreter.  Exit-code contract: 0 pass,
 1 check failed, 2 bad config, 3 solver failure.
 """
 
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pmcgraph
 from pmcgraph.cli import (
     CLIConfigError,
     apply_override,
@@ -22,6 +26,7 @@ from pmcgraph.cli import (
     main,
     validate_config,
 )
+from pmcgraph.grid import read_field_csv
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -321,6 +326,57 @@ def test_reparam_identity_profile(tmp_path):
 
 def test_reparam_needs_a_warped_profile():
     assert run(["reparam", "--config", cfg_path("cap.json")]) == 2
+
+
+def test_reparam_unresolvable_profile_is_a_config_error(tmp_path, capsys):
+    # 1/h peaks at 1e12 at the left end; the table is either right or
+    # refused (exit 2), never silently wrong
+    report = tmp_path / "r.json"
+    code = run(["reparam", "--config", cfg_path("warped_radial.json"),
+                "--override", "conformal.warped.h=\"r - 0.5 + 1e-12\"",
+                "--override", "conformal.warped.interval=[0.5, 1.0]",
+                "--out-report", str(report)])
+    if code == 2:
+        assert "cannot tabulate" in capsys.readouterr().err
+    else:
+        assert code == 0
+        s_hi = read_json(report)["s_range"][1]
+        assert abs(s_hi - math.log(5e11)) < 1e-6
+
+
+def test_warped_solve_of_polar_lines_is_second_order(tmp_path):
+    # h = r on [1, e] is the flat plane in polar coordinates (s = ln r), so
+    # the H = 0 graphs are straight lines r cos(x1 - 0.5) = const, i.e.
+    # s = c - ln cos(x1 - 0.5); c = 0.3 is the solution between c = 0.25
+    # and c = 0.35
+    line = "{c} - ln(cos(x1 - 0.5))"
+    barriers = {"u1": line.format(c=0.25), "u0": line.format(c=0.35),
+                "psi": line.format(c=0.3)}
+    errors = []
+    for nodes in (17, 33):
+        report, field = tmp_path / f"r{nodes}.json", tmp_path / f"u{nodes}.csv"
+        code = run(["solve", "--config", cfg_path("warped_radial.json"),
+                    "--override", f"grid.shape=[{nodes}]",
+                    "--override", f"barriers={json.dumps(barriers)}",
+                    "--out-report", str(report), "--out-field", str(field)])
+        assert code == 0
+        doc = read_json(report)
+        assert doc["converged"] and doc["consistency_ok"]
+        u = read_field_csv(field)
+        x1 = u.grid.node_positions()[0]
+        errors.append(float(np.max(np.abs(u.values - (0.3 - np.log(np.cos(x1 - 0.5)))))))
+    assert errors[0] < 1e-4
+    assert 3.5 < errors[0] / errors[1] < 4.5
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # a fresh interpreter, since this one may have imported it elsewhere
+    src = os.path.dirname(os.path.dirname(pmcgraph.__file__))
+    probe = "import sys, pmcgraph.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

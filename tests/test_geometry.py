@@ -203,6 +203,47 @@ def test_warped_range_enforced():
         F.r_of_s(s_hi + 0.1)
 
 
+@pytest.mark.parametrize("text, interval, s_exact", [
+    ("r^2", (1.0, 2.0), lambda r: 1.0 - 1.0 / r),
+    ("exp(r)", (0.0, 3.0), lambda r: 1.0 - np.exp(-r)),
+])
+def test_warped_closed_form_profiles(text, interval, s_exact):
+    F, (s_lo, s_hi) = warped_to_conformal(WarpedProfile.from_expr(text), interval)
+    assert s_lo == 0.0
+    assert abs(s_hi - s_exact(interval[1])) < 1e-12
+    r = np.linspace(*interval, 201)
+    s = F.s_of_r(r)
+    assert np.max(np.abs(s - s_exact(r))) < 1e-12
+    back = F.r_of_s(s)
+    assert np.max(np.abs(back - r)) < 1e-12
+    # an array call is the per-scalar calls, bit for bit
+    scalar_s = [F.s_of_r(v) for v in r]
+    scalar_r = [F.r_of_s(v) for v in s]
+    assert all(type(v) is float for v in scalar_s + scalar_r)
+    assert np.array_equal(s, scalar_s)
+    assert np.array_equal(back, scalar_r)
+    # one out-of-range height fails the whole array call
+    bad = s.copy()
+    bad[100] = s_hi + 0.01
+    with pytest.raises(ValueError, match="outside the reparameterized range"):
+        F.r_of_s(bad)
+    with pytest.raises(ValueError, match="outside the warped interval"):
+        F.s_of_r(interval[1] + 0.5)
+
+
+def test_warped_table_near_a_zero_of_h_is_right_or_refused():
+    # h = r - 0.5 + 1e-12 on [0.5, 1]: s_hi = ln(5e11), almost all of it
+    # within a few 1e-12 of r = 0.5; a table that cannot resolve that
+    # must raise, never return a wrong s_hi
+    P = WarpedProfile.from_expr("r - 0.5 + 1e-12")
+    try:
+        _F, (_, s_hi) = warped_to_conformal(P, (0.5, 1.0))
+    except ValueError as exc:
+        assert "[0.5, 1]" in str(exc)
+    else:
+        assert abs(s_hi - np.log(5e11)) < 1e-6
+
+
 # -- graph geometry fields ----------------------------------------------------
 
 def test_theta_on_cap():
