@@ -28,6 +28,10 @@ config and version always produce byte-identical artifacts.
 import argparse
 import hashlib
 import json
+# argparse translates its messages through gettext, whose first lookup
+# imports locale (about 2 ms); import it with the module, not inside a
+# subcommand's run
+import locale  # noqa: F401
 import math
 import os
 import sys

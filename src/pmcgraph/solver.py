@@ -6,7 +6,9 @@ diagonal shift -dF/dz >= 0 keeps the linearization nondegenerate).  Otherwise
 the outer iteration cuts the prescription off outside the barrier range and
 adds a penalty gamma*(z - anchor) large enough to restore monotonicity; each
 sweep re-anchors at the previous iterate, which climbs monotonically from the
-lower barrier to a fixed point of the original problem.
+lower barrier to the minimal fixed point of the original problem.  Anderson
+acceleration extrapolates the anchors, and a sweep from an extrapolated
+anchor counts only if it passes the checks of a plain sweep.
 
 The Jacobian is assembled analytically in the same flux form as the residual:
 per-face derivatives of g_along/omega scattered into the two adjacent node
@@ -22,8 +24,6 @@ import dataclasses
 import functools
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .calculus import (
     _face_slope_data,
@@ -66,6 +66,12 @@ MONOTONE_ABORT = 1e-6
 # A^T + A suits the nearly symmetric stencil Jacobians better than SuperLU's
 # default COLAMD (64x64 periodic grid: 1.8x less fill, 2.3x faster solve)
 PERMC_SPEC = "MMD_AT_PLUS_A"
+
+# differences of sweep history behind each Anderson candidate of the
+# penalized iteration.  Measured on the 64x64 torus_sine config, depths
+# 1/2/3/5 count 34/16/25/23 sweeps and discard 25/6/15/8 more; the
+# horosphere takes 7-9 sweeps at each of them
+ANDERSON_DEPTH = 2
 
 
 class SolverFailure(RuntimeError):
@@ -542,11 +548,24 @@ def assemble_jacobian(grid, values, F, unknowns_only=False, shift=0.0):
                        minlength=plan.nnz)
     if shift:
         data[plan.diag] += shift
+    import scipy.sparse as sp
+
     return sp.csc_matrix((data, plan.indices, plan.indptr), shape=(plan.n, plan.n))
 
 
 # ---------------------------------------------------------------------------
 # inner solve
+
+
+def spsolve(A, b):
+    """Sparse direct solve under `PERMC_SPEC`.
+
+    scipy is imported on the first call, so importing the package (and
+    every CLI subcommand that builds no matrix) loads no scipy at all.
+    """
+    from scipy.sparse.linalg import spsolve as superlu_solve
+
+    return superlu_solve(A, b, permc_spec=PERMC_SPEC)
 
 
 def _residual_values(grid, values, F, source):
@@ -618,13 +637,14 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None):
         J = assemble_jacobian(grid, u, F, unknowns_only=True,
                               shift=0.0 if ptc_dt is None else 1.0 / ptc_dt)
         if bordered:
+            import scipy.sparse as sp
+
             n = unknown.size
             one = np.ones((n, 1))
             Jb = sp.bmat([[J, one], [one.T, None]], format="csc")
-            delta = spsolve(Jb, np.concatenate([-R, [0.0]]),
-                            permc_spec=PERMC_SPEC)[:n]
+            delta = spsolve(Jb, np.concatenate([-R, [0.0]]))[:n]
         else:
-            delta = spsolve(J, -R, permc_spec=PERMC_SPEC)
+            delta = spsolve(J, -R)
         if not np.all(np.isfinite(delta)):
             raise SolverFailure(
                 "linear solve produced a non-finite step (singular linearization)",
@@ -693,30 +713,67 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None):
 # outer iteration
 
 
+@dataclasses.dataclass
 class SolveReport:
-    """Everything observable about one solve, JSON-ready via to_dict()."""
+    """Everything observable about one solve, JSON-ready via to_dict().
 
-    _FIELDS = (
-        "converged", "mode", "gamma", "gamma_certificate", "cutoff",
-        "outer_count", "inner_newton_counts", "residual_history",
-        "step_history", "monotonicity_violations", "confinement_violations",
-        "final_residual", "consistency_bound", "consistency_ok", "min_theta",
-        "sup_abs_u", "sup_abs_curvature", "barrier_check", "monotone_check",
-        "box", "grid",
-    )
+    The `_QUASI` fields are the quasi-decreasing certificate; only
+    solve_quasi sets them, and to_dict omits them from other modes' reports.
+    """
 
-    def __init__(self, **kw):
-        for name in self._FIELDS:
-            setattr(self, name, kw.pop(name))
-        for name, value in kw.items():  # quasi extensions
-            setattr(self, name, value)
-        self._extra = tuple(kw)
+    converged: bool
+    mode: str
+    gamma: float
+    gamma_certificate: object
+    cutoff: object
+    outer_count: int
+    accelerated_steps: int
+    rejected_steps: int
+    inner_newton_counts: list
+    residual_history: list
+    step_history: list
+    monotonicity_violations: list
+    confinement_violations: list
+    final_residual: float
+    consistency_bound: float
+    consistency_ok: bool
+    min_theta: float
+    sup_abs_u: float
+    sup_abs_curvature: float
+    barrier_check: dict
+    monotone_check: dict
+    box: dict
+    grid: dict
+    quasi_check: object = None
+    theta_threshold: object = None
+    graphical: object = None
+    jacobi_sup: object = None
+    refinement: object = None
+
+    _QUASI = ("quasi_check", "theta_threshold", "graphical", "jacobi_sup",
+              "refinement")
 
     def to_dict(self):
-        out = {name: getattr(self, name) for name in self._FIELDS}
-        for name in self._extra:
-            out[name] = getattr(self, name)
-        return out
+        skip = self._QUASI if self.quasi_check is None else ()
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name not in skip}
+
+
+def _anderson_candidate(f_hist, g_hist, upper):
+    """Next anchor of the penalized sweeps: a safeguarded Anderson step.
+
+    f_hist and g_hist hold f = T(x) - x and g = T(x) of the last counted
+    sweeps x -> T(x), oldest first, two at least.  The type-II Anderson
+    candidate g - dG c, with c the least-squares fit of the differences dF
+    to the newest f (Walker & Ni 2011), is clipped pointwise into
+    [g, upper]: never below the newest sweep output, never above the upper
+    barrier.
+    """
+    f, g = f_hist[-1], g_hist[-1]
+    dF = np.diff(f_hist, axis=0).T
+    dG = np.diff(g_hist, axis=0).T
+    coef = np.linalg.lstsq(dF, f, rcond=None)[0]
+    return np.clip(g - dG @ coef, g, upper)
 
 
 def _grid_meta(grid):
@@ -748,11 +805,19 @@ def outer_iterate(H, B, cfg=None):
     """Solve the prescribed-curvature problem between the barriers.
 
     Monotone prescriptions go straight to the inner Newton solve.  Otherwise
-    each sweep solves the cut-off penalized problem anchored at the previous
-    iterate, starting from the lower barrier; the anchor sequence increases
-    and the step size contracts at rate about gamma/(gamma+1).  Accepted
-    sweeps must not move down or leave the barrier slab by more than 1e-6;
-    smaller violations are tolerated as scheme noise.
+    each sweep x -> T(x) solves the cut-off penalized problem anchored at x,
+    starting from the lower barrier.  Plain sweeps anchor at the previous
+    output and climb to the minimal solution, slowly (about 0.8-0.9 per
+    sweep on the shipped configs), so once two sweeps are counted the anchor
+    is an Anderson candidate clipped into [last output, u0]
+    (`_anderson_candidate`); Newton is still seeded from the last output.
+    A sweep from a candidate counts only if it moves down and leaves the
+    slab by at most tol_outer, i.e. the candidate was a subsolution;
+    otherwise it is discarded (`rejected_steps`) and redone from the last
+    output.  Plain sweeps must not move down or leave the slab by more than
+    MONOTONE_ABORT; smaller violations are tolerated as scheme noise.  The
+    exit sweep is a counted one with step <= tol_outer, so the consistency
+    bound tol_inner + gamma*step holds; max_outer caps all inner solves.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -810,11 +875,18 @@ def outer_iterate(H, B, cfg=None):
     step_history = []
     mono_viol = []
     conf_viol = []
+    # interior values of f = T(x) - x and g = T(x) over the last counted
+    # sweeps x -> T(x), for the Anderson candidates of penalized mode
+    f_hist = []
+    g_hist = []
+    upper = B.u0.values[interior]
+    anchor = u_prev
+    accelerated = 0
+    rejected = 0
     converged = False
-    step = np.inf
 
     for m in range(cfg.max_outer):
-        source = None if mode == "direct" else gamma_eff * u_prev.values
+        source = None if mode == "direct" else gamma_eff * anchor.values
         try:
             u_next, irep = solve_inner(grid, F_core, B.psi,
                                        seed if m == 0 else u_prev, cfg,
@@ -823,19 +895,28 @@ def outer_iterate(H, B, cfg=None):
             exc.partial = {
                 "mode": mode,
                 "gamma": gamma_eff,
-                "outer_count": m,
+                "outer_count": len(step_history),
+                "rejected_steps": rejected,
                 "residual_history": residual_history + exc.residual_history,
                 "step_history": step_history,
             }
             raise
-        step = sup_norm(u_next, u_prev)
-        diff = (u_next.values - u_prev.values)[interior]
+        step = sup_norm(u_next, anchor)
+        diff = (u_next.values - anchor.values)[interior]
         viol = max(0.0, -float(np.min(diff))) if diff.size else 0.0
         conf = max(
             float(np.max(B.u1.values - u_next.values)),
             float(np.max(u_next.values - B.u0.values)),
             0.0,
         )
+        if anchor is not u_prev:
+            if viol > cfg.tol_outer or conf > cfg.tol_outer:
+                # the candidate was no subsolution inside the slab: discard
+                # this sweep and redo it plainly from the last output
+                rejected += 1
+                anchor = u_prev
+                continue
+            accelerated += 1
         inner_counts.append(irep["newton_steps"] + irep["ptc_steps"])
         residual_history.append(irep["residual_sup"])
         step_history.append(float(step))
@@ -843,27 +924,38 @@ def outer_iterate(H, B, cfg=None):
         conf_viol.append(conf)
         if viol > MONOTONE_ABORT:
             raise MonotonicityError(
-                f"outer sweep {m + 1} moved down by {viol:.3e} (> {MONOTONE_ABORT:g}); "
+                f"outer sweep {len(step_history)} moved down by {viol:.3e} "
+                f"(> {MONOTONE_ABORT:g}); "
                 "the discretization is too coarse or the penalty too small",
                 best=u_next, residual_history=residual_history)
         if conf > MONOTONE_ABORT:
             raise MonotonicityError(
-                f"outer sweep {m + 1} left the barrier slab by {conf:.3e}",
+                f"outer sweep {len(step_history)} left the barrier slab by {conf:.3e}",
                 best=u_next, residual_history=residual_history)
-        u_prev = u_next
+        u_prev = anchor = u_next
         if step <= cfg.tol_outer:
             converged = True
             break
+        if mode == "penalized":
+            f_hist = (f_hist + [diff])[-ANDERSON_DEPTH - 1:]
+            g_hist = (g_hist + [u_next.values[interior]])[-ANDERSON_DEPTH - 1:]
+            if len(f_hist) > 1:
+                values = u_next.values.copy()
+                values[interior] = _anderson_candidate(f_hist, g_hist, upper)
+                anchor = ScalarField(grid, values)
 
     if not converged:
-        rate = (step_history[-1] / step_history[-2]
+        step = step_history[-1]
+        rate = (step / step_history[-2]
                 if len(step_history) > 1 and step_history[-2] > 0 else float("nan"))
         raise SolverFailure(
-            f"outer iteration did not converge in {cfg.max_outer} sweeps "
+            f"outer iteration did not converge in {cfg.max_outer} sweeps, "
+            f"{rejected} of them discarded "
             f"(last step {step:.3e}, contraction estimate {rate:.3f})",
             best=u_prev, residual_history=residual_history,
             partial={"mode": mode, "gamma": gamma_eff,
                      "outer_count": len(step_history),
+                     "rejected_steps": rejected,
                      "residual_history": residual_history,
                      "step_history": step_history})
 
@@ -880,6 +972,8 @@ def outer_iterate(H, B, cfg=None):
         gamma_certificate=gamma_cert,
         cutoff=cut.describe() if cut is not None else None,
         outer_count=len(step_history),
+        accelerated_steps=accelerated,
+        rejected_steps=rejected,
         inner_newton_counts=inner_counts,
         residual_history=residual_history,
         step_history=step_history,
@@ -978,8 +1072,6 @@ def solve_quasi(D, B, cfg=None):
     report.theta_threshold = cfg.theta_threshold
     report.graphical = bool(report.min_theta >= cfg.theta_threshold)
     report.jacobi_sup = float(np.max(np.abs(jac.values)))
-    report._extra = report._extra + (
-        "quasi_check", "theta_threshold", "graphical", "jacobi_sup", "refinement")
 
     if cfg.refine_check:
         fine = refine_grid(grid)
@@ -1003,6 +1095,4 @@ def solve_quasi(D, B, cfg=None):
                 "relative_change": change,
                 "stable": bool(change <= 0.2),
             }
-    else:
-        report.refinement = None
     return v, report

@@ -293,8 +293,9 @@ def test_horosphere_counters_are_pinned():
     # must not move them (reuses the cached solve of criterion 5)
     code, doc, _u = horosphere_run()
     assert code == 0
-    assert doc["outer_count"] == 153
-    assert sum(doc["inner_newton_counts"]) == 239
+    assert doc["outer_count"] == 7
+    assert sum(doc["inner_newton_counts"]) == 18
+    assert doc["accelerated_steps"] == 5 and doc["rejected_steps"] == 0
 
 
 def test_criterion_06_warped_round_trip():

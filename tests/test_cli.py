@@ -2,8 +2,8 @@
 deterministic artifacts.
 
 Everything runs in-process through cli.main(argv) — same code path as the
-console script, without subprocess overhead — except the import check,
-which needs a fresh interpreter.  Exit-code contract: 0 pass,
+console script, without subprocess overhead — except the import checks,
+which need a fresh interpreter.  Exit-code contract: 0 pass,
 1 check failed, 2 bad config, 3 solver failure.
 """
 
@@ -373,6 +373,16 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     # a fresh interpreter, since this one may have imported it elsewhere
     src = os.path.dirname(os.path.dirname(pmcgraph.__file__))
     probe = "import sys, pmcgraph.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse is imported by the first sparse solve, not by the package
+    src = os.path.dirname(os.path.dirname(pmcgraph.__file__))
+    probe = "import sys, pmcgraph.cli; print('scipy.sparse' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout

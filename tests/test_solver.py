@@ -354,8 +354,9 @@ def test_outer_penalized_torus_sine():
     assert rep.converged and rep.mode == "penalized"
     assert rep.gamma > 1.0
     # iteration counters are deterministic: a solver change must not move them
-    assert rep.outer_count == 84
-    assert sum(rep.inner_newton_counts) == 139
+    assert rep.outer_count == 16
+    assert sum(rep.inner_newton_counts) == 38
+    assert rep.accelerated_steps == 8 and rep.rejected_steps == 6
     # iterates climbed monotonically and stayed in the slab
     assert max(rep.monotonicity_violations) <= 1e-9
     assert max(rep.confinement_violations) <= 1e-9
@@ -370,6 +371,94 @@ def test_outer_penalized_torus_sine():
     cert = rep.gamma_certificate
     assert cert is not None and cert["gamma"] == rep.gamma
     assert -cert["sup_slope"] + rep.gamma >= 1.0
+
+
+def _torus_sine_16():
+    grid = build_grid(2, (16, 16), (1.0, 1.0), ("periodic", "periodic"))
+    H = parse_pmc(f"0.5*sin(z) + 0.1*sin({TWO_PI}*x1)")
+    B = BarrierPair(ScalarField(grid, np.full(grid.shape, 0.25)),
+                    ScalarField(grid, np.full(grid.shape, np.pi + 0.25)))
+    return grid, H, B
+
+
+def test_accelerated_sweeps_return_the_plain_iteration_limit():
+    grid, H, B = _torus_sine_16()
+    v, rep = outer_iterate(H, B)
+    assert rep.rejected_steps >= 1
+    # the plain Picard iteration, run far past the default tol_outer
+    F = penalized_pmc(H, cutoff_profile(*(rep.cutoff[k] for k in "c1 c2 a b".split())),
+                      rep.gamma)
+    u, step = B.u1, np.inf
+    while step > 1e-12:
+        u_next, _ = solve_inner(grid, F, None, u, SolveConfig(),
+                                source=rep.gamma * u.values)
+        step = sup_norm(u_next, u)
+        u = u_next
+    assert sup_norm(v, u) <= 1e-9
+
+
+def test_anderson_candidate_is_clipped_into_the_slab():
+    from pmcgraph.solver import _anderson_candidate
+
+    # two sweeps of x -> 0.9x + b per node, whose fixed point is 10b: node 0
+    # extrapolates pi past the upper barrier 2, node 1 lands inside the
+    # slab, node 2 below its last sweep output
+    b = np.array([(2.0 + np.pi) / 10.0, 0.15, -0.05])
+    x = [np.zeros(3), b]
+    g = [0.9 * xi + b for xi in x]
+    f = [gi - xi for gi, xi in zip(g, x)]
+    upper = np.full(3, 2.0)
+    unbounded = _anderson_candidate(f, g, np.full(3, np.inf))
+    assert unbounded[0] - upper[0] == pytest.approx(np.pi)
+    cand = _anderson_candidate(f, g, upper)
+    assert np.all((g[-1] <= cand) & (cand <= upper))
+    assert np.allclose(cand, [2.0, 1.5, g[-1][2]])
+    assert g[-1][2] > 10.0 * b[2]
+
+
+def test_sweep_budget_counts_discarded_sweeps():
+    grid, H, B = _torus_sine_16()
+    with pytest.raises(SolverFailure) as exc:
+        outer_iterate(H, B, SolveConfig(max_outer=9))
+    partial = exc.value.partial
+    # the ninth inner solve started from a rejected candidate
+    assert partial["rejected_steps"] == 1
+    assert partial["outer_count"] == len(partial["step_history"]) == 8
+    assert len(exc.value.residual_history) == 8
+
+
+def test_inner_failure_partial_counts_sweeps_not_solves(monkeypatch):
+    import pmcgraph.solver as solver
+
+    grid, H, B = _torus_sine_16()
+    calls = []
+    real = solver.solve_inner
+
+    def failing_tenth(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 10:
+            raise SolverFailure("injected", residual_history=[1.0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_inner", failing_tenth)
+    with pytest.raises(SolverFailure) as exc:
+        outer_iterate(H, B)
+    partial = exc.value.partial
+    # nine solves ran: eight counted sweeps and one discarded candidate
+    assert partial["outer_count"] == 8 and partial["rejected_steps"] == 1
+    assert partial["residual_history"][-1] == 1.0
+
+
+def test_direct_mode_reports_no_acceleration_and_no_quasi_keys():
+    grid = build_grid(1, (16,), (1.0,), ("periodic",))
+    B = BarrierPair(ScalarField(grid, np.full(grid.shape, -0.8)),
+                    ScalarField(grid, np.full(grid.shape, 0.9)))
+    _, rep = outer_iterate(parse_pmc("-z"), B)
+    d = rep.to_dict()
+    assert d["mode"] == "direct"
+    assert d["accelerated_steps"] == 0 and d["rejected_steps"] == 0
+    assert not {"quasi_check", "theta_threshold", "graphical", "jacobi_sup",
+                "refinement"} & set(d)
 
 
 def test_outer_rejects_bad_barriers():
