@@ -449,6 +449,95 @@ def test_inner_failure_partial_counts_sweeps_not_solves(monkeypatch):
     assert partial["residual_history"][-1] == 1.0
 
 
+def test_non_converged_message_names_last_and_smallest_step():
+    grid, H, B = _torus_sine_16()
+    with pytest.raises(SolverFailure) as exc:
+        outer_iterate(H, B, SolveConfig(max_outer=5))
+    steps = exc.value.partial["step_history"]
+    # the Anderson candidates overshoot first: the steps grow, yet the
+    # iteration converges, so no ratio of steps is reported
+    assert steps[-1] > steps[0]
+    message = str(exc.value)
+    assert "contraction" not in message
+    assert f"last step {steps[-1]:.3e}" in message
+    assert f"smallest step {min(steps):.3e}" in message
+    assert exc.value.partial["factorizations"] >= 1
+    assert exc.value.partial["krylov_iterations"] >= 0
+
+
+def test_lagged_factor_counters_are_pinned_and_match_refactoring(monkeypatch):
+    import pmcgraph.solver as solver
+
+    grid, H, B = _torus_sine_16()
+    v, rep = outer_iterate(H, B)
+    assert rep.factorizations == 3 and rep.krylov_iterations == 97
+    # every linear solve factors its own matrix
+    monkeypatch.setattr(solver.LaggedLU, "_krylov", lambda self, A, b: None)
+    v_direct, direct = outer_iterate(H, B)
+    assert direct.krylov_iterations == 0
+    assert direct.factorizations > rep.factorizations
+    assert np.max(np.abs(v.values - v_direct.values)) <= 1e-12
+    assert direct.outer_count == rep.outer_count
+    assert direct.inner_newton_counts == rep.inner_newton_counts
+    assert direct.accelerated_steps == rep.accelerated_steps
+    assert direct.rejected_steps == rep.rejected_steps
+
+
+def test_no_factor_passes_between_solves():
+    grid, H, B = _torus_sine_16()
+    _, first = outer_iterate(H, B)
+    # a solve of another problem on the same grid in between: a factor
+    # left over from it would change the next solve's counters
+    other = parse_pmc(f"0.5*sin(z) + 0.1*cos({TWO_PI}*x2)")
+    _, between = outer_iterate(other, B)
+    _, second = outer_iterate(H, B)
+    assert first.to_dict() == second.to_dict()
+    assert first.factorizations >= 1 and between.factorizations >= 1
+
+
+def test_lagged_factor_refactors_far_or_resized_systems():
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    from pmcgraph.solver import PERMC_SPEC, LaggedLU
+
+    def direct(A, b):
+        return splu(A, permc_spec=PERMC_SPEC).solve(b)
+
+    n = 200
+    rng = np.random.default_rng(0)
+    A = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1], format="csc")
+    b = rng.standard_normal(n)
+    lagged = LaggedLU()
+    np.testing.assert_allclose(lagged.solve(A, b), direct(A, b), rtol=0, atol=1e-12)
+    assert (lagged.factorizations, lagged.krylov_iterations) == (1, 0)
+    # a nearby matrix is solved by GMRES on the old factor
+    near = (A + sp.diags(1e-3 * rng.standard_normal(n))).tocsc()
+    x = lagged.solve(near, b)
+    assert lagged.factorizations == 1 and lagged.krylov_iterations > 0
+    assert np.max(np.abs(near @ x - b)) <= 1e-10 * np.linalg.norm(b)
+    # one restart cycle cannot fix a factor this far off
+    far = (A + 5.0 * sp.random(n, n, density=0.05, random_state=1)).tocsc()
+    np.testing.assert_allclose(lagged.solve(far, b), direct(far, b), rtol=0, atol=1e-12)
+    assert lagged.factorizations == 2
+    # the bordered periodic system is one unknown larger
+    big = sp.diags([-np.ones(n), 4.0 * np.ones(n + 1), -np.ones(n)],
+                   [-1, 0, 1], format="csc")
+    b_big = rng.standard_normal(n + 1)
+    np.testing.assert_allclose(lagged.solve(big, b_big), direct(big, b_big),
+                               rtol=0, atol=1e-12)
+    assert lagged.factorizations == 3
+
+
+def test_singular_linear_system_gives_a_non_finite_step():
+    import scipy.sparse as sp
+
+    from pmcgraph.solver import spsolve
+
+    assert np.all(np.isnan(spsolve(sp.csc_matrix((3, 3)), np.ones(3))))
+
+
 def test_direct_mode_reports_no_acceleration_and_no_quasi_keys():
     grid = build_grid(1, (16,), (1.0,), ("periodic",))
     B = BarrierPair(ScalarField(grid, np.full(grid.shape, -0.8)),

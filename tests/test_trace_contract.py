@@ -1,0 +1,65 @@
+"""The benchmark's traced run wraps pmcgraph functions by name.
+
+`perfbench/spans.py` replaces module attributes at run time; these tests
+import it read-only and check that the names it wraps still exist as plain
+module functions, and that a traced solve counts one `solver.spsolve` call
+per linear solve.
+"""
+
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pmcgraph.cli  # noqa: F401  (with the package, every traced module)
+from pmcgraph.grid import ScalarField, build_grid
+from pmcgraph.pmc import parse_pmc
+from pmcgraph.solver import BarrierPair, outer_iterate
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("spans")
+
+
+def test_foreign_names_are_module_functions(spans):
+    for modname, attr in spans.FOREIGN:
+        obj = getattr(importlib.import_module(modname), attr)
+        assert inspect.isfunction(obj), (modname, attr)
+        assert obj.__module__ == modname, (modname, attr)
+
+
+def test_spsolve_takes_the_matrix_first():
+    from pmcgraph.solver import spsolve
+
+    first = next(iter(inspect.signature(spsolve).parameters.values()))
+    assert first.name == "A"
+    assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_traced_solve_counts_one_spsolve_per_linear_solve(spans, tmp_path):
+    grid = build_grid(2, (16, 16), (1.0, 1.0), ("periodic", "periodic"))
+    H = parse_pmc("0.5*sin(z) + 0.1*sin(6.283185307179586*x1)")
+    B = BarrierPair(ScalarField(grid, np.full(grid.shape, 0.25)),
+                    ScalarField(grid, np.full(grid.shape, np.pi + 0.25)))
+    tracer = spans.Tracer(run_id="contract").install()
+    try:
+        _, rep = outer_iterate(H, B)
+    finally:
+        tracer.uninstall()
+    path = tmp_path / "trace.npz"
+    tracer.dump(path)
+    summary = spans.summarize(path)
+    counts = summary["counts"]
+    # no line search failed, so every Newton or PTC step made one solve
+    calls = summary["layers"]["solver.spsolve"]["calls"]
+    assert calls == counts["newton_steps"] + counts["ptc_steps"] > 0
+    assert calls >= rep.factorizations
+    assert counts["spsolve_unknowns"] == grid.node_count
