@@ -184,21 +184,26 @@ class WorkingBox:
         if samples < 2:
             raise ValueError("need at least 2 samples per axis")
         dim = self.dimension
-        axes = [np.linspace(lo, hi, samples) for lo, hi in self.x_ranges]
-        axes.append(np.linspace(self.z_min, self.z_max, samples))
-        for _ in range(dim):
-            axes.append(np.linspace(-1.0, 1.0, samples))
-        axes.append(np.linspace(0.0, 1.0, samples))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = [m.reshape(-1) for m in mesh]
+        base = [np.linspace(lo, hi, samples) for lo, hi in self.x_ranges]
+        base.append(np.linspace(self.z_min, self.z_max, samples))
+        normal = [np.linspace(-1.0, 1.0, samples)] * dim
+        normal.append(np.linspace(0.0, 1.0, samples))
+        # the half-ball test reads the normal axes alone, so filter their
+        # sub-lattice once; each base point then repeats the kept normals,
+        # which is the C order of the full lattice
+        ball = [m.reshape(-1) for m in np.meshgrid(*normal, indexing="ij")]
+        keep = sum(a * a for a in ball) <= 1.0 + 1e-12
+        ball = [a[keep] for a in ball]
+        flat = [np.repeat(m.reshape(-1), keep.sum())
+                for m in np.meshgrid(*base, indexing="ij")]
+        flat += [np.tile(a, samples ** (dim + 1)) for a in ball]
         if dim == 1:
             x1, z, y1, t = flat
             x2 = np.zeros_like(x1)
             y2 = np.zeros_like(x1)
         else:
             x1, x2, z, y1, y2, t = flat
-        keep = y1 * y1 + y2 * y2 + t * t <= 1.0 + 1e-12
-        return _env_of(x1[keep], x2[keep], z[keep], y1[keep], y2[keep], t[keep])
+        return _env_of(x1, x2, z, y1, y2, t)
 
     def __repr__(self):
         return (f"WorkingBox(z=[{self.z_min:.6g}, {self.z_max:.6g}], "
@@ -210,14 +215,15 @@ def _worst_point(env, idx, dimension):
     return {k: float(np.asarray(env[k]).reshape(-1)[idx]) for k in keys}
 
 
-def check_monotone(H, box, samples=9):
+def check_monotone(H, box, samples=9, lattice=None):
     """Sample dH/dz over the box lattice; pass iff the sup is <= ~0.
 
     Returns a dict with `passed`, the signed `worst_value` (sup of the
     sampled height derivative) and the lattice point attaining it (lowest
-    flat index on ties).
+    flat index on ties).  `lattice` is `box.sample_lattice(samples)`, for a
+    caller that already has it.
     """
-    env = box.sample_lattice(samples)
+    env = box.sample_lattice(samples) if lattice is None else lattice
     vals = H.d_z(**env)
     vals = np.broadcast_to(vals, env["z"].shape)
     idx = int(np.argmax(vals))

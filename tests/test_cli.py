@@ -380,13 +380,57 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse is imported by the first sparse solve, not by the package
     src = os.path.dirname(os.path.dirname(pmcgraph.__file__))
     probe = "import sys, pmcgraph.cli; print('scipy.sparse' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", cfg_path("torus_sine.json"),
+     "--override", "grid.shape=[16,16]"],
+    ["reparam", "--config", cfg_path("warped_radial.json")],
+], ids=["solve-torus", "reparam-warped"])
+def test_subcommands_load_no_scipy(tmp_path, argv):
+    # a fresh interpreter, since this one may have imported scipy elsewhere
+    src = os.path.dirname(os.path.dirname(pmcgraph.__file__))
+    argv = argv + ["--out-report", str(tmp_path / "r.json"),
+                   "--out-field", str(tmp_path / "f.csv")]
+    probe = ("import sys, pmcgraph.cli as cli; code = cli.main(sys.argv[1:]); "
+             "print(code, sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "0 []"
+
+
+def test_third_party_imports_are_declared_dependencies():
+    import ast
+    import re
+
+    tomllib = pytest.importorskip("tomllib")
+    package = os.path.dirname(pmcgraph.__file__)
+    root = os.path.dirname(os.path.dirname(package))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower()
+                    for d in tomllib.load(fh)["project"]["dependencies"]}
+    imported = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"pmcgraph"}
+    assert third_party, "the walk found no third-party import at all"
+    assert third_party <= declared, sorted(third_party - declared)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,29 @@ def test_lattice_count_2d():
         box.sample_lattice(samples=1)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("samples", [2, 3, 9])
+def test_lattice_matches_the_filtered_full_meshgrid(dimension, samples):
+    box = WorkingBox((-0.3, 1.7), ((0.0, 1.0), (-2.0, 0.5))[:dimension])
+    env = box.sample_lattice(samples)
+    # the reference: every lattice point in C order, then the half-ball test
+    axes = [np.linspace(lo, hi, samples) for lo, hi in box.x_ranges]
+    axes.append(np.linspace(box.z_min, box.z_max, samples))
+    axes += [np.linspace(-1.0, 1.0, samples)] * dimension
+    axes.append(np.linspace(0.0, 1.0, samples))
+    names = ("x1", "x2", "z", "y1", "y2", "t")
+    if dimension == 1:
+        names = ("x1", "z", "y1", "t")
+    mesh = np.meshgrid(*axes, indexing="ij")
+    full = {k: m.reshape(-1) for k, m in zip(names, mesh)}
+    normal = [full[k] for k in names[dimension + 1:]]
+    keep = sum(a * a for a in normal) <= 1.0 + 1e-12
+    for k in names:
+        np.testing.assert_array_equal(env[k], full[k][keep])
+    if dimension == 1:
+        assert not np.any(env["x2"]) and not np.any(env["y2"])
+
+
 # -- monotonicity checks ------------------------------------------------------
 
 def test_check_monotone_sine():

@@ -470,7 +470,7 @@ def test_lagged_factor_counters_are_pinned_and_match_refactoring(monkeypatch):
 
     grid, H, B = _torus_sine_16()
     v, rep = outer_iterate(H, B)
-    assert rep.factorizations == 3 and rep.krylov_iterations == 97
+    assert rep.factorizations == 1 and rep.krylov_iterations == 138
     # every linear solve factors its own matrix
     monkeypatch.setattr(solver.LaggedLU, "_krylov", lambda self, A, b: None)
     v_direct, direct = outer_iterate(H, B)
@@ -495,47 +495,135 @@ def test_no_factor_passes_between_solves():
     assert first.factorizations >= 1 and between.factorizations >= 1
 
 
-def test_lagged_factor_refactors_far_or_resized_systems():
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
+def _line_jacobian(shape, topology, text="0.2*sin(y1) - 0.3*t - 2*z"):
+    grid = build_grid(len(shape), shape, (1.0,) * len(shape), topology)
+    # a smooth graph, so that the system stays well conditioned on fine grids
+    u = 0.3 * sum(np.sin(TWO_PI * x + k)
+                  for k, x in enumerate(grid.node_positions()))
+    return assemble_jacobian(grid, u, parse_pmc(text), unknowns_only=True)
 
-    from pmcgraph.solver import PERMC_SPEC, LaggedLU
+
+# one block, two (the tail couples to one head block), several, and lines
+# longer than a block
+_PERIODIC = [((12,), ("periodic",)), ((256,), ("periodic",)),
+             ((300,), ("periodic",)), ((4, 5), ("periodic", "periodic")),
+             ((8, 6), ("periodic", "periodic")), ((16, 16), ("periodic", "periodic")),
+             ((24, 20), ("periodic", "periodic")), ((6, 130), ("periodic", "periodic")),
+             ((7, 130), ("periodic", "periodic"))]
+
+
+@pytest.mark.parametrize("shape, topology, gauge_free", [
+    *((shape, topology, False) for shape, topology in _PERIODIC),
+    ((12,), ("dirichlet",), False),
+    ((302,), ("dirichlet",), False),
+    ((4, 4), ("dirichlet", "dirichlet"), False),
+    ((7, 9), ("dirichlet", "dirichlet"), False),
+    ((22, 12), ("dirichlet", "dirichlet"), False),
+    ((40, 9), ("dirichlet", "dirichlet"), False),
+    ((8, 9), ("periodic", "dirichlet"), False),
+    ((30, 20), ("periodic", "dirichlet"), False),
+    ((9, 8), ("dirichlet", "periodic"), False),
+    ((32, 20), ("dirichlet", "periodic"), False),
+    ((12, 130), ("dirichlet", "periodic"), False),
+    *((shape, topology, True) for shape, topology in _PERIODIC),
+])
+def test_block_lu_matches_a_dense_solve(shape, topology, gauge_free):
+    from pmcgraph.solver import LineLU
+
+    # a height-free prescription leaves the constants in the kernel, which
+    # the border row removes
+    text = "0.2*sin(y1) - 0.3*t" if gauge_free else "0.2*sin(y1) - 0.3*t - 2*z"
+    J = _line_jacobian(shape, topology, text)
+    A = J.bordered() if gauge_free else J
+    dense = A.toarray()
+    b = np.random.default_rng(1).standard_normal(A.shape[0])
+    Ab = dense @ b
+    assert np.max(np.abs(A @ b - Ab)) <= 1e-12 * np.max(np.abs(Ab))
+    assert A.nnz == J.nnz + 2 * J.shape[0] * gauge_free
+    x = LineLU(A).solve(b)
+    expected = np.linalg.solve(dense, b)
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_block_lu_refuses_rows_beyond_neighbouring_blocks():
+    from pmcgraph.solver import LineLU
+
+    # with its boundary rows kept, a dirichlet Jacobian's one-sided stencils
+    # reach two grid lines, so two blocks away at one line a block
+    grid = build_grid(2, (6, 100), (1.0, 1.0), ("dirichlet", "dirichlet"))
+    J = assemble_jacobian(grid, np.zeros(grid.shape), parse_pmc("-z"))
+    with pytest.raises(ValueError, match="beyond their neighbours"):
+        LineLU(J)
+
+
+def test_lagged_factor_refactors_far_or_resized_systems():
+    from pmcgraph.solver import LaggedLU
 
     def direct(A, b):
-        return splu(A, permc_spec=PERMC_SPEC).solve(b)
+        return np.linalg.solve(A.toarray(), b)
 
-    n = 200
+    grid = build_grid(2, (16, 12), (1.0, 1.0), ("periodic", "periodic"))
     rng = np.random.default_rng(0)
-    A = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
-                 [-1, 0, 1], format="csc")
-    b = rng.standard_normal(n)
+    u = 0.3 * rng.standard_normal(grid.shape)
+    F = parse_pmc("0.5*sin(z) - 2*z")
+    A = assemble_jacobian(grid, u, F, unknowns_only=True)
+    b = rng.standard_normal(A.shape[0])
     lagged = LaggedLU()
     np.testing.assert_allclose(lagged.solve(A, b), direct(A, b), rtol=0, atol=1e-12)
     assert (lagged.factorizations, lagged.krylov_iterations) == (1, 0)
     # a nearby matrix is solved by GMRES on the old factor
-    near = (A + sp.diags(1e-3 * rng.standard_normal(n))).tocsc()
+    near = assemble_jacobian(grid, u + 1e-3 * rng.standard_normal(grid.shape), F,
+                             unknowns_only=True)
     x = lagged.solve(near, b)
     assert lagged.factorizations == 1 and lagged.krylov_iterations > 0
     assert np.max(np.abs(near @ x - b)) <= 1e-10 * np.linalg.norm(b)
     # one restart cycle cannot fix a factor this far off
-    far = (A + 5.0 * sp.random(n, n, density=0.05, random_state=1)).tocsc()
+    far = assemble_jacobian(grid, u, F, unknowns_only=True, shift=1e4)
     np.testing.assert_allclose(lagged.solve(far, b), direct(far, b), rtol=0, atol=1e-12)
     assert lagged.factorizations == 2
     # the bordered periodic system is one unknown larger
-    big = sp.diags([-np.ones(n), 4.0 * np.ones(n + 1), -np.ones(n)],
-                   [-1, 0, 1], format="csc")
-    b_big = rng.standard_normal(n + 1)
+    big = A.bordered()
+    b_big = rng.standard_normal(A.shape[0] + 1)
     np.testing.assert_allclose(lagged.solve(big, b_big), direct(big, b_big),
                                rtol=0, atol=1e-12)
     assert lagged.factorizations == 3
 
 
+def test_lagged_solve_applies_the_factor_once_per_iteration_and_once_more(
+        monkeypatch):
+    from pmcgraph.solver import LaggedLU, LineLU
+
+    applies = []
+    real = LineLU.solve
+    monkeypatch.setattr(LineLU, "solve",
+                        lambda self, b: applies.append(b.size) or real(self, b))
+    grid = build_grid(2, (16, 12), (1.0, 1.0), ("periodic", "periodic"))
+    rng = np.random.default_rng(0)
+    u = 0.3 * rng.standard_normal(grid.shape)
+    F = parse_pmc("0.5*sin(z) - 2*z")
+    b = rng.standard_normal(grid.node_count)
+    lagged = LaggedLU()
+    lagged.solve(assemble_jacobian(grid, u, F, unknowns_only=True), b)
+    assert len(applies) == 1
+    for k in range(3):
+        applies.clear()
+        before = lagged.krylov_iterations
+        near = assemble_jacobian(grid, u + 1e-3 * (k + 1) * np.cos(u), F,
+                                 unknowns_only=True)
+        lagged.solve(near, b)
+        assert lagged.factorizations == 1
+        # x0 = M b, then one M v per iteration; no solve is repeated
+        assert len(applies) == lagged.krylov_iterations - before + 1 >= 2
+
+
 def test_singular_linear_system_gives_a_non_finite_step():
-    import scipy.sparse as sp
+    from pmcgraph.solver import GridMatrix, spsolve
 
-    from pmcgraph.solver import spsolve
-
-    assert np.all(np.isnan(spsolve(sp.csc_matrix((3, 3)), np.ones(3))))
+    # one dense block, and several blocks with a wrap
+    for shape in ((4,), (4, 4), (24, 20)):
+        J = _line_jacobian(shape, ("periodic",) * len(shape))
+        zero = GridMatrix(J.plan, np.zeros(J.nnz))
+        assert np.all(np.isnan(spsolve(zero, np.ones(zero.shape[0]))))
 
 
 def test_direct_mode_reports_no_acceleration_and_no_quasi_keys():

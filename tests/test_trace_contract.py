@@ -3,7 +3,7 @@
 `perfbench/spans.py` replaces module attributes at run time; these tests
 import it read-only and check that the names it wraps still exist as plain
 module functions, and that a traced solve counts one `solver.spsolve` call
-per linear solve.
+per linear solve and reads the Jacobian's pattern size and system size.
 """
 
 import importlib
@@ -17,7 +17,7 @@ import pytest
 import pmcgraph.cli  # noqa: F401  (with the package, every traced module)
 from pmcgraph.grid import ScalarField, build_grid
 from pmcgraph.pmc import parse_pmc
-from pmcgraph.solver import BarrierPair, outer_iterate
+from pmcgraph.solver import BarrierPair, _jacobian_plan, outer_iterate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -63,3 +63,5 @@ def test_traced_solve_counts_one_spsolve_per_linear_solve(spans, tmp_path):
     assert calls == counts["newton_steps"] + counts["ptc_steps"] > 0
     assert calls >= rep.factorizations
     assert counts["spsolve_unknowns"] == grid.node_count
+    # the per-layer metrics read the matrix's pattern size and shape
+    assert counts["jacobian_nnz"] == _jacobian_plan(grid, True).nnz > 0
