@@ -1,25 +1,46 @@
 """Discrete calculus on structured grids: gradients, flux divergence,
 nonparametric mean curvature, graph Laplacian, quadrature.
 
-All divergence-type operators are assembled in conservative (flux) form:
-face fluxes first, then differenced back to nodes.  On dirichlet axes the
-divergence is only meaningful at interior nodes; boundary nodes carry 0 by
-convention in every nodal output.
+Every difference operator is a `Stencil`, a fixed-width gather over flat
+values: out[i] = sum_k weights[k, i] * v[cols[k, i]].  `operators(grid)`
+builds four kinds once per grid, one of each per axis:
+
+- `grad[c]`, node to node, the derivative along axis c: centered, with a
+  zero-weight third slot on the node itself, inside and on periodic axes;
+  second-order one-sided on the two layers of a dirichlet axis, so it is
+  defined at every node;
+- `along[k]`, node to face, the exact two-point difference across the
+  faces of axis k;
+- `avg[k]`, node to face, the average of a face's two endpoints;
+- `div[k]`, face to node, the conservative difference of the two faces of
+  axis k around a node, right minus left over h.
 
 Face conventions for axis k: face i joins nodes i and i+1 along k (wrapping
 on periodic axes, so a periodic axis has one face per node and a dirichlet
-axis one fewer).  The along-axis gradient on a face is the exact two-point
-difference; transverse components are the average of the centered node
-differences at the two endpoints.
+axis one fewer).  A face array is shaped like the grid with that count on
+axis k.  The gradient on a face is `along[k]` for its component along k and
+`avg[k]` of the node gradient for each transverse one.
+
+All divergence-type operators are assembled in conservative (flux) form:
+face fluxes first, then `div` back to nodes.  The rows of `div` are zero on
+every boundary node (a node on a dirichlet layer of any axis), so every
+nodal divergence-type output carries 0 there.  The solver's Jacobian is
+composed from the same stencils, so it differentiates this discretization
+and no copy of it.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
+
 import numpy as np
 
-from .grid import ScalarField, VectorField, face_shape
+from .grid import ScalarField, VectorField
 
 __all__ = [
+    "Stencil",
+    "operators",
     "gradient",
     "flux_divergence",
     "mean_curvature_product",
@@ -31,29 +52,99 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# stencils
+
+
+class Stencil:
+    """Fixed-width gather: out[i] = sum_k weights[k, i] * v[cols[k, i]].
+
+    `cols` and `weights` are shaped (width, outputs); the input is read flat
+    and the output has `shape`.  `a @ b` is the stencil of a(b(v)), of
+    width a.width * b.width, slot k * b.width + l reading b's slot l through
+    a's slot k.
+    """
+
+    def __init__(self, cols, weights, shape):
+        # shared by every caller of the per-grid cache, so read-only
+        cols.flags.writeable = weights.flags.writeable = False
+        self.cols = cols
+        self.weights = weights
+        self.shape = shape
+
+    @property
+    def width(self):
+        return self.cols.shape[0]
+
+    def __call__(self, values):
+        out = np.einsum("ki,ki->i", self.weights, np.take(values, self.cols))
+        return out.reshape(self.shape)
+
+    def __matmul__(self, inner):
+        n = self.cols.shape[1]
+        cols = inner.cols[:, self.cols].transpose(1, 0, 2).reshape(-1, n)
+        weights = (self.weights[:, None, :]
+                   * inner.weights[:, self.cols].transpose(1, 0, 2)).reshape(-1, n)
+        return Stencil(cols, weights, self.shape)
+
+
+Operators = collections.namedtuple("Operators", "grad along avg div")
+
+
+def _axis_stencil(in_shape, axis, pos, wts):
+    """Stencil along one axis of an array shaped `in_shape`: output position
+    j on `axis` reads input positions pos[k][j] with weights wts[k][j], at
+    the same position on the other axis."""
+    idx = np.arange(int(np.prod(in_shape))).reshape(in_shape)
+    out_shape = list(in_shape)
+    out_shape[axis] = len(pos[0])
+    line = [1] * len(in_shape)
+    line[axis] = -1
+    cols = np.stack([np.take(idx, p, axis=axis).reshape(-1) for p in pos])
+    weights = np.stack([np.broadcast_to(np.reshape(w, line), out_shape).reshape(-1)
+                        for w in wts])
+    return Stencil(cols, weights, tuple(out_shape))
+
+
+@functools.lru_cache(maxsize=8)
+def operators(grid):
+    """The grid's `grad`, `along`, `avg` and `div` stencils, one per axis,
+    built once per grid."""
+    interior = ~grid.boundary_mask.reshape(-1)
+    grad, along, avg, div = [], [], [], []
+    for ax, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+        periodic = grid.topology[ax] == "periodic"
+        i = np.arange(n)
+        pos = np.array([i - 1, i + 1, i])
+        wts = np.array([-0.5, 0.5, 0.0])[:, None] / h * np.ones(n)
+        if periodic:
+            pos %= n
+        else:
+            pos[:, 0], wts[:, 0] = (0, 1, 2), np.array([-1.5, 2.0, -0.5]) / h
+            pos[:, -1], wts[:, -1] = (n - 1, n - 2, n - 3), np.array([1.5, -2.0, 0.5]) / h
+        grad.append(_axis_stencil(grid.shape, ax, pos, wts))
+
+        nf = n if periodic else n - 1
+        f = np.arange(nf)
+        ends = [f, (f + 1) % n]
+        along.append(_axis_stencil(grid.shape, ax, ends, [-1.0 / h, 1.0 / h]))
+        avg.append(_axis_stencil(grid.shape, ax, ends, [0.5, 0.5]))
+
+        faces = list(grid.shape)
+        faces[ax] = nf
+        left = (i - 1) % n if periodic else np.clip(i - 1, 0, nf - 1)
+        d = _axis_stencil(tuple(faces), ax, [left, np.minimum(i, nf - 1)],
+                          [-1.0 / h, 1.0 / h])
+        div.append(Stencil(d.cols, d.weights * interior, d.shape))
+    return Operators(grad, along, avg, div)
+
+
+# ---------------------------------------------------------------------------
 # gradients
-
-
-def _centered_axis_diff(values, axis, h, topology):
-    """Node-centered first difference along one axis."""
-    if topology == "periodic":
-        return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
-    out = np.empty_like(values)
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    o[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    # second-order one-sided at the two dirichlet layers
-    o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    o[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return out
 
 
 def node_gradients(grid, values):
     """List of node-centered partial-derivative arrays, one per axis."""
-    return [
-        _centered_axis_diff(values, ax, grid.spacing[ax], grid.topology[ax])
-        for ax in range(grid.dimension)
-    ]
+    return [g(values) for g in operators(grid).grad]
 
 
 def gradient(field):
@@ -66,41 +157,27 @@ def gradient(field):
     return VectorField(field.grid, comps, "node")
 
 
-def _to_faces(values, axis, topology):
-    """Average node values onto the faces of `axis`."""
-    if topology == "periodic":
-        return 0.5 * (values + np.roll(values, -1, axis))
-    v = np.moveaxis(values, axis, 0)
-    return np.moveaxis(0.5 * (v[:-1] + v[1:]), 0, axis)
-
-
-def _along_face_diff(values, axis, h, topology):
-    """Exact two-point difference across the faces of `axis`."""
-    if topology == "periodic":
-        return (np.roll(values, -1, axis) - values) / h
-    return np.diff(values, axis=axis) / h
-
-
-def face_gradients(grid, values, axis):
+def face_gradients(grid, values, axis, grads=None):
     """All gradient components of `values` on the faces of `axis`.
 
     Returns a list of arrays shaped like the face array: entry `axis` is the
     exact along-face difference, other entries are endpoint averages of the
-    centered node differences.
+    node gradients `grads`, computed here when the caller has none.
     """
-    comps = []
-    for m in range(grid.dimension):
-        if m == axis:
-            comps.append(_along_face_diff(values, axis, grid.spacing[axis],
-                                          grid.topology[axis]))
-        else:
-            d = _centered_axis_diff(values, m, grid.spacing[m], grid.topology[m])
-            comps.append(_to_faces(d, axis, grid.topology[axis]))
-    return comps
+    ops = operators(grid)
+    if grads is None:
+        grads = node_gradients(grid, values)
+    return [ops.along[axis](values) if m == axis else ops.avg[axis](g)
+            for m, g in enumerate(grads)]
 
 
 # ---------------------------------------------------------------------------
 # divergence
+
+
+def _divergence(grid, face_comps):
+    """`flux_divergence` on raw face arrays."""
+    return sum(d(V) for d, V in zip(operators(grid).div, face_comps))
 
 
 def flux_divergence(vfield):
@@ -113,44 +190,24 @@ def flux_divergence(vfield):
     if vfield.centering != "face":
         raise ValueError("flux_divergence needs a face-centered field")
     grid = vfield.grid
-    return ScalarField(grid, _div_values(grid, vfield.components))
-
-
-def _div_values(grid, face_comps):
-    """flux_divergence on raw arrays (no VectorField wrapping)."""
-    out = np.zeros(grid.shape)
-    for ax in range(grid.dimension):
-        V = face_comps[ax]
-        h = grid.spacing[ax]
-        if grid.topology[ax] == "periodic":
-            out += (V - np.roll(V, 1, ax)) / h
-        else:
-            o = np.moveaxis(out, ax, 0)
-            o[1:-1] += np.moveaxis(np.diff(V, axis=ax), ax, 0) / h
-    out[grid.boundary_mask] = 0.0
-    return out
+    return ScalarField(grid, _divergence(grid, vfield.components))
 
 
 # ---------------------------------------------------------------------------
 # nonparametric operators
 
 
-def _face_slope_data(grid, values, axis):
-    """(gradient components, slope factor omega) on the faces of `axis`."""
-    comps = face_gradients(grid, values, axis)
-    sq = np.zeros(face_shape(grid, axis))
-    for c in comps:
-        sq += c * c
-    omega = np.sqrt(1.0 + sq)
-    return comps, omega
-
-
-def mean_curvature_product_values(grid, values):
-    comps = []
+def mean_curvature_product_values(grid, values, grads=None):
+    """`mean_curvature_product` on raw arrays; `grads`, the node gradients
+    of `values`, when the caller already has them."""
+    if grads is None:
+        grads = node_gradients(grid, values)
+    fluxes = []
     for ax in range(grid.dimension):
-        g, omega = _face_slope_data(grid, values, ax)
-        comps.append(g[ax] / omega)
-    return -_div_values(grid, comps)
+        comps = face_gradients(grid, values, ax, grads)
+        omega = np.sqrt(1.0 + sum(c * c for c in comps))
+        fluxes.append(comps[ax] / omega)
+    return -_divergence(grid, fluxes)
 
 
 def mean_curvature_product(field):
@@ -174,19 +231,18 @@ def graph_laplacian(field, phi):
         raise ValueError("graph_laplacian operands are on different grids")
     grid = field.grid
     u = field.values
+    grads = node_gradients(grid, u)
+    grads_phi = node_gradients(grid, phi.values)
     comps = []
     for ax in range(grid.dimension):
-        gu, omega = _face_slope_data(grid, u, ax)
-        gphi = face_gradients(grid, phi.values, ax)
+        gu = face_gradients(grid, u, ax, grads)
+        gphi = face_gradients(grid, phi.values, ax, grads_phi)
+        omega = np.sqrt(1.0 + sum(c * c for c in gu))
         inner = sum(gu[m] * gphi[m] for m in range(grid.dimension))
         flux = omega * (gphi[ax] - gu[ax] * inner / (omega * omega))
         comps.append(flux)
-    div = _div_values(grid, comps)
-    grads = node_gradients(grid, u)
     omega_node = np.sqrt(1.0 + sum(g * g for g in grads))
-    out = div / omega_node
-    out[grid.boundary_mask] = 0.0
-    return ScalarField(grid, out)
+    return ScalarField(grid, _divergence(grid, comps) / omega_node)
 
 
 # ---------------------------------------------------------------------------

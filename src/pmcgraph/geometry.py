@@ -17,9 +17,7 @@ from .calculus import (
     graph_laplacian,
     mean_curvature_product_values,
     node_gradients,
-    _centered_axis_diff,
-    _div_values,
-    _to_faces,
+    operators,
 )
 from .expr import Const, Func, Var, eval_checked, parse_expr, rename_var, takes_differences
 from .expr import _add, _call, _mul, _sub
@@ -114,7 +112,7 @@ def conformal_mean_curvature_values(grid, values, F, n):
     corr = F.d_r(**env)
     for ax in range(grid.dimension):
         corr = corr - F.d_x(ax, **env) * grads[ax]
-    mcp = mean_curvature_product_values(grid, values)
+    mcp = mean_curvature_product_values(grid, values, grads)
     out = np.exp(-f) * (mcp + n * corr / omega)
     out[grid.boundary_mask] = 0.0
     return out
@@ -143,11 +141,13 @@ def divergence_oracle(grid, u, F, n=None):
     if n is None:
         n = grid.dimension
     values = u.values
-    comps = []
+    ops = operators(grid)
+    grads = node_gradients(grid, values)
+    div_h = 0.0
     for ax in range(grid.dimension):
-        g = face_gradients(grid, values, ax)
+        g = face_gradients(grid, values, ax, grads)
         omega_face = np.sqrt(1.0 + sum(c * c for c in g))
-        u_face = _to_faces(values, ax, grid.topology[ax])
+        u_face = ops.avg[ax](values)
         fpos = face_positions(grid, ax)
         env = {
             "x1": fpos[0],
@@ -155,10 +155,8 @@ def divergence_oracle(grid, u, F, n=None):
             "r": u_face,
         }
         W = np.exp(n * F.eval(**env)) * (-g[ax] / omega_face)
-        comps.append(W)
-    div_h = _div_values(grid, comps)
+        div_h = div_h + ops.div[ax](W)
 
-    grads = node_gradients(grid, values)
     omega = np.sqrt(1.0 + sum(g * g for g in grads))
     env = _factor_env(grid, values)
     f = F.eval(**env)
@@ -413,33 +411,25 @@ def theta_field(grid, u):
     return ScalarField(grid, 1.0 / omega)
 
 
-def _second_diff(values, axis, h, topology):
-    out = np.zeros_like(values)
-    if topology == "periodic":
-        return (np.roll(values, -1, axis) - 2.0 * values + np.roll(values, 1, axis)) / (h * h)
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    o[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-    return out
-
-
 def second_fundamental_norm(grid, u):
     """Squared norm of the graph's second fundamental form, |A|².
 
-    Centered second differences for the Hessian; the metric contractions
-    are algebraic in the node gradient.  Boundary nodes carry 0.
+    Centered second differences for the Hessian: the pure ones are `div`
+    of the along-face difference, the mixed one the node gradient along
+    axis 1 of that along axis 0.  The metric contractions are algebraic in
+    the node gradient.  Boundary nodes carry 0.
     """
     values = u.values
+    ops = operators(grid)
     grads = node_gradients(grid, values)
     omega2 = 1.0 + sum(g * g for g in grads)
     if grid.dimension == 1:
-        upp = _second_diff(values, 0, grid.spacing[0], grid.topology[0])
+        upp = ops.div[0](ops.along[0](values))
         out = upp * upp / omega2 ** 3
     else:
-        h11 = _second_diff(values, 0, grid.spacing[0], grid.topology[0])
-        h22 = _second_diff(values, 1, grid.spacing[1], grid.topology[1])
-        d0 = _centered_axis_diff(values, 0, grid.spacing[0], grid.topology[0])
-        h12 = _centered_axis_diff(d0, 1, grid.spacing[1], grid.topology[1])
+        h11 = ops.div[0](ops.along[0](values))
+        h22 = ops.div[1](ops.along[1](values))
+        h12 = ops.grad[1](grads[0])
         v1, v2 = grads
         g11 = 1.0 - v1 * v1 / omega2
         g22 = 1.0 - v2 * v2 / omega2

@@ -295,9 +295,10 @@ def pmc_residual(grid, u, H, F=None, n=None, box=None):
         raise ValueError(
             f"graph leaves the working box z-range [{box.z_min:.6g}, {box.z_max:.6g}] "
             f"at {bad.size} node(s) (flat indices {head}{', ...' if bad.size > 5 else ''})")
-    env, _omega = graph_normal_env(grid, u.values)
+    grads = node_gradients(grid, u.values)
+    env, _omega = _normal_env(grid, u.values, grads)
     if F is None:
-        base = mean_curvature_product_values(grid, u.values)
+        base = mean_curvature_product_values(grid, u.values, grads)
     else:
         from .geometry import conformal_mean_curvature_values
 

@@ -10,11 +10,15 @@ lower barrier to the minimal fixed point of the original problem.  Anderson
 acceleration extrapolates the anchors, and a sweep from an extrapolated
 anchor counts only if it passes the checks of a plain sweep.
 
-The Jacobian is assembled analytically in the same flux form as the residual:
-per-face derivatives of g_along/omega scattered into the two adjacent node
-rows, plus the node-local derivative of the prescription through the height
-and the unit-normal components.  Its sparsity pattern is planned once per
-grid; each Newton step only evaluates the coefficients.
+The Jacobian is composed from the residual's own stencils
+(`calculus.operators`), so it is the exact derivative of the discrete
+residual: div . diag(c) . (face stencil) for the flux of each axis, and
+diag(c) . (node stencil) for the prescription through the height and the
+unit normal, with c the pointwise derivatives.  `_jacobian_chains` lists
+these compositions in the order of the coefficient blocks of
+`_jacobian_coefficients`.  Rows of boundary nodes hold the prescription's
+derivative alone, since `div` is zero there.  The sparsity pattern is
+planned once per grid; each Newton step only evaluates the coefficients.
 
 The linear algebra is numpy's alone.  Every grid is 1-D or 2-D, so with the
 unknowns cut into blocks of whole grid lines each Jacobian is block
@@ -37,9 +41,11 @@ import functools
 import numpy as np
 
 from .calculus import (
-    _face_slope_data,
+    Stencil,
+    face_gradients,
     mean_curvature_product_values,
     node_gradients,
+    operators,
 )
 from .expr import Const, Func, Var, _mul, _sub
 from .grid import ScalarField, sup_norm
@@ -362,71 +368,16 @@ def penalized_pmc(H, cutoff, gamma):
 # Jacobian assembly
 
 
-def _node_diff_stencil(grid, axis):
-    """Columns/weights of the node-gradient operator along one axis.
-
-    Returns (cols, wts) shaped (N, 3): centered rows carry a zero-weight
-    third slot so every node has a uniform entry count.
-    """
-    shape = grid.shape
-    N = int(np.prod(shape))
-    h = grid.spacing[axis]
-    idx = np.arange(N).reshape(shape)
-    if grid.topology[axis] == "periodic":
-        cols = np.empty((N, 3), dtype=np.int64)
-        wts = np.zeros((N, 3))
-        cols[:, 0] = np.roll(idx, 1, axis).reshape(-1)
-        wts[:, 0] = -0.5 / h
-        cols[:, 1] = np.roll(idx, -1, axis).reshape(-1)
-        wts[:, 1] = 0.5 / h
-        cols[:, 2] = np.arange(N)
-        return cols, wts
-    iv = np.moveaxis(idx, axis, 0)
-    cv = np.empty(iv.shape + (3,), dtype=np.int64)
-    wv = np.zeros(iv.shape + (3,))
-    cv[1:-1, ..., 0] = iv[:-2]
-    wv[1:-1, ..., 0] = -0.5 / h
-    cv[1:-1, ..., 1] = iv[2:]
-    wv[1:-1, ..., 1] = 0.5 / h
-    cv[1:-1, ..., 2] = iv[1:-1]
-    cv[0, ..., 0] = iv[0]
-    wv[0, ..., 0] = -1.5 / h
-    cv[0, ..., 1] = iv[1]
-    wv[0, ..., 1] = 2.0 / h
-    cv[0, ..., 2] = iv[2]
-    wv[0, ..., 2] = -0.5 / h
-    cv[-1, ..., 0] = iv[-1]
-    wv[-1, ..., 0] = 1.5 / h
-    cv[-1, ..., 1] = iv[-2]
-    wv[-1, ..., 1] = -2.0 / h
-    cv[-1, ..., 2] = iv[-3]
-    wv[-1, ..., 2] = 0.5 / h
-    cols = np.moveaxis(cv, 0, axis).reshape(N, 3)
-    wts = np.moveaxis(wv, 0, axis).reshape(N, 3)
-    return cols, wts
-
-
-def _face_endpoints(grid, axis):
-    """Flat node indices (L, R) of each face along `axis`, face-ordered."""
-    shape = grid.shape
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
-    if grid.topology[axis] == "periodic":
-        return idx.reshape(-1), np.roll(idx, -1, axis).reshape(-1)
-    lo = [slice(None)] * grid.dimension
-    hi = [slice(None)] * grid.dimension
-    lo[axis] = slice(0, shape[axis] - 1)
-    hi[axis] = slice(1, shape[axis])
-    return idx[tuple(lo)].reshape(-1), idx[tuple(hi)].reshape(-1)
-
-
 class _JacobianPlan:
     """Sparsity of the Jacobian on one grid, and where each stencil
     contribution lands in it.
 
-    Contribution i is coefficient[src[i]] * weight[i], with the coefficient
-    vector from `_jacobian_coefficients` and a grid-only weight; slot[i] is
-    its position in `data`, so duplicates are summed by one bincount.
-    `diag` holds the diagonal slots, for in-place shifts.
+    The contributions are the entries of outer . diag(c) . inner over the
+    `_jacobian_chains`: contribution i is coefficient[src[i]] * weight[i],
+    with the coefficient vector from `_jacobian_coefficients` and the
+    grid-only weight of the composed stencil; slot[i] is its position in
+    `data`, so duplicates are summed by one bincount.  `diag` holds the
+    diagonal slots, for in-place shifts.
 
     The unknowns are cut into `blocks` runs of `m` in flat order, each a
     whole number of grid lines (lines along axis 1 in 2-D, single nodes in
@@ -439,7 +390,16 @@ class _JacobianPlan:
 
     def __init__(self, grid, unknowns_only):
         N = grid.node_count
-        rows, cols, src, wts = _jacobian_contributions(grid)
+        rows, cols, src, wts = [], [], [], []
+        offset = 0
+        for outer, inner in _jacobian_chains(grid):
+            chain = outer @ inner
+            rows.append(np.broadcast_to(np.arange(N), chain.cols.shape))
+            cols.append(chain.cols)
+            src.append(offset + np.repeat(outer.cols, inner.width, axis=0))
+            wts.append(chain.weights)
+            offset += inner.cols.shape[1]
+        rows, cols, src, wts = (np.concatenate(a, axis=None) for a in (rows, cols, src, wts))
         mask = grid.boundary_mask if unknowns_only else np.zeros(grid.shape, bool)
         keep = np.flatnonzero(~mask.reshape(-1))
         n = keep.size
@@ -483,78 +443,47 @@ def _jacobian_plan(grid, unknowns_only):
     return _JacobianPlan(grid, unknowns_only)
 
 
-def _jacobian_contributions(grid):
-    """(rows, cols, src, weights) of every stencil contribution, flat.
+def _jacobian_chains(grid):
+    """(outer, inner) stencil pairs, one per coefficient block of
+    `_jacobian_coefficients` and in its order: block b contributes
+    outer_b . diag(coefficients_b) . inner_b to the Jacobian.
 
-    Mirrors the flux-form residual exactly: the same face gradients, the
-    same endpoint-averaged transverse components, the same node stencils
-    behind the normal arguments.  `src` indexes the coefficient vector of
-    `_jacobian_coefficients`, whose blocks come in the same order.
+    The residual mcp(u) - F is -sum_k div[k](g_k/omega) - F, with g the face
+    gradient (along[k], and avg[k] . grad[c] transverse) and F read through
+    the node gradients, so the flux blocks go through `div` and the
+    prescription blocks through the identity.
     """
-    dim = grid.dimension
+    ops = operators(grid)
     N = grid.node_count
-    stencils = [_node_diff_stencil(grid, c) for c in range(dim)]
-    rows, cols, src, wts = [], [], [], []
-    offset = 0
-
-    def put(r, c, q, w):
-        rows.append(r)
-        cols.append(c)
-        src.append(q)
-        wts.append(np.broadcast_to(w, r.shape))
-
-    for ax in range(dim):
-        Lf, Rf = _face_endpoints(grid, ax)
-        faces = np.arange(Lf.size)
-        inv = 1.0 / grid.spacing[ax]
-        # residual rows: mcp_i = (P_leftface - P_rightface)/h, so the face
-        # adds +P/h to its right node and -P/h to its left node
-        q = offset + faces
-        offset += faces.size
-        put(Rf, Lf, q, -inv * inv)
-        put(Rf, Rf, q, inv * inv)
-        put(Lf, Lf, q, inv * inv)
-        put(Lf, Rf, q, -inv * inv)
-        for c in range(dim):
-            if c == ax:
-                continue
-            q = offset + faces
-            offset += faces.size
-            st_cols, st_wts = stencils[c]
-            for Ef in (Lf, Rf):
-                for k in range(3):
-                    w = 0.5 * inv * st_wts[Ef, k]
-                    put(Rf, st_cols[Ef, k], q, w)
-                    put(Lf, st_cols[Ef, k], q, -w)
-
-    nodes = np.arange(N)
-    put(nodes, nodes, offset + nodes, -1.0)
-    offset += N
-    for l in range(dim):
-        st_cols, st_wts = stencils[l]
-        for k in range(3):
-            put(nodes, st_cols[:, k], offset + nodes, st_wts[:, k])
-        offset += N
-    return tuple(np.concatenate(a) for a in (rows, cols, src, wts))
+    eye = Stencil(np.arange(N)[None], np.ones((1, N)), grid.shape)
+    chains = []
+    for ax, div in enumerate(ops.div):
+        chains.append((div, ops.along[ax]))
+        chains.extend((div, ops.avg[ax] @ g) for c, g in enumerate(ops.grad) if c != ax)
+    chains.append((eye, eye))
+    chains.extend((eye, g) for g in ops.grad)
+    return chains
 
 
 def _jacobian_coefficients(grid, values, F):
-    """Per-step coefficients of the Jacobian contributions, flat.
+    """Per-step coefficients of the `_jacobian_chains` blocks, flat: the
+    derivatives of the residual's terms by the quantities they read.
 
-    Blocks, in order: per axis the face derivative of g_along/omega by the
+    Blocks, in order: per axis the face derivative of -g_along/omega by the
     along-face slope, then by each transverse component; the node-local
-    dF/dz; per axis the node-local derivative of F through the unit normal.
+    -dF/dz; per axis the node-local derivative of -F through the unit
+    normal, by the node gradient.
     """
     dim = grid.dimension
+    grads = node_gradients(grid, values)
     parts = []
     for ax in range(dim):
-        comps, omega = _face_slope_data(grid, values, ax)
-        om3 = omega ** 3
+        comps = face_gradients(grid, values, ax, grads)
+        om3 = np.sqrt(1.0 + sum(c * c for c in comps)) ** 3
         tsq = sum(comps[c] * comps[c] for c in range(dim) if c != ax)
-        parts.append((1.0 + tsq) / om3)
-        parts.extend(-comps[ax] * comps[c] / om3 for c in range(dim) if c != ax)
+        parts.append(-(1.0 + tsq) / om3)
+        parts.extend(comps[ax] * comps[c] / om3 for c in range(dim) if c != ax)
 
-    grads = node_gradients(grid, values)
     env, omega_node = _normal_env(grid, values, grads)
     om3 = omega_node ** 3
 
@@ -562,7 +491,7 @@ def _jacobian_coefficients(grid, values, F):
         return np.broadcast_to(np.asarray(F._partial(var, env), dtype=float),
                                grid.shape)
 
-    parts.append(partial("z"))
+    parts.append(-partial("z"))
     Fy = [partial(("y1", "y2")[m]) for m in range(dim)]
     Ft = partial("t")
     for l in range(dim):
@@ -581,8 +510,10 @@ def assemble_jacobian(grid, values, F, unknowns_only=False, shift=0.0):
 
     A `GridMatrix` over all N nodes, or with `unknowns_only` over the
     non-dirichlet nodes alone (rows and columns in flat order); `shift` is
-    added to the diagonal.  The sparsity pattern is planned once per grid,
-    so a call only evaluates the coefficients and sums them into place.
+    added to the diagonal.  mcp is 0 on boundary nodes by convention, so
+    their rows of the full matrix hold the derivative of -F alone.  The
+    sparsity pattern is planned once per grid, so a call only evaluates the
+    coefficients and sums them into place.
     """
     plan = _jacobian_plan(grid, bool(unknowns_only))
     q = _jacobian_coefficients(grid, values, F)
@@ -897,8 +828,9 @@ def spsolve(A, b, lagged=None):
 
 
 def _residual_values(grid, values, F, source):
-    out = mean_curvature_product_values(grid, values)
-    env, _ = graph_normal_env(grid, values)
+    grads = node_gradients(grid, values)
+    out = mean_curvature_product_values(grid, values, grads)
+    env, _ = _normal_env(grid, values, grads)
     out = out - np.asarray(F._fn(env), dtype=float)
     if source is not None:
         out = out - source

@@ -3,7 +3,8 @@
 `perfbench/spans.py` replaces module attributes at run time; these tests
 import it read-only and check that the names it wraps still exist as plain
 module functions, and that a traced solve counts one `solver.spsolve` call
-per linear solve and reads the Jacobian's pattern size and system size.
+per linear solve, reads the Jacobian's pattern size and system size, and
+sees every residual evaluation of the inner solve.
 """
 
 import importlib
@@ -65,3 +66,8 @@ def test_traced_solve_counts_one_spsolve_per_linear_solve(spans, tmp_path):
     assert counts["spsolve_unknowns"] == grid.node_count
     # the per-layer metrics read the matrix's pattern size and shape
     assert counts["jacobian_nnz"] == _jacobian_plan(grid, True).nnz > 0
+    # the inner solve evaluates its residual through the traced curvature
+    # name: once per call, and again after every step's line search
+    inner = summary["layers"]["solver.solve_inner"]["calls"]
+    assert (summary["residual_evals"]
+            >= counts["newton_steps"] + counts["ptc_steps"] + inner > 0)
