@@ -55,7 +55,6 @@ from .solver import (
     assemble_jacobian,
     barriers_from_phi,
     check_barrier,
-    cutoff_profile,
     gamma_for,
     outer_iterate,
     penalized_pmc,

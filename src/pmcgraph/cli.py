@@ -531,8 +531,7 @@ def _cmd_solve(cfg, args):
             "best_iterate_path": None,
         }
         if exc.partial is not None:
-            partial = exc.partial
-            payload["partial"] = partial.to_dict() if hasattr(partial, "to_dict") else partial
+            payload["partial"] = exc.partial
         if exc.best is not None:
             best_path = args.out_field
             if best_path is None and args.out_report is not None:

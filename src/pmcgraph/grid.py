@@ -345,26 +345,20 @@ def _refine_axis(values, axis, topology):
     if topology == "periodic":
         out = np.empty((2 * n,) + values.shape[1:], dtype=float)
         out[0::2] = values
-        if n < 4:
-            out[1::2] = 0.5 * (values + np.roll(values, -1, axis=0))
-        else:
-            out[1::2] = (-np.roll(values, 1, axis=0) + 9.0 * values
-                         + 9.0 * np.roll(values, -1, axis=0)
-                         - np.roll(values, -2, axis=0)) / 16.0
+        out[1::2] = (-np.roll(values, 1, axis=0) + 9.0 * values
+                     + 9.0 * np.roll(values, -1, axis=0)
+                     - np.roll(values, -2, axis=0)) / 16.0
     else:
         out = np.empty((2 * n - 1,) + values.shape[1:], dtype=float)
         out[0::2] = values
-        if n < 4:
-            out[1::2] = 0.5 * (values[:-1] + values[1:])
-        else:
-            mids = np.empty((n - 1,) + values.shape[1:], dtype=float)
-            mids[1:-1] = (-values[:-3] + 9.0 * values[1:-2]
-                          + 9.0 * values[2:-1] - values[3:]) / 16.0
-            mids[0] = (5.0 * values[0] + 15.0 * values[1]
-                       - 5.0 * values[2] + values[3]) / 16.0
-            mids[-1] = (5.0 * values[-1] + 15.0 * values[-2]
-                        - 5.0 * values[-3] + values[-4]) / 16.0
-            out[1::2] = mids
+        mids = np.empty((n - 1,) + values.shape[1:], dtype=float)
+        mids[1:-1] = (-values[:-3] + 9.0 * values[1:-2]
+                      + 9.0 * values[2:-1] - values[3:]) / 16.0
+        mids[0] = (5.0 * values[0] + 15.0 * values[1]
+                   - 5.0 * values[2] + values[3]) / 16.0
+        mids[-1] = (5.0 * values[-1] + 15.0 * values[-2]
+                    - 5.0 * values[-3] + values[-4]) / 16.0
+        out[1::2] = mids
     return np.moveaxis(out, 0, axis)
 
 
@@ -372,8 +366,8 @@ def refine_field(field, fine_grid=None):
     """Interpolate a field onto the grid one refinement finer.
 
     Midpoints are filled by cubic 4-point interpolation (one-sided at
-    dirichlet ends, linear on axes too short for it), so smooth fields keep
-    their discrete curvature through refinement.
+    dirichlet ends), so smooth fields keep their discrete curvature through
+    refinement.
     """
     grid = field.grid
     if fine_grid is None:

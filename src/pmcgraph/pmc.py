@@ -7,6 +7,11 @@ t > 0.  Every prescription is an expression tree (`expr.ExprNode`), and its
 partial derivatives are the tree's symbolic derivatives; only a `Func` node
 built without a derivative rule, such as a wrapped Python callable, is
 differentiated by a centered difference.
+
+The certificates (`check_monotone`, `check_quasi_decreasing` and, in the
+solver, `gamma_for` and `barriers_from_phi`) bound an expression over a
+`WorkingBox` through one function, `sampled_range`.  It reads the extremes
+of a deterministic lattice of the box, so each bound holds at the samples.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "parse_pmc",
     "check_monotone",
     "check_quasi_decreasing",
+    "sampled_range",
     "pmc_residual",
     "MONOTONE_TOL",
 ]
@@ -215,6 +221,22 @@ def _worst_point(env, idx, dimension):
     return {k: float(np.asarray(env[k]).reshape(-1)[idx]) for k in keys}
 
 
+def sampled_range(H, box, var=None, samples=9, lattice=None):
+    """Smallest and largest lattice sample of H, or of its `var` partial.
+
+    Returns (lo, hi, lo_point, hi_point): the extreme sampled values, each
+    with the lattice point where it occurs (lowest flat index on ties).
+    `lattice` is `box.sample_lattice(samples)`, for a caller that already
+    has it.
+    """
+    env = box.sample_lattice(samples) if lattice is None else lattice
+    vals = H._fn(env) if var is None else H._partial(var, env)
+    vals = np.broadcast_to(vals, env["z"].shape)
+    i, j = int(np.argmin(vals)), int(np.argmax(vals))
+    return (float(vals[i]), float(vals[j]),
+            _worst_point(env, i, box.dimension), _worst_point(env, j, box.dimension))
+
+
 def check_monotone(H, box, samples=9, lattice=None):
     """Sample dH/dz over the box lattice; pass iff the sup is <= ~0.
 
@@ -223,15 +245,11 @@ def check_monotone(H, box, samples=9, lattice=None):
     flat index on ties).  `lattice` is `box.sample_lattice(samples)`, for a
     caller that already has it.
     """
-    env = box.sample_lattice(samples) if lattice is None else lattice
-    vals = H.d_z(**env)
-    vals = np.broadcast_to(vals, env["z"].shape)
-    idx = int(np.argmax(vals))
-    worst = float(vals[idx])
+    _, worst, _, at = sampled_range(H, box, "z", samples, lattice)
     return {
         "passed": bool(worst <= MONOTONE_TOL),
         "worst_value": worst,
-        "worst_point": _worst_point(env, idx, box.dimension),
+        "worst_point": at,
         "samples": int(samples),
     }
 
@@ -239,15 +257,13 @@ def check_monotone(H, box, samples=9, lattice=None):
 def check_quasi_decreasing(D, box, samples=9):
     """Check a split prescription: H1 non-increasing in z, H2 z-free."""
     env = box.sample_lattice(samples)
-    d1 = np.broadcast_to(D.H1._partial("z", env), env["z"].shape)
-    idx = int(np.argmax(d1))
-    worst = float(d1[idx])
-    d2 = np.abs(np.broadcast_to(D.H2._partial("z", env), env["z"].shape))
-    h2_free = bool(np.max(d2) <= MONOTONE_TOL)
+    mono = check_monotone(D.H1, box, samples, env)
+    lo, hi, _, _ = sampled_range(D.H2, box, "z", samples, env)
+    h2_free = bool(max(hi, -lo) <= MONOTONE_TOL)
     return {
-        "passed": bool(worst <= MONOTONE_TOL) and h2_free,
-        "worst_value": worst,
-        "worst_point": _worst_point(env, idx, box.dimension),
+        "passed": mono["passed"] and h2_free,
+        "worst_value": mono["worst_value"],
+        "worst_point": mono["worst_point"],
         "h2_height_free": h2_free,
         "samples": int(samples),
     }

@@ -55,8 +55,8 @@ from .pmc import (
     _normal_env,
     check_monotone,
     check_quasi_decreasing,
-    graph_normal_env,
     pmc_residual,
+    sampled_range,
 )
 
 __all__ = [
@@ -67,7 +67,7 @@ __all__ = [
     "MonotonicityError",
     "LaggedLU",
     "check_barrier",
-    "cutoff_profile",
+    "Cutoff",
     "gamma_for",
     "penalized_pmc",
     "solve_inner",
@@ -307,11 +307,6 @@ class Cutoff:
                 "a_ramp": self.a_ramp, "b_ramp": self.b_ramp}
 
 
-def cutoff_profile(c1, c2, a, b):
-    """Plateau profile h with analytic h'; see Cutoff."""
-    return Cutoff(c1, c2, a, b)
-
-
 class Gamma(float):
     """Penalty size with its sampling certificate attached."""
 
@@ -336,18 +331,8 @@ def gamma_for(H, h, box, samples=9, lattice=None):
     construction.  `lattice` is `box.sample_lattice(samples)`, for a caller
     that already has it.
     """
-    env = box.sample_lattice(samples) if lattice is None else lattice
     cut_H = H if h is None else penalized_pmc(H, h, 0.0)
-    slope = np.broadcast_to(cut_H._partial("z", env), env["z"].shape)
-    if not np.all(np.isfinite(slope)):
-        k = int(np.flatnonzero(~np.isfinite(slope))[0])
-        raise ValueError(
-            f"height slope of the prescription is not finite at z={env['z'][k]:.6g}")
-    k = int(np.argmax(slope))
-    sup = float(slope[k])
-    from .pmc import _worst_point
-
-    worst = _worst_point(env, k, box.dimension)
+    _, sup, _, worst = sampled_range(cut_H, box, "z", samples, lattice)
     return Gamma(1.0 + 1.05 * max(0.0, sup), sup, worst, samples)
 
 
@@ -827,8 +812,9 @@ def spsolve(A, b, lagged=None):
 # inner solve
 
 
-def _residual_values(grid, values, F, source):
-    grads = node_gradients(grid, values)
+def _residual_values(grid, values, F, source, grads=None):
+    if grads is None:
+        grads = node_gradients(grid, values)
     out = mean_curvature_product_values(grid, values, grads)
     env, _ = _normal_env(grid, values, grads)
     out = out - np.asarray(F._fn(env), dtype=float)
@@ -879,14 +865,15 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     if source is not None:
         src = np.broadcast_to(np.asarray(source, dtype=float), grid.shape)
 
-    def residual(vals):
-        return _residual_values(grid, vals, F, src).reshape(-1)[unknown]
+    def residual(vals, grads=None):
+        return _residual_values(grid, vals, F, src, grads).reshape(-1)[unknown]
 
-    env0, _ = graph_normal_env(grid, u)
+    grads0 = node_gradients(grid, u)
+    env0, _ = _normal_env(grid, u, grads0)
     dz0 = np.max(np.abs(np.asarray(F._partial("z", env0), dtype=float)))
     bordered = grid.is_fully_periodic() and dz0 <= 1e-13
 
-    R = residual(u)
+    R = residual(u, grads0)
     res_sup = float(np.max(np.abs(R))) if R.size else 0.0
     history = [res_sup]
     newton_steps = 0
@@ -1108,7 +1095,7 @@ def outer_iterate(H, B, cfg=None):
             c1, c2 = cfg.cutoff
         else:
             c1, c2 = zmin - 0.1 * span, zmax + 0.1 * span
-        cut = cutoff_profile(c1, c2, box.z_min, box.z_max)
+        cut = Cutoff(c1, c2, box.z_min, box.z_max)
         if cfg.gamma == "auto":
             gm = gamma_for(H, cut, box, cfg.samples, lattice)
             gamma_eff = float(gm)
@@ -1285,13 +1272,14 @@ def barriers_from_phi(grid, Fbase, phi, psi, cfg=None, box=None):
         z0, z1 = float(np.min(psi.values)), float(np.max(psi.values))
         box = WorkingBox.from_grid(grid, (z0 - 1.0, z1 + 1.0))
     env = box.sample_lattice(cfg.samples)
-    dz = np.max(np.abs(np.broadcast_to(Fbase._partial("z", env), env["z"].shape)))
+    lo, hi, _, _ = sampled_range(Fbase, box, "z", cfg.samples, env)
+    dz = max(hi, -lo)
     if dz > 1e-12:
         raise ValueError(
             f"base prescription depends on height (sampled slope {dz:.3e}); "
             "the two-constant construction needs a height-free base")
-    alpha = 1.05 * float(np.max(np.abs(np.broadcast_to(
-        phi.eval(**env), env["z"].shape))))
+    lo, hi, _, _ = sampled_range(phi, box, None, cfg.samples, env)
+    alpha = 1.05 * max(hi, -lo)
 
     if alpha == 0.0:
         u, _ = solve_inner(grid, Fbase, psi, psi, cfg)

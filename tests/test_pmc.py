@@ -13,6 +13,7 @@ from pmcgraph.pmc import (
     graph_normal_env,
     parse_pmc,
     pmc_residual,
+    sampled_range,
 )
 
 TWO_PI = 6.283185307179586
@@ -155,6 +156,23 @@ def test_check_monotone_decreasing():
     assert set(out["worst_point"]) == {"x1", "x2", "z", "y1", "y2", "t"}
 
 
+def test_sampled_range_extremes_and_ties():
+    box = WorkingBox((-1.0, 1.0), ((0.0, 1.0),))
+    env = box.sample_lattice(3)
+    # var=None bounds H itself; z is lowest and highest on whole lattice
+    # slices, so each extreme is the first of its tied points
+    lo, hi, lo_at, hi_at = sampled_range(parse_pmc("z + 0.5"), box, samples=3)
+    assert (lo, hi) == (-0.5, 1.5)
+    first_lo = int(np.flatnonzero(env["z"] == -1.0)[0])
+    first_hi = int(np.flatnonzero(env["z"] == 1.0)[0])
+    assert lo_at == {k: float(env[k][first_lo]) for k in ("x1", "z", "y1", "t")}
+    assert hi_at == {k: float(env[k][first_hi]) for k in ("x1", "z", "y1", "t")}
+    # a constant partial ties everywhere: both extremes sit at flat index 0
+    lo, hi, lo_at, hi_at = sampled_range(parse_pmc("-2*z"), box, "z", lattice=env)
+    assert lo == hi == -2.0
+    assert lo_at == hi_at == {k: float(env[k][0]) for k in ("x1", "z", "y1", "t")}
+
+
 # -- quasi-decreasing splits --------------------------------------------------
 
 def test_quasi_decomposition_composite():
@@ -185,10 +203,12 @@ def test_check_quasi_decreasing():
     assert out["worst_value"] == 1.0
 
 
-def test_check_quasi_decreasing_flags_sneaky_h2():
-    # an H2 that smuggles height dependence in through a callable
+@pytest.mark.parametrize("slope", [0.1, -0.1])
+def test_check_quasi_decreasing_flags_sneaky_h2(slope):
+    # an H2 that smuggles height dependence in through a callable, rising or
+    # falling: either sign of dH2/dz breaks the split
     h1 = PMCFunction.from_callable(lambda x1, x2, z, y1, y2, t: -z)
-    h2 = PMCFunction.from_callable(lambda x1, x2, z, y1, y2, t: 0.1 * z)
+    h2 = PMCFunction.from_callable(lambda x1, x2, z, y1, y2, t: slope * z)
     box = WorkingBox((1.0, 2.0), ((0.0, 1.0),))
     out = check_quasi_decreasing(QuasiDecomposition(h1, h2), box)
     assert not out["h2_height_free"]

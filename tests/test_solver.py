@@ -11,13 +11,13 @@ from pmcgraph.pmc import (
 )
 from pmcgraph.solver import (
     BarrierPair,
+    Cutoff,
     MonotonicityError,
     SolveConfig,
     SolverFailure,
     assemble_jacobian,
     barriers_from_phi,
     check_barrier,
-    cutoff_profile,
     gamma_for,
     outer_iterate,
     penalized_pmc,
@@ -100,7 +100,7 @@ def test_jacobian_matches_finite_differences_1d_dirichlet():
 
 
 def test_cutoff_plateau_and_support_are_exact():
-    cut = cutoff_profile(0.0, 1.0, -1.0, 2.0)
+    cut = Cutoff(0.0, 1.0, -1.0, 2.0)
     assert cut.a_ramp == -0.5 and cut.b_ramp == 1.5
     assert cut.h(0.0) == 1.0 and cut.h(0.5) == 1.0 and cut.h(1.0) == 1.0
     assert cut.h(-0.5) == 0.0 and cut.h(-0.9) == 0.0
@@ -109,7 +109,7 @@ def test_cutoff_plateau_and_support_are_exact():
 
 
 def test_cutoff_ramp_frozen_values():
-    cut = cutoff_profile(0.0, 1.0, -1.0, 2.0)
+    cut = Cutoff(0.0, 1.0, -1.0, 2.0)
     # quintic smoothstep: value 1/2 and slope 1.875/width at the ramp midpoint
     assert abs(cut.h(-0.25) - 0.5) < 1e-15
     assert abs(cut.h_prime(-0.25) - 3.75) < 1e-15
@@ -125,9 +125,9 @@ def test_cutoff_ramp_frozen_values():
 
 def test_cutoff_rejects_bad_ordering():
     with pytest.raises(ValueError, match="a < c1 < c2 < b"):
-        cutoff_profile(0.5, 0.4, 0.0, 1.0)
+        Cutoff(0.5, 0.4, 0.0, 1.0)
     with pytest.raises(ValueError, match="a < c1 < c2 < b"):
-        cutoff_profile(0.0, 1.0, 0.2, 2.0)
+        Cutoff(0.0, 1.0, 0.2, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_cutoff_rejects_bad_ordering():
 
 def test_gamma_frozen_value_for_sine_prescription():
     H = parse_pmc("0.5*sin(z)")
-    cut = cutoff_profile(-1.0, 1.0, -3.0, 3.0)
+    cut = Cutoff(-1.0, 1.0, -3.0, 3.0)
     box = WorkingBox((-1.0, 1.0), ((0.0, 1.0),))
     g = gamma_for(H, cut, box, samples=9)
     # lattice keeps z inside the plateau, so the slope is 0.5*cos(z),
@@ -150,7 +150,7 @@ def test_gamma_frozen_value_for_sine_prescription():
 
 def test_gamma_floor_is_one():
     box = WorkingBox((-1.0, 1.0), ((0.0, 1.0),))
-    cut = cutoff_profile(-1.0, 1.0, -3.0, 3.0)
+    cut = Cutoff(-1.0, 1.0, -3.0, 3.0)
     assert float(gamma_for(parse_pmc("0"), cut, box)) == 1.0
     # height-free prescriptions need no penalty beyond the floor
     assert float(gamma_for(parse_pmc("0.3*sin(x1)"), cut, box)) == 1.0
@@ -158,7 +158,7 @@ def test_gamma_floor_is_one():
 
 def test_penalized_prescription_is_uniformly_decreasing():
     H = parse_pmc("0.5*sin(z)")
-    cut = cutoff_profile(-1.0, 1.0, -3.0, 3.0)
+    cut = Cutoff(-1.0, 1.0, -3.0, 3.0)
     box = WorkingBox((-1.0, 1.0), ((0.0, 1.0),))
     g = gamma_for(H, cut, box)
     F = penalized_pmc(H, cut, g)
@@ -390,7 +390,7 @@ def test_accelerated_sweeps_return_the_plain_iteration_limit():
     v, rep = outer_iterate(H, B)
     assert rep.rejected_steps >= 1
     # the plain Picard iteration, run far past the default tol_outer
-    F = penalized_pmc(H, cutoff_profile(*(rep.cutoff[k] for k in "c1 c2 a b".split())),
+    F = penalized_pmc(H, Cutoff(*(rep.cutoff[k] for k in "c1 c2 a b".split())),
                       rep.gamma)
     u, step = B.u1, np.inf
     while step > 1e-12:
@@ -663,10 +663,12 @@ def test_outer_box_must_contain_barrier_range():
 # barrier construction
 
 
-def test_barriers_from_phi_symmetric_pair():
+@pytest.mark.parametrize("phi", ["0.2*cos(z)", "-0.2*cos(z)"])
+def test_barriers_from_phi_symmetric_pair(phi):
+    # phi's bound is its largest absolute sample, from either extreme
     grid = build_grid(1, (33,), (1.0,), ("dirichlet",))
     psi = ScalarField(grid, np.zeros(grid.shape))
-    B = barriers_from_phi(grid, parse_pmc("0"), parse_pmc("0.2*cos(z)"), psi)
+    B = barriers_from_phi(grid, parse_pmc("0"), parse_pmc(phi), psi)
     interior = ~grid.boundary_mask
     assert np.all(B.u1.values[interior] < 0.0)
     assert np.all(B.u0.values[interior] > 0.0)

@@ -2,13 +2,15 @@
 
 `perfbench/spans.py` replaces module attributes at run time; these tests
 import it read-only and check that the names it wraps still exist as plain
-module functions, and that a traced solve counts one `solver.spsolve` call
+module functions, that every span a BENCHMARK.json per-layer metric reads
+is one it wraps, and that a traced solve counts one `solver.spsolve` call
 per linear solve, reads the Jacobian's pattern size and system size, and
 sees every residual evaluation of the inner solve.
 """
 
 import importlib
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -35,6 +37,17 @@ def test_foreign_names_are_module_functions(spans):
         obj = getattr(importlib.import_module(modname), attr)
         assert inspect.isfunction(obj), (modname, attr)
         assert obj.__module__ == modname, (modname, attr)
+
+
+def test_benchmark_layer_metrics_name_traced_spans(spans):
+    # perfbench/run.py reads these metrics as layers[span][...]; a renamed
+    # function would otherwise surface only as a KeyError in a traced run
+    bench = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    traced = {name for name, *_ in spans.Tracer(run_id="names")._targets()}
+    wanted = [m["name"].rsplit(".", 1)[0] for m in bench["per_layer"]
+              if m["name"].endswith((".calls", ".busy_s", ".self_s"))]
+    assert wanted
+    assert sorted(set(wanted) - traced) == []
 
 
 def test_spsolve_takes_the_matrix_first():
