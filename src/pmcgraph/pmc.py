@@ -12,9 +12,13 @@ The certificates (`check_monotone`, `check_quasi_decreasing` and, in the
 solver, `gamma_for` and `barriers_from_phi`) bound an expression over a
 `WorkingBox` through one function, `sampled_range`.  It reads the extremes
 of a deterministic lattice of the box, so each bound holds at the samples.
+Each certificate samples only the sub-lattice of the variables its tree
+reads, whose extremes and extreme points are those of the whole lattice.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -178,18 +182,28 @@ class WorkingBox:
         v = np.asarray(values)
         return bool(np.all(v >= self.z_min - slack) and np.all(v <= self.z_max + slack))
 
-    def sample_lattice(self, samples=9):
+    def sample_lattice(self, samples=9, reads=None):
         """Deterministic sample environment over box x base x half-ball.
 
         Axis order x1[,x2],z,y1[,y2],t with `samples` points per axis
-        (endpoints included, so box corners and the normal poles are all
-        in the lattice); normal samples outside the closed unit half-ball
-        are dropped.  Returns arrays of equal length, flattened C-order.
+        (endpoints included, so box corners are in the lattice, and for an
+        odd count the normal poles too); normal samples outside the closed
+        unit half-ball are dropped.  Returns arrays of equal length,
+        flattened C-order.
+
+        With a set `reads` of variable names, only the first point of each
+        class of lattice points that agree on those variables is kept, in
+        lattice order: an unread base axis stays at its first sample, and
+        the normals are the first kept normal of each combination of read
+        components.  An expression reading only `reads` takes the same
+        values there as on the whole lattice, with each extreme first met
+        at the same point.
         """
         samples = int(samples)
         if samples < 2:
             raise ValueError("need at least 2 samples per axis")
         dim = self.dimension
+        names = _lattice_vars(dim)
         base = [np.linspace(lo, hi, samples) for lo, hi in self.x_ranges]
         base.append(np.linspace(self.z_min, self.z_max, samples))
         normal = [np.linspace(-1.0, 1.0, samples)] * dim
@@ -197,12 +211,21 @@ class WorkingBox:
         # the half-ball test reads the normal axes alone, so filter their
         # sub-lattice once; each base point then repeats the kept normals,
         # which is the C order of the full lattice
-        ball = [m.reshape(-1) for m in np.meshgrid(*normal, indexing="ij")]
-        keep = sum(a * a for a in ball) <= 1.0 + 1e-12
+        index = [m.reshape(-1) for m in np.indices((samples,) * (dim + 1))]
+        ball = [a[i] for a, i in zip(normal, index)]
+        keep = np.flatnonzero(sum(a * a for a in ball) <= 1.0 + 1e-12)
+        if reads is not None:
+            base = [a if n in reads else a[:1] for n, a in zip(names, base)]
+            # a normal's class is its sample indices on the read axes
+            key = np.zeros(keep.size, dtype=np.int64)
+            for n, i in zip(names[dim + 1:], index):
+                if n in reads:
+                    key = key * samples + i[keep]
+            keep = keep[np.sort(np.unique(key, return_index=True)[1])]
         ball = [a[keep] for a in ball]
-        flat = [np.repeat(m.reshape(-1), keep.sum())
+        flat = [np.repeat(m.reshape(-1), keep.size)
                 for m in np.meshgrid(*base, indexing="ij")]
-        flat += [np.tile(a, samples ** (dim + 1)) for a in ball]
+        flat += [np.tile(a, math.prod(b.size for b in base)) for a in ball]
         if dim == 1:
             x1, z, y1, t = flat
             x2 = np.zeros_like(x1)
@@ -216,9 +239,14 @@ class WorkingBox:
                 f"x={self.x_ranges})")
 
 
+def _lattice_vars(dimension):
+    """The lattice's variables in axis order; a 1-D box has no x2 or y2."""
+    return PMC_VARS if dimension == 2 else ("x1", "z", "y1", "t")
+
+
 def _worst_point(env, idx, dimension):
-    keys = ("x1", "z", "y1", "t") if dimension == 1 else PMC_VARS
-    return {k: float(np.asarray(env[k]).reshape(-1)[idx]) for k in keys}
+    return {k: float(np.asarray(env[k]).reshape(-1)[idx])
+            for k in _lattice_vars(dimension)}
 
 
 def sampled_range(H, box, var=None, samples=9, lattice=None):
@@ -226,10 +254,13 @@ def sampled_range(H, box, var=None, samples=9, lattice=None):
 
     Returns (lo, hi, lo_point, hi_point): the extreme sampled values, each
     with the lattice point where it occurs (lowest flat index on ties).
-    `lattice` is `box.sample_lattice(samples)`, for a caller that already
-    has it.
+    Without a `lattice` it samples the sub-lattice of the variables the
+    expression reads (`box.sample_lattice(samples, reads)`), whose
+    extremes and points are those of the whole lattice; a given `lattice`,
+    such as the whole `box.sample_lattice(samples)`, is sampled as it is.
     """
-    env = box.sample_lattice(samples) if lattice is None else lattice
+    node = H.ast if var is None else H._partials[var]
+    env = box.sample_lattice(samples, node.variables()) if lattice is None else lattice
     vals = H._fn(env) if var is None else H._partial(var, env)
     vals = np.broadcast_to(vals, env["z"].shape)
     i, j = int(np.argmin(vals)), int(np.argmax(vals))
@@ -242,8 +273,8 @@ def check_monotone(H, box, samples=9, lattice=None):
 
     Returns a dict with `passed`, the signed `worst_value` (sup of the
     sampled height derivative) and the lattice point attaining it (lowest
-    flat index on ties).  `lattice` is `box.sample_lattice(samples)`, for a
-    caller that already has it.
+    flat index on ties).  A given `lattice` is sampled as it is (see
+    `sampled_range`).
     """
     _, worst, _, at = sampled_range(H, box, "z", samples, lattice)
     return {
@@ -256,9 +287,8 @@ def check_monotone(H, box, samples=9, lattice=None):
 
 def check_quasi_decreasing(D, box, samples=9):
     """Check a split prescription: H1 non-increasing in z, H2 z-free."""
-    env = box.sample_lattice(samples)
-    mono = check_monotone(D.H1, box, samples, env)
-    lo, hi, _, _ = sampled_range(D.H2, box, "z", samples, env)
+    mono = check_monotone(D.H1, box, samples)
+    lo, hi, _, _ = sampled_range(D.H2, box, "z", samples)
     h2_free = bool(max(hi, -lo) <= MONOTONE_TOL)
     return {
         "passed": mono["passed"] and h2_free,

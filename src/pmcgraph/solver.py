@@ -168,6 +168,10 @@ class SolveConfig:
         self.armijo_c = float(self.armijo_c)
         self.min_step = float(self.min_step)
         self.samples = int(self.samples)
+        if self.samples < 3 or self.samples % 2 == 0:
+            # an even count misses the normal poles, and at 2 the 2-D
+            # half-ball keeps no sample at all
+            raise ValueError(f"samples must be an odd count >= 3, got {self.samples}")
         self.theta_threshold = float(self.theta_threshold)
         self.allowance_constant = float(self.allowance_constant)
         self.refine_check = bool(self.refine_check)
@@ -328,8 +332,8 @@ def gamma_for(H, h, box, samples=9, lattice=None):
     Samples d/dz of h(z)*H over the box lattice and returns
     1 + 1.05*max(0, sup) as a float carrying the worst sample point, so the
     certificate -d(hH)/dz + gamma >= 1 holds at every sampled point by
-    construction.  `lattice` is `box.sample_lattice(samples)`, for a caller
-    that already has it.
+    construction.  A given `lattice` is sampled as it is (see
+    `sampled_range`).
     """
     cut_H = H if h is None else penalized_pmc(H, h, 0.0)
     _, sup, _, worst = sampled_range(cut_H, box, "z", samples, lattice)
@@ -1078,8 +1082,7 @@ def outer_iterate(H, B, cfg=None):
             "barrier check failed (worst sub-solution residual "
             f"{barrier_check['worst_sub']:.3e}, worst super-solution residual "
             f"{barrier_check['worst_super']:.3e}, tolerance {barrier_check['tol']:.3e})")
-    lattice = box.sample_lattice(cfg.samples)
-    mono = check_monotone(H, box, cfg.samples, lattice)
+    mono = check_monotone(H, box, cfg.samples)
 
     if mono["passed"]:
         mode = "direct"
@@ -1097,15 +1100,13 @@ def outer_iterate(H, B, cfg=None):
             c1, c2 = zmin - 0.1 * span, zmax + 0.1 * span
         cut = Cutoff(c1, c2, box.z_min, box.z_max)
         if cfg.gamma == "auto":
-            gm = gamma_for(H, cut, box, cfg.samples, lattice)
+            gm = gamma_for(H, cut, box, cfg.samples)
             gamma_eff = float(gm)
             gamma_cert = gm.certificate()
         else:
             gamma_eff = float(cfg.gamma)
             gamma_cert = None
         F_core = penalized_pmc(H, cut, gamma_eff)
-    # the certificates are done: free the lattice before the sweeps allocate
-    del lattice
 
     interior = ~grid.boundary_mask
     u_prev = ScalarField(grid, B.u1.values.copy())
@@ -1271,14 +1272,13 @@ def barriers_from_phi(grid, Fbase, phi, psi, cfg=None, box=None):
     if box is None:
         z0, z1 = float(np.min(psi.values)), float(np.max(psi.values))
         box = WorkingBox.from_grid(grid, (z0 - 1.0, z1 + 1.0))
-    env = box.sample_lattice(cfg.samples)
-    lo, hi, _, _ = sampled_range(Fbase, box, "z", cfg.samples, env)
+    lo, hi, _, _ = sampled_range(Fbase, box, "z", cfg.samples)
     dz = max(hi, -lo)
     if dz > 1e-12:
         raise ValueError(
             f"base prescription depends on height (sampled slope {dz:.3e}); "
             "the two-constant construction needs a height-free base")
-    lo, hi, _, _ = sampled_range(phi, box, None, cfg.samples, env)
+    lo, hi, _, _ = sampled_range(phi, box, None, cfg.samples)
     alpha = 1.05 * max(hi, -lo)
 
     if alpha == 0.0:

@@ -27,6 +27,7 @@ from pmcgraph.cli import (
     validate_config,
 )
 from pmcgraph.grid import read_field_csv
+from pmcgraph.pmc import WorkingBox
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -208,6 +209,41 @@ def test_solve_conformal_reports_conformal_residual(tmp_path):
     gamma = doc["gamma"]
     bound = math.e ** math.log(2.0) * (1e-10 + gamma * 1e-8)
     assert doc["conformal_residual_sup"] <= bound
+
+
+@pytest.mark.parametrize("samples", [2, 4])
+def test_even_sample_count_is_a_config_error(samples, capsys):
+    # an even count misses the normal poles; at 2 the 2-D half-ball is empty
+    code = run(["solve", "--config", cfg_path("cap.json"),
+                "--override", f"solver.samples={samples}"])
+    assert code == 2
+    assert "samples" in capsys.readouterr().err
+
+
+def test_odd_sample_count_solves(tmp_path):
+    report = tmp_path / "r.json"
+    code = run(["solve", "--config", cfg_path("cap.json"),
+                "--override", "solver.samples=5", "--out-report", str(report)])
+    assert code == 0
+    assert read_json(report)["converged"] is True
+
+
+def test_horosphere_certificates_sample_only_the_read_variables(tmp_path, monkeypatch):
+    # the height slope and the penalty certificate of the transformed
+    # prescription read z and t alone: 9 x 9 of the 9^3 x 281 lattice points
+    sizes = []
+    sample_lattice = WorkingBox.sample_lattice
+
+    def counted(self, *args, **kwargs):
+        env = sample_lattice(self, *args, **kwargs)
+        sizes.append(env["z"].size)
+        return env
+
+    monkeypatch.setattr(WorkingBox, "sample_lattice", counted)
+    code = run(["solve", "--config", cfg_path("horosphere.json"),
+                "--out-report", str(tmp_path / "r.json")])
+    assert code == 0
+    assert sizes == [81, 81] and sum(sizes) == 162
 
 
 def test_solve_split_with_conformal_metric_exits_2():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmcgraph.grid import build_grid, constant_field, field_from_expr
-from pmcgraph.expr import ParseError
+from pmcgraph.expr import EvalDomainError, ParseError
 from pmcgraph.pmc import (
     MONOTONE_TOL,
+    PMC_VARS,
     PMCFunction,
     QuasiDecomposition,
     WorkingBox,
@@ -171,6 +174,97 @@ def test_sampled_range_extremes_and_ties():
     lo, hi, lo_at, hi_at = sampled_range(parse_pmc("-2*z"), box, "z", lattice=env)
     assert lo == hi == -2.0
     assert lo_at == hi_at == {k: float(env[k][0]) for k in ("x1", "z", "y1", "t")}
+
+
+_LEAF_CONSTS = ("0", "1", "0.5", "-2.25", "3")
+
+
+def _expressions(names):
+    """Prescription text from the grammar over the variables `names`."""
+    leaves = st.sampled_from(tuple(names) + _LEAF_CONSTS)
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(
+                lambda p: f"({p[0]} {p[1]} {p[2]})"),
+            st.tuples(st.sampled_from(("sin", "cos", "tanh", "abs", "exp")), inner).map(
+                lambda p: f"{p[0]}({p[1]})"),
+            st.tuples(st.sampled_from(("max", "min")), inner, inner).map(
+                lambda p: f"{p[0]}({p[1]}, {p[2]})"),
+            inner.map(lambda a: f"({a})^2"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@st.composite
+def _range_cases(draw):
+    dimension = draw(st.sampled_from((1, 2)))
+    reads = draw(st.sets(st.sampled_from(PMC_VARS)))
+    text = draw(_expressions(sorted(reads)))
+    # a 2-D half-ball keeps no normal at 2 samples per axis
+    samples = draw(st.sampled_from((3, 4, 5, 9) + ((2,) if dimension == 1 else ())))
+    var = draw(st.sampled_from((None, "z", "t", "y1", "x1")))
+    return dimension, reads, text, samples, var
+
+
+def _range_or_error(*args, **kwargs):
+    try:
+        return sampled_range(*args, **kwargs)
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+def _first_of_class(env, reads, samples):
+    """Flat indices of the first lattice point of each class agreeing on `reads`."""
+    key = np.zeros(env["z"].size, dtype=np.int64)
+    for k in PMC_VARS:
+        if k in reads:
+            key = key * samples + np.unique(env[k], return_inverse=True)[1]
+    return np.sort(np.unique(key, return_index=True)[1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_range_cases())
+def test_sampled_range_on_read_variables_equals_full_lattice(case):
+    dimension, reads, text, samples, var = case
+    box = WorkingBox((-0.3, 1.7), ((0.0, 1.0), (-2.0, 0.5))[:dimension])
+    H = parse_pmc(text)
+    full = box.sample_lattice(samples)
+    # values, extremes, their points and any domain error are the full lattice's
+    assert (_range_or_error(H, box, var, samples)
+            == _range_or_error(H, box, var, samples, lattice=full))
+    # the reduced lattice is the first point of each class, in lattice order
+    sub = box.sample_lattice(samples, reads)
+    rows = _first_of_class(full, reads, samples)
+    assert set(sub) == set(PMC_VARS)
+    for k in PMC_VARS:
+        np.testing.assert_array_equal(sub[k], full[k][rows])
+
+
+def test_reduced_lattice_of_an_empty_half_ball_is_empty():
+    # at 2 samples per axis no 2-D normal lies in the closed half-ball
+    box = WorkingBox((0.0, 1.0), ((0.0, 1.0), (0.0, 1.0)))
+    env = box.sample_lattice(2, {"z", "t"})
+    assert set(env) == set(PMC_VARS)
+    assert all(v.shape == (0,) for v in env.values())
+
+
+def test_callable_prescription_samples_the_full_lattice(monkeypatch):
+    # a wrapped callable may read every variable: no axis can be dropped
+    sizes = []
+    sample_lattice = WorkingBox.sample_lattice
+
+    def counted(self, *args, **kwargs):
+        env = sample_lattice(self, *args, **kwargs)
+        sizes.append(env["z"].size)
+        return env
+
+    monkeypatch.setattr(WorkingBox, "sample_lattice", counted)
+    H = PMCFunction.from_callable(lambda x1, x2, z, y1, y2, t: -z + 0.0 * t)
+    box = WorkingBox((-1.0, 1.0), ((0.0, 1.0), (0.0, 1.0)))
+    assert check_monotone(H, box, 9)["passed"]
+    assert sizes == [9 ** 3 * 281]
 
 
 # -- quasi-decreasing splits --------------------------------------------------
