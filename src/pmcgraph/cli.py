@@ -26,6 +26,7 @@ config and version always produce byte-identical artifacts.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 # argparse translates its messages through gettext, whose first lookup
@@ -70,10 +71,9 @@ from .solver import (
 SUBCOMMANDS = ("solve", "check-barrier", "check-monotone", "transform",
                "reparam", "diagnose", "eval-residual")
 
-_SOLVER_KEYS = ("tol_inner", "tol_outer", "max_newton", "max_outer",
-                "armijo_c", "min_step", "gamma", "samples",
-                "theta_threshold", "allowance_constant", "refine_check",
-                "cutoff")
+# every SolveConfig knob but the working box, which is a top-level key
+_SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolveConfig)
+                     if f.name != "box")
 
 _TOP_KEYS = ("version", "grid", "pmc", "conformal", "box", "barriers",
              "solver", "field")

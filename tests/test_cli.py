@@ -127,6 +127,28 @@ def test_validate_rejects_bad_documents():
             validate_config(raw)
 
 
+def test_every_solver_config_field_but_box_is_a_solver_key():
+    import dataclasses
+
+    from pmcgraph.solver import SolveConfig
+
+    base = {"grid": {"dimension": 1, "shape": [9], "lengths": [1.0],
+                     "topology": ["periodic"]},
+            "pmc": {"expr": "0"}}
+    # the working box is a top-level key
+    with pytest.raises(CLIConfigError, match="unknown key 'box'"):
+        validate_config({**base, "solver": {"box": [0.0, 1.0]}})
+    defaults = SolveConfig()
+    for field in dataclasses.fields(SolveConfig):
+        if field.name == "box":
+            continue
+        value = getattr(defaults, field.name)
+        if field.name == "cutoff":
+            value = [0.0, 1.0]
+        cfg = validate_config({**base, "solver": {field.name: value}})
+        assert field.name in cfg["solver"]
+
+
 def test_override_parses_json_with_string_fallback():
     raw = {"solver": {"tol_inner": 1e-10}}
     apply_override(raw, "solver.tol_inner=1e-6")
