@@ -92,6 +92,13 @@ class BaseGrid:
             axis.flags.writeable = False
             coords.append(axis)
         self.axis_coords = tuple(coords)
+        if dimension == 1:
+            positions = (coords[0],)
+        else:
+            positions = np.meshgrid(*coords, indexing="ij")
+            for a in positions:
+                a.flags.writeable = False
+        self._positions = tuple(positions)
 
         mask = np.zeros(self.shape, dtype=bool)
         for ax, t in enumerate(self.topology):
@@ -107,13 +114,9 @@ class BaseGrid:
     # -- derived views ----------------------------------------------------
 
     def node_positions(self):
-        """Meshgrid of node coordinates, tuple of arrays shaped like the grid."""
-        if self.dimension == 1:
-            return (self.axis_coords[0],)
-        out = np.meshgrid(*self.axis_coords, indexing="ij")
-        for a in out:
-            a.flags.writeable = False
-        return tuple(out)
+        """Meshgrid of node coordinates, tuple of read-only arrays shaped like
+        the grid, built once per grid."""
+        return self._positions
 
     def boundary_indices(self):
         """Sorted flat (row-major) indices of boundary nodes."""

@@ -357,9 +357,10 @@ def test_outer_penalized_torus_sine():
     v, rep = outer_iterate(H, B)
     assert rep.converged and rep.mode == "penalized"
     assert rep.gamma > 1.0
-    # iteration counters are deterministic: a solver change must not move them
+    # iteration counters are deterministic: only a deliberate solver change
+    # may move them, and each move is recorded as old -> new in CHANGES.md
     assert rep.outer_count == 16
-    assert sum(rep.inner_newton_counts) == 38
+    assert sum(rep.inner_newton_counts) == 22
     assert rep.accelerated_steps == 8 and rep.rejected_steps == 6
     # iterates climbed monotonically and stayed in the slab
     assert max(rep.monotonicity_violations) <= 1e-9
@@ -467,6 +468,7 @@ def test_non_converged_message_names_last_and_smallest_step():
     assert f"smallest step {min(steps):.3e}" in message
     assert exc.value.partial["factorizations"] >= 1
     assert exc.value.partial["krylov_iterations"] >= 0
+    assert exc.value.partial["linear_solves"] >= 5
 
 
 def test_lagged_factor_counters_are_pinned_and_match_refactoring(monkeypatch):
@@ -474,7 +476,7 @@ def test_lagged_factor_counters_are_pinned_and_match_refactoring(monkeypatch):
 
     grid, H, B = _torus_sine_16()
     v, rep = outer_iterate(H, B)
-    assert rep.factorizations == 1 and rep.krylov_iterations == 80
+    assert rep.factorizations == 1 and rep.krylov_iterations == 46
     # every linear solve factors its own matrix
     monkeypatch.setattr(solver.LaggedLU, "_krylov", lambda self, A, b, tol: None)
     v_direct, direct = outer_iterate(H, B)
@@ -502,6 +504,85 @@ def test_newton_needs_no_refactorization_when_no_relative_target_is_met(
     assert floor.accelerated_steps == rep.accelerated_steps
     assert floor.rejected_steps == rep.rejected_steps
     assert floor.inner_newton_counts == rep.inner_newton_counts
+
+
+def _horosphere_16():
+    from pmcgraph.geometry import ConformalFactor, conformal_transform_pmc
+
+    # the horosphere config's conformal problem on a 16x16 torus
+    grid = build_grid(2, (16, 16), (1.0, 1.0), ("periodic", "periodic"))
+    H = conformal_transform_pmc(parse_pmc("-1 - z"),
+                                ConformalFactor.from_expr("-ln(r)"), 2)
+    B = BarrierPair(ScalarField(grid, np.full(grid.shape, 0.8)),
+                    ScalarField(grid, np.full(grid.shape, 1.25)))
+    return grid, H, B, SolveConfig(box=(0.5, 2.0))
+
+
+def _penalized_case(case):
+    if case == "horosphere":
+        return _horosphere_16()
+    return (*_torus_sine_16(), SolveConfig())
+
+
+@pytest.mark.parametrize("case", ["torus_sine", "horosphere"])
+def test_only_the_exit_sweep_needs_the_inner_tolerance(case):
+    grid, H, B, cfg = _penalized_case(case)
+    _, rep = outer_iterate(H, B, cfg)
+    assert rep.mode == "penalized" and rep.converged
+    # early sweeps stop at a fraction of the last step, above tol_inner ...
+    assert max(rep.residual_history[1:]) > cfg.tol_inner
+    # ... but the exit sweep is solved to it, so the bound still holds
+    assert rep.residual_history[0] <= cfg.tol_inner
+    assert rep.residual_history[-1] <= cfg.tol_inner
+    assert rep.step_history[-1] <= cfg.tol_outer
+    assert rep.consistency_ok
+    assert rep.final_residual <= cfg.tol_inner + rep.gamma * rep.step_history[-1]
+
+
+# both runs stop at a step of at most tol_outer, so their fields differ by
+# a fraction of it: 8.4e-13 on the torus, 1.04e-9 on the horosphere
+@pytest.mark.parametrize("case, agree", [("torus_sine", 1e-9),
+                                         ("horosphere", 1e-8)])
+def test_exact_sweeps_reach_the_same_field_with_more_linear_solves(
+        monkeypatch, case, agree):
+    import pmcgraph.solver as solver
+
+    grid, H, B, cfg = _penalized_case(case)
+    v, rep = outer_iterate(H, B, cfg)
+    # every sweep solved to tol_inner
+    monkeypatch.setattr(solver, "SWEEP_FORCING", 0.0)
+    v_exact, exact = outer_iterate(H, B, cfg)
+    assert max(exact.residual_history) <= cfg.tol_inner
+    assert sup_norm(v, v_exact) <= agree
+    assert exact.outer_count == rep.outer_count
+    assert exact.accelerated_steps == rep.accelerated_steps
+    assert exact.rejected_steps == rep.rejected_steps
+    assert exact.linear_solves > rep.linear_solves
+    assert sum(exact.inner_newton_counts) > sum(rep.inner_newton_counts)
+
+
+def test_candidate_sweeps_start_from_their_anchor(monkeypatch):
+    import pmcgraph.solver as solver
+
+    grid, H, B = _torus_sine_16()
+    real = solver.solve_inner
+    starts = []
+
+    def recording(grid, F, psi, init, *args, **kwargs):
+        starts.append((init.values.copy(), kwargs["source"]))
+        return real(grid, F, psi, init, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_inner", recording)
+    _, rep = outer_iterate(H, B)
+    assert rep.accelerated_steps + rep.rejected_steps > 0
+    # every sweep's first Newton iterate is its anchor, source / gamma; a
+    # finishing solve starts from its sweep's output instead
+    fresh = [k for k in range(len(starts))
+             if k == 0 or not np.array_equal(starts[k][1], starts[k - 1][1])]
+    assert len(fresh) == rep.outer_count + rep.rejected_steps
+    for k in fresh:
+        init, source = starts[k]
+        assert np.array_equal(rep.gamma * init, source)
 
 
 def test_no_factor_passes_between_solves():

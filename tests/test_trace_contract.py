@@ -76,6 +76,8 @@ def test_traced_solve_counts_one_spsolve_per_linear_solve(spans, tmp_path):
     calls = summary["layers"]["solver.spsolve"]["calls"]
     assert calls == counts["newton_steps"] + counts["ptc_steps"] > 0
     assert calls >= rep.factorizations
+    # the report counts the same linear solves as the benchmark's tracer
+    assert calls == rep.linear_solves
     assert counts["spsolve_unknowns"] == grid.node_count
     # the per-layer metrics read the matrix's pattern size and shape
     assert counts["jacobian_nnz"] == _jacobian_plan(grid, True).nnz > 0
