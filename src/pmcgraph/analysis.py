@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import node_gradients, quadrature_weights
-from .grid import refine_field, refine_grid
+from .grid import refine_grid
 from .pmc import QuasiDecomposition
-from .solver import BarrierPair, SolveConfig, SolverFailure, outer_iterate
+from .solver import SolveConfig, SolverFailure, outer_iterate
 
 __all__ = [
     "area_functional",
@@ -207,13 +207,7 @@ def blowup_diagnostics(prescription, barriers, cfg=None, levels=2, grid=None):
             all_pass = False
         rows.append(row)
         if level + 1 < int(levels):
-            fine = refine_grid(grid)
-            if build is not None:
-                pair = build(fine)
-            else:
-                pair = BarrierPair(
-                    refine_field(pair.u1, fine), refine_field(pair.u0, fine),
-                    refine_field(pair.psi, fine) if pair.psi is not None else None)
+            pair = pair.refined() if build is None else build(refine_grid(grid))
 
     orders = {}
     for key in ("total_variation", "area", "max_grad"):

@@ -61,11 +61,11 @@ from .solver import (
     BarrierPair,
     SolveConfig,
     SolverFailure,
-    _default_box,
     barriers_from_phi,
     check_barrier,
     outer_iterate,
     solve_quasi,
+    working_box,
 )
 
 SUBCOMMANDS = ("solve", "check-barrier", "check-monotone", "transform",
@@ -110,16 +110,15 @@ def apply_override(raw, spec):
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
-    node = raw
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if part not in node:
-            node[part] = {}
-        node = node[part]
+    node, where = raw, "the document root"
+    *path, last = key.split(".")
+    for part in path:
         if not isinstance(node, dict):
-            raise CLIConfigError(
-                f"override {spec!r} descends through non-object key {part!r}")
-    node[parts[-1]] = value
+            break
+        node, where = node.setdefault(part, {}), f"key {part!r}"
+    if not isinstance(node, dict):
+        raise CLIConfigError(f"override {spec!r} descends into a non-object at {where}")
+    node[last] = value
     return raw
 
 
@@ -582,7 +581,7 @@ def _cmd_check_monotone(cfg, args):
             raise CLIConfigError("check-monotone needs a box or a barriers section")
         build = _barrier_builder(cfg, grid, solk)
         try:
-            box = _default_box(build(grid), solk)
+            box = working_box(build(grid), solk)
         except (SolverFailure, ValueError) as exc:
             return _check_payload(str(exc)), 1
     if kind == "split":

@@ -63,7 +63,27 @@ class EvalDomainError(ValueError):
 
 
 class ExprNode:
-    """Base class; subclasses implement eval/diff/variables/to_str."""
+    """Base class; subclasses implement eval/diff/variables/to_str.
+
+    `a + b`, `a - b`, `a * b` and `c * a` build trees through the
+    simplifying constructors below, with a number operand taken as a
+    `Const`; numpy defers to them (`__array_ufunc__ = None`), so
+    `np.float64(c) * a` is a node too.
+    """
+
+    __array_ufunc__ = None
+
+    def __add__(self, other):
+        return _add(self, _node(other))
+
+    def __sub__(self, other):
+        return _sub(self, _node(other))
+
+    def __mul__(self, other):
+        return _mul(self, _node(other))
+
+    def __rmul__(self, other):
+        return _mul(_node(other), self)
 
     def eval(self, env):
         raise NotImplementedError
@@ -314,9 +334,15 @@ def _centered(fn, i):
 
 
 # ---------------------------------------------------------------------------
-# Simplifying constructors.  Besides keeping derivative trees small these
-# guarantee that a partial in an absent variable folds to the literal
-# constant 0, with no leftover ln/div factors that could poison evaluation.
+# Simplifying constructors, behind `ExprNode`'s operators too.  Besides
+# keeping derivative trees and rewritten prescriptions small these guarantee
+# that a partial in an absent variable folds to the literal constant 0, with
+# no leftover ln/div factors that could poison evaluation, and that a term
+# with a zero factor reads no variable, so certificates sample no axis for it.
+
+
+def _node(x):
+    return x if isinstance(x, ExprNode) else Const(x)
 
 
 def _is_const(node, value=None):

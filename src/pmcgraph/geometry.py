@@ -19,8 +19,7 @@ from .calculus import (
     node_gradients,
     operators,
 )
-from .expr import Const, Func, Var, eval_checked, parse_expr, rename_var, takes_differences
-from .expr import _add, _call, _mul, _sub
+from .expr import Call, Func, Var, eval_checked, parse_expr, rename_var, takes_differences
 from .grid import ScalarField, face_positions, face_shape
 from .pmc import PMCFunction, graph_normal_env
 
@@ -106,7 +105,7 @@ def _factor_env(grid, values):
 
 def conformal_mean_curvature_values(grid, values, F, n):
     grads = node_gradients(grid, values)
-    omega = np.sqrt(1.0 + sum(g * g for g in grads))
+    _, omega = graph_normal_env(grid, values, grads)
     env = _factor_env(grid, values)
     f = F.eval(**env)
     corr = F.d_r(**env)
@@ -187,9 +186,8 @@ def conformal_transform_pmc(H, F, n):
     d1 = rename_var(F.ast.diff("x1"), "r", "z")
     d2 = rename_var(F.ast.diff("x2"), "r", "z")
     fr = rename_var(F.ast.diff("r"), "r", "z")
-    drift = _add(_add(_mul(d1, Var("y1")), _mul(d2, Var("y2"))),
-                 _mul(fr, Var("t")))
-    ast = _sub(_mul(_call("exp", (f_ast,)), H.ast), _mul(Const(float(n)), drift))
+    drift = d1 * Var("y1") + d2 * Var("y2") + fr * Var("t")
+    ast = Call("exp", (f_ast,)) * H.ast - n * drift
     text = None
     if H.text and F.text:
         text = f"exp({F.text})*({H.text}) - {n}*<D({F.text}),(Y,t)>"
@@ -406,9 +404,7 @@ def warped_to_conformal(P, interval):
 
 def theta_field(grid, u):
     """Vertical tilt of the upward unit normal: 1/omega, in (0, 1]."""
-    grads = node_gradients(grid, u.values)
-    omega = np.sqrt(1.0 + sum(g * g for g in grads))
-    return ScalarField(grid, 1.0 / omega)
+    return ScalarField(grid, graph_normal_env(grid, u.values)[0]["t"])
 
 
 def second_fundamental_norm(grid, u):

@@ -33,6 +33,7 @@ __all__ = [
     "check_monotone",
     "check_quasi_decreasing",
     "sampled_range",
+    "graph_normal_env",
     "pmc_residual",
     "MONOTONE_TOL",
 ]
@@ -299,13 +300,17 @@ def check_quasi_decreasing(D, box, samples=9):
     }
 
 
-def graph_normal_env(grid, values):
-    """Evaluation environment for a graph: base coords, height, unit normal."""
-    return _normal_env(grid, values, node_gradients(grid, values))
+def graph_normal_env(grid, values, grads=None):
+    """Evaluation environment of a graph, and its area factor.
 
-
-def _normal_env(grid, values, grads):
-    """`graph_normal_env` given the node gradients of `values`."""
+    Returns (env, omega): env maps x1, x2 to the node positions, z to
+    `values` and y1, y2, t to the upward unit normal (-Du/omega, 1/omega),
+    with omega = sqrt(1 + |Du|^2) from the node gradients `grads` (computed
+    when not given).  Every evaluation of a prescription at a graph, and
+    every tilt 1/omega, is read from here.
+    """
+    if grads is None:
+        grads = node_gradients(grid, values)
     pos = grid.node_positions()
     omega = np.sqrt(1.0 + sum(g * g for g in grads))
     env = {
@@ -342,7 +347,7 @@ def pmc_residual(grid, u, H, F=None, n=None, box=None):
             f"graph leaves the working box z-range [{box.z_min:.6g}, {box.z_max:.6g}] "
             f"at {bad.size} node(s) (flat indices {head}{', ...' if bad.size > 5 else ''})")
     grads = node_gradients(grid, u.values)
-    env, _omega = _normal_env(grid, u.values, grads)
+    env, _ = graph_normal_env(grid, u.values, grads)
     if F is None:
         base = mean_curvature_product_values(grid, u.values, grads)
     else:

@@ -52,14 +52,14 @@ from .calculus import (
     node_gradients,
     operators,
 )
-from .expr import Const, Func, Var, _mul, _sub
-from .grid import ScalarField, sup_norm
+from .expr import Func, Var
+from .grid import ScalarField, refine_field, refine_grid, sup_norm
 from .pmc import (
     PMCFunction,
     WorkingBox,
-    _normal_env,
     check_monotone,
     check_quasi_decreasing,
+    graph_normal_env,
     pmc_residual,
     sampled_range,
 )
@@ -72,6 +72,7 @@ __all__ = [
     "MonotonicityError",
     "LaggedLU",
     "check_barrier",
+    "working_box",
     "Cutoff",
     "gamma_for",
     "penalized_pmc",
@@ -259,9 +260,12 @@ class BarrierPair:
     def z_bounds(self):
         return float(np.min(self.u1.values)), float(np.max(self.u0.values))
 
-    def span(self):
-        lo, hi = self.z_bounds()
-        return hi - lo
+    def refined(self):
+        """The pair interpolated onto the grid of one halving of the spacing."""
+        fine = refine_grid(self.grid)
+        return BarrierPair(
+            refine_field(self.u1, fine), refine_field(self.u0, fine),
+            refine_field(self.psi, fine) if self.psi is not None else None)
 
 
 def check_barrier(B, H, F=None, allowance=10.0):
@@ -393,8 +397,7 @@ def penalized_pmc(H, cutoff, gamma):
     """
     z = Var("z")
     cut = Func("cutoff", cutoff.h, (z,), (Func("cutoff'", cutoff.h_prime, (z,)),))
-    ast = _sub(_mul(cut, H.ast), _mul(Const(float(gamma)), z))
-    return PMCFunction(ast, provenance="penalized", label=H.label)
+    return PMCFunction(cut * H.ast - gamma * z, provenance="penalized", label=H.label)
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +520,15 @@ def _jacobian_coefficients(grid, values, F):
         parts.append(-(1.0 + tsq) / om3)
         parts.extend(comps[ax] * comps[c] / om3 for c in range(dim) if c != ax)
 
-    env, omega_node = _normal_env(grid, values, grads)
+    env, omega_node = graph_normal_env(grid, values, grads)
     om3 = omega_node ** 3
 
-    def partial(var):
-        return np.broadcast_to(np.asarray(F._partial(var, env), dtype=float),
-                               grid.shape)
+    def nodal(partial):
+        return np.broadcast_to(np.asarray(partial, dtype=float), grid.shape)
 
-    parts.append(-partial("z"))
-    Fy = [partial(("y1", "y2")[m]) for m in range(dim)]
-    Ft = partial("t")
+    parts.append(-nodal(F.d_z(**env)))
+    Fy = [nodal(F.d_y(m, **env)) for m in range(dim)]
+    Ft = nodal(F.d_t(**env))
     for l in range(dim):
         mult = Ft * (-grads[l] / om3)
         for m in range(dim):
@@ -870,8 +872,8 @@ def _residual_values(grid, values, F, source, grads=None):
     if grads is None:
         grads = node_gradients(grid, values)
     out = mean_curvature_product_values(grid, values, grads)
-    env, _ = _normal_env(grid, values, grads)
-    out = out - np.asarray(F._fn(env), dtype=float)
+    env, _ = graph_normal_env(grid, values, grads)
+    out = out - np.asarray(F.eval(**env), dtype=float)
     if source is not None:
         out = out - source
     return out
@@ -927,8 +929,8 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
         return _residual_values(grid, vals, F, src, grads).reshape(-1)[unknown]
 
     grads0 = node_gradients(grid, u)
-    env0, _ = _normal_env(grid, u, grads0)
-    dz0 = np.max(np.abs(np.asarray(F._partial("z", env0), dtype=float)))
+    env0, _ = graph_normal_env(grid, u, grads0)
+    dz0 = np.max(np.abs(np.asarray(F.d_z(**env0), dtype=float)))
     bordered = grid.is_fully_periodic() and dz0 <= 1e-13
 
     R = residual(u, grads0)
@@ -1099,7 +1101,10 @@ def _grid_meta(grid):
     }
 
 
-def _default_box(B, cfg):
+def working_box(B, cfg):
+    """The box certificates sample: `cfg.box`'s z-range, which must hold the
+    barrier range strictly inside, or else the barrier range widened by half
+    its span at each end; base ranges from the barriers' grid."""
     zmin, zmax = B.z_bounds()
     span = zmax - zmin
     if span <= 0.0:
@@ -1143,7 +1148,7 @@ def outer_iterate(H, B, cfg=None):
     if cfg is None:
         cfg = SolveConfig()
     grid = B.grid
-    box = _default_box(B, cfg)
+    box = working_box(B, cfg)
     barrier_check = check_barrier(B, H, allowance=cfg.allowance_constant)
     if not barrier_check["passed"]:
         raise ValueError(
@@ -1293,8 +1298,7 @@ def outer_iterate(H, B, cfg=None):
     final = pmc_residual(grid, v, H, box=box)
     final_residual = float(np.max(np.abs(final.values)))
     bound = cfg.tol_inner + gamma_eff * max(step_history[-1], 0.0)
-    grads = node_gradients(grid, v.values)
-    theta = 1.0 / np.sqrt(1.0 + sum(g * g for g in grads))
+    theta = graph_normal_env(grid, v.values)[0]["t"]
     report = SolveReport(
         converged=True,
         mode=mode,
@@ -1331,12 +1335,6 @@ def outer_iterate(H, B, cfg=None):
 # barrier construction and the quasi-decreasing frontend
 
 
-def _with_constant_tilt_term(Fbase, A):
-    """Prescription Fbase - A*t."""
-    ast = _sub(Fbase.ast, _mul(Const(float(A)), Var("t")))
-    return PMCFunction(ast, label=Fbase.label)
-
-
 def barriers_from_phi(grid, Fbase, phi, psi, cfg=None, box=None):
     """Barriers for a prescription perturbed by a bounded term.
 
@@ -1366,8 +1364,11 @@ def barriers_from_phi(grid, Fbase, phi, psi, cfg=None, box=None):
         u, _ = solve_inner(grid, Fbase, psi, psi, cfg)
         return BarrierPair(u, ScalarField(grid, u.values.copy()), psi)
 
-    u1, _ = solve_inner(grid, _with_constant_tilt_term(Fbase, alpha), psi, psi, cfg)
-    u0, _ = solve_inner(grid, _with_constant_tilt_term(Fbase, -alpha), psi, psi, cfg)
+    tilt = Var("t")
+    u1, _ = solve_inner(grid, PMCFunction(Fbase.ast - alpha * tilt, label=Fbase.label),
+                        psi, psi, cfg)
+    u0, _ = solve_inner(grid, PMCFunction(Fbase.ast + alpha * tilt, label=Fbase.label),
+                        psi, psi, cfg)
     if np.min(u0.values - u1.values) < -1e-12:
         k = int(np.argmin((u0.values - u1.values).reshape(-1)))
         raise ValueError(
@@ -1385,11 +1386,10 @@ def solve_quasi(D, B, cfg=None):
     flag, and a one-halving refinement comparison of min Theta.
     """
     from .geometry import jacobi_residual
-    from .grid import refine_field, refine_grid
 
     if cfg is None:
         cfg = SolveConfig()
-    box = _default_box(B, cfg)
+    box = working_box(B, cfg)
     qcheck = check_quasi_decreasing(D, box, cfg.samples)
     if not qcheck["passed"]:
         raise ValueError(
@@ -1407,10 +1407,7 @@ def solve_quasi(D, B, cfg=None):
     report.jacobi_sup = float(np.max(np.abs(jac.values)))
 
     if cfg.refine_check:
-        fine = refine_grid(grid)
-        fine_pair = BarrierPair(
-            refine_field(B.u1, fine), refine_field(B.u0, fine),
-            refine_field(B.psi, fine) if B.psi is not None else None)
+        fine_pair = B.refined()
         try:
             _, fine_report = outer_iterate(
                 H, fine_pair, dataclasses.replace(cfg, refine_check=False))

@@ -159,6 +159,9 @@ def test_override_parses_json_with_string_fallback():
     assert raw["pmc"]["expr"] == "-z"
     with pytest.raises(CLIConfigError, match="key=value"):
         apply_override(raw, "no-equals-sign")
+    # the root is indexed too, and a document need not be an object
+    with pytest.raises(CLIConfigError, match="non-object at the document root"):
+        apply_override([1, 2], "a=1")
 
 
 def test_numeric_override_of_expression_fields_is_accepted():
@@ -177,6 +180,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["solve", "--config", str(bad)]) == 2
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert run(["solve", "--config", str(listed), "--override", "a=1"]) == 2
     # both prescription forms at once
     assert run(["solve", "--config", cfg_path("torus_sine.json"),
                 "--override", "pmc.h1=0"]) == 2

@@ -3,8 +3,10 @@ import pytest
 
 from pmcgraph.expr import (
     EvalDomainError,
+    ExprNode,
     Func,
     ParseError,
+    Var,
     eval_checked,
     parse_expr,
     takes_differences,
@@ -165,3 +167,26 @@ def test_func_node_chain_rule_and_difference_fallback():
     assert abs(eval_checked(approx, {"x": 1.5}) - 12.0) < 1e-8
     # an absent variable folds to the literal 0
     assert eval_checked(Func("sq", lambda a: a * a, (arg,)).diff("y"), {}) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# operators
+
+
+def test_operators_fold_zero_and_unit_factors():
+    # a zero term reads no variable, so certificates sample no axis for it
+    assert (Var("z") + 0.0 * Var("y1")).variables() == {"z"}
+    z = Var("z")
+    assert z * 1.0 is z
+
+
+def test_numpy_scalars_defer_to_node_operators():
+    assert isinstance(np.float64(2.0) * Var("z"), ExprNode)
+
+
+def test_operator_tree_evaluates_like_parsed_text():
+    rng = np.random.default_rng(3)
+    env = {"z": rng.normal(size=50), "t": rng.uniform(size=50)}
+    built = eval_checked(2.0 * Var("z") - Var("t"), env)
+    parsed = eval_checked(parse_expr("2*z - t", VARS), env)
+    assert np.array_equal(built, parsed)

@@ -5,9 +5,12 @@ import it read-only and check that the names it wraps still exist as plain
 module functions, that every span a BENCHMARK.json per-layer metric reads
 is one it wraps, and that a traced solve counts one `solver.spsolve` call
 per linear solve, reads the Jacobian's pattern size and system size, and
-sees every residual evaluation of the inner solve.
+sees every residual evaluation of the inner solve and its normal
+environment.  Since the tracer sees public names only, no module of the
+package may import a private name of another.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -86,3 +89,20 @@ def test_traced_solve_counts_one_spsolve_per_linear_solve(spans, tmp_path):
     inner = summary["layers"]["solver.solve_inner"]["calls"]
     assert (summary["residual_evals"]
             >= counts["newton_steps"] + counts["ptc_steps"] + inner > 0)
+    # and builds each residual's normal environment through the traced name
+    layers = summary["layers"]
+    assert layers["pmc.graph_normal_env"]["calls"] >= summary["residual_evals"] > 0
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # the tracer wraps public names only, so a private import hides a layer
+    # (dunders such as the package's __version__ are public)
+    reaches = []
+    for path in sorted((PERFBENCH.parent / "src" / "pmcgraph").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level > 0 or (node.module or "").startswith("pmcgraph"))):
+                reaches += [f"{path.name}: {node.module}.{alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert reaches == []
