@@ -160,9 +160,10 @@ def _validate_grid(raw):
     if dim not in (1, 2):
         raise CLIConfigError(f"grid: dimension must be 1 or 2, got {dim}")
     shape = g.get("shape")
-    if not isinstance(shape, (list, tuple)) or len(shape) != dim:
-        raise CLIConfigError(f"grid: shape must be a list of {dim} node counts")
-    shape = [int(s) for s in shape]
+    if (not isinstance(shape, (list, tuple)) or len(shape) != dim
+            or any(isinstance(s, bool) or not isinstance(s, int) for s in shape)):
+        raise CLIConfigError(f"grid: shape must be a list of {dim} integer node counts")
+    shape = list(shape)
     lengths = _float_list("grid", g.get("lengths"), dim, "lengths")
     topo = g.get("topology")
     if not isinstance(topo, (list, tuple)) or len(topo) != dim:

@@ -103,7 +103,8 @@ def _factor_env(grid, values):
     }
 
 
-def conformal_mean_curvature_values(grid, values, F, n):
+def conformal_mean_curvature_values(grid, values, F):
+    n = grid.dimension
     grads = node_gradients(grid, values)
     _, omega = graph_normal_env(grid, values, grads)
     env = _factor_env(grid, values)
@@ -117,28 +118,26 @@ def conformal_mean_curvature_values(grid, values, F, n):
     return out
 
 
-def conformal_mean_curvature(grid, u, F, n=None):
+def conformal_mean_curvature(grid, u, F):
     """Mean curvature of the graph of u in the metric e^{2f}(flat product).
 
     Equals e^{-f} (H_product + n (f_r - <Df, Du>)/omega) at the graph, with
-    all factor derivatives evaluated at (x, u(x)).  Boundary nodes carry 0.
+    n the grid's dimension and all factor derivatives evaluated at
+    (x, u(x)).  Boundary nodes carry 0.
     """
-    if n is None:
-        n = grid.dimension
-    return ScalarField(grid, conformal_mean_curvature_values(grid, u.values, F, n))
+    return ScalarField(grid, conformal_mean_curvature_values(grid, u.values, F))
 
 
-def divergence_oracle(grid, u, F, n=None):
+def divergence_oracle(grid, u, F):
     """Independent curvature evaluation via the weighted-divergence identity.
 
-    The conformal mean curvature equals e^{-(n+1)f} div(e^{nf} nu) for the
-    unit product normal nu of the graph extended vertically.  Horizontal
-    terms are assembled as face fluxes (factor evaluated at face midpoints),
-    the vertical derivative analytically.  Agrees with
-    `conformal_mean_curvature` up to discretization error only.
+    The conformal mean curvature equals e^{-(n+1)f} div(e^{nf} nu), n the
+    grid's dimension, for the unit product normal nu of the graph extended
+    vertically.  Horizontal terms are assembled as face fluxes (factor
+    evaluated at face midpoints), the vertical derivative analytically.
+    Agrees with `conformal_mean_curvature` up to discretization error only.
     """
-    if n is None:
-        n = grid.dimension
+    n = grid.dimension
     values = u.values
     ops = operators(grid)
     grads = node_gradients(grid, values)
@@ -204,21 +203,20 @@ class WarpedProfile:
 
     The height substitution ds = dr/h(r) turns that metric into the
     conformal form e^{2f}(dx² + ds²) with f = ln h, which is how the rest
-    of the package consumes it.  `quad_tol` is the absolute tolerance of
+    of the package consumes it.  `QUAD_TOL` is the absolute tolerance of
     s: `warped_to_conformal` splits a panel of its Gauss–Legendre table of
     ∫ dr/h until the one-panel and two-half-panel values differ by at most
-    `quad_tol`, and keeps the halves.
+    `QUAD_TOL`, and keeps the halves.
     """
 
-    def __init__(self, ast, quad_tol=1e-12, text=None):
+    def __init__(self, ast, text=None):
         self.ast = ast
-        self.quad_tol = float(quad_tol)
         self.text = text
         self._h_prime = ast.diff("r")
 
     @classmethod
-    def from_expr(cls, text, quad_tol=1e-12):
-        return cls(parse_expr(text, ("r",)), quad_tol=quad_tol, text=text)
+    def from_expr(cls, text):
+        return cls(parse_expr(text, ("r",)), text=text)
 
     def h(self, r):
         return eval_checked(self.ast, {"r": r}, label="warp profile")
@@ -233,6 +231,7 @@ class WarpedProfile:
 GL_NODES = 10
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
 MAX_PANELS = 2048
+QUAD_TOL = 1e-12
 MAX_NEWTON = 100
 
 
@@ -254,14 +253,14 @@ def quad(fn, a, b):
     return half * acc
 
 
-def _tabulate(inv_h, r_lo, r_hi, tol):
+def _tabulate(inv_h, r_lo, r_hi):
     """-> (R, S): edges of Gauss–Legendre panels covering [r_lo, r_hi] and
     S[k] = ∫ inv_h over [r_lo, R[k]].
 
     Adaptive bisection, one level at a time: a panel whose value differs
-    from the sum of its two halves by more than `tol` is split, otherwise
-    its halves enter the table.  Raises ValueError when the table would
-    pass MAX_PANELS or a panel can no longer be halved.
+    from the sum of its two halves by more than `QUAD_TOL` is split,
+    otherwise its halves enter the table.  Raises ValueError when the table
+    would pass MAX_PANELS or a panel can no longer be halved.
     """
     edges, values = [], []
     a, b = np.array([r_lo]), np.array([r_hi])
@@ -271,7 +270,7 @@ def _tabulate(inv_h, r_lo, r_hi, tol):
         halves = quad(inv_h, np.concatenate([a, m]), np.concatenate([m, b]))
         left, right = halves[:a.size], halves[a.size:]
         err = np.abs(left + right - whole)
-        ok = err <= tol
+        ok = err <= QUAD_TOL
         edges += [a[ok], m[ok]]
         values += [left[ok], right[ok]]
         split = ~ok
@@ -280,7 +279,7 @@ def _tabulate(inv_h, r_lo, r_hi, tol):
             worst = int(np.argmax(err))
             raise ValueError(
                 f"cannot tabulate s = ∫ dr/h on [{r_lo:.6g}, {r_hi:.6g}] to "
-                f"{tol:.3g} within {MAX_PANELS} panels; the panel "
+                f"{QUAD_TOL:.3g} within {MAX_PANELS} panels; the panel "
                 f"[{a[worst]:.17g}, {b[worst]:.17g}] still misses it by {err[worst]:.3g}")
         a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
         whole = np.concatenate([left[split], right[split]])
@@ -310,7 +309,7 @@ def warped_to_conformal(P, interval):
     pulled back through it keep exact first partials.
 
     s(r) is tabulated once, on adaptive composite Gauss–Legendre panels of
-    1/h (to `P.quad_tol`, see `WarpedProfile`).  `factor.s_of_r` adds one
+    1/h (to `QUAD_TOL`, see `WarpedProfile`).  `factor.s_of_r` adds one
     Gauss–Legendre integral from the panel's left edge; `factor.r_of_s`
     starts from linear interpolation in the table and takes Newton steps
     r <- r - (s(r) - s) h(r), kept inside a shrinking bracket by bisection.
@@ -334,7 +333,7 @@ def warped_to_conformal(P, interval):
                 f"warp profile must be positive on the interval; h({r[k]:.6g}) = {hr[k]:.6g}")
         return 1.0 / hr
 
-    R, S = _tabulate(inv_h, r_lo, r_hi, P.quad_tol)
+    R, S = _tabulate(inv_h, r_lo, r_hi)
     last = R.size - 2
     s_hi = float(S[-1])
     r_tol = 4.0 * np.finfo(float).eps * max(abs(r_lo), abs(r_hi))
@@ -448,12 +447,12 @@ def jacobi_residual(grid, u, H):
     eta(x) = H(x, u, -Du/omega, 1/omega), so this field's interior decay
     under refinement certifies the computed surface.  Boundary nodes 0.
     """
-    theta = theta_field(grid, u)
+    grads_u = node_gradients(grid, u.values)
+    env, omega = graph_normal_env(grid, u.values, grads_u)
+    theta = ScalarField(grid, env["t"])
     lap = graph_laplacian(u, theta)
     a2 = second_fundamental_norm(grid, u)
-    env, omega = graph_normal_env(grid, u.values)
     eta = np.broadcast_to(H.eval(**env), grid.shape)
-    grads_u = node_gradients(grid, u.values)
     grads_eta = node_gradients(grid, np.array(eta, dtype=float))
     inner = sum(gu * ge for gu, ge in zip(grads_u, grads_eta)) / (omega * omega)
     out = lap.values + a2.values * theta.values - inner

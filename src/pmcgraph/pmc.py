@@ -78,9 +78,9 @@ class PMCFunction:
         self._partials = {var: ast.diff(var) for var in PMC_VARS}
 
     @classmethod
-    def from_callable(cls, fn, provenance="callable"):
+    def from_callable(cls, fn):
         """Wrap fn(x1, x2, z, y1, y2, t); partials by centered differences."""
-        return cls(Func("H", fn, [Var(v) for v in PMC_VARS]), provenance=provenance)
+        return cls(Func("H", fn, [Var(v) for v in PMC_VARS]), provenance="callable")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -179,9 +179,9 @@ class WorkingBox:
     def z_span(self):
         return self.z_max - self.z_min
 
-    def contains_values(self, values, slack=1e-12):
+    def contains_values(self, values):
         v = np.asarray(values)
-        return bool(np.all(v >= self.z_min - slack) and np.all(v <= self.z_max + slack))
+        return bool(np.all(v >= self.z_min - 1e-12) and np.all(v <= self.z_max + 1e-12))
 
     def sample_lattice(self, samples=9, reads=None):
         """Deterministic sample environment over box x base x half-ball.
@@ -269,15 +269,14 @@ def sampled_range(H, box, var=None, samples=9, lattice=None):
             _worst_point(env, i, box.dimension), _worst_point(env, j, box.dimension))
 
 
-def check_monotone(H, box, samples=9, lattice=None):
+def check_monotone(H, box, samples=9):
     """Sample dH/dz over the box lattice; pass iff the sup is <= ~0.
 
     Returns a dict with `passed`, the signed `worst_value` (sup of the
     sampled height derivative) and the lattice point attaining it (lowest
-    flat index on ties).  A given `lattice` is sampled as it is (see
-    `sampled_range`).
+    flat index on ties).
     """
-    _, worst, _, at = sampled_range(H, box, "z", samples, lattice)
+    _, worst, _, at = sampled_range(H, box, "z", samples)
     return {
         "passed": bool(worst <= MONOTONE_TOL),
         "worst_value": worst,
@@ -324,7 +323,7 @@ def graph_normal_env(grid, values, grads=None):
     return env, omega
 
 
-def pmc_residual(grid, u, H, F=None, n=None, box=None):
+def pmc_residual(grid, u, H, F=None, box=None):
     """Residual field of the prescribed-curvature equation at the graph of u.
 
     Product metric: mean_curvature_product(u) - H(x, u, -Du/omega, 1/omega);
@@ -337,8 +336,6 @@ def pmc_residual(grid, u, H, F=None, n=None, box=None):
 
     if u.grid != grid:
         raise ValueError("field is not defined on the supplied grid")
-    if n is None:
-        n = grid.dimension
     if box is not None and not box.contains_values(u.values):
         bad = np.flatnonzero((u.values.reshape(-1) < box.z_min - 1e-12)
                              | (u.values.reshape(-1) > box.z_max + 1e-12))
@@ -353,7 +350,7 @@ def pmc_residual(grid, u, H, F=None, n=None, box=None):
     else:
         from .geometry import conformal_mean_curvature_values
 
-        base = conformal_mean_curvature_values(grid, u.values, F, n)
+        base = conformal_mean_curvature_values(grid, u.values, F)
     res = base - H.eval(**env)
     res[grid.boundary_mask] = 0.0
     return ScalarField(grid, res)

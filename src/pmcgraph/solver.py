@@ -19,23 +19,24 @@ residual: div . diag(c) . (face stencil) for the flux of each axis, and
 diag(c) . (node stencil) for the prescription through the height and the
 unit normal, with c the pointwise derivatives.  `_jacobian_chains` lists
 these compositions in the order of the coefficient blocks of
-`_jacobian_coefficients`.  Rows of boundary nodes hold the prescription's
-derivative alone, since `div` is zero there.  The sparsity pattern is
-planned once per grid; each Newton step only evaluates the coefficients.
+`_jacobian_coefficients`.  Its rows and columns are the unknowns, the
+non-dirichlet nodes; the sparsity pattern is planned once per grid, and
+each Newton step only evaluates the coefficients.
 
 The linear algebra is numpy's alone.  Every grid is 1-D or 2-D, so with the
-unknowns cut into blocks of whole grid lines each Jacobian is block
-tridiagonal, plus a coupling of the first and last blocks when axis 0 wraps
-and a border row when the mean is pinned.  `LineLU` factors it by block LU
-with those extra couplings eliminated last, by one Schur complement.  The
-linear systems of one solve go through one `LaggedLU`: it keeps the last
-factor and solves each new system by one right-preconditioned GMRES restart
-cycle.  Successive Jacobians differ only through u and the anchor source,
-so the lagged factor is a near-exact preconditioner; the matrix is factored
-afresh only when that cycle misses its tolerance or the system size
-changes.  Newton asks for inexact steps: a cycle may stop once its residual
-is a forcing term times the Newton residual (Eisenstat & Walker 1996), and
-never needs to go below a tenth of the inner tolerance.
+unknowns cut into blocks of whole grid lines each block of a Jacobian
+couples only to its neighbouring blocks, plus the first and last blocks to
+each other when axis 0 wraps and a border row when the mean is pinned.
+`LineLU` factors it by block LU with those extra couplings eliminated last,
+by one Schur complement.  The linear systems of one solve go through one
+`LaggedLU`: it keeps the last factor and solves each new system by one
+right-preconditioned GMRES restart cycle.  Successive Jacobians differ only
+through u and the anchor source, so the lagged factor is a near-exact
+preconditioner; the matrix is factored afresh only when that cycle misses
+its tolerance or the system size changes.  Newton asks for inexact steps: a
+cycle may stop once its residual is a forcing term times the Newton
+residual (Eisenstat & Walker 1996), and never needs to go below a tenth of
+the inner tolerance.
 """
 
 from __future__ import annotations
@@ -374,17 +375,15 @@ class Gamma(float):
                 "worst_point": self.worst_point, "samples": self.samples}
 
 
-def gamma_for(H, h, box, samples=9, lattice=None):
+def gamma_for(H, h, box, samples=9):
     """Penalty size making the cut-off prescription decrease in height.
 
-    Samples d/dz of h(z)*H over the box lattice and returns
+    Samples d/dz of h(z)*H, h a `Cutoff`, over the box lattice and returns
     1 + 1.05*max(0, sup) as a float carrying the worst sample point, so the
     certificate -d(hH)/dz + gamma >= 1 holds at every sampled point by
-    construction.  A given `lattice` is sampled as it is (see
-    `sampled_range`).
+    construction.
     """
-    cut_H = H if h is None else penalized_pmc(H, h, 0.0)
-    _, sup, _, worst = sampled_range(cut_H, box, "z", samples, lattice)
+    _, sup, _, worst = sampled_range(penalized_pmc(H, h, 0.0), box, "z", samples)
     return Gamma(1.0 + 1.05 * max(0.0, sup), sup, worst, samples)
 
 
@@ -405,7 +404,8 @@ def penalized_pmc(H, cutoff, gamma):
 
 
 class _JacobianPlan:
-    """Sparsity of the Jacobian on one grid, and where each stencil
+    """Sparsity of the Jacobian on one grid, over its unknowns (the
+    non-dirichlet nodes, in flat order), and where each stencil
     contribution lands in it.
 
     The contributions are the entries of outer . diag(c) . inner over the
@@ -418,13 +418,13 @@ class _JacobianPlan:
     The unknowns are cut into `blocks` runs of `m` in flat order, each a
     whole number of grid lines (lines along axis 1 in 2-D, single nodes in
     1-D), the number whose size is nearest to `BLOCK`.  Rows then couple
-    only to the neighbouring blocks (`tridiagonal`), and block 0 to the last
-    one when axis 0 wraps (`wrap`).  Entries are sorted by block (bi, bj)
-    and within it by row and column: `start[bi * blocks + bj]` opens block
-    (bi, bj), and `lr`, `lc` are rows and columns within it.
+    only to the neighbouring blocks, and block 0 to the last one when axis
+    0 wraps (`wrap`).  Entries are sorted by block (bi, bj) and within it
+    by row and column: `start[bi * blocks + bj]` opens block (bi, bj), and
+    `lr`, `lc` are rows and columns within it.
     """
 
-    def __init__(self, grid, unknowns_only):
+    def __init__(self, grid):
         N = grid.node_count
         rows, cols, src, wts = [], [], [], []
         offset = 0
@@ -436,15 +436,15 @@ class _JacobianPlan:
             wts.append(chain.weights)
             offset += inner.cols.shape[1]
         rows, cols, src, wts = (np.concatenate(a, axis=None) for a in (rows, cols, src, wts))
-        mask = grid.boundary_mask if unknowns_only else np.zeros(grid.shape, bool)
-        keep = np.flatnonzero(~mask.reshape(-1))
+        unknown = ~grid.boundary_mask
+        keep = np.flatnonzero(unknown.reshape(-1))
         n = keep.size
         pos = np.full(N, -1, dtype=np.int64)
         pos[keep] = np.arange(n)
         r, c = pos[rows], pos[cols]
         inside = (r >= 0) & (c >= 0)
         r, c = r[inside], c[inside]
-        line = int(np.sum(~mask, axis=1).max()) if grid.dimension == 2 else 1
+        line = int(np.sum(unknown, axis=1).max()) if grid.dimension == 2 else 1
         lines = n // line
         per = min((k for k in range(1, lines + 1) if lines % k == 0),
                   key=lambda k: abs(np.log(k * line / BLOCK)))
@@ -464,10 +464,6 @@ class _JacobianPlan:
         self.start = np.searchsorted(block, np.arange(nb * nb + 1))
         bi, bj = block // nb, block % nb
         self.rows, self.cols = bi * m + self.lr, bj * m + self.lc
-        far = np.abs(bi - bj) > 1
-        if self.wrap:
-            far &= np.abs(bi - bj) != nb - 1
-        self.tridiagonal = not np.any(far)
         self.diag = np.flatnonzero(self.rows == self.cols)
         self.slot = slot[live]
         self.src = src[inside][live]
@@ -475,8 +471,8 @@ class _JacobianPlan:
 
 
 @functools.lru_cache(maxsize=8)
-def _jacobian_plan(grid, unknowns_only):
-    return _JacobianPlan(grid, unknowns_only)
+def _jacobian_plan(grid):
+    return _JacobianPlan(grid)
 
 
 def _jacobian_chains(grid):
@@ -540,17 +536,15 @@ def _jacobian_coefficients(grid, values, F):
     return np.concatenate([p.reshape(-1) for p in parts])
 
 
-def assemble_jacobian(grid, values, F, unknowns_only=False, shift=0.0):
+def assemble_jacobian(grid, values, F, shift=0.0):
     """Derivative of the discrete residual mcp(u) - F(graph env of u).
 
-    A `GridMatrix` over all N nodes, or with `unknowns_only` over the
-    non-dirichlet nodes alone (rows and columns in flat order); `shift` is
-    added to the diagonal.  mcp is 0 on boundary nodes by convention, so
-    their rows of the full matrix hold the derivative of -F alone.  The
-    sparsity pattern is planned once per grid, so a call only evaluates the
+    A `GridMatrix` over the unknowns, the non-dirichlet nodes (rows and
+    columns in flat order); `shift` is added to the diagonal.  The sparsity
+    pattern is planned once per grid, so a call only evaluates the
     coefficients and sums them into place.
     """
-    plan = _jacobian_plan(grid, bool(unknowns_only))
+    plan = _jacobian_plan(grid)
     q = _jacobian_coefficients(grid, values, F)
     data = np.bincount(plan.slot, weights=q[plan.src] * plan.weight,
                        minlength=plan.nnz)
@@ -616,25 +610,23 @@ class GridMatrix:
 class LineLU:
     """Block LU factor of a `GridMatrix` over its blocks of grid lines.
 
-    The head blocks, all but the last one when axis 0 wraps, form a block
-    tridiagonal matrix T (Golub & Van Loan, Matrix Computations, sec. 4.5).
-    It is eliminated from both ends at once, a twisted block LU: level j
-    eliminates blocks j and 2a - j together, a = h // 2 for h head blocks,
-    and block a, the root, comes last.  The inverse of every pivot is kept,
-    so that a sweep applies both of a level's in one stacked matmul.  For
-    even h the second block of level 0 is a dummy, an identity coupled to
-    nothing.  The tail, the last block when axis 0 wraps and then the
-    border, is eliminated by one Schur complement: W = T^-1 C of the tail
-    columns C is kept, with the inverse of E - R W.  `solve` reads those
-    stacks and the couplings between blocks of the matrix itself.  A matrix
-    of one block is inverted whole.  Raises numpy's LinAlgError on an
-    exactly singular pivot.
+    The head blocks, all but the last one when axis 0 wraps, form a matrix
+    T whose blocks couple only to their neighbours (Golub & Van Loan,
+    Matrix Computations, sec. 4.5).  It is eliminated from both ends at
+    once, a twisted block LU: level j eliminates blocks j and 2a - j
+    together, a = h // 2 for h head blocks, and block a, the root, comes
+    last.  The inverse of every pivot is kept, so that a sweep applies both
+    of a level's in one stacked matmul.  For even h the second block of
+    level 0 is a dummy, an identity coupled to nothing.  The tail, the last
+    block when axis 0 wraps and then the border, is eliminated by one Schur
+    complement: W = T^-1 C of the tail columns C is kept, with the inverse
+    of E - R W.  `solve` reads those stacks and the couplings between
+    blocks of the matrix itself.  A matrix of one block is inverted whole.
+    Raises numpy's LinAlgError on an exactly singular pivot.
     """
 
     def __init__(self, A):
         p = A.plan
-        if not p.tridiagonal:
-            raise ValueError("matrix couples rows to blocks beyond their neighbours")
         self.A = A
         self.shape = A.shape
         self.W = None
@@ -946,8 +938,8 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
                 f"inner solve exhausted {cfg.max_newton} steps "
                 f"(residual {res_sup:.3e}, tolerance {tol:.3e})",
                 best=ScalarField(grid, u), residual_history=history)
-        J = assemble_jacobian(grid, u, F, unknowns_only=True,
-                              shift=0.0 if ptc_dt is None else 1.0 / ptc_dt)
+        J = assemble_jacobian(
+            grid, u, F, shift=0.0 if ptc_dt is None else 1.0 / ptc_dt)
         phi0 = np.linalg.norm(R)
         if ptc_dt is not None or newton_steps == 0:
             eta = FORCING_FIRST
@@ -1335,22 +1327,22 @@ def outer_iterate(H, B, cfg=None):
 # barrier construction and the quasi-decreasing frontend
 
 
-def barriers_from_phi(grid, Fbase, phi, psi, cfg=None, box=None):
+def barriers_from_phi(grid, Fbase, phi, psi, cfg=None):
     """Barriers for a prescription perturbed by a bounded term.
 
     Solves the two auxiliary problems with the perturbation replaced by the
     constant tilt terms -alpha*t and +alpha*t, where alpha is 1.05 times the
-    sampled bound of phi over the working box.  The sub-barrier comes from
-    -alpha (curvature pushed down), the super-barrier from +alpha, both with
-    trace psi.  Fbase must be height-free; dirichlet grids only.
+    sampled bound of phi over the working box, the range of psi widened by
+    1 at each end.  The sub-barrier comes from -alpha (curvature pushed
+    down), the super-barrier from +alpha, both with trace psi.  Fbase must
+    be height-free; dirichlet grids only.
     """
     if cfg is None:
         cfg = SolveConfig()
     if not all(t == "dirichlet" for t in grid.topology):
         raise ValueError("barrier construction needs a dirichlet grid")
-    if box is None:
-        z0, z1 = float(np.min(psi.values)), float(np.max(psi.values))
-        box = WorkingBox.from_grid(grid, (z0 - 1.0, z1 + 1.0))
+    z0, z1 = float(np.min(psi.values)), float(np.max(psi.values))
+    box = WorkingBox.from_grid(grid, (z0 - 1.0, z1 + 1.0))
     lo, hi, _, _ = sampled_range(Fbase, box, "z", cfg.samples)
     dz = max(hi, -lo)
     if dz > 1e-12:
@@ -1409,8 +1401,7 @@ def solve_quasi(D, B, cfg=None):
     if cfg.refine_check:
         fine_pair = B.refined()
         try:
-            _, fine_report = outer_iterate(
-                H, fine_pair, dataclasses.replace(cfg, refine_check=False))
+            _, fine_report = outer_iterate(H, fine_pair, cfg)
         except (ValueError, SolverFailure) as exc:
             # refined non-flat barriers can fail their own residual check;
             # report the attempt rather than abort the whole solve

@@ -188,6 +188,11 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                 "--override", "pmc.h1=0"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    # node counts must be JSON integers: no strings, nulls, lists or floats
+    for shape in ('["a", "b"]', "[null, 64]", "[[1], [2]]", "[64.7, 64]"):
+        assert run(["check-barrier", "--config", cfg_path("torus_sine.json"),
+                    "--override", f"grid.shape={shape}"]) == 2
+        assert "grid: shape" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

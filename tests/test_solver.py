@@ -36,6 +36,30 @@ def _residual_vec(grid, values, F):
             - np.asarray(F._fn(env), dtype=float)).reshape(-1)
 
 
+def _jacobian_and_differences(grid, u, F, columns, eps=1e-6):
+    """The unknowns' Jacobian at u, with centered differences of the
+    residual's unknown rows by each unknown of `columns`, in order.
+
+    Also checks that a shift of 0.5 adds 0.5 to the diagonal and nothing
+    else.
+    """
+    unknown = np.flatnonzero(~grid.boundary_mask.reshape(-1))
+    J = assemble_jacobian(grid, u, F).toarray()
+    np.testing.assert_array_equal(
+        assemble_jacobian(grid, u, F, shift=0.5).toarray(),
+        J + 0.5 * np.eye(unknown.size))
+    diffs = []
+    for k in columns:
+        up = u.reshape(-1).copy()
+        dn = u.reshape(-1).copy()
+        up[unknown[k]] += eps
+        dn[unknown[k]] -= eps
+        fd = (_residual_vec(grid, up.reshape(grid.shape), F)
+              - _residual_vec(grid, dn.reshape(grid.shape), F)) / (2 * eps)
+        diffs.append(fd[unknown])
+    return J, diffs
+
+
 # ---------------------------------------------------------------------------
 # Jacobian
 
@@ -55,25 +79,12 @@ def test_jacobian_matches_finite_differences_mixed_grid(shape, topology):
     F = parse_pmc(
         "0.4*z - 0.3*t + 0.2*sin(y1) + 0.1*y1*y2 + 0.02*x2 "
         "- 0.05*cos(6.283185307179586*x1)")
-    J = assemble_jacobian(grid, u, F).toarray()
-    unknown = np.flatnonzero(~grid.boundary_mask.reshape(-1))
-    # the solver's block: unknown rows and columns, diagonal shifted
-    block = assemble_jacobian(grid, u, F, unknowns_only=True, shift=0.5).toarray()
-    np.testing.assert_array_equal(
-        block, J[np.ix_(unknown, unknown)] + 0.5 * np.eye(unknown.size))
-    N = u.size
-    eps = 1e-6
+    n = int(np.count_nonzero(~grid.boundary_mask))
+    columns = rng.choice(n, size=min(n, 30), replace=False)
+    J, diffs = _jacobian_and_differences(grid, u, F, columns)
     worst = 0.0
-    # every row, the boundary ones too: there mcp is 0 by convention and
-    # the row is the prescription's derivative alone
-    for j in rng.choice(N, size=min(N, 30), replace=False):
-        up = u.reshape(-1).copy()
-        dn = u.reshape(-1).copy()
-        up[j] += eps
-        dn[j] -= eps
-        fd = (_residual_vec(grid, up.reshape(grid.shape), F)
-              - _residual_vec(grid, dn.reshape(grid.shape), F)) / (2 * eps)
-        diff = np.max(np.abs(J[:, j] - fd))
+    for k, fd in zip(columns, diffs):
+        diff = np.max(np.abs(J[:, k] - fd))
         scale = max(1.0, np.max(np.abs(fd)))
         worst = max(worst, diff / scale)
     assert worst <= 1e-5
@@ -84,15 +95,10 @@ def test_jacobian_matches_finite_differences_1d_dirichlet():
     rng = np.random.default_rng(3)
     u = 0.5 * rng.standard_normal(grid.shape)
     F = parse_pmc("0.3*z + 0.4*sin(y1) - 0.2*t + 0.1*x1")
-    J = assemble_jacobian(grid, u, F).toarray()
-    eps = 1e-6
-    for j in range(u.size):
-        up = u.copy().reshape(-1)
-        dn = u.copy().reshape(-1)
-        up[j] += eps
-        dn[j] -= eps
-        fd = (_residual_vec(grid, up, F) - _residual_vec(grid, dn, F)) / (2 * eps)
-        assert np.max(np.abs(J[:, j] - fd)) <= 1e-5
+    columns = range(int(np.count_nonzero(~grid.boundary_mask)))
+    J, diffs = _jacobian_and_differences(grid, u, F, columns)
+    for k, fd in zip(columns, diffs):
+        assert np.max(np.abs(J[:, k] - fd)) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -602,32 +608,30 @@ def _line_jacobian(shape, topology, text="0.2*sin(y1) - 0.3*t - 2*z"):
     # a smooth graph, so that the system stays well conditioned on fine grids
     u = 0.3 * sum(np.sin(TWO_PI * x + k)
                   for k, x in enumerate(grid.node_positions()))
-    return assemble_jacobian(grid, u, parse_pmc(text), unknowns_only=True)
+    return assemble_jacobian(grid, u, parse_pmc(text))
 
 
-# one block, two (the tail couples to one head block), several, and lines
-# longer than a block
+# one block, several, and lines longer than a block
 _PERIODIC = [((12,), ("periodic",)), ((256,), ("periodic",)),
              ((300,), ("periodic",)), ((4, 5), ("periodic", "periodic")),
              ((8, 6), ("periodic", "periodic")), ((16, 16), ("periodic", "periodic")),
              ((24, 20), ("periodic", "periodic")), ((6, 130), ("periodic", "periodic")),
              ((7, 130), ("periodic", "periodic"))]
+# two blocks with the wrap: the tail couples to the one head block
+_TWO_BLOCKS = [((128,), ("periodic",)), ((16, 8), ("periodic", "periodic"))]
+_BOUNDED = [((12,), ("dirichlet",)), ((302,), ("dirichlet",)),
+            ((4, 4), ("dirichlet", "dirichlet")), ((7, 9), ("dirichlet", "dirichlet")),
+            ((22, 12), ("dirichlet", "dirichlet")), ((40, 9), ("dirichlet", "dirichlet")),
+            ((8, 9), ("periodic", "dirichlet")), ((30, 20), ("periodic", "dirichlet")),
+            ((9, 8), ("dirichlet", "periodic")), ((32, 20), ("dirichlet", "periodic")),
+            ((12, 130), ("dirichlet", "periodic"))]
 
 
 @pytest.mark.parametrize("shape, topology, gauge_free", [
-    *((shape, topology, False) for shape, topology in _PERIODIC),
-    ((12,), ("dirichlet",), False),
-    ((302,), ("dirichlet",), False),
-    ((4, 4), ("dirichlet", "dirichlet"), False),
-    ((7, 9), ("dirichlet", "dirichlet"), False),
-    ((22, 12), ("dirichlet", "dirichlet"), False),
-    ((40, 9), ("dirichlet", "dirichlet"), False),
-    ((8, 9), ("periodic", "dirichlet"), False),
-    ((30, 20), ("periodic", "dirichlet"), False),
-    ((9, 8), ("dirichlet", "periodic"), False),
-    ((32, 20), ("dirichlet", "periodic"), False),
-    ((12, 130), ("dirichlet", "periodic"), False),
+    *((shape, topology, False) for shape, topology in _PERIODIC + _BOUNDED),
     *((shape, topology, True) for shape, topology in _PERIODIC),
+    *((shape, topology, free) for shape, topology in _TWO_BLOCKS
+      for free in (False, True)),
 ])
 def test_block_lu_matches_a_dense_solve(shape, topology, gauge_free):
     from pmcgraph.solver import LineLU
@@ -647,15 +651,29 @@ def test_block_lu_matches_a_dense_solve(shape, topology, gauge_free):
     assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_block_lu_refuses_rows_beyond_neighbouring_blocks():
-    from pmcgraph.solver import LineLU
+def test_jacobian_plan_couples_blocks_to_their_neighbours_only():
+    from pmcgraph.solver import _jacobian_plan
 
-    # with its boundary rows kept, a dirichlet Jacobian's one-sided stencils
-    # reach two grid lines, so two blocks away at one line a block
-    grid = build_grid(2, (6, 100), (1.0, 1.0), ("dirichlet", "dirichlet"))
-    J = assemble_jacobian(grid, np.zeros(grid.shape), parse_pmc("-z"))
-    with pytest.raises(ValueError, match="beyond their neighbours"):
-        LineLU(J)
+    # LineLU eliminates the blocks as neighbours of each other, plus the
+    # first and last ones when axis 0 wraps; no stencil of an unknown may
+    # reach farther.  Besides the grids above: one-line blocks next to a
+    # dirichlet layer, and lines longer than a block along either axis
+    more = [((4,), ("dirichlet",)), ((257,), ("dirichlet",)),
+            ((6, 100), ("dirichlet", "dirichlet")), ((65, 65), ("dirichlet", "dirichlet")),
+            ((4, 257), ("periodic", "dirichlet")), ((257, 4), ("dirichlet", "periodic")),
+            ((64, 64), ("periodic", "periodic"))]
+    blocks = []
+    for shape, topology in _PERIODIC + _TWO_BLOCKS + _BOUNDED + more:
+        grid = build_grid(len(shape), shape, (1.0,) * len(shape), topology)
+        plan = _jacobian_plan(grid)
+        gap = np.abs(plan.rows // plan.m - plan.cols // plan.m)
+        far = gap > 1
+        if plan.wrap:
+            far &= gap != plan.blocks - 1
+        assert not np.any(far), (shape, topology)
+        blocks.append(plan.blocks)
+    # the check bites: many grids have blocks that are not neighbours
+    assert sum(b > 3 for b in blocks) >= 10
 
 
 def test_lagged_factor_refactors_far_or_resized_systems():
@@ -668,19 +686,18 @@ def test_lagged_factor_refactors_far_or_resized_systems():
     rng = np.random.default_rng(0)
     u = 0.3 * rng.standard_normal(grid.shape)
     F = parse_pmc("0.5*sin(z) - 2*z")
-    A = assemble_jacobian(grid, u, F, unknowns_only=True)
+    A = assemble_jacobian(grid, u, F)
     b = rng.standard_normal(A.shape[0])
     lagged = LaggedLU()
     np.testing.assert_allclose(lagged.solve(A, b), direct(A, b), rtol=0, atol=1e-12)
     assert (lagged.factorizations, lagged.krylov_iterations) == (1, 0)
     # a nearby matrix is solved by GMRES on the old factor
-    near = assemble_jacobian(grid, u + 1e-3 * rng.standard_normal(grid.shape), F,
-                             unknowns_only=True)
+    near = assemble_jacobian(grid, u + 1e-3 * rng.standard_normal(grid.shape), F)
     x = lagged.solve(near, b)
     assert lagged.factorizations == 1 and lagged.krylov_iterations > 0
     assert np.max(np.abs(near @ x - b)) <= 1e-10 * np.linalg.norm(b)
     # one restart cycle cannot fix a factor this far off
-    far = assemble_jacobian(grid, u, F, unknowns_only=True, shift=1e4)
+    far = assemble_jacobian(grid, u, F, shift=1e4)
     np.testing.assert_allclose(lagged.solve(far, b), direct(far, b), rtol=0, atol=1e-12)
     assert lagged.factorizations == 2
     # the bordered periodic system is one unknown larger
@@ -705,13 +722,12 @@ def test_lagged_solve_applies_the_factor_once_per_iteration_and_once_more(
     F = parse_pmc("0.5*sin(z) - 2*z")
     b = rng.standard_normal(grid.node_count)
     lagged = LaggedLU()
-    lagged.solve(assemble_jacobian(grid, u, F, unknowns_only=True), b)
+    lagged.solve(assemble_jacobian(grid, u, F), b)
     assert len(applies) == 1
     for k in range(3):
         applies.clear()
         before = lagged.krylov_iterations
-        near = assemble_jacobian(grid, u + 1e-3 * (k + 1) * np.cos(u), F,
-                                 unknowns_only=True)
+        near = assemble_jacobian(grid, u + 1e-3 * (k + 1) * np.cos(u), F)
         lagged.solve(near, b)
         assert lagged.factorizations == 1
         # x0 = M b, then one M v per iteration; no solve is repeated
@@ -730,10 +746,9 @@ def test_lagged_cycle_stops_at_the_callers_tolerance(monkeypatch):
     u = 0.3 * rng.standard_normal(grid.shape)
     F = parse_pmc("0.5*sin(z) - 2*z")
     lagged = LaggedLU()
-    lagged.solve(assemble_jacobian(grid, u, F, unknowns_only=True),
+    lagged.solve(assemble_jacobian(grid, u, F),
                  rng.standard_normal(grid.node_count))
-    near = assemble_jacobian(grid, u + 1e-3 * rng.standard_normal(grid.shape), F,
-                             unknowns_only=True)
+    near = assemble_jacobian(grid, u + 1e-3 * rng.standard_normal(grid.shape), F)
     # a right-hand side whose start x0 = M b already leaves less than atol
     atol = 1e-8
     b = rng.standard_normal(grid.node_count)

@@ -83,7 +83,7 @@ def test_traced_solve_counts_one_spsolve_per_linear_solve(spans, tmp_path):
     assert calls == rep.linear_solves
     assert counts["spsolve_unknowns"] == grid.node_count
     # the per-layer metrics read the matrix's pattern size and shape
-    assert counts["jacobian_nnz"] == _jacobian_plan(grid, True).nnz > 0
+    assert counts["jacobian_nnz"] == _jacobian_plan(grid).nnz > 0
     # the inner solve evaluates its residual through the traced curvature
     # name: once per call, and again after every step's line search
     inner = summary["layers"]["solver.solve_inner"]["calls"]
