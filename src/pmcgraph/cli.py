@@ -6,7 +6,9 @@ barriers, solver knobs); the subcommand picks what to do with it:
     solve           outer iteration (or the split-prescription solve when
                     h1/h2 are given); writes a report and optionally the
                     solution field as CSV
-    check-barrier   barrier inequalities against the prescription
+    check-barrier   barrier inequalities against the prescription the
+                    solver runs (the pullback in a conformal metric), i.e.
+                    the barrier check of the solve report
     check-monotone  height-monotonicity (or quasi-decreasing) sampling check
     transform       tabulate the conformal-to-product transformed
                     prescription over the working box
@@ -26,6 +28,7 @@ config and version always produce byte-identical artifacts.
 """
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import json
@@ -129,14 +132,27 @@ def _want(section, value, types, what):
     return value
 
 
+def _finite(value):
+    """A JSON number (bools excluded) as a finite float, else None.
+
+    json reads NaN, Infinity and -Infinity, and integers too large for a
+    float; none of them is a usable length, height or solver knob.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _float_list(section, value, count, what):
     if not isinstance(value, (list, tuple)) or len(value) != count:
         raise CLIConfigError(f"{section}: {what} must be a list of {count} numbers")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise CLIConfigError(f"{section}: {what} must contain numbers only")
-        out.append(float(v))
+    out = [_finite(v) for v in value]
+    if None in out:
+        raise CLIConfigError(f"{section}: {what} must contain finite numbers only")
     return out
 
 
@@ -153,12 +169,11 @@ def _validate_grid(raw):
     for key in g:
         if key not in ("dimension", "shape", "lengths", "topology", "origin"):
             raise CLIConfigError(f"grid: unknown key {key!r}")
-    try:
-        dim = int(g["dimension"])
-    except (KeyError, TypeError, ValueError):
+    if "dimension" not in g:
         raise CLIConfigError("grid: dimension (1 or 2) is required")
-    if dim not in (1, 2):
-        raise CLIConfigError(f"grid: dimension must be 1 or 2, got {dim}")
+    dim = g["dimension"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2):
+        raise CLIConfigError(f"grid: dimension must be the integer 1 or 2, got {dim!r}")
     shape = g.get("shape")
     if (not isinstance(shape, (list, tuple)) or len(shape) != dim
             or any(isinstance(s, bool) or not isinstance(s, int) for s in shape)):
@@ -257,18 +272,14 @@ def _validate_solver(raw):
             value = _float_list("solver", value, 2, "cutoff")
         elif key == "refine_check":
             value = _want("solver", value, bool, "refine_check")
-        elif key == "gamma":
-            if value != "auto":
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise CLIConfigError("solver: gamma must be \"auto\" or a number")
-                value = float(value)
         elif key in ("max_newton", "max_outer", "samples"):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise CLIConfigError(f"solver: {key} must be an integer")
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise CLIConfigError(f"solver: {key} must be a number")
-            value = float(value)
+        elif not (key == "gamma" and value == "auto"):
+            value = _finite(value)
+            if value is None:
+                raise CLIConfigError(f"solver: {key} must be a finite number"
+                                     + (" or \"auto\"" if key == "gamma" else ""))
         out[key] = value
     return out
 
@@ -437,6 +448,36 @@ def _solver_of(cfg):
         raise CLIConfigError(f"solver: {exc}") from exc
 
 
+_Problem = collections.namedtuple("_Problem", "grid kind presc factor meta solk H")
+
+
+def _problem(cfg):
+    """The config's problem, built once for every subcommand but reparam.
+
+    `kind`, `presc` as `_prescription_of`; `factor`, `meta` as
+    `_factor_of`; `solk` the SolveConfig.  `H` is the prescription the
+    product-metric solver runs, so every check reads what `solve` checks:
+    the composite H1 + t*H2 of a split, the `conformal_transform_pmc`
+    pullback under a conformal factor, else the prescription itself.  A
+    split under a conformal metric is a config error.
+    """
+    grid = _grid_of(cfg)
+    kind, presc = _prescription_of(cfg)
+    factor, meta = _factor_of(cfg)
+    solk = _solver_of(cfg)
+    if kind == "split":
+        if factor is not None:
+            raise CLIConfigError(
+                "split prescriptions (h1/h2) are product-metric only; "
+                "use pmc.expr with a conformal metric")
+        H = presc.composite()
+    elif factor is not None:
+        H = conformal_transform_pmc(presc, factor, grid.dimension)
+    else:
+        H = presc
+    return _Problem(grid, kind, presc, factor, meta, solk, H)
+
+
 def _barrier_builder(cfg, grid, solk):
     """-> callable fine_grid -> BarrierPair, rebuilt from expressions.
 
@@ -475,23 +516,6 @@ def _barrier_builder(cfg, grid, solk):
     return build
 
 
-def _effective_prescription(kind, presc, factor, grid):
-    """The prescription the product-metric solver actually sees."""
-    if factor is None:
-        return presc
-    if kind == "split":
-        raise CLIConfigError(
-            "split prescriptions (h1/h2) are product-metric only; "
-            "use pmc.expr with a conformal metric")
-    return conformal_transform_pmc(presc, factor, grid.dimension)
-
-
-def _box_of(grid, solk):
-    if solk.box is not None:
-        return WorkingBox.from_grid(grid, solk.box)
-    return None
-
-
 def _check_payload(message):
     return {"passed": False, "message": message}
 
@@ -511,18 +535,14 @@ def _float_rows(path, header, columns):
 
 
 def _cmd_solve(cfg, args):
-    grid = _grid_of(cfg)
-    kind, presc = _prescription_of(cfg)
-    factor, conformal_meta = _factor_of(cfg)
-    solk = _solver_of(cfg)
-    build = _barrier_builder(cfg, grid, solk)
-    H_solve = _effective_prescription(kind, presc, factor, grid)
+    p = _problem(cfg)
+    build = _barrier_builder(cfg, p.grid, p.solk)
     try:
-        B = build(grid)
-        if kind == "split":
-            v, rep = solve_quasi(presc, B, solk)
+        B = build(p.grid)
+        if p.kind == "split":
+            v, rep = solve_quasi(p.presc, B, p.solk)
         else:
-            v, rep = outer_iterate(H_solve, B, solk)
+            v, rep = outer_iterate(p.H, B, p.solk)
     except SolverFailure as exc:
         payload = {
             "converged": False,
@@ -544,9 +564,9 @@ def _cmd_solve(cfg, args):
     except ValueError as exc:
         return _check_payload(str(exc)), 1
     payload = rep.to_dict()
-    if factor is not None:
-        payload["conformal"] = conformal_meta
-        res = pmc_residual(grid, v, presc, F=factor)
+    if p.factor is not None:
+        payload["conformal"] = p.meta
+        res = pmc_residual(p.grid, v, p.presc, F=p.factor)
         payload["conformal_residual_sup"] = float(np.max(np.abs(res.values)))
     if args.out_field is not None:
         write_field_csv(v, args.out_field)
@@ -555,68 +575,51 @@ def _cmd_solve(cfg, args):
 
 
 def _cmd_check_barrier(cfg, args):
-    grid = _grid_of(cfg)
-    kind, presc = _prescription_of(cfg)
-    factor, _meta = _factor_of(cfg)
-    solk = _solver_of(cfg)
-    if kind == "split" and factor is not None:
-        raise CLIConfigError("split prescriptions are product-metric only")
-    H = presc.composite() if kind == "split" else presc
-    build = _barrier_builder(cfg, grid, solk)
+    p = _problem(cfg)
+    build = _barrier_builder(cfg, p.grid, p.solk)
     try:
-        B = build(grid)
-        chk = check_barrier(B, H, F=factor, allowance=solk.allowance_constant)
+        chk = check_barrier(build(p.grid), p.H, allowance=p.solk.allowance_constant)
     except (SolverFailure, ValueError) as exc:
         return _check_payload(str(exc)), 1
     return chk, 0 if chk["passed"] else 1
 
 
 def _cmd_check_monotone(cfg, args):
-    grid = _grid_of(cfg)
-    kind, presc = _prescription_of(cfg)
-    factor, _meta = _factor_of(cfg)
-    solk = _solver_of(cfg)
-    box = _box_of(grid, solk)
-    if box is None:
+    p = _problem(cfg)
+    if p.solk.box is not None:
+        box = WorkingBox.from_grid(p.grid, p.solk.box)
+    else:
         if cfg["barriers"] is None:
             raise CLIConfigError("check-monotone needs a box or a barriers section")
-        build = _barrier_builder(cfg, grid, solk)
+        build = _barrier_builder(cfg, p.grid, p.solk)
         try:
-            box = working_box(build(grid), solk)
+            box = working_box(build(p.grid), p.solk)
         except (SolverFailure, ValueError) as exc:
             return _check_payload(str(exc)), 1
-    if kind == "split":
-        if factor is not None:
-            raise CLIConfigError("split prescriptions are product-metric only")
-        rep = check_quasi_decreasing(presc, box, solk.samples)
+    if p.kind == "split":
+        rep = check_quasi_decreasing(p.presc, box, p.solk.samples)
     else:
-        H = _effective_prescription(kind, presc, factor, grid)
-        rep = check_monotone(H, box, solk.samples)
+        rep = check_monotone(p.H, box, p.solk.samples)
     return dict(rep), 0 if rep["passed"] else 1
 
 
 def _cmd_transform(cfg, args):
-    grid = _grid_of(cfg)
-    kind, presc = _prescription_of(cfg)
-    factor, conformal_meta = _factor_of(cfg)
-    if factor is None:
+    p = _problem(cfg)
+    if p.factor is None:
         raise CLIConfigError(
             "transform needs a conformal metric; in the product metric the "
             "prescription is already in solver form")
-    solk = _solver_of(cfg)
-    box = _box_of(grid, solk)
-    if box is None:
+    if p.solk.box is None:
         raise CLIConfigError("transform needs an explicit box z-range to sample")
-    H_prime = _effective_prescription(kind, presc, factor, grid)
     try:
-        env = box.sample_lattice(solk.samples)
-        original = np.broadcast_to(presc.eval(**env), env["z"].shape)
-        transformed = np.broadcast_to(H_prime.eval(**env), env["z"].shape)
+        env = WorkingBox.from_grid(p.grid, p.solk.box).sample_lattice(p.solk.samples)
+        original = np.broadcast_to(p.presc.eval(**env), env["z"].shape)
+        transformed = np.broadcast_to(p.H.eval(**env), env["z"].shape)
     except ValueError as exc:
         raise CLIConfigError(f"transform: {exc}") from exc
     payload = {
-        "conformal": conformal_meta,
-        "samples_per_axis": solk.samples,
+        "conformal": p.meta,
+        "samples_per_axis": p.solk.samples,
         "rows": int(env["z"].size),
         "sup_abs_original": float(np.max(np.abs(original))),
         "sup_abs_transformed": float(np.max(np.abs(transformed))),
@@ -653,20 +656,15 @@ def _cmd_reparam(cfg, args):
 
 
 def _cmd_diagnose(cfg, args):
-    grid = _grid_of(cfg)
-    kind, presc = _prescription_of(cfg)
-    factor, conformal_meta = _factor_of(cfg)
-    solk = _solver_of(cfg)
-    build = _barrier_builder(cfg, grid, solk)
-    prescription = _effective_prescription(kind, presc, factor, grid)
+    p = _problem(cfg)
+    build = _barrier_builder(cfg, p.grid, p.solk)
     levels = args.levels if args.levels is not None else 2
     if levels < 1:
         raise CLIConfigError("--levels must be at least 1")
-    report = blowup_diagnostics(prescription, build, cfg=solk,
-                                levels=levels, grid=grid)
+    report = blowup_diagnostics(p.H, build, cfg=p.solk, levels=levels, grid=p.grid)
     payload = report.to_dict()
-    if conformal_meta is not None:
-        payload["conformal"] = conformal_meta
+    if p.meta is not None:
+        payload["conformal"] = p.meta
     return payload, 0
 
 
@@ -677,19 +675,15 @@ def _cmd_eval_residual(cfg, args):
         u = read_field_csv(cfg["field"])
     except (OSError, ValueError) as exc:
         raise CLIConfigError(f"field: {exc}") from exc
-    grid = _grid_of(cfg)
-    if u.grid != grid:
+    p = _problem(cfg)
+    if u.grid != p.grid:
         raise CLIConfigError(
             f"field {cfg['field']!r} lives on a different grid than the config")
-    kind, presc = _prescription_of(cfg)
-    factor, conformal_meta = _factor_of(cfg)
-    if kind == "split" and factor is not None:
-        raise CLIConfigError("split prescriptions are product-metric only")
-    H = presc.composite() if kind == "split" else presc
-    solk = _solver_of(cfg)
-    box = _box_of(grid, solk)
+    # the residual in the config's own metric, as solve's conformal_residual_sup
+    H = p.H if p.factor is None else p.presc
+    box = WorkingBox.from_grid(p.grid, p.solk.box) if p.solk.box is not None else None
     try:
-        res = pmc_residual(grid, u, H, F=factor, box=box)
+        res = pmc_residual(p.grid, u, H, F=p.factor, box=box)
     except ValueError as exc:
         return _check_payload(str(exc)), 1
     payload = {
@@ -697,8 +691,8 @@ def _cmd_eval_residual(cfg, args):
         "residual_sup": float(np.max(np.abs(res.values))),
         "residual_path": None,
     }
-    if conformal_meta is not None:
-        payload["conformal"] = conformal_meta
+    if p.meta is not None:
+        payload["conformal"] = p.meta
     if args.out_field is not None:
         write_field_csv(res, args.out_field)
         payload["residual_path"] = args.out_field

@@ -269,13 +269,16 @@ class BarrierPair:
             refine_field(self.psi, fine) if self.psi is not None else None)
 
 
-def check_barrier(B, H, F=None, allowance=10.0):
-    """Verify the barrier inequalities against a prescription.
+def check_barrier(B, H, allowance=10.0):
+    """Verify the barrier inequalities against a product-metric prescription.
 
     The lower barrier must have residual <= tol everywhere in the interior
     (its curvature does not exceed the prescription) and the upper barrier
     residual >= -tol, with tol = 1e-8 + allowance*h^2 absorbing the scheme's
-    truncation error.  Interior ordering u1 < u0 is a hard error.
+    truncation error.  Interior ordering u1 < u0 is a hard error.  Under a
+    conformal metric H is the `conformal_transform_pmc` pullback, as in
+    `outer_iterate`: its residual is the conformal one times e^f > 0, so
+    the signs agree and the tolerance is the solver's own.
     """
     grid = B.grid
     interior = ~grid.boundary_mask
@@ -287,8 +290,8 @@ def check_barrier(B, H, F=None, allowance=10.0):
             f"barriers are not strictly ordered in the interior (flat node {idx})")
     h = grid.max_spacing()
     tol = 1e-8 + allowance * h * h
-    r1 = pmc_residual(grid, B.u1, H, F=F).values
-    r0 = pmc_residual(grid, B.u0, H, F=F).values
+    r1 = pmc_residual(grid, B.u1, H).values
+    r0 = pmc_residual(grid, B.u0, H).values
     worst_sub = float(np.max(r1[interior])) if gap.size else 0.0
     worst_super = float(np.min(r0[interior])) if gap.size else 0.0
     return {
@@ -1351,10 +1354,6 @@ def barriers_from_phi(grid, Fbase, phi, psi, cfg=None):
             "the two-constant construction needs a height-free base")
     lo, hi, _, _ = sampled_range(phi, box, None, cfg.samples)
     alpha = 1.05 * max(hi, -lo)
-
-    if alpha == 0.0:
-        u, _ = solve_inner(grid, Fbase, psi, psi, cfg)
-        return BarrierPair(u, ScalarField(grid, u.values.copy()), psi)
 
     tilt = Var("t")
     u1, _ = solve_inner(grid, PMCFunction(Fbase.ast - alpha * tilt, label=Fbase.label),

@@ -121,6 +121,25 @@ def test_validate_rejects_bad_documents():
         ({**base, "barriers": {"u1": "0", "u0": "1",
                                "from_phi": {"phi": "0"}}}, "not both"),
         ({**base, "solver": {"warp_factor": 2}}, "unknown key"),
+        # json reads NaN and +-Infinity, and integers no float can hold
+        ({**base, "box": [0.0, math.inf]}, "box: z-range must contain finite"),
+        ({**base, "grid": {**base["grid"], "origin": [math.nan]}},
+         "grid: origin must contain finite"),
+        ({**base, "grid": {**base["grid"], "lengths": [-math.inf]}},
+         "grid: lengths must contain finite"),
+        ({**base, "conformal": {"warped": {"h": "r", "interval": [1.0, math.nan]}}},
+         "conformal: interval must contain finite"),
+        ({**base, "solver": {"cutoff": [0.0, math.inf]}},
+         "solver: cutoff must contain finite"),
+        ({**base, "solver": {"gamma": math.inf}}, "solver: gamma must be a finite"),
+        ({**base, "solver": {"tol_outer": math.nan}},
+         "solver: tol_outer must be a finite"),
+        ({**base, "solver": {"tol_inner": 10 ** 400}},
+         "solver: tol_inner must be a finite"),
+        # the dimension is a JSON integer, as the node counts are
+        ({**base, "grid": {**base["grid"], "dimension": 1.0}}, "grid: dimension"),
+        ({**base, "grid": {**base["grid"], "dimension": "1"}}, "grid: dimension"),
+        ({**base, "grid": {**base["grid"], "dimension": True}}, "grid: dimension"),
     ]
     for raw, needle in bad:
         with pytest.raises(CLIConfigError, match=needle):
@@ -193,6 +212,19 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert run(["check-barrier", "--config", cfg_path("torus_sine.json"),
                     "--override", f"grid.shape={shape}"]) == 2
         assert "grid: shape" in capsys.readouterr().err
+    # non-finite numbers, which json reads, and a non-integer dimension
+    for override, needle in (
+            ("box=[0, Infinity]", "box: z-range"),
+            ("grid.origin=[NaN, 0]", "grid: origin"),
+            ("solver.cutoff=[0, Infinity]", "solver: cutoff"),
+            ("solver.gamma=Infinity", "solver: gamma"),
+            ("solver.tol_outer=Infinity", "solver: tol_outer"),
+            ("grid.dimension=2.7", "grid: dimension"),
+            ('grid.dimension="2"', "grid: dimension")):
+        for sub in ("solve", "check-monotone"):
+            assert run([sub, "--config", cfg_path("torus_sine.json"),
+                        "--override", override]) == 2, (sub, override)
+            assert needle in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +317,17 @@ def test_solve_split_with_conformal_metric_exits_2():
     assert code == 2
 
 
+def test_split_with_conformal_metric_is_refused_alike_everywhere(capsys):
+    errors = []
+    for sub in ("solve", "check-barrier", "check-monotone", "transform", "diagnose"):
+        code = run([sub, "--config", cfg_path("quasi_decreasing.json"),
+                    "--override", 'conformal={"f": "-ln(r)"}'])
+        assert code == 2, sub
+        errors.append(capsys.readouterr().err)
+    assert "product-metric only" in errors[0]
+    assert errors == [errors[0]] * 5
+
+
 def test_failed_solve_exits_3_with_partial_report(tmp_path):
     report = tmp_path / "r.json"
     code = run(["solve", *small_torus(["--override", "solver.max_outer=3"]),
@@ -312,7 +355,7 @@ def test_solve_with_bad_barriers_exits_1(tmp_path):
 
 def test_check_barrier_passes_on_shipped_configs(tmp_path):
     for name in ("torus_sine.json", "cap.json", "catenoid.json",
-                 "quasi_decreasing.json"):
+                 "quasi_decreasing.json", "horosphere.json"):
         report = tmp_path / "r.json"
         code = run(["check-barrier", "--config", cfg_path(name),
                     "--out-report", str(report)])
@@ -321,6 +364,27 @@ def test_check_barrier_passes_on_shipped_configs(tmp_path):
         assert doc["passed"] is True
         assert doc["worst_sub"] <= doc["tol"]
         assert doc["worst_super"] >= -doc["tol"]
+
+
+def test_check_barrier_matches_the_solve_barrier_check(tmp_path):
+    # a conformal metric's barriers are checked against the pulled-back
+    # prescription the solver runs, not against the conformal curvature
+    args = ["--config", cfg_path("horosphere.json"),
+            "--override", "grid.shape=[12, 12]"]
+    checked, solved = tmp_path / "check.json", tmp_path / "solve.json"
+    assert run(["check-barrier", *args, "--out-report", str(checked)]) == 0
+    assert run(["solve", *args, "--out-report", str(solved)]) == 0
+    chk, solve_chk = read_json(checked), read_json(solved)["barrier_check"]
+    for key in ("passed", "worst_sub", "worst_super", "tol", "allowance_constant"):
+        assert chk[key] == solve_chk[key], key
+    # on the shipped 32 x 32 grid the conformal residual 0.00985 of this u1
+    # exceeds the tolerance and its pullback does not; solve takes the
+    # barriers (exit 1 would be its failed barrier check) and fails later
+    bumped = ["--config", cfg_path("horosphere.json"),
+              "--override", "barriers.u1=1.00985"]
+    assert run(["check-barrier", *bumped, "--out-report", str(checked)]) == 0
+    assert run(["solve", *bumped, "--out-report", str(solved)]) == 3
+    assert "barrier check failed" not in read_json(solved)["error"]
 
 
 def test_check_barrier_unordered_exits_1_naming_node(tmp_path):
