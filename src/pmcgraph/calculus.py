@@ -80,11 +80,10 @@ class Stencil:
         return out.reshape(self.shape)
 
     def __matmul__(self, inner):
-        n = self.cols.shape[1]
-        cols = inner.cols[:, self.cols].transpose(1, 0, 2).reshape(-1, n)
-        weights = (self.weights[:, None, :]
-                   * inner.weights[:, self.cols].transpose(1, 0, 2)).reshape(-1, n)
-        return Stencil(cols, weights, self.shape)
+        cols = [ic[oc] for oc in self.cols for ic in inner.cols]
+        weights = [ow * iw[oc] for oc, ow in zip(self.cols, self.weights)
+                   for iw in inner.weights]
+        return Stencil(np.array(cols), np.array(weights), self.shape)
 
 
 Operators = collections.namedtuple("Operators", "grad along avg div")
@@ -220,18 +219,19 @@ def mean_curvature_product(field):
     return ScalarField(field.grid, mean_curvature_product_values(field.grid, field.values))
 
 
-def graph_laplacian(field, phi):
+def graph_laplacian(field, phi, grads=None):
     """Laplace-Beltrami of `phi` along the graph of `field`.
 
     Flux form of (1/omega) d_i(omega g^{ij} d_j phi) with the induced-metric
     inverse g^{ij} = delta^{ij} - u_i u_j / omega^2 evaluated from face
-    gradients of the graph function.  Boundary nodes carry 0.
+    gradients of the graph function, whose node gradients are `grads` when
+    the caller has them.  Boundary nodes carry 0.
     """
     if field.grid != phi.grid:
         raise ValueError("graph_laplacian operands are on different grids")
     grid = field.grid
     u = field.values
-    grads = node_gradients(grid, u)
+    grads = node_gradients(grid, u) if grads is None else grads
     grads_phi = node_gradients(grid, phi.values)
     comps = []
     for ax in range(grid.dimension):

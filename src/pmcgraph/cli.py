@@ -96,7 +96,8 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise CLIConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past Python's conversion limit
         raise CLIConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
 
 
@@ -111,7 +112,7 @@ def apply_override(raw, spec):
         raise CLIConfigError(f"override {spec!r} is not of the form key=value")
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:
         value = text
     node, where = raw, "the document root"
     *path, last = key.split(".")
@@ -306,8 +307,10 @@ def validate_config(raw):
     field = raw.get("field")
     if field is not None and not isinstance(field, str):
         raise CLIConfigError("field: must be a path string")
+    if type(raw.get("version", 1)) is not int or raw.get("version", 1) != 1:
+        raise CLIConfigError("version: must be the integer 1 when given")
     return {
-        "version": raw.get("version", 1),
+        "version": 1,
         "grid": _validate_grid(raw["grid"]),
         "pmc": _validate_pmc(raw["pmc"]),
         "conformal": _validate_conformal(raw.get("conformal")),

@@ -103,9 +103,9 @@ def _factor_env(grid, values):
     }
 
 
-def conformal_mean_curvature_values(grid, values, F):
+def conformal_mean_curvature_values(grid, values, F, grads=None):
     n = grid.dimension
-    grads = node_gradients(grid, values)
+    grads = node_gradients(grid, values) if grads is None else grads
     _, omega = graph_normal_env(grid, values, grads)
     env = _factor_env(grid, values)
     f = F.eval(**env)
@@ -406,17 +406,18 @@ def theta_field(grid, u):
     return ScalarField(grid, graph_normal_env(grid, u.values)[0]["t"])
 
 
-def second_fundamental_norm(grid, u):
+def second_fundamental_norm(grid, u, grads=None):
     """Squared norm of the graph's second fundamental form, |A|².
 
     Centered second differences for the Hessian: the pure ones are `div`
     of the along-face difference, the mixed one the node gradient along
     axis 1 of that along axis 0.  The metric contractions are algebraic in
-    the node gradient.  Boundary nodes carry 0.
+    the node gradient, `grads` when the caller has it.  Boundary nodes
+    carry 0.
     """
     values = u.values
     ops = operators(grid)
-    grads = node_gradients(grid, values)
+    grads = node_gradients(grid, values) if grads is None else grads
     omega2 = 1.0 + sum(g * g for g in grads)
     if grid.dimension == 1:
         upp = ops.div[0](ops.along[0](values))
@@ -450,8 +451,8 @@ def jacobi_residual(grid, u, H):
     grads_u = node_gradients(grid, u.values)
     env, omega = graph_normal_env(grid, u.values, grads_u)
     theta = ScalarField(grid, env["t"])
-    lap = graph_laplacian(u, theta)
-    a2 = second_fundamental_norm(grid, u)
+    lap = graph_laplacian(u, theta, grads_u)
+    a2 = second_fundamental_norm(grid, u, grads_u)
     eta = np.broadcast_to(H.eval(**env), grid.shape)
     grads_eta = node_gradients(grid, np.array(eta, dtype=float))
     inner = sum(gu * ge for gu, ge in zip(grads_u, grads_eta)) / (omega * omega)

@@ -350,7 +350,7 @@ def pmc_residual(grid, u, H, F=None, box=None):
     else:
         from .geometry import conformal_mean_curvature_values
 
-        base = conformal_mean_curvature_values(grid, u.values, F)
+        base = conformal_mean_curvature_values(grid, u.values, F, grads)
     res = base - H.eval(**env)
     res[grid.boundary_mask] = 0.0
     return ScalarField(grid, res)

@@ -20,15 +20,22 @@ diag(c) . (node stencil) for the prescription through the height and the
 unit normal, with c the pointwise derivatives.  `_jacobian_chains` lists
 these compositions in the order of the coefficient blocks of
 `_jacobian_coefficients`.  Its rows and columns are the unknowns, the
-non-dirichlet nodes; the sparsity pattern is planned once per grid, and
-each Newton step only evaluates the coefficients.
+non-dirichlet nodes, and it is a width-3^d stencil over them, a
+`StencilMatrix`: one slot per neighbour offset in {-1, 0, 1}^d of the
+array of unknowns, wrapping on periodic axes, since no composed entry
+reaches farther.  The plan of one grid gets the slots' columns by index
+arithmetic and finds the one slot each composed entry falls in on every
+row; each Newton step only evaluates the coefficients and adds each entry
+into its slot, and a product is one gather.
 
 The linear algebra is numpy's alone.  Every grid is 1-D or 2-D, so with the
 unknowns cut into blocks of whole grid lines each block of a Jacobian
-couples only to its neighbouring blocks, plus the first and last blocks to
-each other when axis 0 wraps and a border row when the mean is pinned.
-`LineLU` factors it by block LU with those extra couplings eliminated last,
-by one Schur complement.  The linear systems of one solve go through one
+couples only to its neighbouring blocks, through one line at each end,
+plus the first and last blocks to each other when axis 0 wraps and a
+border row when the mean is pinned.  `LineLU` factors it by block LU with
+those extra couplings eliminated last, by one Schur complement; it reads
+its diagonal blocks and the couplings of the end lines as slices of the
+slot array.  The linear systems of one solve go through one
 `LaggedLU`: it keeps the last factor and solves each new system by one
 right-preconditioned GMRES restart cycle.  Successive Jacobians differ only
 through u and the anchor source, so the lagged factor is a near-exact
@@ -407,70 +414,94 @@ def penalized_pmc(H, cutoff, gamma):
 
 
 class _JacobianPlan:
-    """Sparsity of the Jacobian on one grid, over its unknowns (the
-    non-dirichlet nodes, in flat order), and where each stencil
+    """The Jacobian's stencil on one grid, and where each stencil
     contribution lands in it.
 
-    The contributions are the entries of outer . diag(c) . inner over the
-    `_jacobian_chains`: contribution i is coefficient[src[i]] * weight[i],
-    with the coefficient vector from `_jacobian_coefficients` and the
-    grid-only weight of the composed stencil; slot[i] is its position in
-    `data`, so duplicates are summed by one bincount.  `diag` holds the
-    diagonal slots, for in-place shifts.
+    Rows and columns are the unknowns, the non-dirichlet nodes in flat
+    order.  They form an array shaped `lines`: L0 lines of L1 nodes along
+    axis 1 in 2-D, L0 single nodes in 1-D (L1 = 1).  A row has `width` =
+    3^d slots, one per neighbour offset in {-1, 0, 1}^d of that array,
+    wrapping on the `periodic` axes: slot k0 * w1 + k1 is the offset
+    (k0 - 1, k1 - w1 // 2), with w1 = width // 3 offsets within a line.
+    `cols[s]` is the column of slot s, or the row's own where that
+    neighbour is a dirichlet node (its weight stays 0); `nnz` counts the
+    others.  Only index arithmetic builds them.
 
-    The unknowns are cut into `blocks` runs of `m` in flat order, each a
-    whole number of grid lines (lines along axis 1 in 2-D, single nodes in
-    1-D), the number whose size is nearest to `BLOCK`.  Rows then couple
-    only to the neighbouring blocks, and block 0 to the last one when axis
-    0 wraps (`wrap`).  Entries are sorted by block (bi, bj) and within it
-    by row and column: `start[bi * blocks + bj]` opens block (bi, bj), and
-    `lr`, `lc` are rows and columns within it.
+    The contributions are the entries of outer . diag(c) . inner over the
+    `_jacobian_chains` whose weight is not 0 on every row.  Each falls in
+    the same slot on every row, which the plan checks, and `terms` holds
+    one (slot, k, weight) per contribution: to row i it adds
+    coefficient[src[k, i]] * weight[i], with the coefficient vector from
+    `_jacobian_coefficients`, src[k] the coefficient each row reads through
+    one outer slot, and the grid-only weight of the composed stencil.
+
+    The unknowns are cut into `blocks` runs of `m` in flat order, each
+    `per` whole lines, the number whose size is nearest to `BLOCK`.  Rows
+    then couple only to the neighbouring blocks, and block 0 to the last
+    one when axis 0 wraps (`wrap`).
     """
 
     def __init__(self, grid):
-        N = grid.node_count
-        rows, cols, src, wts = [], [], [], []
-        offset = 0
+        dim = grid.dimension
+        self.periodic = tuple(t == "periodic" for t in grid.topology) + (False,) * (2 - dim)
+        L0, L1 = self.lines = tuple(
+            s - 2 * (not wrap) for s, wrap in zip(grid.shape, self.periodic)) + (1,) * (2 - dim)
+        n = self.n = L0 * L1
+        self.width = 3 ** dim
+        w1 = self.width // 3
+        row = np.arange(n)
+        cols = []
+        for d0 in (-1, 0, 1):
+            for d1 in range(-(w1 // 2), w1 // 2 + 1):
+                y0, y1 = ((x + d) % L if wrap else x + d for x, d, L, wrap in zip(
+                    np.ogrid[:L0, :L1], (d0, d1), self.lines, self.periodic))
+                ok = (y0 >= 0) & (y0 < L0) & (y1 >= 0) & (y1 < L1)
+                cols.append(np.where(ok, y0 * L1 + y1, row.reshape(L0, L1)).reshape(-1))
+        self.cols = np.array(cols)
+        self.nnz = int(np.count_nonzero(self.cols != row)) + n
+        # the within-line slots k1 that read a node, b, of a line, and the
+        # node c of the other line they read: the same on every line
+        within = self.cols[w1:2 * w1, :L1]
+        k1, b = np.nonzero((within != row[:L1]) | (np.arange(w1) == w1 // 2)[:, None])
+        self.link = k1, b, within[k1, b]
+
+        # the unknown each node is, -1 for a dirichlet node
+        unknown = ~grid.boundary_mask.reshape(-1)
+        keep = np.flatnonzero(unknown)
+        pos = np.where(unknown, np.cumsum(unknown) - 1, -1)
+        self.terms, src, offset = [], [], 0
         for outer, inner in _jacobian_chains(grid):
-            chain = outer @ inner
-            rows.append(np.broadcast_to(np.arange(N), chain.cols.shape))
-            cols.append(chain.cols)
-            src.append(offset + np.repeat(outer.cols, inner.width, axis=0))
-            wts.append(chain.weights)
+            reads = [pos[c] for c in inner.cols]
+            for oc, ow in zip(outer.cols, outer.weights):
+                oc, ow = oc[keep], ow[keep]
+                src.append(offset + oc)
+                for ic, iw in zip(reads, inner.weights):
+                    # the gradient's slot on its own node weighs 0 everywhere
+                    if not iw.any():
+                        continue
+                    # a contribution to a dirichlet column is dropped
+                    col = ic[oc]
+                    w = ow * iw[oc]
+                    live = (w != 0.0) & (col >= 0)
+                    if not live.any():
+                        continue
+                    # the slot, read off the first live row (every slot past
+                    # a dirichlet end reads the row's own column), and
+                    # checked on every row
+                    i = int(np.argmax(live))
+                    s = (self.width // 2 if col[i] == i
+                         else int(np.argmax(self.cols[:, i] == col[i])))
+                    if np.any(live & (col != self.cols[s])):
+                        raise RuntimeError("a Jacobian entry leaves its row's slots")
+                    self.terms.append((s, len(src) - 1, w if live.all() else w * live))
             offset += inner.cols.shape[1]
-        rows, cols, src, wts = (np.concatenate(a, axis=None) for a in (rows, cols, src, wts))
-        unknown = ~grid.boundary_mask
-        keep = np.flatnonzero(unknown.reshape(-1))
-        n = keep.size
-        pos = np.full(N, -1, dtype=np.int64)
-        pos[keep] = np.arange(n)
-        r, c = pos[rows], pos[cols]
-        inside = (r >= 0) & (c >= 0)
-        r, c = r[inside], c[inside]
-        line = int(np.sum(unknown, axis=1).max()) if grid.dimension == 2 else 1
-        lines = n // line
-        per = min((k for k in range(1, lines + 1) if lines % k == 0),
-                  key=lambda k: abs(np.log(k * line / BLOCK)))
-        m = self.m = per * line
-        nb = self.blocks = lines // per
-        self.wrap = nb > 1 and grid.topology[0] == "periodic"
-        bi, bj = r // m, c // m
-        keys, slot = np.unique((bi * nb + bj) * (m * m) + (r - bi * m) * m
-                               + (c - bj * m), return_inverse=True)
-        # zero-weight stencil slots stay in the pattern but add nothing
-        live = wts[inside] != 0.0
-        self.n = n
-        self.nnz = keys.size
-        local = keys % (m * m)
-        self.lr, self.lc = local // m, local % m
-        block = keys // (m * m)
-        self.start = np.searchsorted(block, np.arange(nb * nb + 1))
-        bi, bj = block // nb, block % nb
-        self.rows, self.cols = bi * m + self.lr, bj * m + self.lc
-        self.diag = np.flatnonzero(self.rows == self.cols)
-        self.slot = slot[live]
-        self.src = src[inside][live]
-        self.weight = wts[inside][live]
+        self.src = np.array(src)
+
+        per = self.per = min((k for k in range(1, L0 + 1) if L0 % k == 0),
+                             key=lambda k: abs(np.log(k * L1 / BLOCK)))
+        self.m = per * L1
+        nb = self.blocks = L0 // per
+        self.wrap = nb > 1 and self.periodic[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -500,17 +531,18 @@ def _jacobian_chains(grid):
     return chains
 
 
-def _jacobian_coefficients(grid, values, F):
+def _jacobian_coefficients(grid, values, F, grads=None):
     """Per-step coefficients of the `_jacobian_chains` blocks, flat: the
     derivatives of the residual's terms by the quantities they read.
 
     Blocks, in order: per axis the face derivative of -g_along/omega by the
     along-face slope, then by each transverse component; the node-local
     -dF/dz; per axis the node-local derivative of -F through the unit
-    normal, by the node gradient.
+    normal, by the node gradient.  `grads` are the node gradients of
+    `values`, when the caller has them.
     """
     dim = grid.dimension
-    grads = node_gradients(grid, values)
+    grads = node_gradients(grid, values) if grads is None else grads
     parts = []
     for ax in range(dim):
         comps = face_gradients(grid, values, ax, grads)
@@ -539,29 +571,34 @@ def _jacobian_coefficients(grid, values, F):
     return np.concatenate([p.reshape(-1) for p in parts])
 
 
-def assemble_jacobian(grid, values, F, shift=0.0):
+def assemble_jacobian(grid, values, F, shift=0.0, grads=None):
     """Derivative of the discrete residual mcp(u) - F(graph env of u).
 
-    A `GridMatrix` over the unknowns, the non-dirichlet nodes (rows and
-    columns in flat order); `shift` is added to the diagonal.  The sparsity
-    pattern is planned once per grid, so a call only evaluates the
-    coefficients and sums them into place.
+    A `StencilMatrix` over the unknowns, the non-dirichlet nodes (rows and
+    columns in flat order); `shift` is added to the diagonal, and `grads`
+    are the node gradients of `values` when the caller has them.  The
+    stencil is planned once per grid, so a call only evaluates the
+    coefficients and adds each contribution into its slot.
     """
     plan = _jacobian_plan(grid)
-    q = _jacobian_coefficients(grid, values, F)
-    data = np.bincount(plan.slot, weights=q[plan.src] * plan.weight,
-                       minlength=plan.nnz)
+    q = _jacobian_coefficients(grid, values, F, grads)
+    data = np.zeros((plan.width, plan.n))
+    read = q[plan.src]
+    for s, g, w in plan.terms:
+        data[s] += read[g] * w
     if shift:
-        data[plan.diag] += shift
-    return GridMatrix(plan, data)
+        data[plan.width // 2] += shift
+    return StencilMatrix(plan, data)
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
 
 
-class GridMatrix:
-    """Square matrix on a planned Jacobian pattern, `data` in plan order.
+class StencilMatrix:
+    """Square matrix over the unknowns of a `_JacobianPlan`: `data[s, i]`
+    is row i's entry in slot s, so a product is the `Stencil` gather of
+    the plan's columns.
 
     With `border` it gains a last row and column of ones and a zero corner:
     the bordered system that pins the mean of a gauge-free periodic solve.
@@ -572,46 +609,55 @@ class GridMatrix:
         self.data = data
         self.border = bool(border)
         self.shape = (plan.n + self.border,) * 2
-
-    @property
-    def nnz(self):
-        return self.plan.nnz + 2 * self.plan.n * self.border
+        self.nnz = plan.nnz + 2 * plan.n * self.border
+        self._gather = Stencil(plan.cols, data, (plan.n,))
 
     def bordered(self):
-        return GridMatrix(self.plan, self.data, border=True)
+        return StencilMatrix(self.plan, self.data, border=True)
 
     def __matmul__(self, x):
-        p = self.plan
-        y = np.bincount(p.rows, weights=self.data * x[p.cols], minlength=p.n)
-        if self.border:
-            y = np.append(y + x[-1], np.sum(x[:-1]))
-        return y
+        if not self.border:
+            return self._gather(x)
+        return np.append(self._gather(x[:-1]) + x[-1], np.sum(x[:-1]))
 
     def toarray(self):
-        p = self.plan
         out = np.zeros(self.shape)
-        out[p.rows, p.cols] = self.data
+        for c, v in zip(self.plan.cols, self.data):
+            out[np.arange(self.plan.n), c] += v
         if self.border:
             out[-1, :-1] = out[:-1, -1] = 1.0
         return out
 
-    def coupling(self, bi, bj):
-        """(rows, columns, values) of block (bi, bj), within the block."""
+    def band(self, k0, i, j):
+        """Dense coupling of block i to block j through axis-0 slot k0: of
+        its first line to the line before (k0 = 0) or of its last line to
+        the line after (k0 = 2), zero unless both are blocks (not
+        negative).  A slice of `data`, read through the within-line slots.
+        """
         p = self.plan
-        k = bi * p.blocks + bj
-        s = slice(p.start[k], p.start[k + 1])
-        return p.lr[s], p.lc[s], self.data[s]
-
-    def block(self, bi, bj):
-        """Dense block of block bi's rows and block bj's columns."""
-        r, c, v = self.coupling(bi, bj)
-        out = np.zeros((self.plan.m,) * 2)
-        out[r, c] = v
+        k1, b, c = p.link
+        out = np.zeros((p.lines[1],) * 2)
+        if i >= 0 and j >= 0:
+            line = i * p.per + (p.per - 1) * (k0 // 2)
+            out[b, c] = self.data.reshape(3, -1, *p.lines)[k0][k1, line, b]
         return out
+
+    def diagonal(self, blocks):
+        """Dense diagonal blocks of the blocks `blocks`: the couplings of
+        their lines among themselves."""
+        p = self.plan
+        k1, b, c = p.link
+        data = self.data.reshape(3, -1, *p.lines)
+        out = np.zeros(np.shape(blocks) + (p.per, p.lines[1]) * 2)
+        for k0 in range(3):
+            q = np.arange(max(0, 1 - k0), min(p.per, p.per + 1 - k0))[:, None]
+            out[..., q, b, q + k0 - 1, c] = data[k0][
+                k1, np.asarray(blocks)[..., None, None] * p.per + q, b]
+        return out.reshape(np.shape(blocks) + (p.m, p.m))
 
 
 class LineLU:
-    """Block LU factor of a `GridMatrix` over its blocks of grid lines.
+    """Block LU factor of a `StencilMatrix` over its blocks of grid lines.
 
     The head blocks, all but the last one when axis 0 wraps, form a matrix
     T whose blocks couple only to their neighbours (Golub & Van Loan,
@@ -626,6 +672,12 @@ class LineLU:
     of E - R W.  `solve` reads those stacks and the couplings between
     blocks of the matrix itself.  A matrix of one block is inverted whole.
     Raises numpy's LinAlgError on an exactly singular pivot.
+
+    Blocks couple only through their end lines: the first line of a block
+    to the last line of the block before (`StencilMatrix.band` of axis-0
+    slot 0), and its last line to the first line of the block after (slot
+    2).  So every elimination step reads and updates one line's rows and
+    columns of a pivot, and W one line's rows.
     """
 
     def __init__(self, A):
@@ -637,7 +689,7 @@ class LineLU:
             self.root = np.linalg.inv(A.toarray())
             self.levels = 0
             return
-        m = p.m
+        m, L1 = p.m, p.lines[1]
         h = p.blocks - p.wrap
         t = m * p.wrap + A.border
         self.head = h * m
@@ -649,75 +701,77 @@ class LineLU:
             dtype=np.int64).reshape(a, 2)
         # the blocks each level is eliminated from and into
         outward = np.concatenate([[[-1, -1]], order[:-1]])
-        inward = np.concatenate([order[1:], [[a, a]]])
+        inward = np.concatenate([order[1:], [[a, a]]])[:a]
+        # the end lines of a block through slot k0: its own, then the
+        # other block's
+        ends = {0: (slice(0, L1), slice(m - L1, m)), 2: (slice(m - L1, m), slice(0, L1))}
+        k1, b, c = p.link
 
-        def block(i, j):
-            return A.block(i, j) if i >= 0 and j >= 0 else np.zeros((m, m))
+        def sparse(bands, k0s, rows_at, cols_at):
+            # (rows, columns, values) of one level's (or the root's)
+            # couplings as one, each at its rows and columns within the level
+            return tuple(np.concatenate(x) for x in zip(*(
+                (r + ends[k0][0].start + b, q + ends[k0][1].start + c, B[b, c])
+                for B, k0, r, q in zip(bands, k0s, rows_at, cols_at))))
 
-        def pair(rows, cols):
-            return np.stack([block(i, j) for i, j in zip(rows, cols)])
+        def eliminate(rows, prev, D, C, pivots, up):
+            # the couplings of blocks `rows` to the eliminated blocks `prev`
+            # (position 0 outward through slot 0, position 1 through slot
+            # 2), subtracted from their pivots D and tail columns C
+            low = [A.band(0, rows[0], prev[0]), A.band(2, rows[1], prev[1])]
+            for k, k0 in enumerate((0, 2)):
+                R, S = ends[k0]
+                D[k][R, R] -= low[k] @ pivots[k][S, S] @ up[k]
+                C[k][R] -= low[k] @ W[prev[k]][S]
+            return low
 
-        def coupling(rows, cols, paired_rows, paired_cols):
-            # the couplings of a level's (or the root's) blocks as one, each
-            # offset by the place of its blocks within their level
-            parts = [(k * m * paired_rows, k * m * paired_cols, A.coupling(i, j))
-                     for k, (i, j) in enumerate(zip(rows, cols)) if i >= 0 and j >= 0]
-            return (np.concatenate([ro + r for ro, _, (r, _, _) in parts]),
-                    np.concatenate([co + c for _, co, (_, c, _) in parts]),
-                    np.concatenate([v for _, _, (_, _, v) in parts]))
-
-        def tail_columns(i):
-            C = np.zeros((m, t))
-            if p.wrap and i in (0, h - 1):
-                C[:, :m] = A.block(i, h)
-            if A.border and i >= 0:
-                C[:, -1] = 1.0
-            return C
-
-        self.inv = np.empty((a, 2, m, m))
+        self.inv = A.diagonal(order)
+        self.inv[order < 0] = np.eye(m)
+        self.fwd, self.bwd = [], []
+        # the tail columns of every head block, W = T^-1 C once eliminated
         W = np.zeros((h + 1, m, t))
+        if A.border:
+            W[:h, :, -1] = 1.0
+        for k0, i in ((0, 0), (2, h - 1)) if p.wrap else ():
+            W[i][ends[k0]] += A.band(k0, i, h)
         for j, (rows, prev) in enumerate(zip(order, outward)):
-            D = pair(rows, rows)
-            if rows[1] < 0:
-                D[1] = np.eye(m)
+            C = W[rows]
             if j:
-                low = pair(rows, prev)
-                D -= low @ (self.inv[j - 1] @ pair(prev, rows))
-            self.inv[j] = np.linalg.inv(D)
-            if t:
-                C = np.stack([tail_columns(i) for i in rows])
-                if j:
-                    C -= low @ W[prev]
-                W[rows] = self.inv[j] @ C
-        D = A.block(a, a)
-        C = tail_columns(a)
-        for k, e in enumerate(order[-1] if a else ()):
-            if e >= 0:
-                D -= A.block(a, e) @ (self.inv[-1, k] @ A.block(e, a))
-                C -= A.block(a, e) @ W[e]
+                low = eliminate(rows, prev, self.inv[j], C, self.inv[j - 1], up)
+                self.fwd.append(sparse(low, (0, 2), (0, m), (0, m)))
+            self.inv[j] = np.linalg.inv(self.inv[j])
+            up = [A.band(2, rows[0], inward[j][0]), A.band(0, rows[1], inward[j][1])]
+            self.bwd.append(sparse(up, (2, 0), (0, m), (0, m * (j + 1 < a))))
+            W[rows] = self.inv[j] @ C
+        D, C = A.diagonal(a), W[a]
+        if a:
+            low = eliminate((a, a), order[-1], (D, D), (C, C), self.inv[-1], up)
+            self.root_fwd = sparse(low, (0, 2), (0, 0), (0, m))
         self.root = np.linalg.inv(D)
-        self.fwd = [coupling(rows, prev, True, True)
-                    for rows, prev in zip(order[1:], order)]
-        self.root_fwd = coupling((a, a), order[-1], False, True) if a else None
-        self.bwd = [coupling(rows, up, True, j + 1 < a)
-                    for j, (rows, up) in enumerate(zip(order, inward))]
         if not t:
             return
         W[a] = self.root @ C
         for j in range(a - 1, -1, -1):
-            W[order[j]] -= self.inv[j] @ (pair(order[j], inward[j]) @ W[inward[j]])
+            for k, k0 in enumerate((2, 0)):
+                R, S = ends[k0]
+                i, o = order[j][k], inward[j][k]
+                W[i] -= self.inv[j, k][:, R] @ (A.band(k0, i, o) @ W[o][S])
         W = W[:h]
         S = np.zeros((t, t))
         if A.border:
             S[:-1, -1] = S[-1, :-1] = 1.0
             S[-1] -= W.sum(axis=(0, 1))
-        ends = sorted({0, h - 1}) if p.wrap else []
+        # the tail block couples to the last head block and, wrapping, to
+        # the first
+        self.tail_low = []
         if p.wrap:
-            S[:m, :m] += A.block(h, h)
-            for j in ends:
-                S[:m] -= A.block(h, j) @ W[j]
+            S[:m, :m] += A.diagonal(h)
+            for k0, j in ((0, h - 1), (2, 0)):
+                R, T = ends[k0]
+                B = A.band(k0, h, j)
+                S[R] -= B @ W[j][T]
+                self.tail_low.append((j, sparse([B], [k0], [0], [0])))
         self.tail_inv = np.linalg.inv(S)
-        self.tail_low = [(j, A.coupling(h, j)) for j in ends]
         self.W = W.reshape(self.head, t)
 
     def solve(self, b):
@@ -863,17 +917,6 @@ def spsolve(A, b, lagged=None, atol=0.0):
 # inner solve
 
 
-def _residual_values(grid, values, F, source, grads=None):
-    if grads is None:
-        grads = node_gradients(grid, values)
-    out = mean_curvature_product_values(grid, values, grads)
-    env, _ = graph_normal_env(grid, values, grads)
-    out = out - np.asarray(F.eval(**env), dtype=float)
-    if source is not None:
-        out = out - source
-    return out
-
-
 def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
                 lagged=None, tol=None):
     """Damped Newton on the discrete prescribed-curvature system.
@@ -920,15 +963,32 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     if source is not None:
         src = np.broadcast_to(np.asarray(source, dtype=float), grid.shape)
 
-    def residual(vals, grads=None):
-        return _residual_values(grid, vals, F, src, grads).reshape(-1)[unknown]
+    def residual(vals):
+        # the residual at vals on the unknowns, and the node gradients it
+        # read, which the Jacobian at an accepted iterate reads again
+        grads = node_gradients(grid, vals)
+        out = mean_curvature_product_values(grid, vals, grads)
+        env, _ = graph_normal_env(grid, vals, grads)
+        out = out - np.asarray(F.eval(**env), dtype=float)
+        if src is not None:
+            out = out - src
+        return out.reshape(-1)[unknown], grads
 
-    grads0 = node_gradients(grid, u)
-    env0, _ = graph_normal_env(grid, u, grads0)
+    def trial(step):
+        # the iterate moved by `step`, with its residual and node gradients,
+        # or None where the prescription refuses it
+        v = u.copy()
+        v.reshape(-1)[unknown] += step
+        try:
+            return (v, *residual(v))
+        except ValueError:
+            return None
+
+    R, grads = residual(u)
+    env0, _ = graph_normal_env(grid, u, grads)
     dz0 = np.max(np.abs(np.asarray(F.d_z(**env0), dtype=float)))
     bordered = grid.is_fully_periodic() and dz0 <= 1e-13
 
-    R = residual(u, grads0)
     res_sup = float(np.max(np.abs(R))) if R.size else 0.0
     history = [res_sup]
     newton_steps = 0
@@ -942,18 +1002,15 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
                 f"(residual {res_sup:.3e}, tolerance {tol:.3e})",
                 best=ScalarField(grid, u), residual_history=history)
         J = assemble_jacobian(
-            grid, u, F, shift=0.0 if ptc_dt is None else 1.0 / ptc_dt)
+            grid, u, F, shift=0.0 if ptc_dt is None else 1.0 / ptc_dt, grads=grads)
         phi0 = np.linalg.norm(R)
         if ptc_dt is not None or newton_steps == 0:
             eta = FORCING_FIRST
         else:
             eta = min(FORCING_MAX, 0.9 * (history[-1] / history[-2]) ** 2)
         atol = max(eta * phi0, FORCING_FLOOR * cfg.tol_inner)
-        if bordered:
-            delta = spsolve(J.bordered(), np.append(-R, 0.0), lagged,
-                            atol)[:-1]
-        else:
-            delta = spsolve(J, -R, lagged, atol)
+        A, rhs = (J.bordered(), np.append(-R, 0.0)) if bordered else (J, -R)
+        delta = spsolve(A, rhs, lagged, atol)[:R.size]
         if not np.all(np.isfinite(delta)):
             raise SolverFailure(
                 "linear solve produced a non-finite step (singular linearization)",
@@ -962,19 +1019,15 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
         if ptc_dt is not None:
             # pseudo-transient phase: accept the damped implicit-Euler step,
             # grow the pseudo step as the residual drops
-            u_try = u.copy()
-            u_try.reshape(-1)[unknown] += delta
-            try:
-                R_try = residual(u_try)
-            except ValueError:
+            step = trial(delta)
+            if step is None:
                 ptc_dt = max(ptc_dt * 0.25, 1e-8)
                 ptc_steps += 1
                 continue
-            new_sup = float(np.max(np.abs(R_try)))
+            new_sup = float(np.max(np.abs(step[1])))
             if np.isfinite(new_sup) and new_sup <= res_sup * 1.2:
-                phi_new = np.linalg.norm(R_try)
-                u, R, res_sup = u_try, R_try, new_sup
-                ptc_dt = min(ptc_dt * max(phi0 / max(phi_new, 1e-300), 0.5), 1e12)
+                (u, R, grads), res_sup = step, new_sup
+                ptc_dt = min(ptc_dt * max(phi0 / max(np.linalg.norm(R), 1e-300), 0.5), 1e12)
             else:
                 ptc_dt = max(ptc_dt * 0.25, 1e-8)
             ptc_steps += 1
@@ -982,25 +1035,16 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
             continue
 
         s = 1.0
-        accepted = False
         while s >= cfg.min_step:
-            u_try = u.copy()
-            u_try.reshape(-1)[unknown] += s * delta
-            try:
-                R_try = residual(u_try)
-            except ValueError:
-                s *= 0.5
-                continue
-            if np.all(np.isfinite(R_try)) and (
-                    np.linalg.norm(R_try) <= (1.0 - cfg.armijo_c * s) * phi0):
-                accepted = True
+            step = trial(s * delta)
+            if step and np.all(np.isfinite(step[1])) and (
+                    np.linalg.norm(step[1]) <= (1.0 - cfg.armijo_c * s) * phi0):
+                u, R, grads = step
+                res_sup = float(np.max(np.abs(R)))
+                newton_steps += 1
+                history.append(res_sup)
                 break
             s *= 0.5
-        if accepted:
-            u, R = u_try, R_try
-            res_sup = float(np.max(np.abs(R)))
-            newton_steps += 1
-            history.append(res_sup)
         else:
             # stagnation: engage the parabolic relaxation fallback
             ptc_dt = 1.0

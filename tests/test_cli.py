@@ -227,6 +227,30 @@ def test_invalid_config_exits_2(tmp_path, capsys):
             assert needle in capsys.readouterr().err
 
 
+def test_version_must_be_the_integer_one(capsys):
+    for value in ("NaN", '{"a": [1]}', "2", "true", "1.0", '"1"', "null"):
+        assert run(["check-barrier", "--config", cfg_path("cap.json"),
+                    "--override", f"version={value}"]) == 2, value
+        assert "version: must be the integer 1" in capsys.readouterr().err
+    assert validate_config({"grid": {"dimension": 1, "shape": [9], "lengths": [1.0],
+                                     "topology": ["periodic"]},
+                            "pmc": {"expr": "0"}})["version"] == 1
+
+
+def test_integer_past_the_conversion_limit_exits_2(tmp_path, capsys):
+    # json raises a plain ValueError, not a JSONDecodeError, for these
+    huge = "1" * 5000
+    raw = json.loads(open(cfg_path("torus_sine.json")).read())
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps(raw).replace('"version": 1', f'"version": {huge}'))
+    assert run(["check-barrier", "--config", str(doc)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+    for override in (f"version={huge}", f"grid.shape=[{huge}, 64]"):
+        assert run(["check-barrier", "--config", cfg_path("torus_sine.json"),
+                    "--override", override]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # solve
 

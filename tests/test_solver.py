@@ -651,29 +651,76 @@ def test_block_lu_matches_a_dense_solve(shape, topology, gauge_free):
     assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_jacobian_plan_couples_blocks_to_their_neighbours_only():
-    from pmcgraph.solver import _jacobian_plan
+# besides the grids above: one-line blocks next to a dirichlet layer, and
+# lines longer than a block along either axis
+_MORE = [((4,), ("dirichlet",)), ((257,), ("dirichlet",)),
+         ((6, 100), ("dirichlet", "dirichlet")), ((65, 65), ("dirichlet", "dirichlet")),
+         ((4, 257), ("periodic", "dirichlet")), ((257, 4), ("dirichlet", "periodic")),
+         ((64, 64), ("periodic", "periodic"))]
 
-    # LineLU eliminates the blocks as neighbours of each other, plus the
-    # first and last ones when axis 0 wraps; no stencil of an unknown may
-    # reach farther.  Besides the grids above: one-line blocks next to a
-    # dirichlet layer, and lines longer than a block along either axis
-    more = [((4,), ("dirichlet",)), ((257,), ("dirichlet",)),
-            ((6, 100), ("dirichlet", "dirichlet")), ((65, 65), ("dirichlet", "dirichlet")),
-            ((4, 257), ("periodic", "dirichlet")), ((257, 4), ("dirichlet", "periodic")),
-            ((64, 64), ("periodic", "periodic"))]
-    blocks = []
-    for shape, topology in _PERIODIC + _TWO_BLOCKS + _BOUNDED + more:
+
+def _chain_entries(grid):
+    """Every composed `_jacobian_chains` entry between two unknowns, zero
+    weights included: its row, column, weight and the index of its
+    coefficient in `_jacobian_coefficients`, rows and columns as unknowns."""
+    from pmcgraph.solver import _jacobian_chains
+
+    keep = np.flatnonzero(~grid.boundary_mask.reshape(-1))
+    pos = np.full(grid.node_count, -1)
+    pos[keep] = np.arange(keep.size)
+    rows, cols, wts, src = [], [], [], []
+    offset = 0
+    for outer, inner in _jacobian_chains(grid):
+        chain = outer @ inner
+        rows.append(np.broadcast_to(np.arange(grid.node_count), chain.cols.shape))
+        cols.append(chain.cols)
+        wts.append(chain.weights)
+        src.append(offset + np.repeat(outer.cols, inner.width, axis=0))
+        offset += inner.cols.shape[1]
+    r, c, w, q = (np.concatenate(x, axis=None) for x in (rows, cols, wts, src))
+    inside = (pos[r] >= 0) & (pos[c] >= 0)
+    return pos[r[inside]], pos[c[inside]], w[inside], q[inside]
+
+
+def test_jacobian_entries_stay_in_their_rows_neighbourhood():
+    # the stencil has one slot per neighbour offset in {-1, 0, 1}^d, so no
+    # entry of an unknown may reach farther, wrapping on periodic axes
+    offsets = []
+    for shape, topology in _PERIODIC + _TWO_BLOCKS + _BOUNDED + _MORE:
         grid = build_grid(len(shape), shape, (1.0,) * len(shape), topology)
-        plan = _jacobian_plan(grid)
-        gap = np.abs(plan.rows // plan.m - plan.cols // plan.m)
-        far = gap > 1
-        if plan.wrap:
-            far &= gap != plan.blocks - 1
+        r, c, w, _ = _chain_entries(grid)
+        lines = [n if top == "periodic" else n - 2 for n, top in zip(shape, topology)]
+        at_r = np.unravel_index(r[w != 0.0], lines)
+        at_c = np.unravel_index(c[w != 0.0], lines)
+        step = [(ac - ar + 1) % n - 1 if top == "periodic" else ac - ar
+                for ar, ac, n, top in zip(at_r, at_c, lines, topology)]
+        far = np.any(np.abs(step) > 1, axis=0)
         assert not np.any(far), (shape, topology)
-        blocks.append(plan.blocks)
-    # the check bites: many grids have blocks that are not neighbours
-    assert sum(b > 3 for b in blocks) >= 10
+        offsets.append(len(set(zip(*step))))
+    # the check bites: the entries of every grid take all 3^d offsets
+    assert offsets == [3 ** len(shape) for shape, _ in
+                       _PERIODIC + _TWO_BLOCKS + _BOUNDED + _MORE]
+
+
+def test_jacobian_stencil_sums_every_chain_entry_into_its_slot():
+    from pmcgraph.solver import _jacobian_coefficients, _jacobian_plan
+
+    F = parse_pmc("0.4*z - 0.3*t + 0.2*sin(y1) + 0.1*y1*y2 "
+                  "- 0.05*cos(6.283185307179586*x1)")
+    for shape, topology in _PERIODIC + _TWO_BLOCKS + _BOUNDED + _MORE:
+        grid = build_grid(len(shape), shape, (1.0,) * len(shape), topology)
+        r, c, w, q = _chain_entries(grid)
+        n = int(np.count_nonzero(~grid.boundary_mask))
+        # the pattern size of the entries summed by position, zero weights
+        # included, which the sorted plan of earlier versions stored
+        assert _jacobian_plan(grid).nnz == np.unique(r * n + c).size, (shape, topology)
+        if n > 1500:
+            continue
+        u = 0.4 * np.random.default_rng(7).standard_normal(grid.shape)
+        dense = np.zeros((n, n))
+        np.add.at(dense, (r, c), w * _jacobian_coefficients(grid, u, F)[q])
+        J = assemble_jacobian(grid, u, F).toarray()
+        assert np.max(np.abs(J - dense)) <= 1e-12 * np.max(np.abs(dense)), (shape, topology)
 
 
 def test_lagged_factor_refactors_far_or_resized_systems():
@@ -766,12 +813,12 @@ def test_lagged_cycle_stops_at_the_callers_tolerance(monkeypatch):
 
 
 def test_singular_linear_system_gives_a_non_finite_step():
-    from pmcgraph.solver import GridMatrix, spsolve
+    from pmcgraph.solver import StencilMatrix, spsolve
 
     # one dense block, and several blocks with a wrap
     for shape in ((4,), (4, 4), (24, 20)):
         J = _line_jacobian(shape, ("periodic",) * len(shape))
-        zero = GridMatrix(J.plan, np.zeros(J.nnz))
+        zero = StencilMatrix(J.plan, np.zeros_like(J.data))
         assert np.all(np.isnan(spsolve(zero, np.ones(zero.shape[0]))))
 
 
