@@ -9,9 +9,12 @@ sweep re-anchors at the previous iterate, which climbs monotonically from the
 lower barrier to the minimal fixed point of the original problem.  Anderson
 acceleration extrapolates the anchors, and a sweep from an extrapolated
 anchor starts Newton there and counts only if it passes the checks of a
-plain sweep.  The sweeps are inexact: after the first, each inner solve
-stops at a residual of a fraction of the last outer step, and only a sweep
-that may end the iteration is finished to the inner tolerance.
+plain sweep.  A candidate whose residual exceeds the outer tolerance at
+every unknown is a strict supersolution of its own problem, so its sweep
+could only move down: it is discarded before any Newton step.  The sweeps
+are inexact: after the first, each inner solve stops at a residual of a
+fraction of the last outer step, and only a sweep that may end the
+iteration is finished to the inner tolerance.
 
 The Jacobian is composed from the residual's own stencils
 (`calculus.operators`), so it is the exact derivative of the discrete
@@ -111,6 +114,8 @@ ANDERSON_DEPTH = 2
 # - 0.01 keeps 16/8/6 and takes 28 linear solves;
 # - 1e-3 and 0.03 take 17 sweeps and 35 and 34 linear solves;
 # - 0.1 takes 20 sweeps and 31 linear solves.
+# Those counts include the solves of discarded sweeps.  With a candidate
+# above its problem at every unknown discarded unsolved, 0.01 takes 22
 # On the 16x16 version of that config the result lies 1.9e-10 off the plain
 # iteration's limit at 0 and at 0.01, 9.8e-9 at 1e-3 and 1.6e-9 at 0.1
 SWEEP_FORCING = 0.01
@@ -918,7 +923,7 @@ def spsolve(A, b, lagged=None, atol=0.0):
 
 
 def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
-                lagged=None, tol=None):
+                lagged=None, tol=None, candidate=False):
     """Damped Newton on the discrete prescribed-curvature system.
 
     F must be non-increasing in height; when a working box is supplied that
@@ -931,6 +936,10 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     makes its own.  `tol` is the sup-residual to reach, cfg.tol_inner by
     default; the outer iteration loosens it for its early sweeps.  The
     linear solves' floor stays at FORCING_FLOOR*cfg.tol_inner either way.
+    A `candidate` seed, an Anderson candidate of the outer iteration, whose
+    residual exceeds cfg.tol_outer at every unknown is a strict
+    supersolution of this problem: it is returned unsolved, after 0 steps,
+    with the report's `supersolution` set.
 
     Returns (solution field, report dict).  Raises SolverFailure with the
     best iterate when the step budget runs out; falls back to pseudo-time
@@ -994,8 +1003,9 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     newton_steps = 0
     ptc_steps = 0
     ptc_dt = None
+    supersolution = bool(candidate and R.size and np.min(R) > cfg.tol_outer)
 
-    while res_sup > tol:
+    while res_sup > tol and not supersolution:
         if newton_steps + ptc_steps >= cfg.max_newton:
             raise SolverFailure(
                 f"inner solve exhausted {cfg.max_newton} steps "
@@ -1055,7 +1065,8 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
         "residual_sup": res_sup,
         "residual_history": history,
         "bordered": bool(bordered),
-        "converged": True,
+        "converged": not supersolution,
+        "supersolution": supersolution,
     }
     return ScalarField(grid, u), report
 
@@ -1171,9 +1182,12 @@ def outer_iterate(H, B, cfg=None):
     anchor.  A sweep from a candidate counts only if it moves down and
     leaves the slab by at most tol_outer, i.e. the candidate was a
     subsolution; otherwise it is discarded (`rejected_steps`) and redone
-    from the last output.  Plain sweeps must not move down or leave the
-    slab by more than MONOTONE_ABORT; smaller violations are tolerated as
-    scheme noise.
+    from the last output.  A candidate whose inner residual exceeds
+    tol_outer at every unknown is a strict supersolution of its problem,
+    from which the sweep could only move down, so it is discarded before
+    any Newton step (`solve_inner`'s `candidate`).  Plain sweeps must not
+    move down or leave the slab by more than MONOTONE_ABORT; smaller
+    violations are tolerated as scheme noise.
 
     After the first counted sweep, a penalized sweep's inner solve stops at
     tol_k = max(tol_inner, SWEEP_FORCING * last step).  A sweep whose step
@@ -1268,7 +1282,14 @@ def outer_iterate(H, B, cfg=None):
         try:
             u_next, irep = solve_inner(grid, F_core, B.psi,
                                        seed if m == 0 else anchor, cfg,
-                                       source=source, lagged=lagged, tol=tol)
+                                       source=source, lagged=lagged, tol=tol,
+                                       candidate=anchor is not u_prev)
+            if irep["supersolution"]:
+                # a strict supersolution of its problem, from which the
+                # sweep could only move down: redo it from the last output
+                rejected += 1
+                anchor = u_prev
+                continue
             inner_steps = irep["newton_steps"] + irep["ptc_steps"]
             step = sup_norm(u_next, anchor)
             if tol > cfg.tol_inner and step <= max(cfg.tol_outer, tol):

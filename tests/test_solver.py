@@ -12,6 +12,7 @@ from pmcgraph.pmc import (
 from pmcgraph.solver import (
     BarrierPair,
     Cutoff,
+    LaggedLU,
     MonotonicityError,
     SolveConfig,
     SolverFailure,
@@ -325,6 +326,68 @@ def test_inner_solve_pseudo_time_fallback():
     assert np.max(np.abs(u.values - cap)) < 1e-3
 
 
+def _supersolution_seed():
+    # the 16x16 torus_sine problem penalized and anchored at its upper
+    # barrier u0 = pi + 0.25, inside the default cutoff plateau: the residual
+    # there is -H(x, u0) = 0.5*sin(0.25) - 0.1*sin(2*pi*x1) >= 0.0237
+    grid, H, B = _torus_sine_16()
+    gamma = 2.0
+    F = penalized_pmc(H, Cutoff(0.25 - 0.1 * np.pi, 1.1 * np.pi + 0.25,
+                                0.25 - 0.5 * np.pi, 1.5 * np.pi + 0.25), gamma)
+    return grid, F, B.u0, gamma * B.u0.values
+
+
+def test_candidate_supersolution_is_returned_unsolved():
+    grid, F, seed, source = _supersolution_seed()
+    lagged = LaggedLU()
+    u, rep = solve_inner(grid, F, None, seed, source=source, lagged=lagged,
+                         candidate=True)
+    assert rep["supersolution"] and not rep["converged"]
+    assert rep["newton_steps"] == rep["ptc_steps"] == 0
+    assert lagged.linear_solves == 0
+    assert np.array_equal(u.values, seed.values)
+    assert rep["residual_sup"] > SolveConfig().tol_outer
+
+
+def _solved_as_without_candidate(grid, F, seed, source, cfg=None):
+    runs = []
+    for candidate in (False, True):
+        lagged = LaggedLU()
+        u, rep = solve_inner(grid, F, None, seed, cfg, source=source,
+                             lagged=lagged, candidate=candidate)
+        runs.append((u.values, rep, lagged.linear_solves))
+    (plain, plain_rep, plain_solves), (u, rep, solves) = runs
+    assert not plain_rep["supersolution"] and not rep["supersolution"]
+    assert rep["converged"] and rep["newton_steps"] >= 1
+    assert rep == plain_rep and solves == plain_solves == rep["newton_steps"]
+    assert np.array_equal(u, plain)
+
+
+def test_candidate_below_its_problem_at_one_node_is_solved():
+    grid, F, seed, source = _supersolution_seed()
+    # a larger source at one node makes the residual there negative
+    source = source.copy()
+    source[3, 5] += 1.0
+    _solved_as_without_candidate(grid, F, seed, source)
+
+
+def test_candidate_residual_is_judged_against_tol_outer():
+    grid, F, seed, source = _supersolution_seed()
+    # the same seed, with tol_outer above its smallest residual
+    _solved_as_without_candidate(grid, F, seed, source, SolveConfig(tol_outer=0.05))
+
+
+def test_supersolution_seed_without_the_candidate_flag_is_solved():
+    grid, F, seed, source = _supersolution_seed()
+    lagged = LaggedLU()
+    u, rep = solve_inner(grid, F, None, seed, source=source, lagged=lagged)
+    assert rep["converged"] and not rep["supersolution"]
+    assert rep["newton_steps"] >= 1 and lagged.linear_solves == rep["newton_steps"]
+    assert rep["residual_sup"] <= SolveConfig().tol_inner
+    # the solution lies below the supersolution it started from
+    assert np.all(u.values < seed.values)
+
+
 # ---------------------------------------------------------------------------
 # outer iteration
 
@@ -368,6 +431,7 @@ def test_outer_penalized_torus_sine():
     assert rep.outer_count == 16
     assert sum(rep.inner_newton_counts) == 22
     assert rep.accelerated_steps == 8 and rep.rejected_steps == 6
+    assert rep.linear_solves == 22
     # iterates climbed monotonically and stayed in the slab
     assert max(rep.monotonicity_violations) <= 1e-9
     assert max(rep.confinement_violations) <= 1e-9
@@ -482,7 +546,7 @@ def test_lagged_factor_counters_are_pinned_and_match_refactoring(monkeypatch):
 
     grid, H, B = _torus_sine_16()
     v, rep = outer_iterate(H, B)
-    assert rep.factorizations == 1 and rep.krylov_iterations == 46
+    assert rep.factorizations == 1 and rep.krylov_iterations == 34
     # every linear solve factors its own matrix
     monkeypatch.setattr(solver.LaggedLU, "_krylov", lambda self, A, b, tol: None)
     v_direct, direct = outer_iterate(H, B)
@@ -589,6 +653,36 @@ def test_candidate_sweeps_start_from_their_anchor(monkeypatch):
     for k in fresh:
         init, source = starts[k]
         assert np.array_equal(rep.gamma * init, source)
+
+
+@pytest.mark.parametrize("case", ["torus_sine", "horosphere"])
+def test_every_linear_solve_belongs_to_a_counted_sweep(case):
+    grid, H, B, cfg = _penalized_case(case)
+    _, rep = outer_iterate(H, B, cfg)
+    assert rep.linear_solves == sum(rep.inner_newton_counts)
+
+
+# the torus discards 6 candidates, each of which took one linear solve
+# when solved; the horosphere discards none
+@pytest.mark.parametrize("case, saved", [("torus_sine", 6), ("horosphere", 0)])
+def test_unsolved_supersolution_candidates_change_only_the_solve_counts(
+        monkeypatch, case, saved):
+    import pmcgraph.solver as solver
+
+    grid, H, B, cfg = _penalized_case(case)
+    v, rep = outer_iterate(H, B, cfg)
+    real = solver.solve_inner
+
+    def solving_every_candidate(*args, candidate=False, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_inner", solving_every_candidate)
+    v_all, every = outer_iterate(H, B, cfg)
+    assert np.array_equal(v.values, v_all.values)
+    for name in ("step_history", "residual_history", "outer_count",
+                 "accelerated_steps", "rejected_steps", "inner_newton_counts"):
+        assert getattr(rep, name) == getattr(every, name), name
+    assert every.linear_solves - rep.linear_solves == saved
 
 
 def test_no_factor_passes_between_solves():
