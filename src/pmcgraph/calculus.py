@@ -259,10 +259,8 @@ def _axis_weights(grid, ax):
 
 def quadrature_weights(grid):
     """Trapezoid tensor-product weights, shaped like the grid."""
-    w = _axis_weights(grid, 0)
-    if grid.dimension == 1:
-        return w
-    return np.outer(w, _axis_weights(grid, 1))
+    return functools.reduce(np.multiply.outer,
+                            (_axis_weights(grid, ax) for ax in range(grid.dimension)))
 
 
 def integrate(field):

@@ -662,9 +662,12 @@ def _cmd_diagnose(cfg, args):
     p = _problem(cfg)
     build = _barrier_builder(cfg, p.grid, p.solk)
     levels = args.levels if args.levels is not None else 2
-    if levels < 1:
-        raise CLIConfigError("--levels must be at least 1")
-    report = blowup_diagnostics(p.H, build, cfg=p.solk, levels=levels, grid=p.grid)
+    if levels < 2:
+        raise CLIConfigError("--levels must be at least 2")
+    try:
+        report = blowup_diagnostics(p.H, build, cfg=p.solk, levels=levels, grid=p.grid)
+    except (SolverFailure, ValueError) as exc:
+        return _check_payload(str(exc)), 1
     payload = report.to_dict()
     if p.meta is not None:
         payload["conformal"] = p.meta

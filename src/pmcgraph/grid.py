@@ -92,13 +92,9 @@ class BaseGrid:
             axis.flags.writeable = False
             coords.append(axis)
         self.axis_coords = tuple(coords)
-        if dimension == 1:
-            positions = (coords[0],)
-        else:
-            positions = np.meshgrid(*coords, indexing="ij")
-            for a in positions:
-                a.flags.writeable = False
-        self._positions = tuple(positions)
+        self._positions = tuple(np.meshgrid(*coords, indexing="ij"))
+        for a in self._positions:
+            a.flags.writeable = False
 
         mask = np.zeros(self.shape, dtype=bool)
         for ax, t in enumerate(self.topology):
@@ -222,8 +218,6 @@ def face_positions(grid, axis):
             if grid.topology[ax] == "dirichlet":
                 c = c[:-1]
         coords.append(c)
-    if grid.dimension == 1:
-        return (coords[0],)
     return tuple(np.meshgrid(*coords, indexing="ij"))
 
 

@@ -23,22 +23,22 @@ diag(c) . (node stencil) for the prescription through the height and the
 unit normal, with c the pointwise derivatives.  `_jacobian_chains` lists
 these compositions in the order of the coefficient blocks of
 `_jacobian_coefficients`.  Its rows and columns are the unknowns, the
-non-dirichlet nodes, and it is a width-3^d stencil over them, a
-`StencilMatrix`: one slot per neighbour offset in {-1, 0, 1}^d of the
-array of unknowns, wrapping on periodic axes, since no composed entry
-reaches farther.  The plan of one grid gets the slots' columns by index
+non-dirichlet nodes, and it is a nine-slot stencil over them, a
+`StencilMatrix`: the unknowns form grid lines along axis 1 (a 1-D grid is
+one line), and a row has one slot per neighbour offset in {-1, 0, 1}^2 of
+that array, wrapping on periodic axes, since no composed entry reaches
+farther.  The plan of one grid gets the slots' columns by index
 arithmetic and finds the one slot each composed entry falls in on every
 row; each Newton step only evaluates the coefficients and adds each entry
 into its slot, and a product is one gather.
 
-The linear algebra is numpy's alone.  Every grid is 1-D or 2-D, so with the
-unknowns cut into blocks of whole grid lines each block of a Jacobian
-couples only to its neighbouring blocks, through one line at each end,
-plus the first and last blocks to each other when axis 0 wraps and a
-border row when the mean is pinned.  `LineLU` factors it by block LU with
-those extra couplings eliminated last, by one Schur complement; it reads
-its diagonal blocks and the couplings of the end lines as slices of the
-slot array.  The linear systems of one solve go through one
+The linear algebra is numpy's alone.  Every grid is 1-D or 2-D, so each
+grid line of a Jacobian couples only to its neighbouring lines, plus the
+first and last lines to each other when axis 0 wraps and a border row
+when the mean is pinned.  `LineLU` factors it by block LU with one block
+per line and those extra couplings eliminated last, by one Schur
+complement; it scatters every block from the slot array.  A 1-D grid is
+one line, inverted whole.  The linear systems of one solve go through one
 `LaggedLU`: it keeps the last factor and solves each new system by one
 right-preconditioned GMRES restart cycle.  Successive Jacobians differ only
 through u and the anchor source, so the lagged factor is a near-exact
@@ -151,12 +151,6 @@ KRYLOV_RTOL = 1e-11
 FORCING_FIRST = 1e-8
 FORCING_MAX = 1e-2
 FORCING_FLOOR = 0.1
-
-# unknowns in one block of the line-block LU, as near as whole grid lines
-# allow.  On torus_sine at 64x64, blocks of one line (64) solved in
-# 0.45-0.49 s, of two (128) in 0.60-0.66 s and of four in 0.71-0.89 s; at
-# 32x32 and 16x16 the block size made no difference beyond the noise
-BLOCK = 64
 
 
 class SolverFailure(RuntimeError):
@@ -345,29 +339,23 @@ class Cutoff:
         self.a_ramp = 0.5 * (a + c1)
         self.b_ramp = 0.5 * (c2 + b)
 
-    def h(self, r):
+    def _ramps(self, r):
+        """The positions of r on the rising and the falling ramp, clipped
+        to [0, 1], and the two ramps' widths."""
         r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)
-        out[(r >= self.c1) & (r <= self.c2)] = 1.0
-        up = (r > self.a_ramp) & (r < self.c1)
-        if np.any(up):
-            out[up] = _smoothstep((r[up] - self.a_ramp) / (self.c1 - self.a_ramp))
-        down = (r > self.c2) & (r < self.b_ramp)
-        if np.any(down):
-            out[down] = _smoothstep((self.b_ramp - r[down]) / (self.b_ramp - self.c2))
+        w1, w2 = self.c1 - self.a_ramp, self.b_ramp - self.c2
+        return (np.clip((r - self.a_ramp) / w1, 0.0, 1.0),
+                np.clip((self.b_ramp - r) / w2, 0.0, 1.0), w1, w2)
+
+    def h(self, r):
+        s1, s2, _, _ = self._ramps(r)
+        out = _smoothstep(s1) * _smoothstep(s2)
         return out if out.shape else float(out)
 
     def h_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)
-        up = (r > self.a_ramp) & (r < self.c1)
-        if np.any(up):
-            w = self.c1 - self.a_ramp
-            out[up] = _smoothstep_prime((r[up] - self.a_ramp) / w) / w
-        down = (r > self.c2) & (r < self.b_ramp)
-        if np.any(down):
-            w = self.b_ramp - self.c2
-            out[down] = -_smoothstep_prime((self.b_ramp - r[down]) / w) / w
+        s1, s2, w1, w2 = self._ramps(r)
+        out = (_smoothstep_prime(s1) / w1 * _smoothstep(s2)
+               - _smoothstep(s1) * (_smoothstep_prime(s2) / w2))
         return out if out.shape else float(out)
 
     def describe(self):
@@ -424,13 +412,14 @@ class _JacobianPlan:
 
     Rows and columns are the unknowns, the non-dirichlet nodes in flat
     order.  They form an array shaped `lines`: L0 lines of L1 nodes along
-    axis 1 in 2-D, L0 single nodes in 1-D (L1 = 1).  A row has `width` =
-    3^d slots, one per neighbour offset in {-1, 0, 1}^d of that array,
-    wrapping on the `periodic` axes: slot k0 * w1 + k1 is the offset
-    (k0 - 1, k1 - w1 // 2), with w1 = width // 3 offsets within a line.
+    axis 1, a 1-D grid being one line (L0 = 1).  A row has 9 slots, one per
+    neighbour offset in {-1, 0, 1}^2 of that array, wrapping on the
+    `periodic` axes: slot 3 * k0 + k1 is the offset (k0 - 1, k1 - 1).
     `cols[s]` is the column of slot s, or the row's own where that
-    neighbour is a dirichlet node (its weight stays 0); `nnz` counts the
-    others.  Only index arithmetic builds them.
+    neighbour is a dirichlet node or off a 1-D grid's line (its weight
+    stays 0); `nnz` counts the others.  Only index arithmetic builds them.
+    `link` lists the within-line slots k1 that read a node b of a line and
+    the node c of the line they read, the same on every line.
 
     The contributions are the entries of outer . diag(c) . inner over the
     `_jacobian_chains` whose weight is not 0 on every row.  Each falls in
@@ -439,35 +428,26 @@ class _JacobianPlan:
     coefficient[src[k, i]] * weight[i], with the coefficient vector from
     `_jacobian_coefficients`, src[k] the coefficient each row reads through
     one outer slot, and the grid-only weight of the composed stencil.
-
-    The unknowns are cut into `blocks` runs of `m` in flat order, each
-    `per` whole lines, the number whose size is nearest to `BLOCK`.  Rows
-    then couple only to the neighbouring blocks, and block 0 to the last
-    one when axis 0 wraps (`wrap`).
     """
 
     def __init__(self, grid):
-        dim = grid.dimension
-        self.periodic = tuple(t == "periodic" for t in grid.topology) + (False,) * (2 - dim)
-        L0, L1 = self.lines = tuple(
-            s - 2 * (not wrap) for s, wrap in zip(grid.shape, self.periodic)) + (1,) * (2 - dim)
+        pad = 2 - grid.dimension
+        self.periodic = (False,) * pad + tuple(t == "periodic" for t in grid.topology)
+        L0, L1 = self.lines = (1,) * pad + tuple(
+            s - 2 * (t == "dirichlet") for s, t in zip(grid.shape, grid.topology))
         n = self.n = L0 * L1
-        self.width = 3 ** dim
-        w1 = self.width // 3
         row = np.arange(n)
         cols = []
         for d0 in (-1, 0, 1):
-            for d1 in range(-(w1 // 2), w1 // 2 + 1):
+            for d1 in (-1, 0, 1):
                 y0, y1 = ((x + d) % L if wrap else x + d for x, d, L, wrap in zip(
                     np.ogrid[:L0, :L1], (d0, d1), self.lines, self.periodic))
                 ok = (y0 >= 0) & (y0 < L0) & (y1 >= 0) & (y1 < L1)
                 cols.append(np.where(ok, y0 * L1 + y1, row.reshape(L0, L1)).reshape(-1))
         self.cols = np.array(cols)
         self.nnz = int(np.count_nonzero(self.cols != row)) + n
-        # the within-line slots k1 that read a node, b, of a line, and the
-        # node c of the other line they read: the same on every line
-        within = self.cols[w1:2 * w1, :L1]
-        k1, b = np.nonzero((within != row[:L1]) | (np.arange(w1) == w1 // 2)[:, None])
+        within = self.cols[3:6, :L1]
+        k1, b = np.nonzero((within != row[:L1]) | (np.arange(3) == 1)[:, None])
         self.link = k1, b, within[k1, b]
 
         # the unknown each node is, -1 for a dirichlet node
@@ -494,19 +474,13 @@ class _JacobianPlan:
                     # a dirichlet end reads the row's own column), and
                     # checked on every row
                     i = int(np.argmax(live))
-                    s = (self.width // 2 if col[i] == i
+                    s = (4 if col[i] == i
                          else int(np.argmax(self.cols[:, i] == col[i])))
                     if np.any(live & (col != self.cols[s])):
                         raise RuntimeError("a Jacobian entry leaves its row's slots")
                     self.terms.append((s, len(src) - 1, w if live.all() else w * live))
             offset += inner.cols.shape[1]
         self.src = np.array(src)
-
-        per = self.per = min((k for k in range(1, L0 + 1) if L0 % k == 0),
-                             key=lambda k: abs(np.log(k * L1 / BLOCK)))
-        self.m = per * L1
-        nb = self.blocks = L0 // per
-        self.wrap = nb > 1 and self.periodic[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -587,12 +561,13 @@ def assemble_jacobian(grid, values, F, shift=0.0, grads=None):
     """
     plan = _jacobian_plan(grid)
     q = _jacobian_coefficients(grid, values, F, grads)
-    data = np.zeros((plan.width, plan.n))
+    data = np.zeros(plan.cols.shape)
     read = q[plan.src]
     for s, g, w in plan.terms:
         data[s] += read[g] * w
     if shift:
-        data[plan.width // 2] += shift
+        # slot 4 is the offset (0, 0), the diagonal
+        data[4] += shift
     return StencilMatrix(plan, data)
 
 
@@ -634,55 +609,42 @@ class StencilMatrix:
         return out
 
     def band(self, k0, i, j):
-        """Dense coupling of block i to block j through axis-0 slot k0: of
-        its first line to the line before (k0 = 0) or of its last line to
-        the line after (k0 = 2), zero unless both are blocks (not
-        negative).  A slice of `data`, read through the within-line slots.
-        """
-        p = self.plan
-        k1, b, c = p.link
-        out = np.zeros((p.lines[1],) * 2)
-        if i >= 0 and j >= 0:
-            line = i * p.per + (p.per - 1) * (k0 // 2)
-            out[b, c] = self.data.reshape(3, -1, *p.lines)[k0][k1, line, b]
-        return out
+        """`diagonal(i, k0)`, the coupling of line i to line j through
+        axis-0 slot k0, or zero unless both are lines (not negative)."""
+        if i < 0 or j < 0:
+            return np.zeros((self.plan.lines[1],) * 2)
+        return self.diagonal(i, k0)
 
-    def diagonal(self, blocks):
-        """Dense diagonal blocks of the blocks `blocks`: the couplings of
-        their lines among themselves."""
+    def diagonal(self, lines, k0=1):
+        """Dense couplings of the lines `lines` to the line before them
+        (k0 = 0), to themselves (k0 = 1) or to the line after (k0 = 2): the
+        three within-line slots of axis-0 slot k0, scattered by `link`."""
         p = self.plan
         k1, b, c = p.link
-        data = self.data.reshape(3, -1, *p.lines)
-        out = np.zeros(np.shape(blocks) + (p.per, p.lines[1]) * 2)
-        for k0 in range(3):
-            q = np.arange(max(0, 1 - k0), min(p.per, p.per + 1 - k0))[:, None]
-            out[..., q, b, q + k0 - 1, c] = data[k0][
-                k1, np.asarray(blocks)[..., None, None] * p.per + q, b]
-        return out.reshape(np.shape(blocks) + (p.m, p.m))
+        out = np.zeros(np.shape(lines) + (p.lines[1],) * 2)
+        out[..., b, c] = self.data.reshape(3, 3, *p.lines)[k0][
+            k1, np.asarray(lines)[..., None], b]
+        return out
 
 
 class LineLU:
-    """Block LU factor of a `StencilMatrix` over its blocks of grid lines.
+    """Block LU factor of a `StencilMatrix` over its grid lines.
 
-    The head blocks, all but the last one when axis 0 wraps, form a matrix
+    The head lines, all but the last one when axis 0 wraps, form a matrix
     T whose blocks couple only to their neighbours (Golub & Van Loan,
     Matrix Computations, sec. 4.5).  It is eliminated from both ends at
-    once, a twisted block LU: level j eliminates blocks j and 2a - j
-    together, a = h // 2 for h head blocks, and block a, the root, comes
-    last.  The inverse of every pivot is kept, so that a sweep applies both
-    of a level's in one stacked matmul.  For even h the second block of
-    level 0 is a dummy, an identity coupled to nothing.  The tail, the last
-    block when axis 0 wraps and then the border, is eliminated by one Schur
-    complement: W = T^-1 C of the tail columns C is kept, with the inverse
-    of E - R W.  `solve` reads those stacks and the couplings between
-    blocks of the matrix itself.  A matrix of one block is inverted whole.
-    Raises numpy's LinAlgError on an exactly singular pivot.
-
-    Blocks couple only through their end lines: the first line of a block
-    to the last line of the block before (`StencilMatrix.band` of axis-0
-    slot 0), and its last line to the first line of the block after (slot
-    2).  So every elimination step reads and updates one line's rows and
-    columns of a pivot, and W one line's rows.
+    once, a twisted block LU: level j eliminates lines j and 2a - j
+    together, a = h // 2 >= 1 for h >= 2 head lines, and line a, the root,
+    comes last.  The inverse of every pivot is kept, so that a sweep
+    applies both of a level's in one stacked matmul.  For even h the second
+    line of level 0 is a dummy, an identity coupled to nothing.  The tail,
+    the last line when axis 0 wraps and then the border, is eliminated by
+    one Schur complement: W = T^-1 C of the tail columns C is kept, with
+    the inverse of E - R W.  `solve` reads those stacks and the couplings
+    between lines of the matrix itself (`StencilMatrix.band`), kept as
+    (rows, columns, values) triplets.  A matrix of one line, every 1-D
+    one, is inverted whole, border and all.  Raises numpy's LinAlgError on
+    an exactly singular pivot.
     """
 
     def __init__(self, A):
@@ -690,98 +652,91 @@ class LineLU:
         self.A = A
         self.shape = A.shape
         self.W = None
-        if p.blocks == 1:
+        L0, m = p.lines
+        if L0 == 1:
             self.root = np.linalg.inv(A.toarray())
             self.levels = 0
             return
-        m, L1 = p.m, p.lines[1]
-        h = p.blocks - p.wrap
-        t = m * p.wrap + A.border
+        wrap = p.periodic[0]
+        h = L0 - wrap
+        t = m * wrap + A.border
         self.head = h * m
         a = self.levels = h // 2
-        # the blocks of each level; -1 is the dummy, which reads and writes
+        # the lines of each level; -1 is the dummy, which reads and writes
         # the last row of the padded work arrays
         order = self.order = np.array(
             [(j, 2 * a - j if 2 * a - j < h else -1) for j in range(a)],
             dtype=np.int64).reshape(a, 2)
-        # the blocks each level is eliminated from and into
+        # the lines each level is eliminated from and into
         outward = np.concatenate([[[-1, -1]], order[:-1]])
         inward = np.concatenate([order[1:], [[a, a]]])[:a]
-        # the end lines of a block through slot k0: its own, then the
-        # other block's
-        ends = {0: (slice(0, L1), slice(m - L1, m)), 2: (slice(m - L1, m), slice(0, L1))}
         k1, b, c = p.link
 
-        def sparse(bands, k0s, rows_at, cols_at):
+        def sparse(bands, rows_at, cols_at):
             # (rows, columns, values) of one level's (or the root's)
             # couplings as one, each at its rows and columns within the level
             return tuple(np.concatenate(x) for x in zip(*(
-                (r + ends[k0][0].start + b, q + ends[k0][1].start + c, B[b, c])
-                for B, k0, r, q in zip(bands, k0s, rows_at, cols_at))))
+                (r + b, q + c, B[b, c]) for B, r, q in zip(bands, rows_at, cols_at))))
 
         def eliminate(rows, prev, D, C, pivots, up):
-            # the couplings of blocks `rows` to the eliminated blocks `prev`
+            # the couplings of lines `rows` to the eliminated lines `prev`
             # (position 0 outward through slot 0, position 1 through slot
             # 2), subtracted from their pivots D and tail columns C
             low = [A.band(0, rows[0], prev[0]), A.band(2, rows[1], prev[1])]
-            for k, k0 in enumerate((0, 2)):
-                R, S = ends[k0]
-                D[k][R, R] -= low[k] @ pivots[k][S, S] @ up[k]
-                C[k][R] -= low[k] @ W[prev[k]][S]
+            for k in range(2):
+                D[k] -= low[k] @ pivots[k] @ up[k]
+                C[k] -= low[k] @ W[prev[k]]
             return low
 
         self.inv = A.diagonal(order)
         self.inv[order < 0] = np.eye(m)
         self.fwd, self.bwd = [], []
-        # the tail columns of every head block, W = T^-1 C once eliminated
+        # the tail columns of every head line, W = T^-1 C once eliminated
         W = np.zeros((h + 1, m, t))
         if A.border:
             W[:h, :, -1] = 1.0
-        for k0, i in ((0, 0), (2, h - 1)) if p.wrap else ():
-            W[i][ends[k0]] += A.band(k0, i, h)
+        for k0, i in ((0, 0), (2, h - 1)) if wrap else ():
+            W[i][:, :m] += A.band(k0, i, h)
         for j, (rows, prev) in enumerate(zip(order, outward)):
             C = W[rows]
             if j:
                 low = eliminate(rows, prev, self.inv[j], C, self.inv[j - 1], up)
-                self.fwd.append(sparse(low, (0, 2), (0, m), (0, m)))
+                self.fwd.append(sparse(low, (0, m), (0, m)))
             self.inv[j] = np.linalg.inv(self.inv[j])
             up = [A.band(2, rows[0], inward[j][0]), A.band(0, rows[1], inward[j][1])]
-            self.bwd.append(sparse(up, (2, 0), (0, m), (0, m * (j + 1 < a))))
+            self.bwd.append(sparse(up, (0, m), (0, m * (j + 1 < a))))
             W[rows] = self.inv[j] @ C
         D, C = A.diagonal(a), W[a]
-        if a:
-            low = eliminate((a, a), order[-1], (D, D), (C, C), self.inv[-1], up)
-            self.root_fwd = sparse(low, (0, 2), (0, 0), (0, m))
+        low = eliminate((a, a), order[-1], [D, D], [C, C], self.inv[-1], up)
+        self.root_fwd = sparse(low, (0, 0), (0, m))
         self.root = np.linalg.inv(D)
         if not t:
             return
         W[a] = self.root @ C
         for j in range(a - 1, -1, -1):
             for k, k0 in enumerate((2, 0)):
-                R, S = ends[k0]
                 i, o = order[j][k], inward[j][k]
-                W[i] -= self.inv[j, k][:, R] @ (A.band(k0, i, o) @ W[o][S])
+                W[i] -= self.inv[j, k] @ (A.band(k0, i, o) @ W[o])
         W = W[:h]
         S = np.zeros((t, t))
         if A.border:
             S[:-1, -1] = S[-1, :-1] = 1.0
             S[-1] -= W.sum(axis=(0, 1))
-        # the tail block couples to the last head block and, wrapping, to
-        # the first
+        # the tail line couples to the last head line and, wrapping, to the
+        # first
         self.tail_low = []
-        if p.wrap:
+        if wrap:
             S[:m, :m] += A.diagonal(h)
             for k0, j in ((0, h - 1), (2, 0)):
-                R, T = ends[k0]
                 B = A.band(k0, h, j)
-                S[R] -= B @ W[j][T]
-                self.tail_low.append((j, sparse([B], [k0], [0], [0])))
+                S[:m] -= B @ W[j]
+                self.tail_low.append((j, sparse([B], [0], [0])))
         self.tail_inv = np.linalg.inv(S)
         self.W = W.reshape(self.head, t)
 
     def solve(self, b):
         a = self.levels
-        if not a and self.W is None:
+        if not a:
             return self.root @ b
         m = self.root.shape[0]
         h = self.head // m
@@ -790,17 +745,13 @@ class LineLU:
         # the levels' right-hand sides, then their solutions, in level order
         rhs = y[self.order][..., None]
         g = np.empty((a, 2, m, 1))
-        prev = None
         for j, (S, w, out) in enumerate(zip(self.inv, rhs, g)):
             if j:
                 r, c, v = self.fwd[j - 1]
                 w = w - np.bincount(r, v * prev.ravel()[c], 2 * m).reshape(2, m, 1)
             prev = np.matmul(S, w, out=out)
-        root = y[a]
-        if a:
-            r, c, v = self.root_fwd
-            root = root - np.bincount(r, v * prev.ravel()[c], m)
-        up = y[a] = self.root @ root
+        r, c, v = self.root_fwd
+        up = y[a] = self.root @ (y[a] - np.bincount(r, v * prev.ravel()[c], m))
         for S, x, (r, c, v) in zip(self.inv[::-1], g[::-1], self.bwd[::-1]):
             x -= S @ np.bincount(r, v * up.ravel()[c], 2 * m).reshape(2, m, 1)
             up = x

@@ -607,6 +607,26 @@ def test_diagnose_catenoid_levels(tmp_path):
     assert doc["rows"][0]["spacing"] == 2 * doc["rows"][1]["spacing"]
 
 
+def test_diagnose_needs_two_levels(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    code = run(["diagnose", "--config", cfg_path("catenoid.json"),
+                "--levels", "1", "--out-report", str(report)])
+    assert code == 2
+    assert "--levels must be at least 2" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_diagnose_reports_barriers_that_do_not_build(tmp_path):
+    # as solve and check-barrier do: a failed report, not a traceback
+    report = tmp_path / "r.json"
+    code = run(["diagnose", "--config", cfg_path("catenoid.json"),
+                "--override", "barriers.u1=5", "--out-report", str(report)])
+    assert code == 1
+    doc = read_json(report)
+    assert doc["passed"] is False
+    assert "lower barrier exceeds the upper one" in doc["message"]
+
+
 def test_eval_residual_matches_solve_report(tmp_path):
     field = tmp_path / "v.csv"
     solve_report = tmp_path / "s.json"

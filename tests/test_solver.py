@@ -705,26 +705,33 @@ def _line_jacobian(shape, topology, text="0.2*sin(y1) - 0.3*t - 2*z"):
     return assemble_jacobian(grid, u, parse_pmc(text))
 
 
-# one block, several, and lines longer than a block
-_PERIODIC = [((12,), ("periodic",)), ((256,), ("periodic",)),
-             ((300,), ("periodic",)), ((4, 5), ("periodic", "periodic")),
-             ((8, 6), ("periodic", "periodic")), ((16, 16), ("periodic", "periodic")),
-             ((24, 20), ("periodic", "periodic")), ((6, 130), ("periodic", "periodic")),
-             ((7, 130), ("periodic", "periodic"))]
-# two blocks with the wrap: the tail couples to the one head block
-_TWO_BLOCKS = [((128,), ("periodic",)), ((16, 8), ("periodic", "periodic"))]
-_BOUNDED = [((12,), ("dirichlet",)), ((302,), ("dirichlet",)),
-            ((4, 4), ("dirichlet", "dirichlet")), ((7, 9), ("dirichlet", "dirichlet")),
-            ((22, 12), ("dirichlet", "dirichlet")), ((40, 9), ("dirichlet", "dirichlet")),
-            ((8, 9), ("periodic", "dirichlet")), ((30, 20), ("periodic", "dirichlet")),
-            ((9, 8), ("dirichlet", "periodic")), ((32, 20), ("dirichlet", "periodic")),
-            ((12, 130), ("dirichlet", "periodic"))]
+# fully periodic, each with and without the border: one line, inverted
+# whole, in 1-D; in 2-D lines of 6 to 130 unknowns that wrap on axis 0, so
+# the last line is the tail
+_WRAPPED = [((12,), ("periodic",)), ((128,), ("periodic",)),
+            ((256,), ("periodic",)), ((300,), ("periodic",)),
+            ((8, 6), ("periodic", "periodic")), ((16, 8), ("periodic", "periodic")),
+            ((16, 16), ("periodic", "periodic")), ((24, 20), ("periodic", "periodic")),
+            ((6, 130), ("periodic", "periodic"))]
+# the ends of the twisted elimination, wrapped and bordered likewise: 3
+# head lines, one level and the root; 6 head lines, whose first level pairs
+# a line with the dummy
+_WRAPPED_ENDS = [((4, 5), ("periodic", "periodic")), ((7, 130), ("periodic", "periodic"))]
+# a dirichlet axis, so no border: one line in 1-D; in 2-D no wrap when axis
+# 0 is dirichlet, from 2 lines (one level with the dummy) up, and the wrap
+# when only axis 1 is
+_DIRICHLET = [((12,), ("dirichlet",)), ((302,), ("dirichlet",)),
+              ((4, 4), ("dirichlet", "dirichlet")), ((7, 9), ("dirichlet", "dirichlet")),
+              ((22, 12), ("dirichlet", "dirichlet")), ((40, 9), ("dirichlet", "dirichlet")),
+              ((8, 9), ("periodic", "dirichlet")), ((30, 20), ("periodic", "dirichlet")),
+              ((9, 8), ("dirichlet", "periodic")), ((32, 20), ("dirichlet", "periodic")),
+              ((12, 130), ("dirichlet", "periodic"))]
 
 
 @pytest.mark.parametrize("shape, topology, gauge_free", [
-    *((shape, topology, False) for shape, topology in _PERIODIC + _BOUNDED),
-    *((shape, topology, True) for shape, topology in _PERIODIC),
-    *((shape, topology, free) for shape, topology in _TWO_BLOCKS
+    *((shape, topology, False) for shape, topology in _WRAPPED + _DIRICHLET),
+    *((shape, topology, True) for shape, topology in _WRAPPED),
+    *((shape, topology, free) for shape, topology in _WRAPPED_ENDS
       for free in (False, True)),
 ])
 def test_block_lu_matches_a_dense_solve(shape, topology, gauge_free):
@@ -745,8 +752,8 @@ def test_block_lu_matches_a_dense_solve(shape, topology, gauge_free):
     assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-# besides the grids above: one-line blocks next to a dirichlet layer, and
-# lines longer than a block along either axis
+# besides the grids above: a 1-D line of two unknowns, and long lines or
+# many short ones along either axis
 _MORE = [((4,), ("dirichlet",)), ((257,), ("dirichlet",)),
          ((6, 100), ("dirichlet", "dirichlet")), ((65, 65), ("dirichlet", "dirichlet")),
          ((4, 257), ("periodic", "dirichlet")), ((257, 4), ("dirichlet", "periodic")),
@@ -780,7 +787,7 @@ def test_jacobian_entries_stay_in_their_rows_neighbourhood():
     # the stencil has one slot per neighbour offset in {-1, 0, 1}^d, so no
     # entry of an unknown may reach farther, wrapping on periodic axes
     offsets = []
-    for shape, topology in _PERIODIC + _TWO_BLOCKS + _BOUNDED + _MORE:
+    for shape, topology in _WRAPPED + _WRAPPED_ENDS + _DIRICHLET + _MORE:
         grid = build_grid(len(shape), shape, (1.0,) * len(shape), topology)
         r, c, w, _ = _chain_entries(grid)
         lines = [n if top == "periodic" else n - 2 for n, top in zip(shape, topology)]
@@ -793,7 +800,7 @@ def test_jacobian_entries_stay_in_their_rows_neighbourhood():
         offsets.append(len(set(zip(*step))))
     # the check bites: the entries of every grid take all 3^d offsets
     assert offsets == [3 ** len(shape) for shape, _ in
-                       _PERIODIC + _TWO_BLOCKS + _BOUNDED + _MORE]
+                       _WRAPPED + _WRAPPED_ENDS + _DIRICHLET + _MORE]
 
 
 def test_jacobian_stencil_sums_every_chain_entry_into_its_slot():
@@ -801,7 +808,7 @@ def test_jacobian_stencil_sums_every_chain_entry_into_its_slot():
 
     F = parse_pmc("0.4*z - 0.3*t + 0.2*sin(y1) + 0.1*y1*y2 "
                   "- 0.05*cos(6.283185307179586*x1)")
-    for shape, topology in _PERIODIC + _TWO_BLOCKS + _BOUNDED + _MORE:
+    for shape, topology in _WRAPPED + _WRAPPED_ENDS + _DIRICHLET + _MORE:
         grid = build_grid(len(shape), shape, (1.0,) * len(shape), topology)
         r, c, w, q = _chain_entries(grid)
         n = int(np.count_nonzero(~grid.boundary_mask))
