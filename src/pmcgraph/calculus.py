@@ -48,6 +48,7 @@ __all__ = [
     "integrate",
     "node_gradients",
     "face_gradients",
+    "graph_faces",
 ]
 
 
@@ -196,17 +197,28 @@ def flux_divergence(vfield):
 # nonparametric operators
 
 
-def mean_curvature_product_values(grid, values, grads=None):
-    """`mean_curvature_product` on raw arrays; `grads`, the node gradients
-    of `values`, when the caller already has them."""
+def graph_faces(grid, values, grads=None):
+    """Per axis, the face gradients of the graph of `values` on that axis's
+    faces (`face_gradients`) and their area factor sqrt(1 + |Du|^2) there,
+    as (components, omega); `grads` are the node gradients of `values`
+    when the caller has them."""
     if grads is None:
         grads = node_gradients(grid, values)
-    fluxes = []
+    out = []
     for ax in range(grid.dimension):
         comps = face_gradients(grid, values, ax, grads)
-        omega = np.sqrt(1.0 + sum(c * c for c in comps))
-        fluxes.append(comps[ax] / omega)
-    return -_divergence(grid, fluxes)
+        out.append((comps, np.sqrt(1.0 + sum(c * c for c in comps))))
+    return out
+
+
+def mean_curvature_product_values(grid, values, grads=None, faces=None):
+    """`mean_curvature_product` on raw arrays; `grads`, the node gradients
+    of `values`, and `faces`, their `graph_faces`, when the caller already
+    has them."""
+    if faces is None:
+        faces = graph_faces(grid, values, grads)
+    return -_divergence(grid, [comps[ax] / omega
+                               for ax, (comps, omega) in enumerate(faces)])
 
 
 def mean_curvature_product(field):
@@ -234,10 +246,8 @@ def graph_laplacian(field, phi, grads=None):
     grads = node_gradients(grid, u) if grads is None else grads
     grads_phi = node_gradients(grid, phi.values)
     comps = []
-    for ax in range(grid.dimension):
-        gu = face_gradients(grid, u, ax, grads)
+    for ax, (gu, omega) in enumerate(graph_faces(grid, u, grads)):
         gphi = face_gradients(grid, phi.values, ax, grads_phi)
-        omega = np.sqrt(1.0 + sum(c * c for c in gu))
         inner = sum(gu[m] * gphi[m] for m in range(grid.dimension))
         flux = omega * (gphi[ax] - gu[ax] * inner / (omega * omega))
         comps.append(flux)

@@ -21,6 +21,8 @@ Numbers are decimal literals with optional fraction and exponent part.
 Evaluation is vectorized over numpy arrays.  Domain problems (division by
 zero, ln of a negative, ...) are not caught eagerly; `eval_checked` raises
 once a non-finite value appears, naming the first offending sample point.
+It also evaluates several trees at once, such as a prescription and its
+partials, computing each subtree they share once.
 
 A tree may also hold `Func` nodes, numeric functions given as Python code;
 where such a node has no derivative rule, `Func.diff` takes a centered
@@ -63,7 +65,8 @@ class EvalDomainError(ValueError):
 
 
 class ExprNode:
-    """Base class; subclasses implement eval/diff/variables/to_str.
+    """Base class; subclasses implement _eval (a leaf: eval), diff,
+    variables and to_str.
 
     `a + b`, `a - b`, `a * b` and `c * a` build trees through the
     simplifying constructors below, with a number operand taken as a
@@ -85,7 +88,18 @@ class ExprNode:
     def __rmul__(self, other):
         return _mul(_node(other), self)
 
-    def eval(self, env):
+    def eval(self, env, memo=None):
+        """The value over `env`, a mapping of variable names to scalars or
+        arrays.  With a `memo` dict each inner node is evaluated at most
+        once per memo, keyed by identity, so trees evaluated with one memo
+        compute the subtrees they share once."""
+        if memo is None:
+            return self._eval(env, None)
+        if self not in memo:
+            memo[self] = self._eval(env, memo)
+        return memo[self]
+
+    def _eval(self, env, memo):
         raise NotImplementedError
 
     def diff(self, name):
@@ -105,7 +119,8 @@ class Const(ExprNode):
     def __init__(self, value):
         self.value = float(value)
 
-    def eval(self, env):
+    def eval(self, env, memo=None):
+        # a leaf is as cheap to read as to look up in a memo
         return self.value
 
     def diff(self, name):
@@ -122,7 +137,7 @@ class Var(ExprNode):
     def __init__(self, name):
         self.name = name
 
-    def eval(self, env):
+    def eval(self, env, memo=None):
         return env[self.name]
 
     def diff(self, name):
@@ -152,8 +167,8 @@ class _Binary(ExprNode):
 class Add(_Binary):
     symbol = "+"
 
-    def eval(self, env):
-        return self.a.eval(env) + self.b.eval(env)
+    def _eval(self, env, memo):
+        return self.a.eval(env, memo) + self.b.eval(env, memo)
 
     def diff(self, name):
         return _add(self.a.diff(name), self.b.diff(name))
@@ -162,8 +177,8 @@ class Add(_Binary):
 class Sub(_Binary):
     symbol = "-"
 
-    def eval(self, env):
-        return self.a.eval(env) - self.b.eval(env)
+    def _eval(self, env, memo):
+        return self.a.eval(env, memo) - self.b.eval(env, memo)
 
     def diff(self, name):
         return _sub(self.a.diff(name), self.b.diff(name))
@@ -172,8 +187,8 @@ class Sub(_Binary):
 class Mul(_Binary):
     symbol = "*"
 
-    def eval(self, env):
-        return self.a.eval(env) * self.b.eval(env)
+    def _eval(self, env, memo):
+        return self.a.eval(env, memo) * self.b.eval(env, memo)
 
     def diff(self, name):
         return _add(_mul(self.a.diff(name), self.b),
@@ -183,8 +198,8 @@ class Mul(_Binary):
 class Div(_Binary):
     symbol = "/"
 
-    def eval(self, env):
-        return self.a.eval(env) / self.b.eval(env)
+    def _eval(self, env, memo):
+        return self.a.eval(env, memo) / self.b.eval(env, memo)
 
     def diff(self, name):
         da, db = self.a.diff(name), self.b.diff(name)
@@ -195,8 +210,8 @@ class Div(_Binary):
 class Pow(_Binary):
     symbol = "^"
 
-    def eval(self, env):
-        return self.a.eval(env) ** self.b.eval(env)
+    def _eval(self, env, memo):
+        return self.a.eval(env, memo) ** self.b.eval(env, memo)
 
     def diff(self, name):
         a, b = self.a, self.b
@@ -216,8 +231,8 @@ class Neg(ExprNode):
     def __init__(self, a):
         self.a = a
 
-    def eval(self, env):
-        return -self.a.eval(env)
+    def _eval(self, env, memo):
+        return -self.a.eval(env, memo)
 
     def diff(self, name):
         return _neg(self.a.diff(name))
@@ -240,9 +255,9 @@ class Call(ExprNode):
         self.name = name
         self.args = tuple(args)
 
-    def eval(self, env):
+    def _eval(self, env, memo):
         fn = self._EVAL[self.name]
-        return fn(*(a.eval(env) for a in self.args))
+        return fn(*(a.eval(env, memo) for a in self.args))
 
     def variables(self):
         out = frozenset()
@@ -307,8 +322,8 @@ class Func(Call):
         self.rules = tuple(rules) if rules is not None else (None,) * len(self.args)
         self.differenced = differenced
 
-    def eval(self, env):
-        return self.fn(*(a.eval(env) for a in self.args))
+    def _eval(self, env, memo):
+        return self.fn(*(a.eval(env, memo) for a in self.args))
 
     def diff(self, name):
         out = Const(0.0)
@@ -650,18 +665,26 @@ def eval_checked(node, env, label="expression"):
     Broadcasts like numpy.  If any entry of the result is non-finite the
     evaluation fails with `EvalDomainError` naming the first offending
     sample point (lowest flat index).
+
+    `node` may also be a list of nodes with a list of as many labels: they
+    are evaluated together, each subtree they share (by identity) once,
+    and checked in order, so the list of results and the first error are
+    those of one call per node.
     """
+    shared = isinstance(node, list)
+    nodes, labels = (node, label) if shared else ([node], [label])
+    memo = {} if shared else None
     with np.errstate(all="ignore"):
-        out = node.eval(env)
-    out = np.asarray(out, dtype=float)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        arrays = {k: np.asarray(v, dtype=float) for k, v in env.items()}
-        names = sorted(arrays)
-        broad = np.broadcast_arrays(out, *(arrays[k] for k in names))
-        flat = int(np.flatnonzero(~np.isfinite(broad[0]))[0])
-        coords = ", ".join(
-            f"{k}={broad[1 + i].reshape(-1)[flat]:.17g}" for i, k in enumerate(names))
-        raise EvalDomainError(
-            f"{label} evaluated to a non-finite value at ({coords})")
-    return out
+        outs = [np.asarray(n.eval(env, memo), dtype=float) for n in nodes]
+    for out, name in zip(outs, labels):
+        bad = ~np.isfinite(out)
+        if bad.any():
+            arrays = {k: np.asarray(v, dtype=float) for k, v in env.items()}
+            names = sorted(arrays)
+            broad = np.broadcast_arrays(out, *(arrays[k] for k in names))
+            flat = int(np.flatnonzero(~np.isfinite(broad[0]))[0])
+            coords = ", ".join(
+                f"{k}={broad[1 + i].reshape(-1)[flat]:.17g}" for i, k in enumerate(names))
+            raise EvalDomainError(
+                f"{name} evaluated to a non-finite value at ({coords})")
+    return outs if shared else outs[0]

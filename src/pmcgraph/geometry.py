@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import (
-    face_gradients,
+    graph_faces,
     graph_laplacian,
     mean_curvature_product_values,
     node_gradients,
@@ -142,9 +142,7 @@ def divergence_oracle(grid, u, F):
     ops = operators(grid)
     grads = node_gradients(grid, values)
     div_h = 0.0
-    for ax in range(grid.dimension):
-        g = face_gradients(grid, values, ax, grads)
-        omega_face = np.sqrt(1.0 + sum(c * c for c in g))
+    for ax, (g, omega_face) in enumerate(graph_faces(grid, values, grads)):
         u_face = ops.avg[ax](values)
         fpos = face_positions(grid, ax)
         env = {

@@ -289,10 +289,9 @@ def write_field_csv(field, path):
         f" topology={','.join(t[0] for t in grid.topology)}"
         f" origin={','.join(_fmt(o) for o in grid.origin)}"
     )
-    lines = [head]
-    lines.extend(_fmt(v) for v in field.values.reshape(-1))
+    values = field.values.reshape(-1).tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head + "\n" + ("%.17g\n" * len(values)) % tuple(values))
 
 
 def read_field_csv(path):

@@ -102,6 +102,15 @@ class PMCFunction:
     def d_t(self, x1, x2, z, y1, y2, t):
         return self._partial("t", _env_of(x1, x2, z, y1, y2, t))
 
+    def eval_with_partials(self, env, names):
+        """[H, dH/d names[0], ...] at `env`, as one evaluation in which the
+        value and the partials compute each subtree they share once.  Bit
+        for bit what `eval` and the `d_*` methods return, and a non-finite
+        value raises the error the first of those calls would raise."""
+        nodes = [self.ast] + [self._partials[v] for v in names]
+        labels = [self.label] + [f"d/d{v} of {self.label}" for v in names]
+        return eval_checked(nodes, env, labels)
+
     @property
     def has_exact_partials(self):
         return not any(takes_differences(d) for d in self._partials.values())

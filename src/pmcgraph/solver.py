@@ -12,9 +12,9 @@ anchor starts Newton there and counts only if it passes the checks of a
 plain sweep.  A candidate whose residual exceeds the outer tolerance at
 every unknown is a strict supersolution of its own problem, so its sweep
 could only move down: it is discarded before any Newton step.  The sweeps
-are inexact: after the first, each inner solve stops at a residual of a
-fraction of the last outer step, and only a sweep that may end the
-iteration is finished to the inner tolerance.
+are inexact: each inner solve stops at a fraction of its seed's residual
+over the penalty slope, which estimates the sweep's step, and only a sweep
+that may end the iteration is finished to the inner tolerance.
 
 The Jacobian is composed from the residual's own stencils
 (`calculus.operators`), so it is the exact derivative of the discrete
@@ -30,7 +30,9 @@ that array, wrapping on periodic axes, since no composed entry reaches
 farther.  The plan of one grid gets the slots' columns by index
 arithmetic and finds the one slot each composed entry falls in on every
 row; each Newton step only evaluates the coefficients and adds each entry
-into its slot, and a product is one gather.
+into its slot, and a product is one gather.  The coefficients read what the
+residual of the same iterate computed (`_graph_residual`): its gradients,
+area factors, and the prescription's partials, evaluated with its value.
 
 The linear algebra is numpy's alone.  Every grid is 1-D or 2-D, so each
 grid line of a Jacobian couples only to its neighbouring lines, plus the
@@ -58,7 +60,7 @@ import numpy as np
 
 from .calculus import (
     Stencil,
-    face_gradients,
+    graph_faces,
     mean_curvature_product_values,
     node_gradients,
     operators,
@@ -103,21 +105,21 @@ MONOTONE_ABORT = 1e-6
 # horosphere takes 7-9 sweeps at each of them
 ANDERSON_DEPTH = 2
 
-# inexact sweeps of the penalized iteration: after the first counted sweep,
-# each inner solve stops at a sup-residual of SWEEP_FORCING times the last
-# outer step (but never below tol_inner).  The gamma certificate gives the
-# inner problem a height slope of at most -1, so that residual moves the
-# sweep output by at most about SWEEP_FORCING of the step.  Measured on the
-# 64x64 torus_sine config, which takes 16/8/6 sweeps (counted, accelerated,
-# discarded) and 52 linear solves with exact sweeps seeded from the last
-# output, and 47 with exact sweeps seeded from their anchor:
-# - 0.01 keeps 16/8/6 and takes 28 linear solves;
-# - 1e-3 and 0.03 take 17 sweeps and 35 and 34 linear solves;
-# - 0.1 takes 20 sweeps and 31 linear solves.
-# Those counts include the solves of discarded sweeps.  With a candidate
-# above its problem at every unknown discarded unsolved, 0.01 takes 22
-# On the 16x16 version of that config the result lies 1.9e-10 off the plain
-# iteration's limit at 0 and at 0.01, 9.8e-9 at 1e-3 and 1.6e-9 at 0.1
+# inexact sweeps of the penalized iteration: each inner solve stops at a
+# sup-residual of SWEEP_FORCING times its seed's over max(gamma, 1), but
+# never below tol_inner.  The penalty adds gamma to the inner problem's
+# slope in the height, so the seed's residual over gamma estimates the
+# sweep's step, and the stopping residual moves the sweep output by about
+# SWEEP_FORCING of it.  Being below 1, it gives every seed above tol_inner
+# at least one Newton step.  Measured as sweeps (counted/accelerated/
+# discarded) and linear solves, with exact sweeps at 0:
+# - 64x64 torus_sine config: 0 takes 16/8/6 and 36; 1e-3 17/9/6 and 27;
+#   3e-3 15/8/5 and 23; 0.01 16/8/6 and 20; 0.03 17/8/7 and 24; 0.1 and
+#   0.3 20/10/8 and 20.  At 128x128, 0.01 takes 16/8/6 and 21;
+# - horosphere config (32x32): 7/5/0 at each, with 14/10/9/9/8/7/7 linear
+#   solves from 0 to 0.3.
+# On the 16x16 torus the result lies 1.9e-10 off the plain iteration's limit
+# at 0, 3e-3 and 0.01, 9.8e-9 at 1e-3, 2e-9 at 0.03 and 1.6e-9 at 0.1
 SWEEP_FORCING = 0.01
 
 # GMRES preconditioned by a lagged LU factor: one restart cycle of this
@@ -342,21 +344,30 @@ class Cutoff:
     def _ramps(self, r):
         """The positions of r on the rising and the falling ramp, clipped
         to [0, 1], and the two ramps' widths."""
-        r = np.asarray(r, dtype=float)
         w1, w2 = self.c1 - self.a_ramp, self.b_ramp - self.c2
         return (np.clip((r - self.a_ramp) / w1, 0.0, 1.0),
                 np.clip((self.b_ramp - r) / w2, 0.0, 1.0), w1, w2)
 
-    def h(self, r):
-        s1, s2, _, _ = self._ramps(r)
-        out = _smoothstep(s1) * _smoothstep(s2)
+    def _off_plateau(self, r, plateau, ramps):
+        """`ramps(*self._ramps(r))` off the plateau [c1, c2], where both
+        ramp positions are 1, and `plateau` on it: each ramp term is then
+        exactly 1 or 0, so only the heights off it need the quintics."""
+        r = np.asarray(r, dtype=float)
+        out = np.full(r.shape, plateau)
+        off = ~((r >= self.c1) & (r <= self.c2))
+        if off.any():
+            out[off] = ramps(*self._ramps(r[off]))
         return out if out.shape else float(out)
 
+    def h(self, r):
+        return self._off_plateau(
+            r, 1.0, lambda s1, s2, w1, w2: _smoothstep(s1) * _smoothstep(s2))
+
     def h_prime(self, r):
-        s1, s2, w1, w2 = self._ramps(r)
-        out = (_smoothstep_prime(s1) / w1 * _smoothstep(s2)
-               - _smoothstep(s1) * (_smoothstep_prime(s2) / w2))
-        return out if out.shape else float(out)
+        return self._off_plateau(
+            r, 0.0, lambda s1, s2, w1, w2: (
+                _smoothstep_prime(s1) / w1 * _smoothstep(s2)
+                - _smoothstep(s1) * (_smoothstep_prime(s2) / w2)))
 
     def describe(self):
         return {"c1": self.c1, "c2": self.c2, "a": self.a, "b": self.b,
@@ -510,35 +521,48 @@ def _jacobian_chains(grid):
     return chains
 
 
-def _jacobian_coefficients(grid, values, F, grads=None):
+def _graph_residual(grid, values, F):
+    """mcp(u) - F(graph env of u) at every node, and what the Jacobian at u
+    reads besides: the node gradients, the `graph_faces`, the node area
+    factor omega and F's partials by z, y1..y_dim and t, evaluated with F
+    itself (`PMCFunction.eval_with_partials`)."""
+    grads = node_gradients(grid, values)
+    faces = graph_faces(grid, values, grads)
+    mcp = mean_curvature_product_values(grid, values, grads, faces)
+    env, omega = graph_normal_env(grid, values, grads)
+    names = ("z", "y1", "y2")[:grid.dimension + 1] + ("t",)
+    value, *partials = F.eval_with_partials(env, names)
+    return mcp - value, (grads, faces, omega, partials)
+
+
+def _jacobian_coefficients(grid, values, F, parts=None):
     """Per-step coefficients of the `_jacobian_chains` blocks, flat: the
     derivatives of the residual's terms by the quantities they read.
 
     Blocks, in order: per axis the face derivative of -g_along/omega by the
     along-face slope, then by each transverse component; the node-local
     -dF/dz; per axis the node-local derivative of -F through the unit
-    normal, by the node gradient.  `grads` are the node gradients of
-    `values`, when the caller has them.
+    normal, by the node gradient.  `parts` are the `_graph_residual` parts
+    at `values`, when the caller has them.
     """
     dim = grid.dimension
-    grads = node_gradients(grid, values) if grads is None else grads
-    parts = []
-    for ax in range(dim):
-        comps = face_gradients(grid, values, ax, grads)
-        om3 = np.sqrt(1.0 + sum(c * c for c in comps)) ** 3
+    if parts is None:
+        parts = _graph_residual(grid, values, F)[1]
+    grads, faces, omega_node, (Fz, *Fy, Ft) = parts
+    coefs = []
+    for ax, (comps, omega) in enumerate(faces):
+        om3 = omega ** 3
         tsq = sum(comps[c] * comps[c] for c in range(dim) if c != ax)
-        parts.append(-(1.0 + tsq) / om3)
-        parts.extend(comps[ax] * comps[c] / om3 for c in range(dim) if c != ax)
+        coefs.append(-(1.0 + tsq) / om3)
+        coefs.extend(comps[ax] * comps[c] / om3 for c in range(dim) if c != ax)
 
-    env, omega_node = graph_normal_env(grid, values, grads)
     om3 = omega_node ** 3
 
     def nodal(partial):
-        return np.broadcast_to(np.asarray(partial, dtype=float), grid.shape)
+        return np.broadcast_to(partial, grid.shape)
 
-    parts.append(-nodal(F.d_z(**env)))
-    Fy = [nodal(F.d_y(m, **env)) for m in range(dim)]
-    Ft = nodal(F.d_t(**env))
+    coefs.append(-nodal(Fz))
+    Fy, Ft = [nodal(d) for d in Fy], nodal(Ft)
     for l in range(dim):
         mult = Ft * (-grads[l] / om3)
         for m in range(dim):
@@ -546,21 +570,22 @@ def _jacobian_coefficients(grid, values, F, grads=None):
             if m == l:
                 dY = dY - 1.0 / omega_node
             mult = mult + Fy[m] * dY
-        parts.append(-mult)
-    return np.concatenate([p.reshape(-1) for p in parts])
+        coefs.append(-mult)
+    return np.concatenate([c.reshape(-1) for c in coefs])
 
 
-def assemble_jacobian(grid, values, F, shift=0.0, grads=None):
+def assemble_jacobian(grid, values, F, shift=0.0, parts=None):
     """Derivative of the discrete residual mcp(u) - F(graph env of u).
 
     A `StencilMatrix` over the unknowns, the non-dirichlet nodes (rows and
-    columns in flat order); `shift` is added to the diagonal, and `grads`
-    are the node gradients of `values` when the caller has them.  The
-    stencil is planned once per grid, so a call only evaluates the
-    coefficients and adds each contribution into its slot.
+    columns in flat order); `shift` is added to the diagonal, and `parts`
+    are the parts of the residual at `values` that the Jacobian reads, when
+    the caller has them (`_graph_residual`).  The stencil is planned once
+    per grid, so a call only evaluates the coefficients and adds each
+    contribution into its slot.
     """
     plan = _jacobian_plan(grid)
-    q = _jacobian_coefficients(grid, values, F, grads)
+    q = _jacobian_coefficients(grid, values, F, parts)
     data = np.zeros(plan.cols.shape)
     read = q[plan.src]
     for s, g, w in plan.terms:
@@ -608,13 +633,6 @@ class StencilMatrix:
             out[-1, :-1] = out[:-1, -1] = 1.0
         return out
 
-    def band(self, k0, i, j):
-        """`diagonal(i, k0)`, the coupling of line i to line j through
-        axis-0 slot k0, or zero unless both are lines (not negative)."""
-        if i < 0 or j < 0:
-            return np.zeros((self.plan.lines[1],) * 2)
-        return self.diagonal(i, k0)
-
     def diagonal(self, lines, k0=1):
         """Dense couplings of the lines `lines` to the line before them
         (k0 = 0), to themselves (k0 = 1) or to the line after (k0 = 2): the
@@ -641,9 +659,9 @@ class LineLU:
     the last line when axis 0 wraps and then the border, is eliminated by
     one Schur complement: W = T^-1 C of the tail columns C is kept, with
     the inverse of E - R W.  `solve` reads those stacks and the couplings
-    between lines of the matrix itself (`StencilMatrix.band`), kept as
-    (rows, columns, values) triplets.  A matrix of one line, every 1-D
-    one, is inverted whole, border and all.  Raises numpy's LinAlgError on
+    between lines of the matrix itself, kept as (rows, columns, values)
+    triplets.  A matrix of one line, every 1-D one, is inverted whole,
+    border and all.  Raises numpy's LinAlgError on
     an exactly singular pivot.
     """
 
@@ -671,18 +689,32 @@ class LineLU:
         outward = np.concatenate([[[-1, -1]], order[:-1]])
         inward = np.concatenate([order[1:], [[a, a]]])[:a]
         k1, b, c = p.link
+        # the weights `link` scatters into the couplings of every line to
+        # the line before it (axis-0 slot 0) and after it (slot 2), read
+        # once.  Dense blocks of them all would hold 2*L0*m*m doubles, twice
+        # the pivot inverses: at 256x256 they raised the peak memory of a
+        # torus_sine solve from 395 to 623 MiB
+        weights = A.data.reshape(3, 3, *p.lines)[[0, 2]][:, k1, :, b]
 
-        def sparse(bands, rows_at, cols_at):
+        def band(k0, i, j):
+            # the coupling of line i to line j through slot k0, or zero
+            # unless both are lines (-1 is the dummy)
+            out = np.zeros((m, m))
+            if i >= 0 and j >= 0:
+                out[b, c] = weights[:, k0 // 2, i]
+            return out
+
+        def sparse(blocks, rows_at, cols_at):
             # (rows, columns, values) of one level's (or the root's)
             # couplings as one, each at its rows and columns within the level
             return tuple(np.concatenate(x) for x in zip(*(
-                (r + b, q + c, B[b, c]) for B, r, q in zip(bands, rows_at, cols_at))))
+                (r + b, q + c, B[b, c]) for B, r, q in zip(blocks, rows_at, cols_at))))
 
         def eliminate(rows, prev, D, C, pivots, up):
             # the couplings of lines `rows` to the eliminated lines `prev`
             # (position 0 outward through slot 0, position 1 through slot
             # 2), subtracted from their pivots D and tail columns C
-            low = [A.band(0, rows[0], prev[0]), A.band(2, rows[1], prev[1])]
+            low = [band(0, rows[0], prev[0]), band(2, rows[1], prev[1])]
             for k in range(2):
                 D[k] -= low[k] @ pivots[k] @ up[k]
                 C[k] -= low[k] @ W[prev[k]]
@@ -696,14 +728,14 @@ class LineLU:
         if A.border:
             W[:h, :, -1] = 1.0
         for k0, i in ((0, 0), (2, h - 1)) if wrap else ():
-            W[i][:, :m] += A.band(k0, i, h)
+            W[i][:, :m] += band(k0, i, h)
         for j, (rows, prev) in enumerate(zip(order, outward)):
             C = W[rows]
             if j:
                 low = eliminate(rows, prev, self.inv[j], C, self.inv[j - 1], up)
                 self.fwd.append(sparse(low, (0, m), (0, m)))
             self.inv[j] = np.linalg.inv(self.inv[j])
-            up = [A.band(2, rows[0], inward[j][0]), A.band(0, rows[1], inward[j][1])]
+            up = [band(2, rows[0], inward[j][0]), band(0, rows[1], inward[j][1])]
             self.bwd.append(sparse(up, (0, m), (0, m * (j + 1 < a))))
             W[rows] = self.inv[j] @ C
         D, C = A.diagonal(a), W[a]
@@ -716,7 +748,7 @@ class LineLU:
         for j in range(a - 1, -1, -1):
             for k, k0 in enumerate((2, 0)):
                 i, o = order[j][k], inward[j][k]
-                W[i] -= self.inv[j, k] @ (A.band(k0, i, o) @ W[o])
+                W[i] -= self.inv[j, k] @ (band(k0, i, o) @ W[o])
         W = W[:h]
         S = np.zeros((t, t))
         if A.border:
@@ -728,7 +760,7 @@ class LineLU:
         if wrap:
             S[:m, :m] += A.diagonal(h)
             for k0, j in ((0, h - 1), (2, 0)):
-                B = A.band(k0, h, j)
+                B = band(k0, h, j)
                 S[:m] -= B @ W[j]
                 self.tail_low.append((j, sparse([B], [0], [0])))
         self.tail_inv = np.linalg.inv(S)
@@ -874,7 +906,7 @@ def spsolve(A, b, lagged=None, atol=0.0):
 
 
 def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
-                lagged=None, tol=None, candidate=False):
+                lagged=None, forcing=0.0, candidate=False):
     """Damped Newton on the discrete prescribed-curvature system.
 
     F must be non-increasing in height; when a working box is supplied that
@@ -884,13 +916,18 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     On a fully periodic grid with a height-free prescription the mean of the
     iterate is pinned through a bordered linear system.  `lagged` is the
     LaggedLU shared by the sweeps of one outer solve; without one the call
-    makes its own.  `tol` is the sup-residual to reach, cfg.tol_inner by
-    default; the outer iteration loosens it for its early sweeps.  The
+    makes its own.  The solve stops at a sup-residual of
+    max(cfg.tol_inner, forcing * the seed's), the report's `tolerance`, so
+    a `forcing` below 1 takes at least one Newton step from a seed above
+    cfg.tol_inner; the outer iteration loosens its sweeps this way.  The
     linear solves' floor stays at FORCING_FLOOR*cfg.tol_inner either way.
     A `candidate` seed, an Anderson candidate of the outer iteration, whose
     residual exceeds cfg.tol_outer at every unknown is a strict
     supersolution of this problem: it is returned unsolved, after 0 steps,
     with the report's `supersolution` set.
+
+    Every iterate is evaluated once: its residual pass keeps what the
+    Jacobian reads (`_graph_residual`).
 
     Returns (solution field, report dict).  Raises SolverFailure with the
     best iterate when the step budget runs out; falls back to pseudo-time
@@ -912,8 +949,6 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
         raise ValueError("initial iterate is not defined on the supplied grid")
     if lagged is None:
         lagged = LaggedLU()
-    if tol is None:
-        tol = cfg.tol_inner
 
     u = init.values.astype(float).copy()
     if has_dirichlet:
@@ -924,19 +959,16 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
         src = np.broadcast_to(np.asarray(source, dtype=float), grid.shape)
 
     def residual(vals):
-        # the residual at vals on the unknowns, and the node gradients it
-        # read, which the Jacobian at an accepted iterate reads again
-        grads = node_gradients(grid, vals)
-        out = mean_curvature_product_values(grid, vals, grads)
-        env, _ = graph_normal_env(grid, vals, grads)
-        out = out - np.asarray(F.eval(**env), dtype=float)
+        # the residual at vals on the unknowns, and the parts of it the
+        # Jacobian at an accepted iterate reads
+        out, parts = _graph_residual(grid, vals, F)
         if src is not None:
             out = out - src
-        return out.reshape(-1)[unknown], grads
+        return out.reshape(-1)[unknown], parts
 
     def trial(step):
-        # the iterate moved by `step`, with its residual and node gradients,
-        # or None where the prescription refuses it
+        # the iterate moved by `step`, with its residual and its parts, or
+        # None where the prescription refuses it
         v = u.copy()
         v.reshape(-1)[unknown] += step
         try:
@@ -944,12 +976,14 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
         except ValueError:
             return None
 
-    R, grads = residual(u)
-    env0, _ = graph_normal_env(grid, u, grads)
-    dz0 = np.max(np.abs(np.asarray(F.d_z(**env0), dtype=float)))
-    bordered = grid.is_fully_periodic() and dz0 <= 1e-13
+    R, parts = residual(u)
+    # a height-free prescription leaves the mean free: read off dF/dz at
+    # the seed, the first Jacobian's block
+    dz = parts[-1][0]
+    bordered = grid.is_fully_periodic() and np.max(np.abs(dz)) <= 1e-13
 
     res_sup = float(np.max(np.abs(R))) if R.size else 0.0
+    tol = max(cfg.tol_inner, forcing * res_sup)
     history = [res_sup]
     newton_steps = 0
     ptc_steps = 0
@@ -963,7 +997,7 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
                 f"(residual {res_sup:.3e}, tolerance {tol:.3e})",
                 best=ScalarField(grid, u), residual_history=history)
         J = assemble_jacobian(
-            grid, u, F, shift=0.0 if ptc_dt is None else 1.0 / ptc_dt, grads=grads)
+            grid, u, F, shift=0.0 if ptc_dt is None else 1.0 / ptc_dt, parts=parts)
         phi0 = np.linalg.norm(R)
         if ptc_dt is not None or newton_steps == 0:
             eta = FORCING_FIRST
@@ -987,7 +1021,7 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
                 continue
             new_sup = float(np.max(np.abs(step[1])))
             if np.isfinite(new_sup) and new_sup <= res_sup * 1.2:
-                (u, R, grads), res_sup = step, new_sup
+                (u, R, parts), res_sup = step, new_sup
                 ptc_dt = min(ptc_dt * max(phi0 / max(np.linalg.norm(R), 1e-300), 0.5), 1e12)
             else:
                 ptc_dt = max(ptc_dt * 0.25, 1e-8)
@@ -1000,7 +1034,7 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
             step = trial(s * delta)
             if step and np.all(np.isfinite(step[1])) and (
                     np.linalg.norm(step[1]) <= (1.0 - cfg.armijo_c * s) * phi0):
-                u, R, grads = step
+                u, R, parts = step
                 res_sup = float(np.max(np.abs(R)))
                 newton_steps += 1
                 history.append(res_sup)
@@ -1015,6 +1049,7 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
         "ptc_steps": ptc_steps,
         "residual_sup": res_sup,
         "residual_history": history,
+        "tolerance": tol,
         "bordered": bool(bordered),
         "converged": not supersolution,
         "supersolution": supersolution,
@@ -1140,10 +1175,11 @@ def outer_iterate(H, B, cfg=None):
     move down or leave the slab by more than MONOTONE_ABORT; smaller
     violations are tolerated as scheme noise.
 
-    After the first counted sweep, a penalized sweep's inner solve stops at
-    tol_k = max(tol_inner, SWEEP_FORCING * last step).  A sweep whose step
-    is at most max(tol_outer, tol_k) is finished to tol_inner from the same
-    anchor and measured again, so the exit sweep is a counted one solved to
+    A penalized sweep's inner solve stops at tol_k = max(tol_inner,
+    SWEEP_FORCING * |R(seed)| / max(gamma, 1)), with R(seed) the residual
+    of its Newton seed in its own problem.  A sweep whose step is at most
+    max(tol_outer, tol_k) is finished to tol_inner from the same anchor and
+    measured again, so the exit sweep is a counted one solved to
     tol_inner with step <= tol_outer, and the consistency bound
     tol_inner + gamma*step holds.  `inner_newton_counts` adds up both
     solves of such a sweep; max_outer caps all sweeps, discarded ones
@@ -1225,15 +1261,15 @@ def outer_iterate(H, B, cfg=None):
                 "linear_solves": lagged.linear_solves,
                 "residual_history": history, "step_history": step_history}
 
+    # the residual of a penalized sweep's seed over the penalty slope
+    # estimates the sweep's step
+    forcing = 0.0 if mode == "direct" else SWEEP_FORCING / max(gamma_eff, 1.0)
     for m in range(cfg.max_outer):
         source = None if mode == "direct" else gamma_eff * anchor.values
-        tol = cfg.tol_inner
-        if mode == "penalized" and step_history:
-            tol = max(tol, SWEEP_FORCING * step_history[-1])
         try:
             u_next, irep = solve_inner(grid, F_core, B.psi,
                                        seed if m == 0 else anchor, cfg,
-                                       source=source, lagged=lagged, tol=tol,
+                                       source=source, lagged=lagged, forcing=forcing,
                                        candidate=anchor is not u_prev)
             if irep["supersolution"]:
                 # a strict supersolution of its problem, from which the
@@ -1243,6 +1279,7 @@ def outer_iterate(H, B, cfg=None):
                 continue
             inner_steps = irep["newton_steps"] + irep["ptc_steps"]
             step = sup_norm(u_next, anchor)
+            tol = irep["tolerance"]
             if tol > cfg.tol_inner and step <= max(cfg.tol_outer, tol):
                 # a sweep that may end the iteration, or whose step is
                 # within its own tolerance: finish it to tol_inner

@@ -378,3 +378,96 @@ def test_residual_grid_mismatch():
 
 def test_monotone_tolerance_is_tight():
     assert MONOTONE_TOL <= 1e-12
+
+
+# -- one evaluation of a prescription and its partials ------------------------
+
+PARTIALS = ("z", "y1", "y2", "t")
+
+
+class _CountingCutoff:
+    """A cutoff profile that counts the evaluations of its value."""
+
+    def __init__(self):
+        from pmcgraph.solver import Cutoff
+
+        self.cut = Cutoff(0.2, 3.5, -1.5, 5.2)
+        self.calls = 0
+
+    def h(self, r):
+        self.calls += 1
+        return self.cut.h(r)
+
+    def h_prime(self, r):
+        return self.cut.h_prime(r)
+
+
+def _prescription(case, cutoff=None):
+    from pmcgraph.geometry import ConformalFactor, conformal_transform_pmc
+    from pmcgraph.solver import penalized_pmc
+
+    if case == "penalized":
+        H = parse_pmc(f"0.5*sin(z) + 0.1*sin({TWO_PI}*x1) + 0.3*y1*t - sqrt(z + 1)")
+        return penalized_pmc(H, cutoff or _CountingCutoff(), 1.9)
+    return conformal_transform_pmc(parse_pmc("-1 - z + 0.2*y2"),
+                                   ConformalFactor.from_expr("-ln(r) + 0.1*x2*r"), 2)
+
+
+def _lattice(samples):
+    return WorkingBox((0.5, 2.0), ((0.0, 1.0), (0.0, 1.0))).sample_lattice(samples)
+
+
+def _separate_calls(F, env):
+    return [lambda: F.eval(**env), lambda: F.d_z(**env), lambda: F.d_y(0, **env),
+            lambda: F.d_y(1, **env), lambda: F.d_t(**env)]
+
+
+def _first_error(calls):
+    for call in calls:
+        try:
+            call()
+        except EvalDomainError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", ["penalized", "transformed"])
+def test_shared_evaluation_equals_separate_calls_bit_for_bit(case):
+    F = _prescription(case)
+    env = _lattice(5)
+    shared = F.eval_with_partials(env, PARTIALS)
+    separate = [call() for call in _separate_calls(F, env)]
+    assert len(shared) == len(separate) == 5
+    for a, b in zip(shared, separate):
+        assert a.shape == np.shape(b)
+        assert a.tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("case, z", [
+    # the value is not finite there (ln of a negative height) ...
+    ("transformed", -0.5),
+    # ... or the value is, but its height partial, through 0.5/sqrt(z + 1), is not
+    ("penalized", -1.0),
+])
+def test_shared_evaluation_raises_the_first_separate_error(case, z):
+    F = _prescription(case)
+    env = _lattice(3)
+    env["z"] = np.where(np.arange(env["z"].size) == 7, z, env["z"])
+    message = _first_error([lambda: F.eval_with_partials(env, PARTIALS)])
+    assert message is not None
+    assert message == _first_error(_separate_calls(F, env))
+    assert message.startswith("d/dz of" if case == "penalized" else "transformed curvature")
+
+
+def test_shared_evaluation_computes_a_common_subtree_once():
+    counter = _CountingCutoff()
+    F = _prescription("penalized", counter)
+    env = _lattice(3)
+    for call in _separate_calls(F, env):
+        call()
+    # the cutoff is a factor of the value and of the partials by z, y1 and
+    # t; the one by y2 folds to the constant 0
+    assert counter.calls == 4
+    counter.calls = 0
+    F.eval_with_partials(env, PARTIALS)
+    assert counter.calls == 1
