@@ -33,6 +33,9 @@ row; each Newton step only evaluates the coefficients and adds each entry
 into its slot, and a product is one gather.  The coefficients read what the
 residual of the same iterate computed (`_graph_residual`): its gradients,
 area factors, and the prescription's partials, evaluated with its value.
+That evaluation leaves out the anchor source, so it passes from an inner
+solve to the next one seeded at its output, and every iterate of an outer
+solve is evaluated once.
 
 The linear algebra is numpy's alone.  Every grid is 1-D or 2-D, so each
 grid line of a Jacobian couples only to its neighbouring lines, plus the
@@ -48,7 +51,8 @@ preconditioner; the matrix is factored afresh only when that cycle misses
 its tolerance or the system size changes.  Newton asks for inexact steps: a
 cycle may stop once its residual is a forcing term times the Newton
 residual (Eisenstat & Walker 1996), and never needs to go below a tenth of
-the inner tolerance.
+the inner tolerance.  A loose sweep, which stops at a fraction of its
+seed's residual, asks every step for the largest forcing term.
 """
 
 from __future__ import annotations
@@ -134,22 +138,29 @@ KRYLOV_RESTART = 20
 KRYLOV_RTOL = 1e-11
 
 # inexact Newton forcing terms of the inner solve (Dembo, Eisenstat &
-# Steihaug 1982; Eisenstat & Walker 1996, choice 2).  The first step of each
-# inner solve and every pseudo-time step use FORCING_FIRST; a later Newton
-# step uses min(FORCING_MAX, 0.9*(|R_k|/|R_k-1|)^2), with sup norms.  Every
-# step may stop at a 2-norm residual of FORCING_FLOOR*tol_inner, which
-# bounds the sup norm, so the linearized residual of the last step stays
-# below tol_inner.  Measured on the 64x64 torus_sine config, which takes
-# 149 GMRES iterations with KRYLOV_RTOL alone, 16/8/6 sweeps, 39 counted
-# Newton steps and 52 linear solves:
-# - FORCING_FIRST 1e-8 gives 86 iterations and the same counters; 1e-10
-#   gives 90; 1e-7 and 1e-6 give 86 and 82 but one more Newton step in a
-#   discarded sweep; 1e-5 to 1e-3 give 71-72 but 40 counted Newton steps;
-# - FORCING_MAX 1e-3 and 1e-1 give the same 86 iterations;
-# - FORCING_FLOOR 0, 0.01 and 0.5 give 99, 89 and 85 iterations.
-# The other shipped configs keep their sweep and Newton counters at all of
-# these.  At 256x256 the solve makes 1 factorization and takes 16-18 s on
-# 2 cores
+# Steihaug 1982; Eisenstat & Walker 1996, choice 2), as `_forcing_term`
+# picks them.  A loose solve, a penalized sweep stopping at a fraction of
+# its seed's residual above tol_inner, uses FORCING_MAX on every Newton
+# step: it stops at SWEEP_FORCING/max(gamma, 1) of its seed's residual,
+# 5.2e-3 on the torus below and 1e-3 on the horosphere, so no step of it
+# needs a finer linear solve.  A solve to tol_inner uses FORCING_FIRST on its
+# first step and min(FORCING_MAX, 0.9*(|R_k|/|R_k-1|)^2) after it, with sup
+# norms, and every pseudo-time step uses FORCING_FIRST.  Every step may
+# stop at a 2-norm residual of FORCING_FLOOR*tol_inner, which bounds the
+# sup norm, so the linearized residual of the last step stays below
+# tol_inner.  Measured as GMRES iterations of the 64x64 torus_sine config
+# (16/8/6 sweeps, 20 linear solves, 1 factorization) and of the horosphere
+# config (7/5/0 sweeps, 9 linear solves):
+# - loose steps at FORCING_MAX: 18 and 6, each loose step 0 or 1; under
+#   the rule of a solve to tol_inner: 32 and 8.  At 128x128: 18 against 34;
+# - loose steps at 1e-3: 19 and 8; at 0.03: 16, but horosphere takes 8/6/0
+#   sweeps; at 0.1: 20/9/9 sweeps and 33 linear solves on the torus, 17
+#   linear solves on the horosphere; FORCING_MAX on a loose solve's first
+#   step only: 18 and 7;
+# - FORCING_FIRST 1e-10 or 1e-6, FORCING_FLOOR 0 or 0.5: no count changes,
+#   also at 128x128, since few steps are left to the solves to tol_inner.
+# At 256x256 the torus_sine config takes 21 linear solves, 20 GMRES
+# iterations and 1 factorization, in about 5.6 s by CLI on 2 cores
 FORCING_FIRST = 1e-8
 FORCING_MAX = 1e-2
 FORCING_FLOOR = 0.1
@@ -229,6 +240,14 @@ class SolveConfig:
         self.theta_threshold = float(self.theta_threshold)
         self.allowance_constant = float(self.allowance_constant)
         self.refine_check = bool(self.refine_check)
+        # a step above 1 skips the line search, and one at or below 0 lets
+        # it halve to a zero step; min_theta lies in (0, 1]
+        for key in ("min_step", "theta_threshold"):
+            if not 0.0 < getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must lie in (0, 1], got {getattr(self, key)}")
+        if not self.allowance_constant >= 0.0:
+            raise ValueError(
+                f"allowance_constant must be non-negative, got {self.allowance_constant}")
 
 
 class BarrierPair:
@@ -521,6 +540,26 @@ def _jacobian_chains(grid):
     return chains
 
 
+def _same(a, b):
+    # arrays, numbers and nested sequences of them, equal entry by entry
+    if isinstance(a, (tuple, list)):
+        return (isinstance(b, (tuple, list)) and len(a) == len(b)
+                and all(map(_same, a, b)))
+    return bool(np.array_equal(a, b))
+
+
+class _Evaluation(tuple):
+    """(residual, parts) of one iterate, as `_graph_residual` returns it.
+
+    A solve reports the evaluation of its output, and the next solve seeded
+    there takes it in place of its own; two evaluations are equal where all
+    their arrays are, so reports that carry one still compare by value.
+    """
+
+    def __eq__(self, other):
+        return _same(self, other)
+
+
 def _graph_residual(grid, values, F):
     """mcp(u) - F(graph env of u) at every node, and what the Jacobian at u
     reads besides: the node gradients, the `graph_faces`, the node area
@@ -532,7 +571,7 @@ def _graph_residual(grid, values, F):
     env, omega = graph_normal_env(grid, values, grads)
     names = ("z", "y1", "y2")[:grid.dimension + 1] + ("t",)
     value, *partials = F.eval_with_partials(env, names)
-    return mcp - value, (grads, faces, omega, partials)
+    return _Evaluation((mcp - value, (grads, faces, omega, partials)))
 
 
 def _jacobian_coefficients(grid, values, F, parts=None):
@@ -905,8 +944,23 @@ def spsolve(A, b, lagged=None, atol=0.0):
 # inner solve
 
 
+def _forcing_term(loose, pseudo_time, history):
+    """The forcing term of the next step's linear solve (see FORCING_*):
+    FORCING_FIRST for a `pseudo_time` step, FORCING_MAX in a `loose` solve,
+    one that stops above tol_inner, and otherwise FORCING_FIRST for the
+    solve's first step, with one entry in its sup-residual `history`, and
+    Eisenstat & Walker's choice 2 after it."""
+    if pseudo_time:
+        return FORCING_FIRST
+    if loose:
+        return FORCING_MAX
+    if len(history) == 1:
+        return FORCING_FIRST
+    return min(FORCING_MAX, 0.9 * (history[-1] / history[-2]) ** 2)
+
+
 def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
-                lagged=None, forcing=0.0, candidate=False):
+                lagged=None, forcing=0.0, candidate=False, evaluation=None):
     """Damped Newton on the discrete prescribed-curvature system.
 
     F must be non-increasing in height; when a working box is supplied that
@@ -919,7 +973,9 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     makes its own.  The solve stops at a sup-residual of
     max(cfg.tol_inner, forcing * the seed's), the report's `tolerance`, so
     a `forcing` below 1 takes at least one Newton step from a seed above
-    cfg.tol_inner; the outer iteration loosens its sweeps this way.  The
+    cfg.tol_inner; the outer iteration loosens its sweeps this way.  A
+    loose solve, one whose tolerance is above cfg.tol_inner, forces each
+    Newton step's linear solve at FORCING_MAX (`_forcing_term`); the
     linear solves' floor stays at FORCING_FLOOR*cfg.tol_inner either way.
     A `candidate` seed, an Anderson candidate of the outer iteration, whose
     residual exceeds cfg.tol_outer at every unknown is a strict
@@ -927,7 +983,9 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     with the report's `supersolution` set.
 
     Every iterate is evaluated once: its residual pass keeps what the
-    Jacobian reads (`_graph_residual`).
+    Jacobian reads (`_graph_residual`, before the source).  The report's
+    `evaluation` is that of the returned field, and a solve seeded there
+    with the same F takes it as `evaluation` in place of evaluating init.
 
     Returns (solution field, report dict).  Raises SolverFailure with the
     best iterate when the step budget runs out; falls back to pseudo-time
@@ -958,17 +1016,18 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     if source is not None:
         src = np.broadcast_to(np.asarray(source, dtype=float), grid.shape)
 
-    def residual(vals):
-        # the residual at vals on the unknowns, and the parts of it the
-        # Jacobian at an accepted iterate reads
-        out, parts = _graph_residual(grid, vals, F)
-        if src is not None:
-            out = out - src
-        return out.reshape(-1)[unknown], parts
+    def residual(vals, evaluation=None):
+        # the residual at vals on the unknowns, and its evaluation: the
+        # `_graph_residual` before the source, with the parts the Jacobian
+        # at an accepted iterate reads
+        if evaluation is None:
+            evaluation = _graph_residual(grid, vals, F)
+        out = evaluation[0] if src is None else evaluation[0] - src
+        return out.reshape(-1)[unknown], evaluation
 
     def trial(step):
-        # the iterate moved by `step`, with its residual and its parts, or
-        # None where the prescription refuses it
+        # the iterate moved by `step`, with its residual and its
+        # evaluation, or None where the prescription refuses it
         v = u.copy()
         v.reshape(-1)[unknown] += step
         try:
@@ -976,10 +1035,10 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
         except ValueError:
             return None
 
-    R, parts = residual(u)
+    R, evaluated = residual(u, evaluation)
     # a height-free prescription leaves the mean free: read off dF/dz at
     # the seed, the first Jacobian's block
-    dz = parts[-1][0]
+    dz = evaluated[1][-1][0]
     bordered = grid.is_fully_periodic() and np.max(np.abs(dz)) <= 1e-13
 
     res_sup = float(np.max(np.abs(R))) if R.size else 0.0
@@ -997,12 +1056,10 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
                 f"(residual {res_sup:.3e}, tolerance {tol:.3e})",
                 best=ScalarField(grid, u), residual_history=history)
         J = assemble_jacobian(
-            grid, u, F, shift=0.0 if ptc_dt is None else 1.0 / ptc_dt, parts=parts)
+            grid, u, F, shift=0.0 if ptc_dt is None else 1.0 / ptc_dt,
+            parts=evaluated[1])
         phi0 = np.linalg.norm(R)
-        if ptc_dt is not None or newton_steps == 0:
-            eta = FORCING_FIRST
-        else:
-            eta = min(FORCING_MAX, 0.9 * (history[-1] / history[-2]) ** 2)
+        eta = _forcing_term(tol > cfg.tol_inner, ptc_dt is not None, history)
         atol = max(eta * phi0, FORCING_FLOOR * cfg.tol_inner)
         A, rhs = (J.bordered(), np.append(-R, 0.0)) if bordered else (J, -R)
         delta = spsolve(A, rhs, lagged, atol)[:R.size]
@@ -1021,7 +1078,7 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
                 continue
             new_sup = float(np.max(np.abs(step[1])))
             if np.isfinite(new_sup) and new_sup <= res_sup * 1.2:
-                (u, R, parts), res_sup = step, new_sup
+                (u, R, evaluated), res_sup = step, new_sup
                 ptc_dt = min(ptc_dt * max(phi0 / max(np.linalg.norm(R), 1e-300), 0.5), 1e12)
             else:
                 ptc_dt = max(ptc_dt * 0.25, 1e-8)
@@ -1034,7 +1091,7 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
             step = trial(s * delta)
             if step and np.all(np.isfinite(step[1])) and (
                     np.linalg.norm(step[1]) <= (1.0 - cfg.armijo_c * s) * phi0):
-                u, R, parts = step
+                u, R, evaluated = step
                 res_sup = float(np.max(np.abs(R)))
                 newton_steps += 1
                 history.append(res_sup)
@@ -1053,6 +1110,7 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
         "bordered": bool(bordered),
         "converged": not supersolution,
         "supersolution": supersolution,
+        "evaluation": evaluated,
     }
     return ScalarField(grid, u), report
 
@@ -1251,6 +1309,10 @@ def outer_iterate(H, B, cfg=None):
     rejected = 0
     converged = False
     lagged = LaggedLU()
+    # the evaluation of u_prev once a solve returned it, for the next solve
+    # seeded there (`solve_inner`'s `evaluation`): a plain sweep, the redo
+    # of a discarded candidate, or a candidate the clip kept at u_prev
+    evaluation = None
 
     def partial(history):
         # the counts of an unfinished solve, for its exit-3 report
@@ -1270,7 +1332,9 @@ def outer_iterate(H, B, cfg=None):
             u_next, irep = solve_inner(grid, F_core, B.psi,
                                        seed if m == 0 else anchor, cfg,
                                        source=source, lagged=lagged, forcing=forcing,
-                                       candidate=anchor is not u_prev)
+                                       candidate=anchor is not u_prev,
+                                       evaluation=evaluation if np.array_equal(
+                                           anchor.values, u_prev.values) else None)
             if irep["supersolution"]:
                 # a strict supersolution of its problem, from which the
                 # sweep could only move down: redo it from the last output
@@ -1284,7 +1348,8 @@ def outer_iterate(H, B, cfg=None):
                 # a sweep that may end the iteration, or whose step is
                 # within its own tolerance: finish it to tol_inner
                 u_next, irep = solve_inner(grid, F_core, B.psi, u_next, cfg,
-                                           source=source, lagged=lagged)
+                                           source=source, lagged=lagged,
+                                           evaluation=irep["evaluation"])
                 inner_steps += irep["newton_steps"] + irep["ptc_steps"]
                 step = sup_norm(u_next, anchor)
         except SolverFailure as exc:
@@ -1321,6 +1386,7 @@ def outer_iterate(H, B, cfg=None):
                 f"outer sweep {len(step_history)} left the barrier slab by {conf:.3e}",
                 best=u_next, residual_history=residual_history)
         u_prev = anchor = u_next
+        evaluation = irep["evaluation"]
         if step <= cfg.tol_outer:
             converged = True
             break

@@ -227,6 +227,21 @@ def test_invalid_config_exits_2(tmp_path, capsys):
             assert needle in capsys.readouterr().err
 
 
+def test_solver_numbers_out_of_range_exit_2(capsys):
+    # a min_step above 1 skipped the line search and at 0 let it accept a
+    # zero step; a negative allowance made the barrier tolerance negative;
+    # a theta_threshold outside (0, 1] fixed the graphical verdict
+    for override, key in (("solver.min_step=2", "min_step"),
+                          ("solver.min_step=0", "min_step"),
+                          ("solver.allowance_constant=-1", "allowance_constant"),
+                          ("solver.theta_threshold=0", "theta_threshold"),
+                          ("solver.theta_threshold=1.5", "theta_threshold")):
+        for sub in ("solve", "check-barrier"):
+            assert run([sub, "--config", cfg_path("torus_sine.json"),
+                        "--override", override]) == 2, (sub, override)
+            assert f"solver: {key} must" in capsys.readouterr().err
+
+
 def test_version_must_be_the_integer_one(capsys):
     for value in ("NaN", '{"a": [1]}', "2", "true", "1.0", '"1"', "null"):
         assert run(["check-barrier", "--config", cfg_path("cap.json"),

@@ -312,18 +312,63 @@ def test_inner_solve_budget_failure_carries_best_iterate():
 
 
 def test_inner_solve_pseudo_time_fallback():
-    # min_step above 1 disables the line search entirely, forcing the
-    # pseudo-transient branch to do all the work
+    # a min_step of 1 tries the full Newton step alone, and an armijo
+    # constant of 0.5 refuses it from this flat seed, so the
+    # pseudo-transient branch does all the work
     grid = build_grid(2, (17, 17), (1.0, 1.0), ("dirichlet", "dirichlet"),
                 origin=(-0.5, -0.5))
     pos = grid.node_positions()
     cap = np.sqrt(4.0 - pos[0] ** 2 - pos[1] ** 2)
     psi = ScalarField(grid, cap.copy())
     init = ScalarField(grid, np.full(grid.shape, float(np.min(cap))))
-    cfg = SolveConfig(min_step=2.0, max_newton=200)
+    cfg = SolveConfig(min_step=1.0, armijo_c=0.5, max_newton=200)
     u, rep = solve_inner(grid, parse_pmc("1"), psi, init, cfg)
     assert rep["ptc_steps"] > 0 and rep["newton_steps"] == 0
     assert np.max(np.abs(u.values - cap)) < 1e-3
+
+
+def test_solve_config_refuses_steps_and_thresholds_out_of_range():
+    for key, value in (("min_step", 2.0), ("min_step", 0.0), ("min_step", -1.0),
+                       ("theta_threshold", 0.0), ("theta_threshold", 1.5),
+                       ("allowance_constant", -1.0), ("min_step", float("nan"))):
+        with pytest.raises(ValueError, match=key):
+            SolveConfig(**{key: value})
+    cfg = SolveConfig(min_step=1.0, theta_threshold=1.0, allowance_constant=0.0)
+    assert (cfg.min_step, cfg.theta_threshold, cfg.allowance_constant) == (1.0, 1.0, 0.0)
+
+
+def test_a_min_step_of_zero_would_count_zero_steps_as_newton_steps(monkeypatch):
+    import pmcgraph.solver as solver
+
+    # a tolerance below the residual's rounding floor: once the iterate
+    # reaches that floor, no step s >= min_step passes the line search
+    grid = build_grid(1, (16,), (1.0,), ("periodic",))
+    init = ScalarField(grid, 1.3 + 0.1 * np.sin(TWO_PI * np.arange(16) / 16))
+    F = parse_pmc("1 - z + 0.1*sin(z)")
+    real = solver.assemble_jacobian
+
+    def run(min_step):
+        seen = []
+
+        def recording(grid, values, F, shift=0.0, parts=None):
+            seen.append((values.copy(), shift))
+            return real(grid, values, F, shift, parts)
+
+        monkeypatch.setattr(solver, "assemble_jacobian", recording)
+        cfg = SolveConfig(tol_inner=1e-300, max_newton=8)
+        # set after construction, which now refuses a min_step of 0
+        cfg.min_step = min_step
+        with pytest.raises(SolverFailure):
+            solve_inner(grid, F, None, init, cfg)
+        return seen
+
+    # the default halts the line search and moves to pseudo-time steps
+    assert any(shift > 0.0 for _, shift in run(SolveConfig().min_step))
+    # at 0 the halving reaches a step that leaves the iterate as it is,
+    # accepts it as a Newton step, and does so until the budget runs out
+    seen = run(0.0)
+    assert all(shift == 0.0 for _, shift in seen)
+    assert np.array_equal(seen[-1][0], seen[-2][0])
 
 
 def _supersolution_seed():
@@ -546,7 +591,7 @@ def test_lagged_factor_counters_are_pinned_and_match_refactoring(monkeypatch):
 
     grid, H, B = _torus_sine_16()
     v, rep = outer_iterate(H, B)
-    assert rep.factorizations == 1 and rep.krylov_iterations == 32
+    assert rep.factorizations == 1 and rep.krylov_iterations == 18
     # every linear solve factors its own matrix
     monkeypatch.setattr(solver.LaggedLU, "_krylov", lambda self, A, b, tol: None)
     v_direct, direct = outer_iterate(H, B)
@@ -684,6 +729,87 @@ def test_a_seed_above_the_inner_tolerance_takes_a_newton_step(monkeypatch, case)
             assert rep["newton_steps"] + rep["ptc_steps"] >= 1
     # and the loose sweeps were there to check
     assert any(rep["tolerance"] > cfg.tol_inner for rep in reports)
+
+
+# GMRES iterations with loose sweeps forced at FORCING_MAX, and under the
+# rule of a solve at tol_inner, 32 and 8.  The fields differ by 7.4e-13 on
+# the torus and 1.9e-10 on the horosphere, which stops at a step of 1e-8
+@pytest.mark.parametrize("case, krylov, tight, agree", [("torus_sine", 18, 32, 1e-12),
+                                                        ("horosphere", 6, 8, 1e-9)])
+def test_loose_forcing_changes_only_the_krylov_counts(
+        monkeypatch, case, krylov, tight, agree):
+    import pmcgraph.solver as solver
+
+    grid, H, B, cfg = _penalized_case(case)
+    v, rep = outer_iterate(H, B, cfg)
+    assert rep.krylov_iterations == krylov
+    real = solver._forcing_term
+    monkeypatch.setattr(solver, "_forcing_term",
+                        lambda loose, pseudo_time, history: real(False, pseudo_time, history))
+    v_tight, every = outer_iterate(H, B, cfg)
+    assert every.krylov_iterations == tight
+    for name in ("outer_count", "accelerated_steps", "rejected_steps",
+                 "inner_newton_counts", "linear_solves", "factorizations"):
+        assert getattr(rep, name) == getattr(every, name), name
+    assert sup_norm(v, v_tight) <= agree
+
+
+def test_only_loose_solves_force_at_forcing_max(monkeypatch):
+    import pmcgraph.solver as solver
+    from pmcgraph.solver import FORCING_FIRST, FORCING_MAX
+
+    # the penalized torus of `_supersolution_seed`, anchored at its lower
+    # barrier 0.25 instead, with its penalty 2
+    grid, F, _, _ = _supersolution_seed()
+    lower = ScalarField(grid, np.full(grid.shape, 0.25))
+    source = 2.0 * lower.values
+    real = solver._forcing_term
+    etas = []
+
+    def recording(loose, pseudo_time, history):
+        etas.append(real(loose, pseudo_time, history))
+        return etas[-1]
+
+    monkeypatch.setattr(solver, "_forcing_term", recording)
+    # a loose sweep from the lower barrier, then the solve that finishes
+    # it to tol_inner from its output
+    u, loose = solve_inner(grid, F, None, lower, source=source, forcing=0.01)
+    assert loose["tolerance"] > SolveConfig().tol_inner
+    assert etas == [FORCING_MAX] * loose["newton_steps"] and etas
+    etas.clear()
+    _, finish = solve_inner(grid, F, None, u, source=source)
+    assert finish["tolerance"] == SolveConfig().tol_inner
+    assert finish["newton_steps"] >= 2
+    assert etas[0] == FORCING_FIRST and max(etas[1:]) <= FORCING_MAX
+
+
+@pytest.mark.parametrize("case, evals, every", [("torus_sine", 30, 42),
+                                                ("horosphere", 15, 16)])
+def test_each_iterate_is_evaluated_once(monkeypatch, case, evals, every):
+    import pmcgraph.solver as solver
+
+    grid, H, B, cfg = _penalized_case(case)
+    real = solver._graph_residual
+    calls = []
+
+    def counting(grid, values, F):
+        calls.append(values.copy())
+        return real(grid, values, F)
+
+    monkeypatch.setattr(solver, "_graph_residual", counting)
+    v, rep = outer_iterate(H, B, cfg)
+    assert len(calls) == evals
+    # no two of them at the same iterate
+    assert len({c.tobytes() for c in calls}) == evals
+    # each solve evaluating its own seed gives the same solve, bit for bit
+    calls.clear()
+    inner = solver.solve_inner
+    monkeypatch.setattr(solver, "solve_inner",
+                        lambda *args, evaluation=None, **kwargs: inner(*args, **kwargs))
+    v_own, own = outer_iterate(H, B, cfg)
+    assert len(calls) == every
+    assert np.array_equal(v.values, v_own.values)
+    assert rep.to_dict() == own.to_dict()
 
 
 @pytest.mark.parametrize("case", ["torus_sine", "horosphere"])

@@ -23,6 +23,7 @@ import pytest
 import pmcgraph.cli  # noqa: F401  (with the package, every traced module)
 from pmcgraph.grid import ScalarField, build_grid
 from pmcgraph.pmc import parse_pmc
+import pmcgraph.solver as solver
 from pmcgraph.solver import BarrierPair, _jacobian_plan, outer_iterate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -67,9 +68,20 @@ def test_traced_solve_counts_one_spsolve_per_linear_solve(spans, tmp_path):
     B = BarrierPair(ScalarField(grid, np.full(grid.shape, 0.25)),
                     ScalarField(grid, np.full(grid.shape, np.pi + 0.25)))
     tracer = spans.Tracer(run_id="contract").install()
+    # the inner solves that evaluate their own seed: no earlier solve handed
+    # them its evaluation of it
+    traced_inner = solver.solve_inner
+    fresh = []
+
+    def recording(*args, evaluation=None, **kwargs):
+        fresh.append(evaluation is None)
+        return traced_inner(*args, evaluation=evaluation, **kwargs)
+
+    solver.solve_inner = recording
     try:
         _, rep = outer_iterate(H, B)
     finally:
+        solver.solve_inner = traced_inner
         tracer.uninstall()
     path = tmp_path / "trace.npz"
     tracer.dump(path)
@@ -85,10 +97,12 @@ def test_traced_solve_counts_one_spsolve_per_linear_solve(spans, tmp_path):
     # the per-layer metrics read the matrix's pattern size and shape
     assert counts["jacobian_nnz"] == _jacobian_plan(grid).nnz > 0
     # the inner solve evaluates its residual through the traced curvature
-    # name: once per call, and again after every step's line search
+    # name, once per distinct iterate: at each seed it was not handed, and
+    # again after every step's line search
     inner = summary["layers"]["solver.solve_inner"]["calls"]
+    assert inner == len(fresh) > sum(fresh) > 0
     assert (summary["residual_evals"]
-            >= counts["newton_steps"] + counts["ptc_steps"] + inner > 0)
+            >= counts["newton_steps"] + counts["ptc_steps"] + sum(fresh) > 0)
     # and builds each residual's normal environment through the traced name
     layers = summary["layers"]
     assert layers["pmc.graph_normal_env"]["calls"] >= summary["residual_evals"] > 0
