@@ -3,18 +3,23 @@
 Two regimes share one inner engine.  When the prescription is non-increasing
 in height the discrete problem is solved directly by damped Newton (the
 diagonal shift -dF/dz >= 0 keeps the linearization nondegenerate).  Otherwise
-the outer iteration cuts the prescription off outside the barrier range and
-adds a penalty gamma*(z - anchor) large enough to restore monotonicity; each
-sweep re-anchors at the previous iterate, which climbs monotonically from the
-lower barrier to the minimal fixed point of the original problem.  Anderson
-acceleration extrapolates the anchors, and a sweep from an extrapolated
-anchor starts Newton there and counts only if it passes the checks of a
-plain sweep.  A candidate whose residual exceeds the outer tolerance at
-every unknown is a strict supersolution of its own problem, so its sweep
-could only move down: it is discarded before any Newton step.  The sweeps
-are inexact: each inner solve stops at a fraction of its seed's residual
-over the penalty slope, which estimates the sweep's step, and only a sweep
-that may end the iteration is finished to the inner tolerance.
+the outer iteration cuts the prescription off outside a plateau that holds
+the barrier range and adds a penalty gamma*(z - anchor) large enough to
+restore monotonicity; a plain sweep anchors at the previous output, and
+plain sweeps climb monotonically from the lower barrier to the minimal fixed
+point of the original problem.  Anderson acceleration proposes other
+anchors, and three rules of `outer_iterate` judge every sweep.  A sweep is
+plain exactly when its anchor is the last output.  A proposal is clipped
+into one bracket, from the last output up to the least known
+supersolution: u0, lowered by every candidate discarded as a strict
+supersolution.  A candidate sweep is discarded if its candidate was a
+strict supersolution of its own problem, found from its residual before
+any Newton step, or if it moves down or leaves the slab by more than
+min(tol_outer, MONOTONE_ABORT); a counted sweep that does so by more than
+MONOTONE_ABORT aborts the solve.  The sweeps are inexact: each inner
+solve stops at a fraction of its seed's residual over the penalty slope,
+which estimates the sweep's step, and only a sweep that may end the
+iteration is finished to the inner tolerance.
 
 The Jacobian is composed from the residual's own stencils
 (`calculus.operators`), so it is the exact derivative of the discrete
@@ -177,7 +182,8 @@ class SolverFailure(RuntimeError):
 
 
 class MonotonicityError(SolverFailure):
-    """An accepted sweep moved down by more than the abort threshold."""
+    """A counted sweep moved down or left the barrier slab by more than
+    MONOTONE_ABORT."""
 
 
 @dataclasses.dataclass
@@ -186,7 +192,8 @@ class SolveConfig:
 
     gamma is "auto" (sampled-slope certificate with a 5% safety factor) or an
     explicit positive number; cutoff is an explicit (c1, c2) plateau override,
-    otherwise the plateau is the barrier range padded by 10% of its span.
+    which must hold the barrier range, otherwise the plateau is the barrier
+    range padded by 10% of its span.
     box is an explicit working z-range; default is the barrier range padded
     by half its span.
     """
@@ -1168,21 +1175,31 @@ class SolveReport:
                 if f.name not in skip}
 
 
-def _anderson_candidate(f_hist, g_hist, upper):
-    """Next anchor of the penalized sweeps: a safeguarded Anderson step.
+def _anderson_candidate(f_hist, g_hist):
+    """Anderson's proposal for the next anchor of the penalized sweeps.
 
     f_hist and g_hist hold f = T(x) - x and g = T(x) of the last counted
-    sweeps x -> T(x), oldest first, two at least.  The type-II Anderson
-    candidate g - dG c, with c the least-squares fit of the differences dF
-    to the newest f (Walker & Ni 2011), is clipped pointwise into
-    [g, upper]: never below the newest sweep output, never above the upper
-    barrier.
+    sweeps x -> T(x), oldest first, two at least.  The proposal is the
+    type-II Anderson candidate g - dG c, with c the least-squares fit of the
+    differences dF to the newest f (Walker & Ni 2011); `_clip` puts it into
+    the bracket.
     """
     f, g = f_hist[-1], g_hist[-1]
     dF = np.diff(f_hist, axis=0).T
     dG = np.diff(g_hist, axis=0).T
     coef = np.linalg.lstsq(dF, f, rcond=None)[0]
-    return np.clip(g - dG @ coef, g, upper)
+    return g - dG @ coef
+
+
+def _clip(proposal, last, upper):
+    """Rule 2 of `outer_iterate`: the proposal clipped pointwise into the
+    bracket [last, upper], returned with the bracket's upper end.  `last`
+    is the last counted output and `upper` the pointwise min of u0 and every
+    candidate discarded as a strict supersolution.  Rounding may lift an
+    output past such a candidate; the upper end then gives way to it, so it
+    never falls below the last output."""
+    upper = np.maximum(upper, last)
+    return np.clip(proposal, last, upper), upper
 
 
 def _grid_meta(grid):
@@ -1218,22 +1235,33 @@ def outer_iterate(H, B, cfg=None):
 
     Monotone prescriptions go straight to the inner Newton solve.  Otherwise
     each sweep x -> T(x) solves the cut-off penalized problem anchored at x,
-    starting from the lower barrier.  Plain sweeps anchor at the previous
-    output and climb to the minimal solution, slowly (about 0.8-0.9 per
-    sweep on the shipped configs), so once two sweeps are counted the anchor
-    is an Anderson candidate clipped into [last output, u0]
-    (`_anderson_candidate`).  Every sweep's Newton solve starts from its
-    anchor.  A sweep from a candidate counts only if it moves down and
-    leaves the slab by at most tol_outer, i.e. the candidate was a
-    subsolution; otherwise it is discarded (`rejected_steps`) and redone
-    from the last output.  A candidate whose inner residual exceeds
-    tol_outer at every unknown is a strict supersolution of its problem,
-    from which the sweep could only move down, so it is discarded before
-    any Newton step (`solve_inner`'s `candidate`).  Plain sweeps must not
-    move down or leave the slab by more than MONOTONE_ABORT; smaller
-    violations are tolerated as scheme noise.
+    starting from the lower barrier.  T is monotone, so plain sweeps climb
+    to the minimal solution u* between the barriers, slowly (about 0.8-0.9
+    per sweep on the shipped configs).  Once two sweeps are counted,
+    Anderson proposes each next anchor (`_anderson_candidate`), and three
+    rules judge every sweep:
 
-    A penalized sweep's inner solve stops at tol_k = max(tol_inner,
+    1. A sweep is plain exactly when its anchor is the last output.  A
+       proposal that the clip leaves equal to the last output at every
+       unknown keeps the anchor there; any other is a candidate, and a
+       candidate sweep that counts adds to `accelerated_steps`.
+    2. Each proposal is clipped into one bracket (`_clip`): from the last
+       output up to the pointwise min of u0 and every candidate discarded as
+       a strict supersolution.  As T is monotone, u* = lim T^k(u1) <= s for
+       every supersolution s >= u1.
+    3. A candidate sweep is discarded (`rejected_steps`) and redone from the
+       last output if its candidate was a strict supersolution of its
+       problem, with a residual above tol_outer at every unknown, which
+       `solve_inner` finds before any Newton step when passed `candidate`,
+       or if it moves down or leaves the slab by more than min(tol_outer,
+       MONOTONE_ABORT), so the candidate was no subsolution.  A counted
+       sweep that moves down or leaves the slab by more than MONOTONE_ABORT
+       aborts the solve with MonotonicityError; smaller violations are
+       tolerated as scheme noise.  Like every SolverFailure raised here,
+       the error carries the counts so far as `partial`.
+
+    Every sweep's Newton solve starts from its anchor.  A penalized sweep's
+    inner solve stops at tol_k = max(tol_inner,
     SWEEP_FORCING * |R(seed)| / max(gamma, 1)), with R(seed) the residual
     of its Newton seed in its own problem.  A sweep whose step is at most
     max(tol_outer, tol_k) is finished to tol_inner from the same anchor and
@@ -1241,7 +1269,8 @@ def outer_iterate(H, B, cfg=None):
     tol_inner with step <= tol_outer, and the consistency bound
     tol_inner + gamma*step holds.  `inner_newton_counts` adds up both
     solves of such a sweep; max_outer caps all sweeps, discarded ones
-    included.
+    included.  An explicit cutoff plateau that does not hold the barrier
+    range is refused with a ValueError.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -1265,10 +1294,12 @@ def outer_iterate(H, B, cfg=None):
         mode = "penalized"
         zmin, zmax = B.z_bounds()
         span = max(zmax - zmin, 1e-12)
-        if cfg.cutoff is not None:
-            c1, c2 = cfg.cutoff
-        else:
-            c1, c2 = zmin - 0.1 * span, zmax + 0.1 * span
+        c1, c2 = cfg.cutoff or (zmin - 0.1 * span, zmax + 0.1 * span)
+        if not (c1 <= zmin and zmax <= c2):
+            # off the plateau the sweeps solve the cut-off problem, not H's
+            raise ValueError(
+                f"cutoff plateau [{c1:.6g}, {c2:.6g}] must hold the barrier "
+                f"range [{zmin:.6g}, {zmax:.6g}]")
         cut = Cutoff(c1, c2, box.z_min, box.z_max)
         if cfg.gamma == "auto":
             gm = gamma_for(H, cut, box, cfg.samples)
@@ -1280,7 +1311,7 @@ def outer_iterate(H, B, cfg=None):
         F_core = penalized_pmc(H, cut, gamma_eff)
 
     interior = ~grid.boundary_mask
-    u_prev = ScalarField(grid, B.u1.values.copy())
+    u_prev = anchor = ScalarField(grid, B.u1.values.copy())
     # Newton seed for the first sweep.  The sweeps anchor at the lower
     # barrier, but seeding Newton with it leaves a trace mismatch at the
     # boundary ring once the solve pins boundary nodes to psi — an
@@ -1300,18 +1331,16 @@ def outer_iterate(H, B, cfg=None):
     mono_viol = []
     conf_viol = []
     # interior values of f = T(x) - x and g = T(x) over the last counted
-    # sweeps x -> T(x), for the Anderson candidates of penalized mode
+    # sweeps x -> T(x), for the Anderson proposals of penalized mode
     f_hist = []
     g_hist = []
+    # the upper end of the bracket of rule 2, over the interior
     upper = B.u0.values[interior]
-    anchor = u_prev
     accelerated = 0
     rejected = 0
-    converged = False
     lagged = LaggedLU()
-    # the evaluation of u_prev once a solve returned it, for the next solve
-    # seeded there (`solve_inner`'s `evaluation`): a plain sweep, the redo
-    # of a discarded candidate, or a candidate the clip kept at u_prev
+    # the evaluation of u_prev once a solve returned it, for the next plain
+    # sweep (`solve_inner`'s `evaluation`)
     evaluation = None
 
     def partial(history):
@@ -1327,24 +1356,19 @@ def outer_iterate(H, B, cfg=None):
     # estimates the sweep's step
     forcing = 0.0 if mode == "direct" else SWEEP_FORCING / max(gamma_eff, 1.0)
     for m in range(cfg.max_outer):
+        plain = anchor is u_prev
         source = None if mode == "direct" else gamma_eff * anchor.values
         try:
             u_next, irep = solve_inner(grid, F_core, B.psi,
                                        seed if m == 0 else anchor, cfg,
                                        source=source, lagged=lagged, forcing=forcing,
-                                       candidate=anchor is not u_prev,
-                                       evaluation=evaluation if np.array_equal(
-                                           anchor.values, u_prev.values) else None)
-            if irep["supersolution"]:
-                # a strict supersolution of its problem, from which the
-                # sweep could only move down: redo it from the last output
-                rejected += 1
-                anchor = u_prev
-                continue
+                                       candidate=not plain,
+                                       evaluation=evaluation if plain else None)
             inner_steps = irep["newton_steps"] + irep["ptc_steps"]
             step = sup_norm(u_next, anchor)
             tol = irep["tolerance"]
-            if tol > cfg.tol_inner and step <= max(cfg.tol_outer, tol):
+            if (tol > cfg.tol_inner and step <= max(cfg.tol_outer, tol)
+                    and not irep["supersolution"]):
                 # a sweep that may end the iteration, or whose step is
                 # within its own tolerance: finish it to tol_inner
                 u_next, irep = solve_inner(grid, F_core, B.psi, u_next, cfg,
@@ -1362,43 +1386,46 @@ def outer_iterate(H, B, cfg=None):
             float(np.max(u_next.values - B.u0.values)),
             0.0,
         )
-        if anchor is not u_prev:
-            if viol > cfg.tol_outer or conf > cfg.tol_outer:
-                # the candidate was no subsolution inside the slab: discard
-                # this sweep and redo it plainly from the last output
-                rejected += 1
-                anchor = u_prev
-                continue
-            accelerated += 1
+        if not plain and (irep["supersolution"] or
+                          max(viol, conf) > min(cfg.tol_outer, MONOTONE_ABORT)):
+            # rule 3: the candidate was no subsolution inside the slab, so
+            # redo the sweep from the last output; a strict supersolution
+            # lowers the bracket's upper end
+            if irep["supersolution"]:
+                upper = np.minimum(upper, anchor.values[interior])
+            rejected += 1
+            anchor = u_prev
+            continue
+        accelerated += not plain
         inner_counts.append(inner_steps)
         residual_history.append(irep["residual_sup"])
         step_history.append(float(step))
         mono_viol.append(viol)
         conf_viol.append(conf)
-        if viol > MONOTONE_ABORT:
+        if max(viol, conf) > MONOTONE_ABORT:
             raise MonotonicityError(
-                f"outer sweep {len(step_history)} moved down by {viol:.3e} "
-                f"(> {MONOTONE_ABORT:g}); "
+                f"outer sweep {len(step_history)} moved down by {viol:.3e} and "
+                f"left the barrier slab by {conf:.3e} (> {MONOTONE_ABORT:g}); "
                 "the discretization is too coarse or the penalty too small",
-                best=u_next, residual_history=residual_history)
-        if conf > MONOTONE_ABORT:
-            raise MonotonicityError(
-                f"outer sweep {len(step_history)} left the barrier slab by {conf:.3e}",
-                best=u_next, residual_history=residual_history)
+                best=u_next, residual_history=residual_history,
+                partial=partial(residual_history))
         u_prev = anchor = u_next
         evaluation = irep["evaluation"]
         if step <= cfg.tol_outer:
-            converged = True
             break
         if mode == "penalized":
             f_hist = (f_hist + [diff])[-ANDERSON_DEPTH - 1:]
             g_hist = (g_hist + [u_next.values[interior]])[-ANDERSON_DEPTH - 1:]
             if len(f_hist) > 1:
-                values = u_next.values.copy()
-                values[interior] = _anderson_candidate(f_hist, g_hist, upper)
-                anchor = ScalarField(grid, values)
-
-    if not converged:
+                # rules 2 and 1: a proposal clipped to the last output
+                # leaves the next sweep plain
+                cand, upper = _clip(_anderson_candidate(f_hist, g_hist),
+                                    g_hist[-1], upper)
+                if not np.array_equal(cand, g_hist[-1]):
+                    values = u_next.values.copy()
+                    values[interior] = cand
+                    anchor = ScalarField(grid, values)
+    else:
         # no ratio of successive steps: Anderson candidates overshoot first,
         # so the steps grow for a few sweeps of a converging iteration
         raise SolverFailure(

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ def test_version_must_be_the_integer_one(capsys):
 def test_integer_past_the_conversion_limit_exits_2(tmp_path, capsys):
     # json raises a plain ValueError, not a JSONDecodeError, for these
     huge = "1" * 5000
-    raw = json.loads(open(cfg_path("torus_sine.json")).read())
+    raw = json.loads(Path(cfg_path("torus_sine.json")).read_text())
     doc = tmp_path / "huge.json"
     doc.write_text(json.dumps(raw).replace('"version": 1', f'"version": {huge}'))
     assert run(["check-barrier", "--config", str(doc)]) == 2
@@ -378,6 +379,32 @@ def test_failed_solve_exits_3_with_partial_report(tmp_path):
     assert doc["best_iterate_path"] == str(tmp_path / "r.best.csv")
     assert os.path.exists(doc["best_iterate_path"])
     assert doc["partial"]["outer_count"] == 3
+
+
+def test_monotonicity_abort_exits_3_with_partial_report(tmp_path):
+    # a penalty far below the certified one: the first sweep moves down
+    report = tmp_path / "r.json"
+    code = run(["solve", "--config", cfg_path("torus_sine.json"),
+                "--override", "solver.gamma=0.001", "--out-report", str(report)])
+    assert code == 3
+    doc = read_json(report)
+    assert doc["error"].startswith("outer sweep 1 moved down by 2.531e-01")
+    assert doc["partial"]["outer_count"] == 1
+    assert doc["partial"]["residual_history"] == doc["residual_history"]
+
+
+@pytest.mark.parametrize("plateau", ["[0.3, 0.4]", "[0.26, 3.3]"])
+def test_cutoff_plateau_must_hold_the_barrier_range(plateau, tmp_path):
+    # off the plateau the sweeps would solve the cut-off problem, not H's
+    report = tmp_path / "r.json"
+    code = run(["solve", "--config", cfg_path("torus_sine.json"),
+                "--override", f"solver.cutoff={plateau}",
+                "--out-report", str(report)])
+    assert code == 1
+    c1, c2 = json.loads(plateau)
+    assert read_json(report)["message"] == (
+        f"cutoff plateau [{c1:g}, {c2:g}] must hold the barrier range "
+        "[0.25, 3.39159]")
 
 
 def test_solve_with_bad_barriers_exits_1(tmp_path):

@@ -475,7 +475,7 @@ def test_outer_penalized_torus_sine():
     # may move them, and each move is recorded as old -> new in CHANGES.md
     assert rep.outer_count == 16
     assert sum(rep.inner_newton_counts) == 20
-    assert rep.accelerated_steps == 8 and rep.rejected_steps == 6
+    assert rep.accelerated_steps == 3 and rep.rejected_steps == 6
     assert rep.linear_solves == 20
     # iterates climbed monotonically and stayed in the slab
     assert max(rep.monotonicity_violations) <= 1e-9
@@ -518,7 +518,7 @@ def test_accelerated_sweeps_return_the_plain_iteration_limit():
 
 
 def test_anderson_candidate_is_clipped_into_the_slab():
-    from pmcgraph.solver import _anderson_candidate
+    from pmcgraph.solver import _anderson_candidate, _clip
 
     # two sweeps of x -> 0.9x + b per node, whose fixed point is 10b: node 0
     # extrapolates pi past the upper barrier 2, node 1 lands inside the
@@ -528,12 +528,81 @@ def test_anderson_candidate_is_clipped_into_the_slab():
     g = [0.9 * xi + b for xi in x]
     f = [gi - xi for gi, xi in zip(g, x)]
     upper = np.full(3, 2.0)
-    unbounded = _anderson_candidate(f, g, np.full(3, np.inf))
-    assert unbounded[0] - upper[0] == pytest.approx(np.pi)
-    cand = _anderson_candidate(f, g, upper)
+    proposal = _anderson_candidate(f, g)
+    assert proposal[0] - upper[0] == pytest.approx(np.pi)
+    cand, bound = _clip(proposal, g[-1], upper)
+    assert np.array_equal(bound, upper)
     assert np.all((g[-1] <= cand) & (cand <= upper))
     assert np.allclose(cand, [2.0, 1.5, g[-1][2]])
     assert g[-1][2] > 10.0 * b[2]
+
+
+def test_clip_keeps_candidates_below_discarded_supersolutions():
+    from pmcgraph.solver import _clip
+
+    last = np.array([0.0, 1.0, 2.0])
+    # u0, lowered at nodes 0 and 1 by a candidate discarded as a strict
+    # supersolution, as `outer_iterate` lowers it
+    upper = np.minimum(np.full(3, 3.0), np.array([0.5, 2.5, 3.5]))
+    cand, bound = _clip(np.full(3, 4.0), last, upper)
+    assert np.array_equal(cand, [0.5, 2.5, 3.0])
+    assert np.array_equal(bound, upper)
+    # an output that rounding lifted past that bound at node 0: the bound
+    # gives way to it, and a proposal below it is clipped up to it
+    last = np.array([0.6, 1.0, 2.0])
+    cand, bound = _clip(np.array([0.0, 2.0, 5.0]), last, upper)
+    assert np.array_equal(bound, [0.6, 2.5, 3.0])
+    assert np.array_equal(cand, [0.6, 2.0, 3.0])
+    assert np.all(bound >= last)
+
+
+def test_accelerated_sweeps_start_above_the_last_output(monkeypatch):
+    import pmcgraph.solver as solver
+
+    grid, H, B = _torus_sine_16()
+    calls = []
+    real = solver.solve_inner
+
+    def recording(grid, F, psi, init, cfg=None, **kwargs):
+        u, rep = real(grid, F, psi, init, cfg, **kwargs)
+        calls.append((kwargs.get("candidate", False), init.values, u.values))
+        return u, rep
+
+    monkeypatch.setattr(solver, "solve_inner", recording)
+    _, rep = outer_iterate(H, B)
+    assert (rep.outer_count, rep.accelerated_steps, rep.rejected_steps) == (16, 3, 6)
+    candidates = [(seed, calls[i - 1][2])
+                  for i, (candidate, seed, _) in enumerate(calls) if candidate]
+    # every candidate sweep is counted or discarded
+    assert len(candidates) == rep.accelerated_steps + rep.rejected_steps
+    for seed, last in candidates:
+        # a candidate is built right after the counted sweep whose output
+        # it was clipped above: it lies above that output at one node at least
+        assert np.all(seed >= last) and np.any(seed > last)
+
+
+def test_loose_tol_outer_discards_candidates_instead_of_aborting():
+    from pmcgraph.solver import MONOTONE_ABORT
+
+    # a candidate sweep that moves down by more than MONOTONE_ABORT but
+    # less than tol_outer is discarded: counting it would abort the solve
+    grid, H, B = _torus_sine_16()
+    v, rep = outer_iterate(H, B, SolveConfig(tol_outer=1e-3))
+    assert rep.converged and rep.consistency_ok
+    assert max(rep.monotonicity_violations) <= MONOTONE_ABORT
+    assert max(rep.confinement_violations) <= MONOTONE_ABORT
+
+
+def test_monotonicity_abort_carries_the_partial_counts():
+    # a penalty far below the certified one: the first sweep moves down
+    grid, H, B = _torus_sine_16()
+    with pytest.raises(MonotonicityError) as exc:
+        outer_iterate(H, B, SolveConfig(gamma=0.001))
+    assert str(exc.value).startswith("outer sweep 1 moved down by ")
+    partial = exc.value.partial
+    assert partial["gamma"] == 0.001 and partial["rejected_steps"] == 0
+    assert partial["outer_count"] == len(partial["step_history"]) == 1
+    assert partial["residual_history"] == exc.value.residual_history
 
 
 def test_sweep_budget_counts_discarded_sweeps():
