@@ -46,17 +46,20 @@ from . import __version__
 from .analysis import blowup_diagnostics
 from .expr import ParseError
 from .geometry import (
+    FACTOR_VARS,
     ConformalFactor,
     WarpedProfile,
     conformal_transform_pmc,
     warped_to_conformal,
 )
-from .grid import build_grid, field_from_expr, read_field_csv, write_field_csv
+from .grid import DIMENSIONS, build_grid, field_from_expr, read_field_csv, write_field_csv
 from .pmc import (
+    PMC_VARS,
     QuasiDecomposition,
     WorkingBox,
     check_monotone,
     check_quasi_decreasing,
+    padded,
     parse_pmc,
     pmc_residual,
 )
@@ -173,7 +176,7 @@ def _validate_grid(raw):
     if "dimension" not in g:
         raise CLIConfigError("grid: dimension (1 or 2) is required")
     dim = g["dimension"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2):
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim not in DIMENSIONS:
         raise CLIConfigError(f"grid: dimension must be the integer 1 or 2, got {dim!r}")
     shape = g.get("shape")
     if (not isinstance(shape, (list, tuple)) or len(shape) != dim
@@ -616,8 +619,8 @@ def _cmd_transform(cfg, args):
         raise CLIConfigError("transform needs an explicit box z-range to sample")
     try:
         env = WorkingBox.from_grid(p.grid, p.solk.box).sample_lattice(p.solk.samples)
-        original = np.broadcast_to(p.presc.eval(**env), env["z"].shape)
-        transformed = np.broadcast_to(p.H.eval(**env), env["z"].shape)
+        original = np.broadcast_to(p.presc.eval(env), env["z"].shape)
+        transformed = np.broadcast_to(p.H.eval(env), env["z"].shape)
     except ValueError as exc:
         raise CLIConfigError(f"transform: {exc}") from exc
     payload = {
@@ -629,9 +632,8 @@ def _cmd_transform(cfg, args):
         "table_path": None,
     }
     if args.out_field is not None:
-        _float_rows(args.out_field, "x1,x2,z,y1,y2,t,original,transformed",
-                    [env["x1"], env["x2"], env["z"], env["y1"], env["y2"],
-                     env["t"], original, transformed])
+        _float_rows(args.out_field, ",".join(PMC_VARS) + ",original,transformed",
+                    [env[k] for k in PMC_VARS] + [original, transformed])
         payload["table_path"] = args.out_field
     return payload, 0
 
@@ -644,7 +646,7 @@ def _cmd_reparam(cfg, args):
     r_lo, r_hi = c["warped"]["interval"]
     r = np.linspace(r_lo, r_hi, 1001)
     s = factor.s_of_r(r)
-    f = np.asarray(factor.eval(np.zeros_like(s), np.zeros_like(s), s))
+    f = np.asarray(factor.eval(padded({"r": s}, FACTOR_VARS)))
     payload = {
         "conformal": meta,
         "rows": 1001,

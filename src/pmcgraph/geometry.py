@@ -19,9 +19,9 @@ from .calculus import (
     node_gradients,
     operators,
 )
-from .expr import Call, Func, Var, eval_checked, parse_expr, rename_var, takes_differences
-from .grid import ScalarField, face_positions, face_shape
-from .pmc import PMCFunction, graph_normal_env
+from .expr import Call, Const, Func, Var, eval_checked, parse_expr, rename_var, takes_differences
+from .grid import DIMENSIONS, ScalarField, face_positions
+from .pmc import PMC_VARS, PMCFunction, graph_normal_env, padded, variables
 
 __all__ = [
     "ConformalFactor",
@@ -35,24 +35,25 @@ __all__ = [
     "jacobi_residual",
 ]
 
-FACTOR_VARS = ("x1", "x2", "r")
+# the factor's variables: the widest base point, then the height r
+FACTOR_VARS = PMC_VARS[:max(DIMENSIONS)] + ("r",)
 
 
 class ConformalFactor:
     """Scale exponent f(x, r) of a conformal product metric e^{2f}(dx²+dr²).
 
-    The factor is an expression tree over x1, x2, r, and its base gradient
-    and height derivative are the tree's derivatives.  `derivative_mode` is
-    'analytic' when those are exact (parsed text, or a callable with
-    derivative rules) and 'fd' when one of them falls back to a centered
-    difference.
+    The factor is an expression tree over `FACTOR_VARS`, and its base
+    gradient and height derivative are the tree's derivatives.  `eval` and
+    `partial` take an environment over those names (`padded`).
+    `derivative_mode` is 'analytic' when the derivatives are exact (parsed
+    text, or a callable with derivative rules) and 'fd' when one of them
+    falls back to a centered difference.
     """
 
     def __init__(self, ast, text=None):
         self.ast = ast
         self.text = text
-        self._d_base = tuple(ast.diff(v) for v in ("x1", "x2"))
-        self._d_r = ast.diff("r")
+        self._partials = {v: ast.diff(v) for v in FACTOR_VARS}
 
     @classmethod
     def from_expr(cls, text):
@@ -60,9 +61,10 @@ class ConformalFactor:
 
     @classmethod
     def from_callable(cls, f, d_base=None, d_r=None):
-        """Wrap f(x1, x2, r); derivatives by central differences unless given."""
+        """Wrap f over `FACTOR_VARS` in order; derivatives by central
+        differences unless given."""
         args = [Var(v) for v in FACTOR_VARS]
-        given = list(d_base) if d_base is not None else [None, None]
+        given = list(d_base) if d_base is not None else [None] * (len(args) - 1)
         given.append(d_r)
         rules = [None if g is None else Func(f"d{v}f", g, args)
                  for v, g in zip(FACTOR_VARS, given)]
@@ -70,20 +72,17 @@ class ConformalFactor:
 
     @property
     def derivative_mode(self):
-        exact = not any(takes_differences(d) for d in self._d_base + (self._d_r,))
+        exact = not any(takes_differences(d) for d in self._partials.values())
         return "analytic" if exact else "fd"
 
-    def eval(self, x1, x2, r):
-        return eval_checked(self.ast, {"x1": x1, "x2": x2, "r": r},
-                            label="conformal factor")
+    def eval(self, env):
+        return eval_checked(self.ast, env, label="conformal factor")
 
-    def d_x(self, axis, x1, x2, r):
-        return eval_checked(self._d_base[axis], {"x1": x1, "x2": x2, "r": r},
-                            label="factor gradient")
-
-    def d_r(self, x1, x2, r):
-        return eval_checked(self._d_r, {"x1": x1, "x2": x2, "r": r},
-                            label="factor height derivative")
+    def partial(self, name, env):
+        """df/d`name` at `env`: a component of the base gradient, or the
+        height derivative for r."""
+        label = "factor height derivative" if name == "r" else "factor gradient"
+        return eval_checked(self._partials[name], env, label=label)
 
     def __repr__(self):
         src = f" {self.text!r}" if self.text else ""
@@ -94,24 +93,22 @@ class ConformalFactor:
 # curvature in the conformal metric
 
 
-def _factor_env(grid, values):
-    pos = grid.node_positions()
-    return {
-        "x1": pos[0],
-        "x2": pos[1] if grid.dimension == 2 else np.zeros(grid.shape),
-        "r": values,
-    }
+def _factor_env(positions, heights):
+    """The factor's environment at `heights` over the base points
+    `positions`, one array per base axis; FACTOR_VARS opens with the base
+    variables, so zipping names them."""
+    return padded({**dict(zip(FACTOR_VARS, positions)), "r": heights}, FACTOR_VARS)
 
 
 def conformal_mean_curvature_values(grid, values, F, grads=None):
     n = grid.dimension
     grads = node_gradients(grid, values) if grads is None else grads
     _, omega = graph_normal_env(grid, values, grads)
-    env = _factor_env(grid, values)
-    f = F.eval(**env)
-    corr = F.d_r(**env)
-    for ax in range(grid.dimension):
-        corr = corr - F.d_x(ax, **env) * grads[ax]
+    env = _factor_env(grid.node_positions(), values)
+    f = F.eval(env)
+    corr = F.partial("r", env)
+    for name, g in zip(FACTOR_VARS, grads):
+        corr = corr - F.partial(name, env) * g
     mcp = mean_curvature_product_values(grid, values, grads)
     out = np.exp(-f) * (mcp + n * corr / omega)
     out[grid.boundary_mask] = 0.0
@@ -143,24 +140,18 @@ def divergence_oracle(grid, u, F):
     grads = node_gradients(grid, values)
     div_h = 0.0
     for ax, (g, omega_face) in enumerate(graph_faces(grid, values, grads)):
-        u_face = ops.avg[ax](values)
-        fpos = face_positions(grid, ax)
-        env = {
-            "x1": fpos[0],
-            "x2": fpos[1] if grid.dimension == 2 else np.zeros(face_shape(grid, ax)),
-            "r": u_face,
-        }
-        W = np.exp(n * F.eval(**env)) * (-g[ax] / omega_face)
+        env = _factor_env(face_positions(grid, ax), ops.avg[ax](values))
+        W = np.exp(n * F.eval(env)) * (-g[ax] / omega_face)
         div_h = div_h + ops.div[ax](W)
 
     omega = np.sqrt(1.0 + sum(g * g for g in grads))
-    env = _factor_env(grid, values)
-    f = F.eval(**env)
+    env = _factor_env(grid.node_positions(), values)
+    f = F.eval(env)
     # the face fluxes differentiate e^{nf(x, u(x))} along the graph, i.e.
     # they pick up f_r u_k nu^k = -f_r |Du|^2/omega on top of the fixed-
     # height derivative; compensating that together with the true vertical
     # term d_r(e^{nf} nu^r) leaves n f_r e^{nf} (1+|Du|^2)/omega below
-    vertical = n * F.d_r(**env) * np.exp(n * f) * omega
+    vertical = n * F.partial("r", env) * np.exp(n * f) * omega
     out = np.exp(-(n + 1) * f) * (div_h + vertical)
     out[grid.boundary_mask] = 0.0
     return ScalarField(grid, out)
@@ -179,12 +170,12 @@ def conformal_transform_pmc(H, F, n):
     expression trees, so H' has exact partials wherever H and f do.
     """
     n = int(n)
-    f_ast = rename_var(F.ast, "r", "z")
-    d1 = rename_var(F.ast.diff("x1"), "r", "z")
-    d2 = rename_var(F.ast.diff("x2"), "r", "z")
-    fr = rename_var(F.ast.diff("r"), "r", "z")
-    drift = d1 * Var("y1") + d2 * Var("y2") + fr * Var("t")
-    ast = Call("exp", (f_ast,)) * H.ast - n * drift
+    names = variables(n)
+    # <Df, Y> + f_r t: the factor's base variables and r against the
+    # normal's components y1..yn and t
+    drift = sum((rename_var(F.ast.diff(a), "r", "z") * Var(b)
+                 for a, b in zip(names[:n] + ("r",), names[n + 1:])), Const(0.0))
+    ast = Call("exp", (rename_var(F.ast, "r", "z"),)) * H.ast - n * drift
     text = None
     if H.text and F.text:
         text = f"exp({F.text})*({H.text}) - {n}*<D({F.text}),(Y,t)>"
@@ -451,7 +442,7 @@ def jacobi_residual(grid, u, H):
     theta = ScalarField(grid, env["t"])
     lap = graph_laplacian(u, theta, grads_u)
     a2 = second_fundamental_norm(grid, u, grads_u)
-    eta = np.broadcast_to(H.eval(**env), grid.shape)
+    eta = np.broadcast_to(H.eval(env), grid.shape)
     grads_eta = node_gradients(grid, np.array(eta, dtype=float))
     inner = sum(gu * ge for gu, ge in zip(grads_u, grads_eta)) / (omega * omega)
     out = lap.values + a2.values * theta.values - inner

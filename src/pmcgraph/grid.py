@@ -25,7 +25,11 @@ __all__ = [
     "read_field_csv",
     "refine_grid",
     "refine_field",
+    "DIMENSIONS",
 ]
+
+# the base dimensions a grid, a working box and a config may have
+DIMENSIONS = (1, 2)
 
 _TOPOLOGIES = ("periodic", "dirichlet")
 
@@ -61,7 +65,7 @@ class BaseGrid:
 
     def __init__(self, dimension, shape, lengths, topology, origin=None):
         dimension = int(dimension)
-        if dimension not in (1, 2):
+        if dimension not in DIMENSIONS:
             raise ValueError(f"dimension must be 1 or 2, got {dimension}")
         self.dimension = dimension
         self.shape = _as_tuple(shape, dimension, int, "shape")
@@ -229,17 +233,17 @@ def constant_field(grid, value):
     return ScalarField(grid, np.full(grid.shape, float(value)))
 
 
-_FIELD_VARS = {1: ("x1",), 2: ("x1", "x2")}
-
-
 def field_from_expr(grid, expr):
     """Evaluate an expression of the base coordinates at every node.
 
-    `expr` may be source text or an already-parsed node; only x1 (and x2 in
-    2D) are available.  Referencing anything else is rejected with the
+    `expr` may be source text or an already-parsed node; only the grid's
+    own coordinates x1..xn are available (`pmc.variables`).  Referencing
+    anything else, x2 on a 1-D grid included, is rejected with the
     offending name in the message.
     """
-    allowed = _FIELD_VARS[grid.dimension]
+    from .pmc import variables  # pmc imports this module
+
+    allowed = variables(grid.dimension)[:grid.dimension]
     if isinstance(expr, str):
         node = parse_expr(expr, allowed)
     elif isinstance(expr, ExprNode):
@@ -251,8 +255,7 @@ def field_from_expr(grid, expr):
                 f"not defined on a {grid.dimension}D base grid")
     else:
         raise TypeError(f"expr must be text or an ExprNode, got {type(expr)!r}")
-    pos = grid.node_positions()
-    env = {name: pos[i] for i, name in enumerate(allowed)}
+    env = dict(zip(allowed, grid.node_positions()))
     values = eval_checked(node, env, label="field expression")
     values = np.broadcast_to(values, grid.shape)
     return ScalarField(grid, values)

@@ -8,6 +8,13 @@ partial derivatives are the tree's symbolic derivatives; only a `Func` node
 built without a derivative rule, such as a wrapped Python callable, is
 differentiated by a centered difference.
 
+The variables are named once, by `variables(dimension)`: x1..xn, z,
+y1..yn, t over an n-dimensional base.  A prescription is parsed over the
+widest base's names, `PMC_VARS`, and evaluated on an environment, a dict
+from names to scalars or arrays (`PMCFunction.eval(env)`,
+`PMCFunction.partial(name, env)`).  On a 1-D base the environments are
+`padded`: a prescription that reads x2 or y2 reads 0 there.
+
 The certificates (`check_monotone`, `check_quasi_decreasing` and, in the
 solver, `gamma_for` and `barriers_from_phi`) bound an expression over a
 `WorkingBox` through one function, `sampled_range`.  It reads the extremes
@@ -18,12 +25,14 @@ reads, whose extremes and extreme points are those of the whole lattice.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .calculus import mean_curvature_product_values, node_gradients
 from .expr import Add, Func, Mul, Var, eval_checked, parse_expr, takes_differences
+from .grid import DIMENSIONS, ScalarField
 
 __all__ = [
     "PMCFunction",
@@ -35,32 +44,60 @@ __all__ = [
     "sampled_range",
     "graph_normal_env",
     "pmc_residual",
+    "variables",
+    "padded",
     "MONOTONE_TOL",
 ]
-
-PMC_VARS = ("x1", "x2", "z", "y1", "y2", "t")
 
 # slack admitted when testing sampled partials against 0 (exact symbolic
 # partials of z-free prescriptions evaluate to the literal 0.0)
 MONOTONE_TOL = 1e-12
 
 
-def _env_of(x1, x2, z, y1, y2, t):
-    return {"x1": x1, "x2": x2, "z": z, "y1": y1, "y2": y2, "t": t}
+@functools.cache
+def variables(dimension):
+    """The variables an expression over a `dimension`-D base reads, in axis
+    order: the base point x1..xn, the height z, the horizontal part y1..yn
+    of the unit normal and its vertical part t.
+
+    The one place that spells them: every vocabulary, environment and
+    table header of the package is derived from it.
+    """
+    axes = range(1, dimension + 1)
+    return (*(f"x{i}" for i in axes), "z", *(f"y{i}" for i in axes), "t")
+
+
+# what a prescription may read on any base: the widest base's variables
+PMC_VARS = variables(max(DIMENSIONS))
+
+
+def padded(env, names):
+    """The environment over `names`: env's entry for each name it holds,
+    and zeros shaped like its first entry for each one it lacks.
+
+    This is the 1-D rule: a prescription or conformal factor on a 1-D base
+    may read x2 and y2, and reads 0 there, so a 1-D `transform` table has
+    the same columns as a 2-D one.  Field expressions of the base
+    coordinates stay strict (`grid.field_from_expr`).
+    """
+    first = next(iter(env.values()))
+    return {k: env[k] if k in env else np.zeros_like(first) for k in names}
 
 
 class PMCFunction:
-    """Curvature prescription H(x1, x2, z, y1, y2, t) held as one expression tree.
+    """Curvature prescription H(x, z, Y, t) held as one expression tree.
 
     Parsed text, wrapped callables and every rewrite (composite, tilt term,
     conformal pullback, penalty) are trees, and the first partials are the
     tree's `diff`.  `has_exact_partials` is False when one of them takes a
-    centered difference (a `Func` node without a derivative rule).
+    centered difference (a `Func` node without a derivative rule).  `eval`
+    and `partial` take an environment, a dict from variable names to
+    scalars or arrays (`graph_normal_env`, `WorkingBox.sample_lattice`).
 
     Parameters
     ----------
     ast : ExprNode
-        Tree over the variables x1, x2, z, y1, y2, t.
+        Tree over the variables `PMC_VARS`.
     provenance : str
         How the prescription was built: 'expression', 'callable',
         'composite', 'transformed' or 'penalized'.
@@ -79,34 +116,21 @@ class PMCFunction:
 
     @classmethod
     def from_callable(cls, fn):
-        """Wrap fn(x1, x2, z, y1, y2, t); partials by centered differences."""
+        """Wrap fn over `PMC_VARS` in order; partials by centered differences."""
         return cls(Func("H", fn, [Var(v) for v in PMC_VARS]), provenance="callable")
 
-    # -- evaluation ---------------------------------------------------------
-
-    def _fn(self, env):
+    def eval(self, env):
         return eval_checked(self.ast, env, label=self.label)
 
-    def eval(self, x1, x2, z, y1, y2, t):
-        return self._fn(_env_of(x1, x2, z, y1, y2, t))
-
-    def _partial(self, var, env):
-        return eval_checked(self._partials[var], env, label=f"d/d{var} of {self.label}")
-
-    def d_z(self, x1, x2, z, y1, y2, t):
-        return self._partial("z", _env_of(x1, x2, z, y1, y2, t))
-
-    def d_y(self, axis, x1, x2, z, y1, y2, t):
-        return self._partial(("y1", "y2")[axis], _env_of(x1, x2, z, y1, y2, t))
-
-    def d_t(self, x1, x2, z, y1, y2, t):
-        return self._partial("t", _env_of(x1, x2, z, y1, y2, t))
+    def partial(self, name, env):
+        """dH/d`name` at `env`, for a name of `PMC_VARS`."""
+        return eval_checked(self._partials[name], env, label=f"d/d{name} of {self.label}")
 
     def eval_with_partials(self, env, names):
         """[H, dH/d names[0], ...] at `env`, as one evaluation in which the
         value and the partials compute each subtree they share once.  Bit
-        for bit what `eval` and the `d_*` methods return, and a non-finite
-        value raises the error the first of those calls would raise."""
+        for bit what `eval` and `partial` return, and a non-finite value
+        raises the error the first of those calls would raise."""
         nodes = [self.ast] + [self._partials[v] for v in names]
         labels = [self.label] + [f"d/d{v} of {self.label}" for v in names]
         return eval_checked(nodes, env, labels)
@@ -121,7 +145,7 @@ class PMCFunction:
 
 
 def parse_pmc(expr):
-    """Parse curvature-prescription text over variables x1,x2,z,y1,y2,t."""
+    """Parse curvature-prescription text over the variables `PMC_VARS`."""
     return PMCFunction(parse_expr(expr, PMC_VARS), text=expr)
 
 
@@ -132,18 +156,15 @@ class QuasiDecomposition:
     split is what the decreasing-part solver consumes.
     """
 
-    H1_VARS = ("x1", "x2", "z", "y1", "y2")
-    H2_VARS = ("x1", "x2", "y1", "y2")
-
     def __init__(self, H1, H2):
         self.H1 = H1
         self.H2 = H2
 
     @classmethod
     def from_exprs(cls, h1_text, h2_text):
-        h1 = PMCFunction(parse_expr(h1_text, cls.H1_VARS), text=h1_text,
+        h1 = PMCFunction(parse_expr(h1_text, set(PMC_VARS) - {"t"}), text=h1_text,
                          label="decreasing part")
-        h2 = PMCFunction(parse_expr(h2_text, cls.H2_VARS), text=h2_text,
+        h2 = PMCFunction(parse_expr(h2_text, set(PMC_VARS) - {"z", "t"}), text=h2_text,
                          label="bounded part")
         return cls(h1, h2)
 
@@ -173,7 +194,7 @@ class WorkingBox:
         for lo, hi in self.x_ranges:
             if not lo < hi:
                 raise ValueError(f"bad base range ({lo}, {hi})")
-        if len(self.x_ranges) not in (1, 2):
+        if len(self.x_ranges) not in DIMENSIONS:
             raise ValueError("working box needs 1 or 2 base ranges")
 
     @classmethod
@@ -195,11 +216,11 @@ class WorkingBox:
     def sample_lattice(self, samples=9, reads=None):
         """Deterministic sample environment over box x base x half-ball.
 
-        Axis order x1[,x2],z,y1[,y2],t with `samples` points per axis
+        Axis order `variables(dimension)` with `samples` points per axis
         (endpoints included, so box corners are in the lattice, and for an
         odd count the normal poles too); normal samples outside the closed
         unit half-ball are dropped.  Returns arrays of equal length,
-        flattened C-order.
+        flattened C-order, over `PMC_VARS` (`padded`).
 
         With a set `reads` of variable names, only the first point of each
         class of lattice points that agree on those variables is kept, in
@@ -213,7 +234,7 @@ class WorkingBox:
         if samples < 2:
             raise ValueError("need at least 2 samples per axis")
         dim = self.dimension
-        names = _lattice_vars(dim)
+        names = variables(dim)
         base = [np.linspace(lo, hi, samples) for lo, hi in self.x_ranges]
         base.append(np.linspace(self.z_min, self.z_max, samples))
         normal = [np.linspace(-1.0, 1.0, samples)] * dim
@@ -236,27 +257,16 @@ class WorkingBox:
         flat = [np.repeat(m.reshape(-1), keep.size)
                 for m in np.meshgrid(*base, indexing="ij")]
         flat += [np.tile(a, math.prod(b.size for b in base)) for a in ball]
-        if dim == 1:
-            x1, z, y1, t = flat
-            x2 = np.zeros_like(x1)
-            y2 = np.zeros_like(x1)
-        else:
-            x1, x2, z, y1, y2, t = flat
-        return _env_of(x1, x2, z, y1, y2, t)
+        return padded(dict(zip(names, flat)), PMC_VARS)
 
     def __repr__(self):
         return (f"WorkingBox(z=[{self.z_min:.6g}, {self.z_max:.6g}], "
                 f"x={self.x_ranges})")
 
 
-def _lattice_vars(dimension):
-    """The lattice's variables in axis order; a 1-D box has no x2 or y2."""
-    return PMC_VARS if dimension == 2 else ("x1", "z", "y1", "t")
-
-
 def _worst_point(env, idx, dimension):
     return {k: float(np.asarray(env[k]).reshape(-1)[idx])
-            for k in _lattice_vars(dimension)}
+            for k in variables(dimension)}
 
 
 def sampled_range(H, box, var=None, samples=9, lattice=None):
@@ -271,7 +281,7 @@ def sampled_range(H, box, var=None, samples=9, lattice=None):
     """
     node = H.ast if var is None else H._partials[var]
     env = box.sample_lattice(samples, node.variables()) if lattice is None else lattice
-    vals = H._fn(env) if var is None else H._partial(var, env)
+    vals = H.eval(env) if var is None else H.partial(var, env)
     vals = np.broadcast_to(vals, env["z"].shape)
     i, j = int(np.argmin(vals)), int(np.argmax(vals))
     return (float(vals[i]), float(vals[j]),
@@ -311,25 +321,17 @@ def check_quasi_decreasing(D, box, samples=9):
 def graph_normal_env(grid, values, grads=None):
     """Evaluation environment of a graph, and its area factor.
 
-    Returns (env, omega): env maps x1, x2 to the node positions, z to
-    `values` and y1, y2, t to the upward unit normal (-Du/omega, 1/omega),
+    Returns (env, omega): env maps x1..xn to the node positions, z to
+    `values` and y1..yn, t to the upward unit normal (-Du/omega, 1/omega),
     with omega = sqrt(1 + |Du|^2) from the node gradients `grads` (computed
-    when not given).  Every evaluation of a prescription at a graph, and
-    every tilt 1/omega, is read from here.
+    when not given), over `PMC_VARS` (`padded`).  Every evaluation of a
+    prescription at a graph, and every tilt 1/omega, is read from here.
     """
     if grads is None:
         grads = node_gradients(grid, values)
-    pos = grid.node_positions()
     omega = np.sqrt(1.0 + sum(g * g for g in grads))
-    env = {
-        "x1": pos[0],
-        "x2": pos[1] if grid.dimension == 2 else np.zeros(grid.shape),
-        "z": values,
-        "y1": -grads[0] / omega,
-        "y2": -grads[1] / omega if grid.dimension == 2 else np.zeros(grid.shape),
-        "t": 1.0 / omega,
-    }
-    return env, omega
+    columns = [*grid.node_positions(), values, *(-g / omega for g in grads), 1.0 / omega]
+    return padded(dict(zip(variables(grid.dimension), columns)), PMC_VARS), omega
 
 
 def pmc_residual(grid, u, H, F=None, box=None):
@@ -341,8 +343,6 @@ def pmc_residual(grid, u, H, F=None, box=None):
     must stay inside its z-range: leaving it is an error naming offending
     nodes, never a silent clamp.
     """
-    from .grid import ScalarField
-
     if u.grid != grid:
         raise ValueError("field is not defined on the supplied grid")
     if box is not None and not box.contains_values(u.values):
@@ -360,6 +360,6 @@ def pmc_residual(grid, u, H, F=None, box=None):
         from .geometry import conformal_mean_curvature_values
 
         base = conformal_mean_curvature_values(grid, u.values, F, grads)
-    res = base - H.eval(**env)
+    res = base - H.eval(env)
     res[grid.boundary_mask] = 0.0
     return ScalarField(grid, res)

@@ -84,6 +84,7 @@ from .pmc import (
     graph_normal_env,
     pmc_residual,
     sampled_range,
+    variables,
 )
 
 __all__ = [
@@ -576,7 +577,7 @@ def _graph_residual(grid, values, F):
     faces = graph_faces(grid, values, grads)
     mcp = mean_curvature_product_values(grid, values, grads, faces)
     env, omega = graph_normal_env(grid, values, grads)
-    names = ("z", "y1", "y2")[:grid.dimension + 1] + ("t",)
+    names = variables(grid.dimension)[grid.dimension:]
     value, *partials = F.eval_with_partials(env, names)
     return _Evaluation((mcp - value, (grads, faces, omega, partials)))
 
@@ -1242,9 +1243,10 @@ def outer_iterate(H, B, cfg=None):
     rules judge every sweep:
 
     1. A sweep is plain exactly when its anchor is the last output.  A
-       proposal that the clip leaves equal to the last output at every
-       unknown keeps the anchor there; any other is a candidate, and a
-       candidate sweep that counts adds to `accelerated_steps`.
+       proposal that the clip leaves equal, at every unknown, to the last
+       output or to a candidate discarded before keeps the anchor there;
+       any other is a candidate, and a candidate sweep that counts adds to
+       `accelerated_steps`.
     2. Each proposal is clipped into one bracket (`_clip`): from the last
        output up to the pointwise min of u0 and every candidate discarded as
        a strict supersolution.  As T is monotone, u* = lim T^k(u1) <= s for
@@ -1336,6 +1338,9 @@ def outer_iterate(H, B, cfg=None):
     g_hist = []
     # the upper end of the bracket of rule 2, over the interior
     upper = B.u0.values[interior]
+    # the interior bytes of every discarded candidate, which rule 1 does
+    # not propose again
+    discarded = set()
     accelerated = 0
     rejected = 0
     lagged = LaggedLU()
@@ -1393,6 +1398,7 @@ def outer_iterate(H, B, cfg=None):
             # lowers the bracket's upper end
             if irep["supersolution"]:
                 upper = np.minimum(upper, anchor.values[interior])
+            discarded.add(anchor.values[interior].tobytes())
             rejected += 1
             anchor = u_prev
             continue
@@ -1417,11 +1423,11 @@ def outer_iterate(H, B, cfg=None):
             f_hist = (f_hist + [diff])[-ANDERSON_DEPTH - 1:]
             g_hist = (g_hist + [u_next.values[interior]])[-ANDERSON_DEPTH - 1:]
             if len(f_hist) > 1:
-                # rules 2 and 1: a proposal clipped to the last output
-                # leaves the next sweep plain
+                # rules 2 and 1: a proposal clipped to the last output, or
+                # onto a discarded candidate, leaves the next sweep plain
                 cand, upper = _clip(_anderson_candidate(f_hist, g_hist),
                                     g_hist[-1], upper)
-                if not np.array_equal(cand, g_hist[-1]):
+                if not (np.array_equal(cand, g_hist[-1]) or cand.tobytes() in discarded):
                     values = u_next.values.copy()
                     values[interior] = cand
                     anchor = ScalarField(grid, values)

@@ -309,7 +309,7 @@ def test_criterion_06_warped_round_trip():
         factor, (s_lo, s_hi) = warped_to_conformal(profile, (1.0, math.e))
         r = np.linspace(1.0, math.e, 1000)
         s = np.array([factor.s_of_r(v) for v in r])
-        f = np.asarray(factor.eval(np.zeros_like(s), np.zeros_like(s), s))
+        f = np.asarray(factor.eval({"x1": np.zeros_like(s), "x2": np.zeros_like(s), "r": s}))
         err = float(np.max(np.abs(f - np.log(r))))
         increasing = bool(np.all(np.diff(s) > 0.0))
         ok = err <= 1e-8 and increasing and s_lo == 0.0

@@ -502,6 +502,19 @@ def test_transform_tabulates_both_prescriptions(tmp_path):
     assert abs(trans - expected) < 1e-12
 
 
+def test_one_dimensional_transform_table_reads_x2_and_y2_as_zero(tmp_path):
+    table = tmp_path / "t.csv"
+    code = run(["transform", "--config", cfg_path("warped_radial.json"),
+                "--override", 'pmc.expr="1 + x2 + 3*y2"',
+                "--out-report", str(tmp_path / "r.json"), "--out-field", str(table)])
+    assert code == 0
+    with open(table) as fh:
+        assert fh.readline().strip() == "x1,x2,z,y1,y2,t,original,transformed"
+    data = np.loadtxt(table, delimiter=",", skiprows=1)
+    assert np.all(data[:, 1] == 0.0) and np.all(data[:, 4] == 0.0)
+    assert np.all(data[:, 6] == 1.0)
+
+
 def test_transform_on_product_metric_exits_2():
     assert run(["transform", "--config", cfg_path("cap.json")]) == 2
 

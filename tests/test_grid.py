@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from pmcgraph.expr import ParseError, parse_expr
 from pmcgraph.grid import (
     VectorField,
     build_grid,
@@ -199,3 +200,13 @@ def test_refine_field_preserves_nodes_and_cubics():
     r3 = refine_field(f3)
     exact3 = field_from_expr(refine_grid(g3), "sin(6.283185307179586*x1) + 2*x2")
     assert np.max(np.abs(r3.values - exact3.values)) < 6e-4 / 12.0
+
+
+def test_one_dimensional_field_expression_refuses_x2():
+    # unlike a prescription, a field expression reads the grid's own axes only
+    g = build_grid(1, 8, 1.0, "periodic")
+    with pytest.raises(ParseError, match=r"unknown identifier 'x2' \(allowed variables: x1\)"):
+        field_from_expr(g, "x1 + x2")
+    with pytest.raises(ValueError, match="variable 'x2' not defined on a 1D base grid"):
+        field_from_expr(g, parse_expr("x1 + x2", ("x1", "x2")))
+    assert field_from_expr(build_grid(2, (4, 4), (1, 1), "periodic"), "x2").values[0, 1] == 0.25

@@ -26,7 +26,7 @@ TWO_PI = 6.283185307179586
 
 def test_parse_and_eval():
     H = parse_pmc("0.5*sin(z) + 0.1*sin(6.283185307179586*x1)")
-    assert abs(H.eval(0.25, 0.0, 0.0, 0.0, 0.0, 1.0) - 0.1) < 1e-15
+    assert abs(H.eval(dict(zip(PMC_VARS, (0.25, 0.0, 0.0, 0.0, 0.0, 1.0)))) - 0.1) < 1e-15
     assert H.provenance == "expression"
     assert H.has_exact_partials
 
@@ -34,23 +34,23 @@ def test_parse_and_eval():
 def test_symbolic_partials():
     H = parse_pmc("z^2*t - 0.5*y1")
     # d/dz = 2 z t, d/dt = z^2, d/dy1 = -0.5
-    assert H.d_z(0.0, 0.0, 3.0, 0.0, 0.0, 0.5) == pytest.approx(3.0, abs=1e-15)
-    assert H.d_t(0.0, 0.0, 3.0, 0.0, 0.0, 0.5) == pytest.approx(9.0, abs=1e-15)
-    assert H.d_y(0, 0.0, 0.0, 3.0, 0.2, 0.0, 0.5) == -0.5
+    assert H.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 3.0, 0.0, 0.0, 0.5)))) == pytest.approx(3.0, abs=1e-15)
+    assert H.partial("t", dict(zip(PMC_VARS, (0.0, 0.0, 3.0, 0.0, 0.0, 0.5)))) == pytest.approx(9.0, abs=1e-15)
+    assert H.partial("y1", dict(zip(PMC_VARS, (0.0, 0.0, 3.0, 0.2, 0.0, 0.5)))) == -0.5
 
 
 def test_absent_variable_partial_is_exact_zero():
     H = parse_pmc("1 + 0.5*y1")
     # the height partial folds to the literal constant 0, so monotonicity
     # checks on height-free prescriptions pass with worst value exactly 0.0
-    assert H.d_z(0.0, 0.0, 100.0, 0.5, 0.0, 0.5) == 0.0
+    assert H.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 100.0, 0.5, 0.0, 0.5)))) == 0.0
 
 
 def test_callable_fd_partials():
     H = PMCFunction.from_callable(lambda x1, x2, z, y1, y2, t: z * z * t)
     assert not H.has_exact_partials
-    assert H.d_z(0.0, 0.0, 3.0, 0.0, 0.0, 0.5) == pytest.approx(3.0, rel=1e-8)
-    assert H.d_t(0.0, 0.0, 3.0, 0.0, 0.0, 0.5) == pytest.approx(9.0, rel=1e-8)
+    assert H.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 3.0, 0.0, 0.0, 0.5)))) == pytest.approx(3.0, rel=1e-8)
+    assert H.partial("t", dict(zip(PMC_VARS, (0.0, 0.0, 3.0, 0.0, 0.0, 0.5)))) == pytest.approx(9.0, rel=1e-8)
 
 
 def test_parse_rejects_unknown_variable():
@@ -272,9 +272,9 @@ def test_callable_prescription_samples_the_full_lattice(monkeypatch):
 def test_quasi_decomposition_composite():
     D = QuasiDecomposition.from_exprs("-z", "0.3")
     H = D.composite()
-    assert H.eval(0.0, 0.0, 2.0, 0.0, 0.0, 0.5) == pytest.approx(-1.85, abs=1e-15)
-    assert H.d_t(0.0, 0.0, 2.0, 0.0, 0.0, 0.5) == pytest.approx(0.3, abs=1e-15)
-    assert H.d_z(0.0, 0.0, 2.0, 0.0, 0.0, 0.5) == -1.0
+    assert H.eval(dict(zip(PMC_VARS, (0.0, 0.0, 2.0, 0.0, 0.0, 0.5)))) == pytest.approx(-1.85, abs=1e-15)
+    assert H.partial("t", dict(zip(PMC_VARS, (0.0, 0.0, 2.0, 0.0, 0.0, 0.5)))) == pytest.approx(0.3, abs=1e-15)
+    assert H.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 2.0, 0.0, 0.0, 0.5)))) == -1.0
     assert H.provenance == "composite"
 
 
@@ -418,8 +418,8 @@ def _lattice(samples):
 
 
 def _separate_calls(F, env):
-    return [lambda: F.eval(**env), lambda: F.d_z(**env), lambda: F.d_y(0, **env),
-            lambda: F.d_y(1, **env), lambda: F.d_t(**env)]
+    return [lambda: F.eval(env), lambda: F.partial("z", env), lambda: F.partial("y1", env),
+            lambda: F.partial("y2", env), lambda: F.partial("t", env)]
 
 
 def _first_error(calls):
@@ -471,3 +471,33 @@ def test_shared_evaluation_computes_a_common_subtree_once():
     counter.calls = 0
     F.eval_with_partials(env, PARTIALS)
     assert counter.calls == 1
+
+
+# -- the 1-D rule -----------------------------------------------------------
+
+def test_one_dimensional_prescription_reads_x2_and_y2_as_zero():
+    H = parse_pmc("1 + x2 + 3*y2")
+    box = WorkingBox((0.5, 2.0), ((0.0, 1.0),))
+    lattice = box.sample_lattice(5)
+    assert tuple(lattice) == PMC_VARS
+    assert np.all(lattice["x2"] == 0.0) and np.all(lattice["y2"] == 0.0)
+    assert np.all(H.eval(lattice) == 1.0)
+    grid = build_grid(1, 8, 1.0, "periodic")
+    u = field_from_expr(grid, f"1 + 0.1*sin({TWO_PI}*x1)")
+    env, _ = graph_normal_env(grid, u.values)
+    assert tuple(env) == PMC_VARS
+    assert np.all(env["x2"] == 0.0) and np.all(env["y2"] == 0.0)
+    assert np.all(H.eval(env) == 1.0)
+    assert np.all(H.partial("y2", env) == 3.0)
+
+
+@pytest.mark.parametrize("ranges, names", [
+    (((0.0, 1.0),), ("x1", "z", "y1", "t")),
+    (((0.0, 1.0), (0.0, 1.0)), PMC_VARS),
+])
+def test_worst_point_names_the_box_variables_only(ranges, names):
+    box = WorkingBox((0.5, 2.0), ranges)
+    rep = check_monotone(parse_pmc("-z + x2*y2"), box, samples=5)
+    assert tuple(rep["worst_point"]) == names
+    for point in sampled_range(parse_pmc("z + x2"), box, samples=5)[2:]:
+        assert tuple(point) == names

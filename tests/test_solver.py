@@ -3,6 +3,7 @@ import pytest
 
 from pmcgraph.grid import ScalarField, build_grid, sup_norm
 from pmcgraph.pmc import (
+    PMC_VARS,
     PMCFunction,
     QuasiDecomposition,
     WorkingBox,
@@ -34,7 +35,7 @@ TWO_PI = 6.283185307179586
 def _residual_vec(grid, values, F):
     env, _ = graph_normal_env(grid, values)
     return (mean_curvature_product_values(grid, values)
-            - np.asarray(F._fn(env), dtype=float)).reshape(-1)
+            - np.asarray(F.eval(env), dtype=float)).reshape(-1)
 
 
 def _jacobian_and_differences(grid, u, F, columns, eps=1e-6):
@@ -171,13 +172,13 @@ def test_penalized_prescription_is_uniformly_decreasing():
     F = penalized_pmc(H, cut, g)
     assert F.provenance == "penalized"
     # on the plateau: d/dz = 0.5*cos(z) - gamma, equal to -1.025 at z=0
-    dz = F.d_z(0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    dz = F.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 0.0, 0.0, 0.0, 1.0))))
     assert abs(dz + 1.025) < 1e-14
     env = box.sample_lattice(9)
-    slope = F._partial("z", env)
+    slope = F.partial("z", env)
     assert np.max(slope) <= -1.0 + 1e-12
     # outside the cutoff support only the penalty survives
-    val = F.eval(0.0, 0.0, 2.5, 0.0, 0.0, 1.0)
+    val = F.eval(dict(zip(PMC_VARS, (0.0, 0.0, 2.5, 0.0, 0.0, 1.0))))
     assert abs(val + float(g) * 2.5) < 1e-14
 
 
@@ -579,6 +580,54 @@ def test_accelerated_sweeps_start_above_the_last_output(monkeypatch):
         # a candidate is built right after the counted sweep whose output
         # it was clipped above: it lies above that output at one node at least
         assert np.all(seed >= last) and np.any(seed > last)
+
+
+def _one_dimensional_multiple_solutions():
+    # H = 0.02 sin(pi z) vanishes at every integer height, so the slab
+    # [0.05, 3.5] holds several constant solutions; its candidates land on
+    # the bracket's upper end again and again
+    grid = build_grid(1, (32,), (1.0,), ("periodic",))
+    H = parse_pmc("0.02*sin(3.141592653589793*z)")
+    B = BarrierPair(ScalarField(grid, np.full(grid.shape, 0.05)),
+                    ScalarField(grid, np.full(grid.shape, 3.5)))
+    return grid, H, B, SolveConfig(max_outer=3000)
+
+
+def _torus_sine_64():
+    grid = build_grid(2, (64, 64), (1.0, 1.0), ("periodic", "periodic"))
+    H = parse_pmc(f"0.5*sin(z) + 0.1*sin({TWO_PI}*x1)")
+    B = BarrierPair(ScalarField(grid, np.full(grid.shape, 0.25)),
+                    ScalarField(grid, np.full(grid.shape, np.pi + 0.25)))
+    return grid, H, B, SolveConfig()
+
+
+@pytest.mark.parametrize("problem", [_torus_sine_64, _one_dimensional_multiple_solutions],
+                         ids=["torus-64", "1d-several-solutions"])
+def test_a_discarded_candidate_is_not_proposed_again(monkeypatch, problem):
+    import pmcgraph.solver as solver
+
+    grid, H, B, cfg = problem()
+    calls = []
+    real = solver.solve_inner
+
+    def recording(grid, F, psi, init, cfg=None, **kwargs):
+        u, rep = real(grid, F, psi, init, cfg, **kwargs)
+        calls.append((kwargs.get("candidate", False), init.values, u.values))
+        return u, rep
+
+    monkeypatch.setattr(solver, "solve_inner", recording)
+    try:
+        _, rep = outer_iterate(H, B, cfg)
+        rejected = rep.rejected_steps
+    except SolverFailure as exc:
+        rejected = exc.partial["rejected_steps"]
+    # a discarded candidate's sweep is redone from the output before it
+    discarded = [i for i, (candidate, _, _) in enumerate(calls[:-1])
+                 if candidate and np.array_equal(calls[i + 1][1], calls[i - 1][2])]
+    assert len(discarded) == rejected > 0
+    for j, (candidate, seed, _) in enumerate(calls):
+        if candidate:
+            assert not any(np.array_equal(seed, calls[i][1]) for i in discarded if i < j)
 
 
 def test_loose_tol_outer_discards_candidates_instead_of_aborting():

@@ -7,13 +7,15 @@ is one it wraps, and that a traced solve counts one `solver.spsolve` call
 per linear solve, reads the Jacobian's pattern size and system size, and
 sees every residual evaluation of the inner solve and its normal
 environment.  Since the tracer sees public names only, no module of the
-package may import a private name of another.
+package may import a private name of another.  And no module spells a
+variable name such as "x2" that `pmc.variables` derives from the dimension.
 """
 
 import ast
 import importlib
 import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -120,3 +122,26 @@ def test_no_module_imports_a_private_name_of_another():
                             for alias in node.names
                             if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert reaches == []
+
+
+def _docstrings(tree):
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def test_no_module_spells_a_variable_name_outside_the_vocabulary():
+    # `pmc.variables` builds the names x1..xn and y1..yn from the dimension
+    # (f-strings hold no such constant); every other module derives its
+    # vocabulary, environments and headers from it, so a literal "x2" or
+    # "y1" anywhere is a list that the dimension does not reach
+    spelled = []
+    for path in sorted((PERFBENCH.parent / "src" / "pmcgraph").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = _docstrings(tree)
+        spelled += [f"{path.name}:{node.lineno}: {node.value!r}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and id(node) not in docstrings
+                    and isinstance(node.value, str) and re.fullmatch(r"[xy]\d", node.value)]
+    assert spelled == []
