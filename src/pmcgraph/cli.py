@@ -173,11 +173,12 @@ def _validate_grid(raw):
     for key in g:
         if key not in ("dimension", "shape", "lengths", "topology", "origin"):
             raise CLIConfigError(f"grid: unknown key {key!r}")
+    dims = " or ".join(map(str, DIMENSIONS))
     if "dimension" not in g:
-        raise CLIConfigError("grid: dimension (1 or 2) is required")
+        raise CLIConfigError(f"grid: dimension ({dims}) is required")
     dim = g["dimension"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim not in DIMENSIONS:
-        raise CLIConfigError(f"grid: dimension must be the integer 1 or 2, got {dim!r}")
+        raise CLIConfigError(f"grid: dimension must be the integer {dims}, got {dim!r}")
     shape = g.get("shape")
     if (not isinstance(shape, (list, tuple)) or len(shape) != dim
             or any(isinstance(s, bool) or not isinstance(s, int) for s in shape)):

@@ -15,8 +15,10 @@ Grammar (whitespace ignored, positions reported 1-based):
             | IDENT '(' expr ',' expr ')'# 2-argument function
             | '(' expr ')'
 
-Functions: sin cos tan exp ln sqrt tanh abs (one argument), min max (two).
-Numbers are decimal literals with optional fraction and exponent part.
+Functions: sin cos tan exp ln sqrt tanh abs (one argument), min max (two),
+the rows of `Call._TABLE`, which also holds each one's evaluator and
+derivative rule.  Numbers are decimal literals with optional fraction and
+exponent part.
 
 Evaluation is vectorized over numpy arrays.  Domain problems (division by
 zero, ln of a negative, ...) are not caught eagerly; `eval_checked` raises
@@ -31,6 +33,8 @@ difference of step `FD_STEP`, the only finite-difference code in the package.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -43,8 +47,6 @@ __all__ = [
     "takes_differences",
 ]
 
-FUNCTIONS_1 = ("sin", "cos", "tan", "exp", "ln", "sqrt", "tanh", "abs")
-FUNCTIONS_2 = ("min", "max")
 FD_STEP = 1e-6
 
 
@@ -65,8 +67,9 @@ class EvalDomainError(ValueError):
 
 
 class ExprNode:
-    """Base class; subclasses implement _eval (a leaf: eval), diff,
-    variables and to_str.
+    """Base class; a node's children are its `args`, `()` for a leaf, and
+    `variables`, `rename_var` and `takes_differences` walk them.  Subclasses
+    implement _eval (a leaf: eval), diff and to_str.
 
     `a + b`, `a - b`, `a * b` and `c * a` build trees through the
     simplifying constructors below, with a number operand taken as a
@@ -75,6 +78,8 @@ class ExprNode:
     """
 
     __array_ufunc__ = None
+    args = ()
+    differenced = False
 
     def __add__(self, other):
         return _add(self, _node(other))
@@ -99,17 +104,12 @@ class ExprNode:
             memo[self] = self._eval(env, memo)
         return memo[self]
 
-    def _eval(self, env, memo):
-        raise NotImplementedError
-
-    def diff(self, name):
-        raise NotImplementedError
-
     def variables(self):
-        raise NotImplementedError
+        return frozenset().union(*(a.variables() for a in self.args))
 
-    def to_str(self):
-        raise NotImplementedError
+    def _map(self, fn):
+        """Copy with fn applied to each child; a leaf is its own copy."""
+        return type(self)(*map(fn, self.args)) if self.args else self
 
     def __repr__(self):
         return f"<expr {self.to_str()}>"
@@ -125,9 +125,6 @@ class Const(ExprNode):
 
     def diff(self, name):
         return Const(0.0)
-
-    def variables(self):
-        return frozenset()
 
     def to_str(self):
         return repr(self.value)
@@ -156,39 +153,31 @@ class _Binary(ExprNode):
     def __init__(self, a, b):
         self.a = a
         self.b = b
+        self.args = (a, b)
 
-    def variables(self):
-        return self.a.variables() | self.b.variables()
+    def _eval(self, env, memo):
+        return self.op(self.a.eval(env, memo), self.b.eval(env, memo))
 
     def to_str(self):
         return f"({self.a.to_str()} {self.symbol} {self.b.to_str()})"
 
 
 class Add(_Binary):
-    symbol = "+"
-
-    def _eval(self, env, memo):
-        return self.a.eval(env, memo) + self.b.eval(env, memo)
+    symbol, op = "+", operator.add
 
     def diff(self, name):
         return _add(self.a.diff(name), self.b.diff(name))
 
 
 class Sub(_Binary):
-    symbol = "-"
-
-    def _eval(self, env, memo):
-        return self.a.eval(env, memo) - self.b.eval(env, memo)
+    symbol, op = "-", operator.sub
 
     def diff(self, name):
         return _sub(self.a.diff(name), self.b.diff(name))
 
 
 class Mul(_Binary):
-    symbol = "*"
-
-    def _eval(self, env, memo):
-        return self.a.eval(env, memo) * self.b.eval(env, memo)
+    symbol, op = "*", operator.mul
 
     def diff(self, name):
         return _add(_mul(self.a.diff(name), self.b),
@@ -196,10 +185,7 @@ class Mul(_Binary):
 
 
 class Div(_Binary):
-    symbol = "/"
-
-    def _eval(self, env, memo):
-        return self.a.eval(env, memo) / self.b.eval(env, memo)
+    symbol, op = "/", operator.truediv
 
     def diff(self, name):
         da, db = self.a.diff(name), self.b.diff(name)
@@ -208,10 +194,7 @@ class Div(_Binary):
 
 
 class Pow(_Binary):
-    symbol = "^"
-
-    def _eval(self, env, memo):
-        return self.a.eval(env, memo) ** self.b.eval(env, memo)
+    symbol, op = "^", operator.pow
 
     def diff(self, name):
         a, b = self.a, self.b
@@ -223,13 +206,14 @@ class Pow(_Binary):
             # a^b * ln(a) * b'
             return _mul(_mul(self, Const(float(np.log(a.value)))), db)
         # a^b * (b' ln a + b a'/a)
-        inner = _add(_mul(db, _call("ln", (a,))), _div(_mul(b, da), a))
+        inner = _add(_mul(db, _fold(Call("ln", (a,)))), _div(_mul(b, da), a))
         return _mul(self, inner)
 
 
 class Neg(ExprNode):
     def __init__(self, a):
         self.a = a
+        self.args = (a,)
 
     def _eval(self, env, memo):
         return -self.a.eval(env, memo)
@@ -237,71 +221,63 @@ class Neg(ExprNode):
     def diff(self, name):
         return _neg(self.a.diff(name))
 
-    def variables(self):
-        return self.a.variables()
-
     def to_str(self):
         return f"(-{self.a.to_str()})"
 
 
+def _chain(outer):
+    """Derivative rule of a one-argument function whose own derivative at
+    the argument u of node f is the tree outer(f, u)."""
+    return lambda f, du: _mul(outer(f, f.args[0]), du)
+
+
+def _min_max(f, da, db):
+    """Derivative rule of min and max, from min/max = (a+b)/2 -/+ |a-b|/2."""
+    a, b = f.args
+    half = Const(0.5)
+    sym = _mul(half, _add(da, db))
+    swing = _mul(_mul(half, _fold(Call("sign", (_sub(a, b),)))), _sub(da, db))
+    return _sub(sym, swing) if f.name == "min" else _add(sym, swing)
+
+
 class Call(ExprNode):
-    _EVAL = {
-        "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-        "ln": np.log, "sqrt": np.sqrt, "tanh": np.tanh, "abs": np.abs,
-        "min": np.minimum, "max": np.maximum, "sign": np.sign,
+    """Call of a named function.  `_TABLE` maps each name to its numpy
+    evaluator, whose `nin` is the arity, and to its derivative rule,
+    rule(node, *argument derivatives) -> tree.  The parser accepts every
+    name but `sign`, which only derivatives build."""
+
+    _TABLE = {
+        "sin": (np.sin, _chain(lambda f, u: _fold(Call("cos", (u,))))),
+        "cos": (np.cos, _chain(lambda f, u: _neg(_fold(Call("sin", (u,)))))),
+        "tan": (np.tan, _chain(
+            lambda f, u: _div(Const(1.0), _mul(c := _fold(Call("cos", (u,))), c)))),
+        "exp": (np.exp, _chain(lambda f, u: f)),
+        "ln": (np.log, _chain(lambda f, u: _div(Const(1.0), u))),
+        "sqrt": (np.sqrt, _chain(lambda f, u: _div(Const(0.5), f))),
+        "tanh": (np.tanh, _chain(lambda f, u: _sub(Const(1.0), _mul(f, f)))),
+        "abs": (np.abs, _chain(lambda f, u: _fold(Call("sign", (u,))))),
+        "min": (np.minimum, _min_max),
+        "max": (np.maximum, _min_max),
+        "sign": (np.sign, lambda f, du: Const(0.0)),
     }
 
     def __init__(self, name, args):
         self.name = name
+        self.fn = self._TABLE[name][0]
         self.args = tuple(args)
 
     def _eval(self, env, memo):
-        fn = self._EVAL[self.name]
-        return fn(*(a.eval(env, memo) for a in self.args))
-
-    def variables(self):
-        out = frozenset()
-        for a in self.args:
-            out = out | a.variables()
-        return out
+        return self.fn(*(a.eval(env, memo) for a in self.args))
 
     def to_str(self):
         inner = ", ".join(a.to_str() for a in self.args)
         return f"{self.name}({inner})"
 
     def diff(self, name):
-        if self.name in ("min", "max"):
-            a, b = self.args
-            da, db = a.diff(name), b.diff(name)
-            # min = (a+b)/2 - |a-b|/2, max = (a+b)/2 + |a-b|/2
-            half = Const(0.5)
-            sym = _mul(half, _add(da, db))
-            swing = _mul(_mul(half, _call("sign", (_sub(a, b),))), _sub(da, db))
-            return _sub(sym, swing) if self.name == "min" else _add(sym, swing)
-        (u,) = self.args
-        du = u.diff(name)
-        if self.name == "sin":
-            outer = _call("cos", (u,))
-        elif self.name == "cos":
-            outer = _neg(_call("sin", (u,)))
-        elif self.name == "tan":
-            c = _call("cos", (u,))
-            outer = _div(Const(1.0), _mul(c, c))
-        elif self.name == "exp":
-            outer = self
-        elif self.name == "ln":
-            outer = _div(Const(1.0), u)
-        elif self.name == "sqrt":
-            outer = _div(Const(0.5), self)
-        elif self.name == "tanh":
-            outer = _sub(Const(1.0), _mul(self, self))
-        elif self.name == "abs":
-            outer = _call("sign", (u,))
-        elif self.name == "sign":
-            return Const(0.0)
-        else:  # pragma: no cover - parser rejects unknown names
-            raise ValueError(f"no derivative rule for {self.name}")
-        return _mul(outer, du)
+        return self._TABLE[self.name][1](self, *(a.diff(name) for a in self.args))
+
+    def _map(self, fn):
+        return Call(self.name, map(fn, self.args))
 
 
 class Func(Call):
@@ -322,9 +298,6 @@ class Func(Call):
         self.rules = tuple(rules) if rules is not None else (None,) * len(self.args)
         self.differenced = differenced
 
-    def _eval(self, env, memo):
-        return self.fn(*(a.eval(env, memo) for a in self.args))
-
     def diff(self, name):
         out = Const(0.0)
         for i, (arg, rule) in enumerate(zip(self.args, self.rules)):
@@ -336,6 +309,10 @@ class Func(Call):
                             self.args, differenced=True)
             out = _add(out, _mul(rule, darg))
         return out
+
+    def _map(self, fn):
+        return Func(self.name, self.fn, map(fn, self.args),
+                    [r if r is None else fn(r) for r in self.rules], self.differenced)
 
 
 def _centered(fn, i):
@@ -366,14 +343,15 @@ def _is_const(node, value=None):
     return value is None or node.value == value
 
 
-def _fold2(cls, a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
+def _fold(node):
+    """node, or its value as a Const when its children are all constants
+    and the value is finite."""
+    if all(isinstance(a, Const) for a in node.args):
         with np.errstate(all="ignore"):
-            v = cls(a, b).eval({})
-        v = float(v)
+            v = float(node.eval({}))
         if np.isfinite(v):
             return Const(v)
-    return cls(a, b)
+    return node
 
 
 def _add(a, b):
@@ -381,7 +359,7 @@ def _add(a, b):
         return b
     if _is_const(b, 0.0):
         return a
-    return _fold2(Add, a, b)
+    return _fold(Add(a, b))
 
 
 def _sub(a, b):
@@ -389,7 +367,7 @@ def _sub(a, b):
         return a
     if _is_const(a, 0.0):
         return _neg(b)
-    return _fold2(Sub, a, b)
+    return _fold(Sub(a, b))
 
 
 def _mul(a, b):
@@ -399,7 +377,7 @@ def _mul(a, b):
         return b
     if _is_const(b, 1.0):
         return a
-    return _fold2(Mul, a, b)
+    return _fold(Mul(a, b))
 
 
 def _div(a, b):
@@ -407,7 +385,7 @@ def _div(a, b):
         return Const(0.0)
     if _is_const(b, 1.0):
         return a
-    return _fold2(Div, a, b)
+    return _fold(Div(a, b))
 
 
 def _neg(a):
@@ -423,16 +401,7 @@ def _pow(a, b):
         return a
     if _is_const(b, 0.0):
         return Const(1.0)
-    return _fold2(Pow, a, b)
-
-
-def _call(name, args):
-    if all(isinstance(a, Const) for a in args):
-        with np.errstate(all="ignore"):
-            v = float(Call(name, args).eval({}))
-        if np.isfinite(v):
-            return Const(v)
-    return Call(name, args)
+    return _fold(Pow(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +465,10 @@ def _tokenize(text):
     return tokens
 
 
+# binary operators by precedence, loosest first
+_LEVELS = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
+
+
 class _Parser:
     def __init__(self, text, variables):
         self.text = text
@@ -526,20 +499,15 @@ class _Parser:
             raise ParseError(tok.pos + 1, f"unexpected trailing input {tok.text!r}")
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take().text
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+    def expr(self, level=0):
+        """A left-associative chain of `_LEVELS[level]`'s operators; past
+        the last level, a unary."""
+        if level == len(_LEVELS):
+            return self.unary()
+        ops = _LEVELS[level]
+        node = self.expr(level + 1)
+        while self.peek().kind == "op" and self.peek().text in ops:
+            node = ops[self.take().text](node, self.expr(level + 1))
         return node
 
     def unary(self):
@@ -568,15 +536,11 @@ class _Parser:
         if tok.kind == "ident":
             name = tok.text
             if self.peek().kind == "lparen":
-                if name in FUNCTIONS_1:
-                    arity = 1
-                elif name in FUNCTIONS_2:
-                    arity = 2
-                else:
+                if name not in Call._TABLE or name == "sign":
                     raise ParseError(tok.pos + 1, f"unknown function '{name}'")
                 self.take()
                 args = [self.expr()]
-                if arity == 2:
+                for _ in range(1, Call._TABLE[name][0].nin):
                     self.expect("comma", "','")
                     args.append(self.expr())
                 self.expect("rparen", "')'")
@@ -629,34 +593,12 @@ def rename_var(node, old, new):
     """Copy of an AST with every occurrence of variable `old` renamed."""
     if isinstance(node, Var):
         return Var(new) if node.name == old else node
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Neg):
-        return Neg(rename_var(node.a, old, new))
-    if isinstance(node, _Binary):
-        return type(node)(rename_var(node.a, old, new), rename_var(node.b, old, new))
-    if isinstance(node, Func):
-        return Func(node.name, node.fn,
-                    tuple(rename_var(a, old, new) for a in node.args),
-                    tuple(r if r is None else rename_var(r, old, new)
-                          for r in node.rules),
-                    node.differenced)
-    if isinstance(node, Call):
-        return Call(node.name, tuple(rename_var(a, old, new) for a in node.args))
-    raise TypeError(f"cannot rename variables in {node!r}")
+    return node._map(lambda a: rename_var(a, old, new))
 
 
 def takes_differences(node):
     """True when evaluating `node` takes a centered difference somewhere."""
-    if isinstance(node, Func) and node.differenced:
-        return True
-    if isinstance(node, Neg):
-        return takes_differences(node.a)
-    if isinstance(node, _Binary):
-        return takes_differences(node.a) or takes_differences(node.b)
-    if isinstance(node, Call):
-        return any(takes_differences(a) for a in node.args)
-    return False
+    return node.differenced or any(takes_differences(a) for a in node.args)
 
 
 def eval_checked(node, env, label="expression"):

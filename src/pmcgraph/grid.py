@@ -49,7 +49,7 @@ class BaseGrid:
     Attributes
     ----------
     dimension : int
-        1 or 2.
+        One of `DIMENSIONS`, (1, 2).
     shape : tuple of int
         Nodes per axis (>= 4 each).
     lengths : tuple of float
@@ -66,7 +66,8 @@ class BaseGrid:
     def __init__(self, dimension, shape, lengths, topology, origin=None):
         dimension = int(dimension)
         if dimension not in DIMENSIONS:
-            raise ValueError(f"dimension must be 1 or 2, got {dimension}")
+            raise ValueError(
+                f"dimension must be {' or '.join(map(str, DIMENSIONS))}, got {dimension}")
         self.dimension = dimension
         self.shape = _as_tuple(shape, dimension, int, "shape")
         for s in self.shape:

@@ -195,7 +195,8 @@ class WorkingBox:
             if not lo < hi:
                 raise ValueError(f"bad base range ({lo}, {hi})")
         if len(self.x_ranges) not in DIMENSIONS:
-            raise ValueError("working box needs 1 or 2 base ranges")
+            raise ValueError(
+                f"working box needs {' or '.join(map(str, DIMENSIONS))} base ranges")
 
     @classmethod
     def from_grid(cls, grid, z_range):

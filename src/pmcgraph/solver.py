@@ -111,7 +111,7 @@ MONOTONE_ABORT = 1e-6
 
 # differences of sweep history behind each Anderson candidate of the
 # penalized iteration.  Measured on the 64x64 torus_sine config, depths
-# 1/2/3/5 count 34/16/25/23 sweeps and discard 25/6/15/8 more; the
+# 1/2/3/5 count 34/16/21/23 sweeps and discard 22/5/7/6 more; the
 # horosphere takes 7-9 sweeps at each of them
 ANDERSON_DEPTH = 2
 
@@ -122,14 +122,16 @@ ANDERSON_DEPTH = 2
 # sweep's step, and the stopping residual moves the sweep output by about
 # SWEEP_FORCING of it.  Being below 1, it gives every seed above tol_inner
 # at least one Newton step.  Measured as sweeps (counted/accelerated/
-# discarded) and linear solves, with exact sweeps at 0:
-# - 64x64 torus_sine config: 0 takes 16/8/6 and 36; 1e-3 17/9/6 and 27;
-#   3e-3 15/8/5 and 23; 0.01 16/8/6 and 20; 0.03 17/8/7 and 24; 0.1 and
-#   0.3 20/10/8 and 20.  At 128x128, 0.01 takes 16/8/6 and 21;
-# - horosphere config (32x32): 7/5/0 at each, with 14/10/9/9/8/7/7 linear
-#   solves from 0 to 0.3.
+# discarded, a counted sweep being accelerated when its anchor is not the
+# last output, as `outer_iterate` reports them) and linear solves, with
+# exact sweeps at 0:
+# - 64x64 torus_sine config: 0 takes 16/3/5 and 36; 1e-3 17/4/5 and 28;
+#   3e-3 15/4/4 and 22; 0.01 16/3/5 and 20; 0.03 21/2/6 and 30; 0.1 and
+#   0.3 21/5/6 and 21.  At 128x128, 0.01 takes 16/3/5 and 20;
+# - horosphere config (32x32): 7/5/0 up to 0.03 and 8/6/0 at 0.1 and 0.3,
+#   with 14/10/9/9/9/7/7 linear solves from 0 to 0.3.
 # On the 16x16 torus the result lies 1.9e-10 off the plain iteration's limit
-# at 0, 3e-3 and 0.01, 9.8e-9 at 1e-3, 2e-9 at 0.03 and 1.6e-9 at 0.1
+# at 0, 3e-3 and 0.01, 9.7e-9 at 1e-3, 4.9e-9 at 0.03 and 7.1e-10 at 0.1
 SWEEP_FORCING = 0.01
 
 # GMRES preconditioned by a lagged LU factor: one restart cycle of this
@@ -155,12 +157,13 @@ KRYLOV_RTOL = 1e-11
 # stop at a 2-norm residual of FORCING_FLOOR*tol_inner, which bounds the
 # sup norm, so the linearized residual of the last step stays below
 # tol_inner.  Measured as GMRES iterations of the 64x64 torus_sine config
-# (16/8/6 sweeps, 20 linear solves, 1 factorization) and of the horosphere
-# config (7/5/0 sweeps, 9 linear solves):
+# (16/3/5 sweeps, counted as in the SWEEP_FORCING table, 20 linear solves,
+# 1 factorization) and of the horosphere config (7/5/0 sweeps, 9 linear
+# solves):
 # - loose steps at FORCING_MAX: 18 and 6, each loose step 0 or 1; under
 #   the rule of a solve to tol_inner: 32 and 8.  At 128x128: 18 against 34;
 # - loose steps at 1e-3: 19 and 8; at 0.03: 16, but horosphere takes 8/6/0
-#   sweeps; at 0.1: 20/9/9 sweeps and 33 linear solves on the torus, 17
+#   sweeps; at 0.1: 20/3/5 sweeps and 33 linear solves on the torus, 17
 #   linear solves on the horosphere; FORCING_MAX on a loose solve's first
 #   step only: 18 and 7;
 # - FORCING_FIRST 1e-10 or 1e-6, FORCING_FLOOR 0 or 0.5: no count changes,
@@ -194,7 +197,8 @@ class SolveConfig:
     gamma is "auto" (sampled-slope certificate with a 5% safety factor) or an
     explicit positive number; cutoff is an explicit (c1, c2) plateau override,
     which must hold the barrier range, otherwise the plateau is the barrier
-    range padded by 10% of its span.
+    range padded at each end by the smaller of 10% of its span and half the
+    gap to the working box.
     box is an explicit working z-range; default is the barrier range padded
     by half its span.
     """
@@ -1296,7 +1300,8 @@ def outer_iterate(H, B, cfg=None):
         mode = "penalized"
         zmin, zmax = B.z_bounds()
         span = max(zmax - zmin, 1e-12)
-        c1, c2 = cfg.cutoff or (zmin - 0.1 * span, zmax + 0.1 * span)
+        c1, c2 = cfg.cutoff or (zmin - min(0.1 * span, 0.5 * (zmin - box.z_min)),
+                                zmax + min(0.1 * span, 0.5 * (box.z_max - zmax)))
         if not (c1 <= zmin and zmax <= c2):
             # off the plateau the sweeps solve the cut-off problem, not H's
             raise ValueError(

@@ -407,6 +407,22 @@ def test_cutoff_plateau_must_hold_the_barrier_range(plateau, tmp_path):
         "[0.25, 3.39159]")
 
 
+@pytest.mark.parametrize("box, plateau", [([0.79, 1.26], (0.795, 1.255)),
+                                          ([0.76, 1.3], (0.78, 1.275))],
+                         ids=["tight", "wider"])
+def test_default_cutoff_plateau_fits_an_explicit_box(box, plateau, tmp_path):
+    # horosphere's barriers span [0.8, 1.25]; padding them by 10% of that
+    # span would reach past a box this tight, so each end takes half its gap
+    report = tmp_path / "r.json"
+    code = run(["solve", "--config", cfg_path("horosphere.json"),
+                "--override", f"box={json.dumps(box)}",
+                "--out-report", str(report)])
+    assert code == 0
+    doc = read_json(report)
+    assert doc["converged"] is True and doc["consistency_ok"] is True
+    assert (doc["cutoff"]["c1"], doc["cutoff"]["c2"]) == pytest.approx(plateau, abs=1e-12)
+
+
 def test_solve_with_bad_barriers_exits_1(tmp_path):
     report = tmp_path / "r.json"
     code = run(["solve", *small_torus(["--override", "barriers.u0=0.26"]),

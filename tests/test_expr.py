@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pmcgraph.expr import (
+    Call,
     EvalDomainError,
     ExprNode,
     Func,
@@ -190,3 +191,32 @@ def test_operator_tree_evaluates_like_parsed_text():
     built = eval_checked(2.0 * Var("z") - Var("t"), env)
     parsed = eval_checked(parse_expr("2*z - t", VARS), env)
     assert np.array_equal(built, parsed)
+
+
+# ---------------------------------------------------------------------------
+# the function table
+
+# name -> heights z where f(2z + 0.1) is smooth; for abs, min and max one
+# on each side of the kink, min and max reading 1 - z as their second argument
+PARSED_FUNCTIONS = {
+    "sin": (0.2, 0.45), "cos": (0.2, 0.45), "tan": (0.2, 0.45),
+    "exp": (0.2, 0.45), "ln": (0.2, 0.45), "sqrt": (0.2, 0.45),
+    "tanh": (0.2, 0.45), "abs": (-0.4, 0.2), "min": (0.2, 0.6), "max": (0.2, 0.6),
+}
+
+
+def test_the_parser_accepts_the_table_but_sign():
+    assert set(Call._TABLE) - {"sign"} == set(PARSED_FUNCTIONS)
+    with pytest.raises(ParseError, match="unknown function 'sign'"):
+        parse_expr("sign(z)", VARS)
+
+
+@pytest.mark.parametrize("name", sorted(PARSED_FUNCTIONS))
+def test_partial_of_each_parsed_function_matches_a_centered_difference(name):
+    second = ", 1 - z" if name in ("min", "max") else ""
+    node = parse_expr(f"{name}(2*z + 0.1{second})", VARS)
+    dz = node.diff("z")
+    h = 1e-6
+    for z in PARSED_FUNCTIONS[name]:
+        fd = (eval_checked(node, {"z": z + h}) - eval_checked(node, {"z": z - h})) / (2 * h)
+        assert eval_checked(dz, {"z": z}) == pytest.approx(fd, rel=1e-7, abs=1e-7)

@@ -630,6 +630,34 @@ def test_a_discarded_candidate_is_not_proposed_again(monkeypatch, problem):
             assert not any(np.array_equal(seed, calls[i][1]) for i in discarded if i < j)
 
 
+# the cases of ROADMAP item 10 that return u = 3 today
+_CLIMBS_TO_THREE = {(0.02, 0.05, False), (0.02, 0.3, False), (0.1, 0.3, True),
+                    (0.5, 0.05, True)}
+_MINIMALITY_CASES = [(k, u1, x_term) for k in (0.02, 0.1, 0.5) for u1 in (0.05, 0.3)
+                     for x_term in (False, True)]
+
+
+@pytest.mark.parametrize("k, u1, x_term", [
+    pytest.param(*case, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 10: an accelerated sweep lands above "
+        "the unstable zero z = 2 and the iteration climbs to u = 3")
+        if case in _CLIMBS_TO_THREE else ())
+    for case in _MINIMALITY_CASES])
+def test_accelerated_solve_returns_the_minimal_solution(k, u1, x_term):
+    # H = k sin(pi z) > 0 on (u1, 1) and vanishes at every integer height, so
+    # u = 1 is the minimal solution in the slab [u1, 3.5]; the small x term
+    # moves it by about 0.002 / (4 pi^2) only
+    grid = build_grid(1, (32,), (1.0,), ("periodic",))
+    text = f"{k}*sin(3.141592653589793*z)"
+    if x_term:
+        text += f" + 0.002*sin({TWO_PI}*x1)"
+    B = BarrierPair(ScalarField(grid, np.full(grid.shape, u1)),
+                    ScalarField(grid, np.full(grid.shape, 3.5)))
+    v, rep = outer_iterate(parse_pmc(text), B, SolveConfig(max_outer=3000))
+    assert rep.converged
+    assert np.max(np.abs(v.values - 1.0)) <= 1e-3
+
+
 def test_loose_tol_outer_discards_candidates_instead_of_aborting():
     from pmcgraph.solver import MONOTONE_ABORT
 

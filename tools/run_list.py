@@ -1,0 +1,90 @@
+"""Write the CLI's outputs for every shipped config into one directory.
+
+Runs `solve`, `check-monotone`, `check-barrier`, `transform`, `reparam`,
+`diagnose` and `eval-residual` (of the field `solve` wrote) on each config
+under `configs/`, plus the several-solutions problem of ROADMAP item 10 and
+horosphere in a working box that leaves little room around its barriers.
+Every run writes `<command>/<case>.json` (the report), `<command>/<case>.csv`
+(the field or table, when the command writes one) and `<command>/<case>.log`
+(exit code, stdout and stderr).  Paths in the reports are relative to the
+output directory, so the outputs of two checkouts compare with `diff -r`:
+
+    python tools/run_list.py OUT_NEW
+    python tools/run_list.py OUT_OLD --repo path/to/other/checkout
+    diff -r OUT_OLD OUT_NEW
+
+Runs go one at a time, each in its own interpreter, with the package
+imported from `<repo>/src`.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+COMMANDS = ("solve", "check-monotone", "check-barrier", "transform", "reparam",
+            "diagnose", "eval-residual")
+
+# ROADMAP item 10: H > 0 between u1 and 1, so u = 1 is the minimal solution
+SEVERAL_SOLUTIONS = {
+    "version": 1,
+    "grid": {"dimension": 1, "shape": [32], "lengths": [1.0], "topology": ["periodic"]},
+    "pmc": {"expr": "0.02*sin(3.141592653589793*z)"},
+    "conformal": "product",
+    "barriers": {"u1": "0.05", "u0": "3.5"},
+    "solver": {"max_outer": 3000},
+}
+
+# case -> (config file under the output's configs/, extra overrides)
+EXTRA = {
+    "several_solutions": ("several_solutions.json", ()),
+    "horosphere_tight_box": ("horosphere.json", ("box=[0.79,1.26]",)),
+}
+
+
+def run(repo, out, case, config, overrides, command):
+    folder = out / command
+    folder.mkdir(exist_ok=True)
+    argv = [sys.executable, "-m", "pmcgraph.cli", command,
+            "--config", f"configs/{config}",
+            "--out-report", f"{command}/{case}.json",
+            "--out-field", f"{command}/{case}.csv"]
+    for item in overrides:
+        argv += ["--override", item]
+    if command == "eval-residual":
+        argv += ["--override", f"field=solve/{case}.csv"]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    proc = subprocess.run(argv, cwd=out, env=env, capture_output=True, text=True)
+    (folder / f"{case}.log").write_text(
+        f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+    return proc.returncode
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="output directory (replaced)")
+    parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose src/ and configs/ to run (default: this one)")
+    args = parser.parse_args(argv)
+    repo, out = args.repo.resolve(), args.out.resolve()
+    if out.exists():
+        shutil.rmtree(out)
+    (out / "configs").mkdir(parents=True)
+    cases = {}
+    for path in sorted((repo / "configs").glob("*.json")):
+        shutil.copy(path, out / "configs" / path.name)
+        cases[path.stem] = (path.name, ())
+    (out / "configs" / "several_solutions.json").write_text(
+        json.dumps(SEVERAL_SOLUTIONS, indent=2) + "\n")
+    cases.update(EXTRA)
+    for case, (config, overrides) in cases.items():
+        codes = [run(repo, out, case, config, overrides, c) for c in COMMANDS]
+        print(case, " ".join(f"{c}={code}" for c, code in zip(COMMANDS, codes)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
