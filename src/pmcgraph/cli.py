@@ -502,20 +502,22 @@ def _barrier_builder(cfg, grid, solk):
             phi = parse_pmc(b["from_phi"]["phi"])
             if psi_expr is None:
                 raise CLIConfigError("barriers: from_phi needs a boundary trace psi")
+            fields = (psi_expr,)
 
             def build(g):
                 psi = field_from_expr(g, psi_expr)
                 return barriers_from_phi(g, base, phi, psi, solk)
         else:
             u1_expr, u0_expr = b["u1"], b["u0"]
-            for name, text in (("u1", u1_expr), ("u0", u0_expr), ("psi", psi_expr)):
-                if text is not None:
-                    field_from_expr(grid, text)  # surface parse errors now
+            fields = (u1_expr, u0_expr, psi_expr)
 
             def build(g):
                 return BarrierPair(
                     field_from_expr(g, u1_expr), field_from_expr(g, u0_expr),
                     field_from_expr(g, psi_expr) if psi_expr is not None else None)
+        for text in fields:
+            if text is not None:
+                field_from_expr(grid, text)  # surface parse errors now
     except (ParseError, ValueError) as exc:
         if isinstance(exc, CLIConfigError):
             raise

@@ -8,13 +8,14 @@ the barrier range and adds a penalty gamma*(z - anchor) large enough to
 restore monotonicity; a plain sweep anchors at the previous output, and
 plain sweeps climb monotonically from the lower barrier to the minimal fixed
 point of the original problem.  Anderson acceleration proposes other
-anchors, and three rules of `outer_iterate` judge every sweep.  A sweep is
-plain exactly when its anchor is the last output.  A proposal is clipped
-into one bracket, from the last output up to the least known
-supersolution: u0, lowered by every candidate discarded as a strict
-supersolution.  A candidate sweep is discarded if its candidate was a
-strict supersolution of its own problem, found from its residual before
-any Newton step, or if it moves down or leaves the slab by more than
+anchors, and three rules of `outer_iterate` judge every sweep; one gate at
+the top of each of its passes turns the pending proposal into the sweep's
+anchor.  A sweep is plain exactly when its anchor is the last output.  A
+proposal is clipped into one bracket, from the last output up to the
+least known supersolution: u0, lowered by every candidate discarded as a
+strict supersolution.  A candidate sweep is discarded if its candidate was
+a strict supersolution of its own problem, found by the gate before any
+Newton step, or if it moves down or leaves the slab by more than
 min(tol_outer, MONOTONE_ABORT); a counted sweep that does so by more than
 MONOTONE_ABORT aborts the solve.  The sweeps are inexact: each inner
 solve stops at a fraction of its seed's residual over the penalty slope,
@@ -552,26 +553,6 @@ def _jacobian_chains(grid):
     return chains
 
 
-def _same(a, b):
-    # arrays, numbers and nested sequences of them, equal entry by entry
-    if isinstance(a, (tuple, list)):
-        return (isinstance(b, (tuple, list)) and len(a) == len(b)
-                and all(map(_same, a, b)))
-    return bool(np.array_equal(a, b))
-
-
-class _Evaluation(tuple):
-    """(residual, parts) of one iterate, as `_graph_residual` returns it.
-
-    A solve reports the evaluation of its output, and the next solve seeded
-    there takes it in place of its own; two evaluations are equal where all
-    their arrays are, so reports that carry one still compare by value.
-    """
-
-    def __eq__(self, other):
-        return _same(self, other)
-
-
 def _graph_residual(grid, values, F):
     """mcp(u) - F(graph env of u) at every node, and what the Jacobian at u
     reads besides: the node gradients, the `graph_faces`, the node area
@@ -583,7 +564,7 @@ def _graph_residual(grid, values, F):
     env, omega = graph_normal_env(grid, values, grads)
     names = variables(grid.dimension)[grid.dimension:]
     value, *partials = F.eval_with_partials(env, names)
-    return _Evaluation((mcp - value, (grads, faces, omega, partials)))
+    return mcp - value, (grads, faces, omega, partials)
 
 
 def _jacobian_coefficients(grid, values, F, parts=None):
@@ -972,7 +953,7 @@ def _forcing_term(loose, pseudo_time, history):
 
 
 def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
-                lagged=None, forcing=0.0, candidate=False, evaluation=None):
+                lagged=None, forcing=0.0, evaluation=None):
     """Damped Newton on the discrete prescribed-curvature system.
 
     F must be non-increasing in height; when a working box is supplied that
@@ -989,15 +970,13 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     loose solve, one whose tolerance is above cfg.tol_inner, forces each
     Newton step's linear solve at FORCING_MAX (`_forcing_term`); the
     linear solves' floor stays at FORCING_FLOOR*cfg.tol_inner either way.
-    A `candidate` seed, an Anderson candidate of the outer iteration, whose
-    residual exceeds cfg.tol_outer at every unknown is a strict
-    supersolution of this problem: it is returned unsolved, after 0 steps,
-    with the report's `supersolution` set.
 
     Every iterate is evaluated once: its residual pass keeps what the
     Jacobian reads (`_graph_residual`, before the source).  The report's
-    `evaluation` is that of the returned field, and a solve seeded there
-    with the same F takes it as `evaluation` in place of evaluating init.
+    `evaluation` is that of the returned field.  A solve seeded at a field
+    already evaluated with the same F, such a returned field or a
+    candidate the outer iteration's gate evaluated, takes that evaluation
+    as `evaluation` in place of evaluating init.
 
     Returns (solution field, report dict).  Raises SolverFailure with the
     best iterate when the step budget runs out; falls back to pseudo-time
@@ -1059,9 +1038,8 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     newton_steps = 0
     ptc_steps = 0
     ptc_dt = None
-    supersolution = bool(candidate and R.size and np.min(R) > cfg.tol_outer)
 
-    while res_sup > tol and not supersolution:
+    while res_sup > tol:
         if newton_steps + ptc_steps >= cfg.max_newton:
             raise SolverFailure(
                 f"inner solve exhausted {cfg.max_newton} steps "
@@ -1120,8 +1098,7 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
         "residual_history": history,
         "tolerance": tol,
         "bordered": bool(bordered),
-        "converged": not supersolution,
-        "supersolution": supersolution,
+        "converged": True,
         "evaluation": evaluated,
     }
     return ScalarField(grid, u), report
@@ -1207,6 +1184,13 @@ def _clip(proposal, last, upper):
     return np.clip(proposal, last, upper), upper
 
 
+def _strict_supersolution(residual, tol):
+    """Rule 3 of `outer_iterate` before any Newton step: a candidate whose
+    `residual` in its own problem, the anchor source included, exceeds `tol`
+    at every unknown is a strict supersolution of that problem."""
+    return bool(residual.size and np.min(residual) > tol)
+
+
 def _grid_meta(grid):
     return {
         "dimension": grid.dimension,
@@ -1243,8 +1227,11 @@ def outer_iterate(H, B, cfg=None):
     starting from the lower barrier.  T is monotone, so plain sweeps climb
     to the minimal solution u* between the barriers, slowly (about 0.8-0.9
     per sweep on the shipped configs).  Once two sweeps are counted,
-    Anderson proposes each next anchor (`_anderson_candidate`), and three
-    rules judge every sweep:
+    Anderson proposes the next anchor after each counted sweep
+    (`_anderson_candidate`), and three rules judge every sweep.  Rules 1,
+    2 and the first half of rule 3 are one gate at the top of each pass,
+    which turns the pending proposal into the sweep's anchor; an admitted
+    candidate's solve starts from the evaluation the gate made of it:
 
     1. A sweep is plain exactly when its anchor is the last output.  A
        proposal that the clip leaves equal, at every unknown, to the last
@@ -1257,14 +1244,18 @@ def outer_iterate(H, B, cfg=None):
        every supersolution s >= u1.
     3. A candidate sweep is discarded (`rejected_steps`) and redone from the
        last output if its candidate was a strict supersolution of its
-       problem, with a residual above tol_outer at every unknown, which
-       `solve_inner` finds before any Newton step when passed `candidate`,
-       or if it moves down or leaves the slab by more than min(tol_outer,
-       MONOTONE_ABORT), so the candidate was no subsolution.  A counted
-       sweep that moves down or leaves the slab by more than MONOTONE_ABORT
-       aborts the solve with MonotonicityError; smaller violations are
-       tolerated as scheme noise.  Like every SolverFailure raised here,
-       the error carries the counts so far as `partial`.
+       problem, with a residual above tol_outer at every unknown
+       (`_strict_supersolution`), found by the gate before any Newton
+       step, or if it moves down or leaves the slab by more than
+       min(tol_outer, MONOTONE_ABORT), so the candidate was no
+       subsolution.  A counted sweep that moves down or leaves the slab by
+       more than MONOTONE_ABORT aborts the solve with MonotonicityError;
+       smaller violations are tolerated as scheme noise.  Like every
+       SolverFailure raised here, the error carries the counts so far as
+       `partial`, the nine the report takes from the same record.
+
+    A proposal stays pending until the next counted sweep replaces it, so
+    a sweep redone after a discard is plain by rule 1.
 
     Every sweep's Newton solve starts from its anchor.  A penalized sweep's
     inner solve stops at tol_k = max(tol_inner,
@@ -1318,7 +1309,7 @@ def outer_iterate(H, B, cfg=None):
         F_core = penalized_pmc(H, cut, gamma_eff)
 
     interior = ~grid.boundary_mask
-    u_prev = anchor = ScalarField(grid, B.u1.values.copy())
+    u_prev = ScalarField(grid, B.u1.values.copy())
     # Newton seed for the first sweep.  The sweeps anchor at the lower
     # barrier, but seeding Newton with it leaves a trace mismatch at the
     # boundary ring once the solve pins boundary nodes to psi — an
@@ -1352,9 +1343,13 @@ def outer_iterate(H, B, cfg=None):
     # the evaluation of u_prev once a solve returned it, for the next plain
     # sweep (`solve_inner`'s `evaluation`)
     evaluation = None
+    # Anderson's proposal from the last counted sweeps, which the gate
+    # judges at every pass until the next counted sweep replaces it
+    proposal = None
 
     def partial(history):
-        # the counts of an unfinished solve, for its exit-3 report
+        # the counts the report shares with an unfinished solve's exit-3
+        # partial
         return {"mode": mode, "gamma": gamma_eff,
                 "outer_count": len(step_history), "rejected_steps": rejected,
                 "factorizations": lagged.factorizations,
@@ -1366,19 +1361,35 @@ def outer_iterate(H, B, cfg=None):
     # estimates the sweep's step
     forcing = 0.0 if mode == "direct" else SWEEP_FORCING / max(gamma_eff, 1.0)
     for m in range(cfg.max_outer):
+        # the gate: rules 2, 1 and 3 before any Newton step turn the pending
+        # proposal into this sweep's anchor, with its seed's evaluation
+        anchor, seeded = u_prev, evaluation
+        if proposal is not None:
+            last = u_prev.values[interior]
+            cand, upper = _clip(proposal, last, upper)
+            if not (np.array_equal(cand, last) or cand.tobytes() in discarded):
+                values = u_prev.values.copy()
+                values[interior] = cand
+                seeded = _graph_residual(grid, values, F_core)
+                if _strict_supersolution(
+                        (seeded[0] - gamma_eff * values)[interior], cfg.tol_outer):
+                    # lower the bracket's upper end, and redo the sweep
+                    upper = np.minimum(upper, cand)
+                    discarded.add(cand.tobytes())
+                    rejected += 1
+                    continue
+                anchor = ScalarField(grid, values)
         plain = anchor is u_prev
         source = None if mode == "direct" else gamma_eff * anchor.values
         try:
             u_next, irep = solve_inner(grid, F_core, B.psi,
                                        seed if m == 0 else anchor, cfg,
                                        source=source, lagged=lagged, forcing=forcing,
-                                       candidate=not plain,
-                                       evaluation=evaluation if plain else None)
+                                       evaluation=seeded)
             inner_steps = irep["newton_steps"] + irep["ptc_steps"]
             step = sup_norm(u_next, anchor)
             tol = irep["tolerance"]
-            if (tol > cfg.tol_inner and step <= max(cfg.tol_outer, tol)
-                    and not irep["supersolution"]):
+            if tol > cfg.tol_inner and step <= max(cfg.tol_outer, tol):
                 # a sweep that may end the iteration, or whose step is
                 # within its own tolerance: finish it to tol_inner
                 u_next, irep = solve_inner(grid, F_core, B.psi, u_next, cfg,
@@ -1396,16 +1407,11 @@ def outer_iterate(H, B, cfg=None):
             float(np.max(u_next.values - B.u0.values)),
             0.0,
         )
-        if not plain and (irep["supersolution"] or
-                          max(viol, conf) > min(cfg.tol_outer, MONOTONE_ABORT)):
-            # rule 3: the candidate was no subsolution inside the slab, so
-            # redo the sweep from the last output; a strict supersolution
-            # lowers the bracket's upper end
-            if irep["supersolution"]:
-                upper = np.minimum(upper, anchor.values[interior])
+        if not plain and max(viol, conf) > min(cfg.tol_outer, MONOTONE_ABORT):
+            # rule 3 after the solve: the candidate was no subsolution inside
+            # the slab, so redo the sweep from the last output
             discarded.add(anchor.values[interior].tobytes())
             rejected += 1
-            anchor = u_prev
             continue
         accelerated += not plain
         inner_counts.append(inner_steps)
@@ -1420,22 +1426,14 @@ def outer_iterate(H, B, cfg=None):
                 "the discretization is too coarse or the penalty too small",
                 best=u_next, residual_history=residual_history,
                 partial=partial(residual_history))
-        u_prev = anchor = u_next
+        u_prev = u_next
         evaluation = irep["evaluation"]
         if step <= cfg.tol_outer:
             break
         if mode == "penalized":
             f_hist = (f_hist + [diff])[-ANDERSON_DEPTH - 1:]
             g_hist = (g_hist + [u_next.values[interior]])[-ANDERSON_DEPTH - 1:]
-            if len(f_hist) > 1:
-                # rules 2 and 1: a proposal clipped to the last output, or
-                # onto a discarded candidate, leaves the next sweep plain
-                cand, upper = _clip(_anderson_candidate(f_hist, g_hist),
-                                    g_hist[-1], upper)
-                if not (np.array_equal(cand, g_hist[-1]) or cand.tobytes() in discarded):
-                    values = u_next.values.copy()
-                    values[interior] = cand
-                    anchor = ScalarField(grid, values)
+            proposal = _anderson_candidate(f_hist, g_hist) if len(f_hist) > 1 else None
     else:
         # no ratio of successive steps: Anderson candidates overshoot first,
         # so the steps grow for a few sweeps of a converging iteration
@@ -1452,20 +1450,12 @@ def outer_iterate(H, B, cfg=None):
     bound = cfg.tol_inner + gamma_eff * max(step_history[-1], 0.0)
     theta = graph_normal_env(grid, v.values)[0]["t"]
     report = SolveReport(
+        **partial(residual_history),
         converged=True,
-        mode=mode,
-        gamma=gamma_eff,
         gamma_certificate=gamma_cert,
         cutoff=cut.describe() if cut is not None else None,
-        outer_count=len(step_history),
         accelerated_steps=accelerated,
-        rejected_steps=rejected,
-        factorizations=lagged.factorizations,
-        krylov_iterations=lagged.krylov_iterations,
-        linear_solves=lagged.linear_solves,
         inner_newton_counts=inner_counts,
-        residual_history=residual_history,
-        step_history=step_history,
         monotonicity_violations=mono_viol,
         confinement_violations=conf_viol,
         final_residual=final_residual,

@@ -423,6 +423,27 @@ def test_default_cutoff_plateau_fits_an_explicit_box(box, plateau, tmp_path):
     assert (doc["cutoff"]["c1"], doc["cutoff"]["c2"]) == pytest.approx(plateau, abs=1e-12)
 
 
+def test_bad_boundary_trace_of_from_phi_barriers_exits_2(tmp_path, capsys):
+    # psi is checked on the config's grid before any barrier is built, as
+    # for explicit barriers, so its errors are config errors
+    doc = tmp_path / "phi.json"
+    doc.write_text(json.dumps({
+        "version": 1,
+        "grid": {"dimension": 2, "shape": [17, 17], "lengths": [1.0, 1.0],
+                 "topology": ["dirichlet", "dirichlet"]},
+        "pmc": {"expr": "0.1*cos(z)"},
+        "conformal": "product",
+        "barriers": {"from_phi": {"base": "0", "phi": "0.1*cos(z)"}, "psi": "0"}}))
+    for psi, needle in (("x1 +", "parse error at position 5"),
+                        ("z", "unknown identifier 'z'")):
+        for sub in ("solve", "check-barrier"):
+            assert run([sub, "--config", str(doc), "--override", f"barriers.psi={psi}",
+                        "--out-report", str(tmp_path / "r.json")]) == 2, (sub, psi)
+            err = capsys.readouterr().err
+            assert "config error: barriers: " in err and needle in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_solve_with_bad_barriers_exits_1(tmp_path):
     report = tmp_path / "r.json"
     code = run(["solve", *small_torus(["--override", "barriers.u0=0.26"]),

@@ -383,29 +383,121 @@ def _supersolution_seed():
     return grid, F, B.u0, gamma * B.u0.values
 
 
-def test_candidate_supersolution_is_returned_unsolved():
+def _record_passes(monkeypatch):
+    """Record what `outer_iterate` does, in order: ("clip", proposal, last,
+    upper) for each proposal its gate clips, with the bracket's upper end
+    as the gate passes it; ("gate", candidate, verdict, tol) for each
+    candidate the gate tests, the candidate being the field the gate
+    evaluated right before the test; and ("solve", seed, output, keywords)
+    for each inner solve."""
+    import pmcgraph.solver as solver
+
+    log, evaluated = [], []
+    clip, evaluate, test, solve = (solver._clip, solver._graph_residual,
+                                   solver._strict_supersolution, solver.solve_inner)
+
+    def clipping(proposal, last, upper):
+        log.append(("clip", proposal, last, upper))
+        return clip(proposal, last, upper)
+
+    def evaluating(grid, values, F):
+        evaluated.append(values.copy())
+        return evaluate(grid, values, F)
+
+    def testing(residual, tol):
+        verdict = test(residual, tol)
+        log.append(("gate", evaluated[-1], verdict, tol))
+        return verdict
+
+    def solving(grid, F, psi, init, cfg=None, **kwargs):
+        u, rep = solve(grid, F, psi, init, cfg, **kwargs)
+        log.append(("solve", init.values.copy(), u.values.copy(), kwargs))
+        return u, rep
+
+    monkeypatch.setattr(solver, "_clip", clipping)
+    monkeypatch.setattr(solver, "_graph_residual", evaluating)
+    monkeypatch.setattr(solver, "_strict_supersolution", testing)
+    monkeypatch.setattr(solver, "solve_inner", solving)
+    return log
+
+
+def _judged(log):
+    """(log index, candidate, last output, unsolved, discarded) of each
+    candidate the gate tested, from a `_record_passes` log.  The gate tests
+    a candidate right after a counted sweep, so the last output is that of
+    the solve before the test.  A candidate the gate admits is the seed of
+    the next solve, and its sweep was discarded if the next sweep, the next
+    solve with another anchor source, starts from that last output again."""
+    out = []
+    for i, (kind, cand, unsolved, _) in enumerate(log):
+        if kind != "gate":
+            continue
+        last = next(e[2] for e in reversed(log[:i]) if e[0] == "solve")
+        solves = [e for e in log[i + 1:] if e[0] == "solve"]
+        discarded = unsolved
+        if not unsolved:
+            assert np.array_equal(solves[0][1], cand)
+            after = [e for e in solves[1:]
+                     if not np.array_equal(e[3]["source"], solves[0][3]["source"])]
+            discarded = bool(after) and np.array_equal(after[0][1], last)
+        out.append((i, cand, last, unsolved, discarded))
+    return out
+
+
+def test_candidate_supersolution_is_returned_unsolved(monkeypatch):
+    from pmcgraph.solver import _graph_residual, _strict_supersolution
+
+    # the seed's residual, less its anchor source, is above tol_outer at
+    # every unknown
     grid, F, seed, source = _supersolution_seed()
-    lagged = LaggedLU()
-    u, rep = solve_inner(grid, F, None, seed, source=source, lagged=lagged,
-                         candidate=True)
-    assert rep["supersolution"] and not rep["converged"]
-    assert rep["newton_steps"] == rep["ptc_steps"] == 0
-    assert lagged.linear_solves == 0
-    assert np.array_equal(u.values, seed.values)
-    assert rep["residual_sup"] > SolveConfig().tol_outer
+    residual = (_graph_residual(grid, seed.values, F)[0] - source).reshape(-1)
+    assert np.min(residual) > SolveConfig().tol_outer
+    assert _strict_supersolution(residual, SolveConfig().tol_outer)
+    # the gate discards such a candidate before any Newton step: no solve
+    # starts from it, the sweep is redone from the last output, and the
+    # candidate bounds every later clip from above
+    grid, H, B = _torus_sine_16()
+    log = _record_passes(monkeypatch)
+    _, rep = outer_iterate(H, B)
+    unsolved = [j for j in _judged(log) if j[3]]
+    assert 1 <= len(unsolved) <= rep.rejected_steps
+    for i, cand, last, _, _ in unsolved:
+        assert not any(e[0] == "solve" and np.array_equal(e[1], cand) for e in log)
+        redo = next(e for e in log[i + 1:] if e[0] == "solve")
+        assert np.array_equal(redo[1], last)
+        inside = cand[~grid.boundary_mask]
+        assert all(np.all(e[3] <= inside) for e in log[i + 1:] if e[0] == "clip")
+    # so every linear solve belongs to a counted sweep
+    assert rep.linear_solves == sum(rep.inner_newton_counts)
 
 
-def _solved_as_without_candidate(grid, F, seed, source, cfg=None):
+def _same(a, b):
+    # reports of `solve_inner`: numbers, arrays and nested sequences of
+    # them, equal entry by entry
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return bool(np.array_equal(a, b))
+
+
+def _solved_as_plain(grid, F, seed, source, cfg=None):
+    # the gate admits the seed, and its solve from the gate's evaluation is
+    # its plain solve, bit for bit
+    from pmcgraph.solver import _graph_residual, _strict_supersolution
+
+    cfg = cfg or SolveConfig()
+    evaluation = _graph_residual(grid, seed.values, F)
+    assert not _strict_supersolution((evaluation[0] - source).reshape(-1), cfg.tol_outer)
     runs = []
-    for candidate in (False, True):
+    for handed in (None, evaluation):
         lagged = LaggedLU()
         u, rep = solve_inner(grid, F, None, seed, cfg, source=source,
-                             lagged=lagged, candidate=candidate)
+                             lagged=lagged, evaluation=handed)
         runs.append((u.values, rep, lagged.linear_solves))
     (plain, plain_rep, plain_solves), (u, rep, solves) = runs
-    assert not plain_rep["supersolution"] and not rep["supersolution"]
     assert rep["converged"] and rep["newton_steps"] >= 1
-    assert rep == plain_rep and solves == plain_solves == rep["newton_steps"]
+    assert _same(rep, plain_rep) and solves == plain_solves == rep["newton_steps"]
     assert np.array_equal(u, plain)
 
 
@@ -414,20 +506,26 @@ def test_candidate_below_its_problem_at_one_node_is_solved():
     # a larger source at one node makes the residual there negative
     source = source.copy()
     source[3, 5] += 1.0
-    _solved_as_without_candidate(grid, F, seed, source)
+    _solved_as_plain(grid, F, seed, source)
 
 
-def test_candidate_residual_is_judged_against_tol_outer():
+def test_candidate_residual_is_judged_against_tol_outer(monkeypatch):
     grid, F, seed, source = _supersolution_seed()
     # the same seed, with tol_outer above its smallest residual
-    _solved_as_without_candidate(grid, F, seed, source, SolveConfig(tol_outer=0.05))
+    _solved_as_plain(grid, F, seed, source, SolveConfig(tol_outer=0.05))
+    # the gate passes the solve's own tol_outer
+    grid, H, B = _torus_sine_16()
+    log = _record_passes(monkeypatch)
+    outer_iterate(H, B, SolveConfig(tol_outer=1e-3))
+    tols = [e[3] for e in log if e[0] == "gate"]
+    assert tols and set(tols) == {1e-3}
 
 
-def test_supersolution_seed_without_the_candidate_flag_is_solved():
+def test_solve_inner_solves_a_supersolution_seed():
     grid, F, seed, source = _supersolution_seed()
     lagged = LaggedLU()
     u, rep = solve_inner(grid, F, None, seed, source=source, lagged=lagged)
-    assert rep["converged"] and not rep["supersolution"]
+    assert rep["converged"]
     assert rep["newton_steps"] >= 1 and lagged.linear_solves == rep["newton_steps"]
     assert rep["residual_sup"] <= SolveConfig().tol_inner
     # the solution lies below the supersolution it started from
@@ -558,25 +656,15 @@ def test_clip_keeps_candidates_below_discarded_supersolutions():
 
 
 def test_accelerated_sweeps_start_above_the_last_output(monkeypatch):
-    import pmcgraph.solver as solver
-
     grid, H, B = _torus_sine_16()
-    calls = []
-    real = solver.solve_inner
-
-    def recording(grid, F, psi, init, cfg=None, **kwargs):
-        u, rep = real(grid, F, psi, init, cfg, **kwargs)
-        calls.append((kwargs.get("candidate", False), init.values, u.values))
-        return u, rep
-
-    monkeypatch.setattr(solver, "solve_inner", recording)
+    log = _record_passes(monkeypatch)
     _, rep = outer_iterate(H, B)
     assert (rep.outer_count, rep.accelerated_steps, rep.rejected_steps) == (16, 3, 6)
-    candidates = [(seed, calls[i - 1][2])
-                  for i, (candidate, seed, _) in enumerate(calls) if candidate]
+    judged = _judged(log)
     # every candidate sweep is counted or discarded
-    assert len(candidates) == rep.accelerated_steps + rep.rejected_steps
-    for seed, last in candidates:
+    assert len(judged) == rep.accelerated_steps + rep.rejected_steps
+    assert sum(discarded for *_, discarded in judged) == rep.rejected_steps
+    for _, seed, last, _, _ in judged:
         # a candidate is built right after the counted sweep whose output
         # it was clipped above: it lies above that output at one node at least
         assert np.all(seed >= last) and np.any(seed > last)
@@ -604,30 +692,19 @@ def _torus_sine_64():
 @pytest.mark.parametrize("problem", [_torus_sine_64, _one_dimensional_multiple_solutions],
                          ids=["torus-64", "1d-several-solutions"])
 def test_a_discarded_candidate_is_not_proposed_again(monkeypatch, problem):
-    import pmcgraph.solver as solver
-
     grid, H, B, cfg = problem()
-    calls = []
-    real = solver.solve_inner
-
-    def recording(grid, F, psi, init, cfg=None, **kwargs):
-        u, rep = real(grid, F, psi, init, cfg, **kwargs)
-        calls.append((kwargs.get("candidate", False), init.values, u.values))
-        return u, rep
-
-    monkeypatch.setattr(solver, "solve_inner", recording)
+    log = _record_passes(monkeypatch)
     try:
         _, rep = outer_iterate(H, B, cfg)
         rejected = rep.rejected_steps
     except SolverFailure as exc:
         rejected = exc.partial["rejected_steps"]
+    judged = _judged(log)
     # a discarded candidate's sweep is redone from the output before it
-    discarded = [i for i, (candidate, _, _) in enumerate(calls[:-1])
-                 if candidate and np.array_equal(calls[i + 1][1], calls[i - 1][2])]
+    discarded = [k for k, (*_, gone) in enumerate(judged) if gone]
     assert len(discarded) == rejected > 0
-    for j, (candidate, seed, _) in enumerate(calls):
-        if candidate:
-            assert not any(np.array_equal(seed, calls[i][1]) for i in discarded if i < j)
+    for j, (_, cand, _, _, _) in enumerate(judged):
+        assert not any(np.array_equal(cand, judged[k][1]) for k in discarded if k < j)
 
 
 # the cases of ROADMAP item 10 that return u = 3 today
@@ -680,6 +757,10 @@ def test_monotonicity_abort_carries_the_partial_counts():
     assert partial["gamma"] == 0.001 and partial["rejected_steps"] == 0
     assert partial["outer_count"] == len(partial["step_history"]) == 1
     assert partial["residual_history"] == exc.value.residual_history
+    # the counts the report shares with it, and no more
+    assert partial.keys() == {"mode", "gamma", "outer_count", "rejected_steps",
+                              "factorizations", "krylov_iterations", "linear_solves",
+                              "residual_history", "step_history"}
 
 
 def test_sweep_budget_counts_discarded_sweeps():
@@ -700,17 +781,18 @@ def test_inner_failure_partial_counts_sweeps_not_solves(monkeypatch):
     calls = []
     real = solver.solve_inner
 
-    def failing_tenth(*args, **kwargs):
+    def failing_ninth(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 10:
+        if len(calls) == 9:
             raise SolverFailure("injected", residual_history=[1.0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "solve_inner", failing_tenth)
+    monkeypatch.setattr(solver, "solve_inner", failing_ninth)
     with pytest.raises(SolverFailure) as exc:
         outer_iterate(H, B)
     partial = exc.value.partial
-    # nine solves ran: eight counted sweeps and one discarded candidate
+    # eight solves ran, one per counted sweep, and the gate discarded one
+    # candidate unsolved
     assert partial["outer_count"] == 8 and partial["rejected_steps"] == 1
     assert partial["residual_history"][-1] == 1.0
 
@@ -830,24 +912,19 @@ def test_exact_sweeps_reach_the_same_field_with_more_linear_solves(
 
 
 def test_candidate_sweeps_start_from_their_anchor(monkeypatch):
-    import pmcgraph.solver as solver
-
     grid, H, B = _torus_sine_16()
-    real = solver.solve_inner
-    starts = []
-
-    def recording(grid, F, psi, init, *args, **kwargs):
-        starts.append((init.values.copy(), kwargs["source"]))
-        return real(grid, F, psi, init, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "solve_inner", recording)
+    log = _record_passes(monkeypatch)
     _, rep = outer_iterate(H, B)
     assert rep.accelerated_steps + rep.rejected_steps > 0
-    # every sweep's first Newton iterate is its anchor, source / gamma; a
-    # finishing solve starts from its sweep's output instead
+    starts = [(seed, kwargs["source"]) for kind, seed, _, kwargs in log if kind == "solve"]
+    unsolved = sum(e[2] for e in log if e[0] == "gate")
+    # every sweep's first Newton iterate is its anchor, source / gamma, but
+    # for the candidates the gate discards unsolved; a finishing solve
+    # starts from its sweep's output instead
     fresh = [k for k in range(len(starts))
              if k == 0 or not np.array_equal(starts[k][1], starts[k - 1][1])]
-    assert len(fresh) == rep.outer_count + rep.rejected_steps
+    assert unsolved >= 1
+    assert len(fresh) == rep.outer_count + rep.rejected_steps - unsolved
     for k in fresh:
         init, source = starts[k]
         assert np.array_equal(rep.gamma * init, source)
@@ -869,9 +946,9 @@ def test_a_seed_above_the_inner_tolerance_takes_a_newton_step(monkeypatch, case)
     monkeypatch.setattr(solver, "solve_inner", recording)
     outer_iterate(H, B, cfg)
     # no sweep is judged by a step its solve never took: only a seed that
-    # already meets tol_inner, or a candidate returned unsolved, takes none
+    # already meets tol_inner takes none
     for rep in reports:
-        if rep["residual_history"][0] > cfg.tol_inner and not rep["supersolution"]:
+        if rep["residual_history"][0] > cfg.tol_inner:
             assert rep["newton_steps"] + rep["ptc_steps"] >= 1
     # and the loose sweeps were there to check
     assert any(rep["tolerance"] > cfg.tol_inner for rep in reports)
@@ -929,8 +1006,8 @@ def test_only_loose_solves_force_at_forcing_max(monkeypatch):
     assert etas[0] == FORCING_FIRST and max(etas[1:]) <= FORCING_MAX
 
 
-@pytest.mark.parametrize("case, evals, every", [("torus_sine", 30, 42),
-                                                ("horosphere", 15, 16)])
+@pytest.mark.parametrize("case, evals, every", [("torus_sine", 30, 45),
+                                                ("horosphere", 15, 21)])
 def test_each_iterate_is_evaluated_once(monkeypatch, case, evals, every):
     import pmcgraph.solver as solver
 
@@ -947,7 +1024,9 @@ def test_each_iterate_is_evaluated_once(monkeypatch, case, evals, every):
     assert len(calls) == evals
     # no two of them at the same iterate
     assert len({c.tobytes() for c in calls}) == evals
-    # each solve evaluating its own seed gives the same solve, bit for bit
+    # each solve evaluating its own seed gives the same solve, bit for bit;
+    # the gate still evaluates each candidate, so an admitted one is
+    # evaluated twice
     calls.clear()
     inner = solver.solve_inner
     monkeypatch.setattr(solver, "solve_inner",
@@ -974,12 +1053,9 @@ def test_unsolved_supersolution_candidates_change_only_the_solve_counts(
 
     grid, H, B, cfg = _penalized_case(case)
     v, rep = outer_iterate(H, B, cfg)
-    real = solver.solve_inner
-
-    def solving_every_candidate(*args, candidate=False, **kwargs):
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "solve_inner", solving_every_candidate)
+    # the gate then finds no strict supersolution, and solves every
+    # candidate
+    monkeypatch.setattr(solver, "_strict_supersolution", lambda residual, tol: False)
     v_all, every = outer_iterate(H, B, cfg)
     assert np.array_equal(v.values, v_all.values)
     for name in ("step_history", "residual_history", "outer_count",

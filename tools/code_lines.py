@@ -7,8 +7,14 @@ as a multi-line string that is not a docstring, counts on each of them.
 
     python tools/code_lines.py                 # src/pmcgraph/*.py
     python tools/code_lines.py perfbench/*.py  # any files
+    python tools/code_lines.py --defs src/pmcgraph/solver.py
+
+With `--defs`, each module's count is followed by that of each of its
+top-level functions and classes, from the first line of its decorators to
+its last line, by the same rule.
 """
 
+import argparse
 import ast
 import glob
 import sys
@@ -32,7 +38,8 @@ def docstring_lines(source):
     return out
 
 
-def code_lines(path):
+def code_line_numbers(path):
+    """The numbers of the code lines of one file."""
     source = Path(path).read_text(encoding="utf-8")
     docs = docstring_lines(source)
     lines = set()
@@ -40,16 +47,38 @@ def code_lines(path):
         for tok in tokenize.tokenize(fh.readline):
             if tok.type not in SKIPPED:
                 lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docs)
+    return lines - docs
+
+
+def code_lines(path):
+    return len(code_line_numbers(path))
+
+
+def definitions(path):
+    """(name, code lines) of each top-level function and class, in order."""
+    lines = code_line_numbers(path)
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    out = []
+    for node in tree.body:
+        if isinstance(node, HEADED[1:]):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            out.append((node.name, len(lines & set(range(first, node.end_lineno + 1)))))
+    return out
 
 
 def main(argv):
-    paths = argv or sorted(glob.glob("src/pmcgraph/*.py"))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("paths", nargs="*", help="files (default: src/pmcgraph/*.py)")
+    parser.add_argument("--defs", action="store_true",
+                        help="also count each top-level function and class")
+    args = parser.parse_args(argv)
     total = 0
-    for path in paths:
+    for path in args.paths or sorted(glob.glob("src/pmcgraph/*.py")):
         n = code_lines(path)
         total += n
         print(f"{n:6d}  {path}")
+        for name, k in definitions(path) if args.defs else ():
+            print(f"{k:6d}    {name}")
     print(f"{total:6d}  total")
     return 0
 

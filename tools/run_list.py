@@ -13,6 +13,12 @@ output directory, so the outputs of two checkouts compare with `diff -r`:
     python tools/run_list.py OUT_OLD --repo path/to/other/checkout
     diff -r OUT_OLD OUT_NEW
 
+or, in one command, against the `src/` and `configs/` of a commit of the
+checkout, extracted by `git archive` into a temporary directory; the paths
+whose contents differ are printed, and any difference exits 1:
+
+    python tools/run_list.py OUT_NEW --against HEAD~1
+
 Runs go one at a time, each in its own interpreter, with the package
 imported from `<repo>/src`.
 """
@@ -23,6 +29,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 COMMANDS = ("solve", "check-monotone", "check-barrier", "transform", "reparam",
@@ -63,13 +70,8 @@ def run(repo, out, case, config, overrides, command):
     return proc.returncode
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", type=Path, help="output directory (replaced)")
-    parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1],
-                        help="checkout whose src/ and configs/ to run (default: this one)")
-    args = parser.parse_args(argv)
-    repo, out = args.repo.resolve(), args.out.resolve()
+def run_all(repo, out):
+    """Write every case's outputs of the checkout `repo` into `out`."""
     if out.exists():
         shutil.rmtree(out)
     (out / "configs").mkdir(parents=True)
@@ -83,7 +85,47 @@ def main(argv=None):
     for case, (config, overrides) in cases.items():
         codes = [run(repo, out, case, config, overrides, c) for c in COMMANDS]
         print(case, " ".join(f"{c}={code}" for c, code in zip(COMMANDS, codes)), flush=True)
-    return 0
+
+
+def archive(repo, rev, dest):
+    """Extract the `src/` and `configs/` of commit `rev` of `repo` into `dest`."""
+    tar = subprocess.run(["git", "-C", str(repo), "archive", rev, "src", "configs"],
+                         check=True, capture_output=True).stdout
+    dest.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+
+
+def differences(a, b):
+    """Paths, relative to the trees `a` and `b`, of the files that are in
+    one tree only or whose bytes differ."""
+    files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+             for root in (a, b)]
+    return sorted(str(p) for p in (files[0] ^ files[1]) | {
+        p for p in files[0] & files[1] if (a / p).read_bytes() != (b / p).read_bytes()})
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="output directory (replaced)")
+    parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose src/ and configs/ to run (default: this one)")
+    parser.add_argument("--against", metavar="REV",
+                        help="also run commit REV of the checkout and compare the outputs")
+    args = parser.parse_args(argv)
+    repo, out = args.repo.resolve(), args.out.resolve()
+    run_all(repo, out)
+    if args.against is None:
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        old = Path(tmp) / "repo"
+        archive(repo, args.against, old)
+        print(f"--- {args.against}", flush=True)
+        run_all(old, Path(tmp) / "out")
+        changed = differences(Path(tmp) / "out", out)
+    for path in changed:
+        print(f"differs: {path}")
+    print(f"{len(changed)} of the outputs differ from {args.against}")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
