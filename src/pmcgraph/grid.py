@@ -94,6 +94,11 @@ class BaseGrid:
         coords = []
         for o, s, h in zip(self.origin, self.shape, self.spacing):
             axis = o + h * np.arange(s, dtype=float)
+            if not np.all(np.diff(axis) > 0.0):
+                # a spacing below the origin's ulp rounds nodes together
+                raise ValueError(
+                    f"node coordinates must increase along each axis, got spacing "
+                    f"{h:.6g} at origin {o:.6g}")
             axis.flags.writeable = False
             coords.append(axis)
         self.axis_coords = tuple(coords)

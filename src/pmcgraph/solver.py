@@ -1,26 +1,27 @@
 """Barrier verification and the graph-curvature solvers.
 
-Two regimes share one inner engine.  When the prescription is non-increasing
-in height the discrete problem is solved directly by damped Newton (the
-diagonal shift -dF/dz >= 0 keeps the linearization nondegenerate).  Otherwise
-the outer iteration cuts the prescription off outside a plateau that holds
-the barrier range and adds a penalty gamma*(z - anchor) large enough to
-restore monotonicity; a plain sweep anchors at the previous output, and
-plain sweeps climb monotonically from the lower barrier to the minimal fixed
-point of the original problem.  Anderson acceleration proposes other
-anchors, and three rules of `outer_iterate` judge every sweep; one gate at
-the top of each of its passes turns the pending proposal into the sweep's
-anchor.  A sweep is plain exactly when its anchor is the last output.  A
-proposal is clipped into one bracket, from the last output up to the
-least known supersolution: u0, lowered by every candidate discarded as a
-strict supersolution.  A candidate sweep is discarded if its candidate was
-a strict supersolution of its own problem, found by the gate before any
-Newton step, or if it moves down or leaves the slab by more than
+Every prescription takes one outer iteration over one inner engine, damped
+Newton.  The iteration cuts the prescription off outside a plateau that
+holds the barrier range and adds a penalty gamma*(z - anchor) that makes the
+cut-off problem decrease in height.  When the prescription is already
+non-increasing in height gamma is 0: the one sweep does not read its anchor,
+and it is the direct solve (the diagonal shift -dF/dz >= 0 keeps the
+linearization nondegenerate).  Otherwise a plain sweep anchors at the
+previous output, and plain sweeps climb monotonically from the lower barrier
+to the minimal fixed point of the original problem.  Anderson acceleration
+proposes other anchors, and three rules of `outer_iterate` judge every
+sweep; one gate at the top of each of its passes turns the pending proposal
+into the sweep's anchor.  A sweep is plain exactly when its anchor is the
+last output.  A proposal is clipped into one bracket, from the last output
+up to the least known supersolution: u0, lowered by every candidate
+discarded as a strict supersolution.  A candidate sweep is discarded if its
+candidate was a strict supersolution of its own problem, found by the gate
+before any Newton step, or if it moves down or leaves the slab by more than
 min(tol_outer, MONOTONE_ABORT); a counted sweep that does so by more than
-MONOTONE_ABORT aborts the solve.  The sweeps are inexact: each inner
-solve stops at a fraction of its seed's residual over the penalty slope,
-which estimates the sweep's step, and only a sweep that may end the
-iteration is finished to the inner tolerance.
+MONOTONE_ABORT aborts the solve.  The sweeps are inexact: each inner solve
+stops at a fraction of its seed's residual over the penalty slope, which
+estimates the sweep's step, and only a sweep that may end the iteration is
+finished to the inner tolerance.
 
 The Jacobian is composed from the residual's own stencils
 (`calculus.operators`), so it is the exact derivative of the discrete
@@ -406,31 +407,18 @@ class Cutoff:
                 "a_ramp": self.a_ramp, "b_ramp": self.b_ramp}
 
 
-class Gamma(float):
-    """Penalty size with its sampling certificate attached."""
-
-    def __new__(cls, value, sup_slope, worst_point, samples):
-        obj = float.__new__(cls, value)
-        obj.sup_slope = float(sup_slope)
-        obj.worst_point = worst_point
-        obj.samples = int(samples)
-        return obj
-
-    def certificate(self):
-        return {"gamma": float(self), "sup_slope": self.sup_slope,
-                "worst_point": self.worst_point, "samples": self.samples}
-
-
 def gamma_for(H, h, box, samples=9):
-    """Penalty size making the cut-off prescription decrease in height.
+    """Penalty size making the cut-off prescription decrease in height, with
+    its certificate.
 
     Samples d/dz of h(z)*H, h a `Cutoff`, over the box lattice and returns
-    1 + 1.05*max(0, sup) as a float carrying the worst sample point, so the
-    certificate -d(hH)/dz + gamma >= 1 holds at every sampled point by
-    construction.
+    the dict of `gamma` = 1 + 1.05*max(0, sup), the sampled `sup_slope`,
+    its `worst_point` and the per-axis `samples`, so the certificate
+    -d(hH)/dz + gamma >= 1 holds at every sampled point by construction.
     """
     _, sup, _, worst = sampled_range(penalized_pmc(H, h, 0.0), box, "z", samples)
-    return Gamma(1.0 + 1.05 * max(0.0, sup), sup, worst, samples)
+    return {"gamma": 1.0 + 1.05 * max(0.0, sup), "sup_slope": sup,
+            "worst_point": worst, "samples": int(samples)}
 
 
 def penalized_pmc(H, cutoff, gamma):
@@ -438,7 +426,8 @@ def penalized_pmc(H, cutoff, gamma):
 
     The anchor part gamma*u_prev enters the inner solve as a nodal source,
     not here, so this object's height slope is h'H + hH_z - gamma <= -1 by
-    the gamma certificate, uniformly on the working box.
+    the gamma certificate, uniformly on the working box.  At gamma = 0 the
+    tree folds to h(z)*H, which equals H on the plateau.
     """
     z = Var("z")
     cut = Func("cutoff", cutoff.h, (z,), (Func("cutoff'", cutoff.h_prime, (z,)),))
@@ -1098,7 +1087,6 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
         "residual_history": history,
         "tolerance": tol,
         "bordered": bool(bordered),
-        "converged": True,
         "evaluation": evaluated,
     }
     return ScalarField(grid, u), report
@@ -1113,7 +1101,7 @@ class SolveReport:
     """Everything observable about one solve, JSON-ready via to_dict().
 
     The `_QUASI` fields are the quasi-decreasing certificate; only
-    solve_quasi sets them, and to_dict omits them from other modes' reports.
+    solve_quasi sets them, and to_dict omits them from every other report.
     """
 
     converged: bool
@@ -1222,12 +1210,15 @@ def working_box(B, cfg):
 def outer_iterate(H, B, cfg=None):
     """Solve the prescribed-curvature problem between the barriers.
 
-    Monotone prescriptions go straight to the inner Newton solve.  Otherwise
-    each sweep x -> T(x) solves the cut-off penalized problem anchored at x,
-    starting from the lower barrier.  T is monotone, so plain sweeps climb
-    to the minimal solution u* between the barriers, slowly (about 0.8-0.9
-    per sweep on the shipped configs).  Once two sweeps are counted,
-    Anderson proposes the next anchor after each counted sweep
+    Each sweep x -> T(x) solves the cut-off penalized problem anchored at x,
+    starting from the lower barrier.  The penalty gamma is 0 when H passes
+    `check_monotone` over the working box, and otherwise `gamma_for`'s or
+    the explicit cfg.gamma.  A sweep at gamma = 0 does not read its anchor:
+    it is solved to tol_inner and ends the iteration, the direct solve, and
+    the report's `mode` is "direct".  At gamma > 0 T is monotone, so plain
+    sweeps climb to the minimal solution u* between the barriers, slowly
+    (about 0.8-0.9 per sweep on the shipped configs).  Once two sweeps are
+    counted, Anderson proposes the next anchor after each counted sweep
     (`_anderson_candidate`), and three rules judge every sweep.  Rules 1,
     2 and the first half of rule 3 are one gate at the top of each pass,
     which turns the pending proposal into the sweep's anchor; an admitted
@@ -1263,8 +1254,8 @@ def outer_iterate(H, B, cfg=None):
     of its Newton seed in its own problem.  A sweep whose step is at most
     max(tol_outer, tol_k) is finished to tol_inner from the same anchor and
     measured again, so the exit sweep is a counted one solved to
-    tol_inner with step <= tol_outer, and the consistency bound
-    tol_inner + gamma*step holds.  `inner_newton_counts` adds up both
+    tol_inner, with step <= tol_outer at gamma > 0, and the consistency
+    bound tol_inner + gamma*step holds.  `inner_newton_counts` adds up both
     solves of such a sweep; max_outer caps all sweeps, discarded ones
     included.  An explicit cutoff plateau that does not hold the barrier
     range is refused with a ValueError.
@@ -1280,33 +1271,22 @@ def outer_iterate(H, B, cfg=None):
             f"{barrier_check['worst_sub']:.3e}, worst super-solution residual "
             f"{barrier_check['worst_super']:.3e}, tolerance {barrier_check['tol']:.3e})")
     mono = check_monotone(H, box, cfg.samples)
-
-    if mono["passed"]:
-        mode = "direct"
-        gamma_eff = 0.0
-        gamma_cert = None
-        cut = None
-        F_core = H
-    else:
-        mode = "penalized"
-        zmin, zmax = B.z_bounds()
-        span = max(zmax - zmin, 1e-12)
-        c1, c2 = cfg.cutoff or (zmin - min(0.1 * span, 0.5 * (zmin - box.z_min)),
-                                zmax + min(0.1 * span, 0.5 * (box.z_max - zmax)))
-        if not (c1 <= zmin and zmax <= c2):
-            # off the plateau the sweeps solve the cut-off problem, not H's
-            raise ValueError(
-                f"cutoff plateau [{c1:.6g}, {c2:.6g}] must hold the barrier "
-                f"range [{zmin:.6g}, {zmax:.6g}]")
-        cut = Cutoff(c1, c2, box.z_min, box.z_max)
-        if cfg.gamma == "auto":
-            gm = gamma_for(H, cut, box, cfg.samples)
-            gamma_eff = float(gm)
-            gamma_cert = gm.certificate()
-        else:
-            gamma_eff = float(cfg.gamma)
-            gamma_cert = None
-        F_core = penalized_pmc(H, cut, gamma_eff)
+    zmin, zmax = B.z_bounds()
+    span = max(zmax - zmin, 1e-12)
+    c1, c2 = cfg.cutoff or (zmin - min(0.1 * span, 0.5 * (zmin - box.z_min)),
+                            zmax + min(0.1 * span, 0.5 * (box.z_max - zmax)))
+    if not (c1 <= zmin and zmax <= c2):
+        # off the plateau the sweeps solve the cut-off problem, not H's
+        raise ValueError(
+            f"cutoff plateau [{c1:.6g}, {c2:.6g}] must hold the barrier "
+            f"range [{zmin:.6g}, {zmax:.6g}]")
+    cut = Cutoff(c1, c2, box.z_min, box.z_max)
+    gamma_cert = None
+    gamma = 0.0 if mono["passed"] else cfg.gamma
+    if gamma == "auto":
+        gamma_cert = gamma_for(H, cut, box, cfg.samples)
+        gamma = gamma_cert["gamma"]
+    F_core = penalized_pmc(H, cut, gamma)
 
     interior = ~grid.boundary_mask
     u_prev = ScalarField(grid, B.u1.values.copy())
@@ -1329,7 +1309,7 @@ def outer_iterate(H, B, cfg=None):
     mono_viol = []
     conf_viol = []
     # interior values of f = T(x) - x and g = T(x) over the last counted
-    # sweeps x -> T(x), for the Anderson proposals of penalized mode
+    # sweeps x -> T(x), for the Anderson proposals
     f_hist = []
     g_hist = []
     # the upper end of the bracket of rule 2, over the interior
@@ -1350,7 +1330,7 @@ def outer_iterate(H, B, cfg=None):
     def partial(history):
         # the counts the report shares with an unfinished solve's exit-3
         # partial
-        return {"mode": mode, "gamma": gamma_eff,
+        return {"mode": "penalized" if gamma else "direct", "gamma": gamma,
                 "outer_count": len(step_history), "rejected_steps": rejected,
                 "factorizations": lagged.factorizations,
                 "krylov_iterations": lagged.krylov_iterations,
@@ -1358,8 +1338,8 @@ def outer_iterate(H, B, cfg=None):
                 "residual_history": history, "step_history": step_history}
 
     # the residual of a penalized sweep's seed over the penalty slope
-    # estimates the sweep's step
-    forcing = 0.0 if mode == "direct" else SWEEP_FORCING / max(gamma_eff, 1.0)
+    # estimates the sweep's step; a sweep at gamma = 0 is solved exactly
+    forcing = SWEEP_FORCING / max(gamma, 1.0) if gamma else 0.0
     for m in range(cfg.max_outer):
         # the gate: rules 2, 1 and 3 before any Newton step turn the pending
         # proposal into this sweep's anchor, with its seed's evaluation
@@ -1372,7 +1352,7 @@ def outer_iterate(H, B, cfg=None):
                 values[interior] = cand
                 seeded = _graph_residual(grid, values, F_core)
                 if _strict_supersolution(
-                        (seeded[0] - gamma_eff * values)[interior], cfg.tol_outer):
+                        (seeded[0] - gamma * values)[interior], cfg.tol_outer):
                     # lower the bracket's upper end, and redo the sweep
                     upper = np.minimum(upper, cand)
                     discarded.add(cand.tobytes())
@@ -1380,7 +1360,7 @@ def outer_iterate(H, B, cfg=None):
                     continue
                 anchor = ScalarField(grid, values)
         plain = anchor is u_prev
-        source = None if mode == "direct" else gamma_eff * anchor.values
+        source = gamma * anchor.values
         try:
             u_next, irep = solve_inner(grid, F_core, B.psi,
                                        seed if m == 0 else anchor, cfg,
@@ -1428,12 +1408,12 @@ def outer_iterate(H, B, cfg=None):
                 partial=partial(residual_history))
         u_prev = u_next
         evaluation = irep["evaluation"]
-        if step <= cfg.tol_outer:
+        if step <= cfg.tol_outer or not gamma:
+            # the next sweep at gamma = 0 would solve the same problem
             break
-        if mode == "penalized":
-            f_hist = (f_hist + [diff])[-ANDERSON_DEPTH - 1:]
-            g_hist = (g_hist + [u_next.values[interior]])[-ANDERSON_DEPTH - 1:]
-            proposal = _anderson_candidate(f_hist, g_hist) if len(f_hist) > 1 else None
+        f_hist = (f_hist + [diff])[-ANDERSON_DEPTH - 1:]
+        g_hist = (g_hist + [u_next.values[interior]])[-ANDERSON_DEPTH - 1:]
+        proposal = _anderson_candidate(f_hist, g_hist) if len(f_hist) > 1 else None
     else:
         # no ratio of successive steps: Anderson candidates overshoot first,
         # so the steps grow for a few sweeps of a converging iteration
@@ -1447,13 +1427,13 @@ def outer_iterate(H, B, cfg=None):
     v = u_prev
     final = pmc_residual(grid, v, H, box=box)
     final_residual = float(np.max(np.abs(final.values)))
-    bound = cfg.tol_inner + gamma_eff * max(step_history[-1], 0.0)
+    bound = cfg.tol_inner + gamma * max(step_history[-1], 0.0)
     theta = graph_normal_env(grid, v.values)[0]["t"]
     report = SolveReport(
         **partial(residual_history),
         converged=True,
         gamma_certificate=gamma_cert,
-        cutoff=cut.describe() if cut is not None else None,
+        cutoff=cut.describe(),
         accelerated_steps=accelerated,
         inner_newton_counts=inner_counts,
         monotonicity_violations=mono_viol,
@@ -1519,7 +1499,7 @@ def solve_quasi(D, B, cfg=None):
     """Solve for a split prescription and certify the result is a graph.
 
     Runs the outer iteration on the composite H1 + t*H2 (the split's height
-    monotonicity makes it take the direct path), then attaches the tilt
+    monotonicity makes it the one sweep at gamma = 0), then attaches the tilt
     certificate: min Theta, the stability-equation residual, the graphical
     flag, and a one-halving refinement comparison of min Theta.
     """

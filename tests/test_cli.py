@@ -253,6 +253,15 @@ def test_version_must_be_the_integer_one(capsys):
                             "pmc": {"expr": "0"}})["version"] == 1
 
 
+def test_grid_whose_nodes_round_together_exits_2(capsys):
+    # a 1/64 spacing is below the ulp at 1e17, so the nodes of axis 0 share
+    # one coordinate: every subcommand refuses the grid, none reads it
+    for sub in ("solve", "check-barrier", "check-monotone"):
+        assert run([sub, "--config", cfg_path("torus_sine.json"),
+                    "--override", "grid.origin=[1e17, 0]"]) == 2, sub
+        assert "config error: grid: node coordinates must increase" in capsys.readouterr().err
+
+
 def test_integer_past_the_conversion_limit_exits_2(tmp_path, capsys):
     # json raises a plain ValueError, not a JSONDecodeError, for these
     huge = "1" * 5000

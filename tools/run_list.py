@@ -19,6 +19,11 @@ whose contents differ are printed, and any difference exits 1:
 
     python tools/run_list.py OUT_NEW --against HEAD~1
 
+Under each differing `.json` report go the top-level keys whose values
+differ, old -> new, a list of more than four entries shown as its length
+and last entry; under each differing `.csv`, the largest absolute
+difference of its numbers.
+
 Runs go one at a time, each in its own interpreter, with the package
 imported from `<repo>/src`.
 """
@@ -104,6 +109,52 @@ def differences(a, b):
         p for p in files[0] & files[1] if (a / p).read_bytes() != (b / p).read_bytes()})
 
 
+def shown(value):
+    """A report value on one line: a list of more than four entries as its
+    length and last entry."""
+    if isinstance(value, list) and len(value) > 4:
+        return f"[{len(value)} entries, last {json.dumps(value[-1])}]"
+    return json.dumps(value, sort_keys=True)
+
+
+def numbers(path):
+    """The numbers of a CSV file, in order; its comment and header lines
+    hold none."""
+    out = []
+    for line in path.read_text().splitlines():
+        if not line.startswith("#"):
+            for cell in line.split(","):
+                try:
+                    out.append(float(cell))
+                except ValueError:
+                    pass
+    return out
+
+
+def describe(old, new):
+    """Lines saying how the file `new` differs from `old`: the top-level keys
+    of a `.json` report whose values differ, or the largest absolute
+    difference of the numbers of a `.csv`."""
+    if not (old.is_file() and new.is_file()):
+        return [f"  only in {'new' if new.is_file() else 'old'}"]
+    if old.suffix == ".json":
+        a, b = (json.loads(p.read_text()) for p in (old, new))
+
+        def value(doc, key):
+            return shown(doc[key]) if key in doc else "(absent)"
+
+        return [f"  {key}: {value(a, key)} -> {value(b, key)}"
+                for key in sorted(a.keys() | b.keys())
+                if (key in a, a.get(key)) != (key in b, b.get(key))]
+    if old.suffix == ".csv":
+        a, b = numbers(old), numbers(new)
+        if len(a) != len(b):
+            return [f"  {len(a)} -> {len(b)} numbers"]
+        largest = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+        return [f"  largest absolute difference {largest:.3g}"]
+    return []
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="output directory (replaced)")
@@ -122,8 +173,10 @@ def main(argv=None):
         print(f"--- {args.against}", flush=True)
         run_all(old, Path(tmp) / "out")
         changed = differences(Path(tmp) / "out", out)
-    for path in changed:
-        print(f"differs: {path}")
+        for path in changed:
+            print(f"differs: {path}")
+            for line in describe(Path(tmp) / "out" / path, out / path):
+                print(line)
     print(f"{len(changed)} of the outputs differ from {args.against}")
     return 1 if changed else 0
 
