@@ -16,11 +16,14 @@ from names to scalars or arrays (`PMCFunction.eval(env)`,
 `padded`: a prescription that reads x2 or y2 reads 0 there.
 
 The certificates (`check_monotone`, `check_quasi_decreasing` and, in the
-solver, `gamma_for` and `barriers_from_phi`) bound an expression over a
-`WorkingBox` through one function, `sampled_range`.  It reads the extremes
-of a deterministic lattice of the box, so each bound holds at the samples.
+solver, `barriers_from_phi`) bound an expression over a `WorkingBox`
+through one function, `sampled_range`.  It reads the extremes of a
+deterministic lattice of the box, so each bound holds at the samples.
 Each certificate samples only the sub-lattice of the variables its tree
 reads, whose extremes and extreme points are those of the whole lattice.
+The solver's penalty certificate, `gamma_for`, reads the same lattice
+(`WorkingBox.sample_lattice`) with its z axis kept, for the sup of each
+height row.
 """
 
 from __future__ import annotations

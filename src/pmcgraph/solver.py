@@ -2,13 +2,17 @@
 
 Every prescription takes one outer iteration over one inner engine, damped
 Newton.  The iteration cuts the prescription off outside a plateau that
-holds the barrier range and adds a penalty gamma*(z - anchor) that makes the
-cut-off problem decrease in height.  When the prescription is already
-non-increasing in height gamma is 0: the one sweep does not read its anchor,
-and it is the direct solve (the diagonal shift -dF/dz >= 0 keeps the
-linearization nondegenerate).  Otherwise a plain sweep anchors at the
-previous output, and plain sweeps climb monotonically from the lower barrier
-to the minimal fixed point of the original problem.  Anderson acceleration
+holds the barrier range, clips Newton's trial iterates to that plateau, and
+adds a penalty gamma*(z - anchor) that makes the problem non-increasing in
+height over the barrier slab, the heights the iterates take.  When the
+prescription is already non-increasing in height gamma is 0: the one sweep
+does not read its anchor, and it is the direct solve (the diagonal shift
+-dF/dz >= 0 keeps the linearization nondegenerate).  Otherwise a plain
+sweep anchors at the previous output, and plain sweeps climb monotonically
+from the lower barrier to the minimal fixed point of the original problem.
+The slab narrows as they climb: once the prescription no longer increases
+in height over [last output, u0], gamma drops to 0 and the next sweep is
+the direct solve, which ends the iteration.  Anderson acceleration
 proposes other anchors, and three rules of `outer_iterate` judge every
 sweep; one gate at the top of each of its passes turns the pending proposal
 into the sweep's anchor.  A sweep is plain exactly when its anchor is the
@@ -112,9 +116,13 @@ __all__ = [
 MONOTONE_ABORT = 1e-6
 
 # differences of sweep history behind each Anderson candidate of the
-# penalized iteration.  Measured on the 64x64 torus_sine config, depths
-# 1/2/3/5 count 34/16/21/23 sweeps and discard 22/5/7/6 more; the
-# horosphere takes 7-9 sweeps at each of them
+# penalized iteration.  Measured as sweeps (counted/accelerated/discarded)
+# and linear solves at depths 1/2/3/5: the horosphere config takes 6/4/0,
+# 7/5/0, 7/5/0 and 8/6/0 with 7/8/9/10 solves, and the several-solutions
+# problem of tools/run_list.py 10/3/4, 10/4/3, 10/4/3 and 11/5/3 with
+# 14/13/13/16.  The 64x64 torus_sine config takes 3/0/0 and 9 at each, as
+# its penalty drops to 0 before Anderson proposes; at the fixed penalty
+# 1.906 it counted 34/16/21/23 sweeps and discarded 22/5/7/6 more
 ANDERSON_DEPTH = 2
 
 # inexact sweeps of the penalized iteration: each inner solve stops at a
@@ -125,15 +133,15 @@ ANDERSON_DEPTH = 2
 # SWEEP_FORCING of it.  Being below 1, it gives every seed above tol_inner
 # at least one Newton step.  Measured as sweeps (counted/accelerated/
 # discarded, a counted sweep being accelerated when its anchor is not the
-# last output, as `outer_iterate` reports them) and linear solves, with
-# exact sweeps at 0:
-# - 64x64 torus_sine config: 0 takes 16/3/5 and 36; 1e-3 17/4/5 and 28;
-#   3e-3 15/4/4 and 22; 0.01 16/3/5 and 20; 0.03 21/2/6 and 30; 0.1 and
-#   0.3 21/5/6 and 21.  At 128x128, 0.01 takes 16/3/5 and 20;
-# - horosphere config (32x32): 7/5/0 up to 0.03 and 8/6/0 at 0.1 and 0.3,
-#   with 14/10/9/9/9/7/7 linear solves from 0 to 0.3.
-# On the 16x16 torus the result lies 1.9e-10 off the plain iteration's limit
-# at 0, 3e-3 and 0.01, 9.7e-9 at 1e-3, 4.9e-9 at 0.03 and 7.1e-10 at 0.1
+# last output, as `outer_iterate` reports them) and linear solves at 0
+# (exact sweeps), 1e-3, 3e-3, 0.01, 0.03, 0.1 and 0.3:
+# - 64x64 torus_sine config: 3/0/0 at each, the last sweep the direct
+#   solve at gamma = 0, with 13/11/11/9/9/9/8 linear solves.  At 128x128,
+#   0.01 takes 3/0/0 and 9;
+# - horosphere config (32x32): 7/5/0 up to 0.03 and 6/4/0 at 0.1 and 0.3,
+#   with 13/9/8/8/8/6/6 linear solves.
+# On the 16x16 torus the result lies 1.9e-10 off the limit of plain sweeps
+# at the fixed penalty 1.906 at every value
 SWEEP_FORCING = 0.01
 
 # GMRES preconditioned by a lagged LU factor: one restart cycle of this
@@ -152,26 +160,27 @@ KRYLOV_RTOL = 1e-11
 # picks them.  A loose solve, a penalized sweep stopping at a fraction of
 # its seed's residual above tol_inner, uses FORCING_MAX on every Newton
 # step: it stops at SWEEP_FORCING/max(gamma, 1) of its seed's residual,
-# 5.2e-3 on the torus below and 1e-3 on the horosphere, so no step of it
+# 0.01 on the torus below and 6.1e-3 on the horosphere, so no step of it
 # needs a finer linear solve.  A solve to tol_inner uses FORCING_FIRST on its
 # first step and min(FORCING_MAX, 0.9*(|R_k|/|R_k-1|)^2) after it, with sup
 # norms, and every pseudo-time step uses FORCING_FIRST.  Every step may
 # stop at a 2-norm residual of FORCING_FLOOR*tol_inner, which bounds the
 # sup norm, so the linearized residual of the last step stays below
 # tol_inner.  Measured as GMRES iterations of the 64x64 torus_sine config
-# (16/3/5 sweeps, counted as in the SWEEP_FORCING table, 20 linear solves,
-# 1 factorization) and of the horosphere config (7/5/0 sweeps, 9 linear
-# solves):
-# - loose steps at FORCING_MAX: 18 and 6, each loose step 0 or 1; under
-#   the rule of a solve to tol_inner: 32 and 8.  At 128x128: 18 against 34;
-# - loose steps at 1e-3: 19 and 8; at 0.03: 16, but horosphere takes 8/6/0
-#   sweeps; at 0.1: 20/3/5 sweeps and 33 linear solves on the torus, 17
-#   linear solves on the horosphere; FORCING_MAX on a loose solve's first
-#   step only: 18 and 7;
-# - FORCING_FIRST 1e-10 or 1e-6, FORCING_FLOOR 0 or 0.5: no count changes,
-#   also at 128x128, since few steps are left to the solves to tol_inner.
-# At 256x256 the torus_sine config takes 21 linear solves, 20 GMRES
-# iterations and 1 factorization, in about 5.6 s by CLI on 2 cores
+# (3/0/0 sweeps, counted as in the SWEEP_FORCING table, 9 linear solves, 1
+# factorization) and of the horosphere config (7/5/0 sweeps, 8 linear
+# solves); no sweep or linear-solve count moves in any of these:
+# - loose steps at FORCING_MAX: 10 and 7; under the rule of a solve to
+#   tol_inner: 11 and 7.  At 128x128: 10 against 11;
+# - FORCING_MAX at 1e-3: 12 and 7; at 0.03: 10 and 7; at 0.1: 10 and 5;
+#   FORCING_MAX on a loose solve's first step only: 10 and 7;
+# - FORCING_FIRST 1e-10: 11 and 7, and at 128x128 11 with a second
+#   factorization; FORCING_FIRST 1e-6, FORCING_FLOOR 0 or 0.5: no count
+#   changes, also at 128x128.
+# At the fixed penalty 1.906 the torus took 16/3/5 sweeps, 20 linear
+# solves and 18 GMRES iterations, and 32 under the rule of a solve to
+# tol_inner.  At 256x256 the torus_sine config takes 10 linear solves, 12
+# GMRES iterations and 1 factorization, in about 3.9 s by CLI on 2 cores
 FORCING_FIRST = 1e-8
 FORCING_MAX = 1e-2
 FORCING_FLOOR = 0.1
@@ -407,27 +416,46 @@ class Cutoff:
                 "a_ramp": self.a_ramp, "b_ramp": self.b_ramp}
 
 
-def gamma_for(H, h, box, samples=9):
-    """Penalty size making the cut-off prescription decrease in height, with
-    its certificate.
+def gamma_for(H, slab, samples=9):
+    """Penalty size making H decrease in height over the barrier slab, with
+    its certificate and the slope bound of every narrower slab.
 
-    Samples d/dz of h(z)*H, h a `Cutoff`, over the box lattice and returns
-    the dict of `gamma` = 1 + 1.05*max(0, sup), the sampled `sup_slope`,
-    its `worst_point` and the per-axis `samples`, so the certificate
-    -d(hH)/dz + gamma >= 1 holds at every sampled point by construction.
+    `slab` is the `WorkingBox` of the heights the sweeps' iterates take,
+    [min u1, max u0], which lies on the cutoff's plateau, where the cut-off
+    prescription is H.  Samples dH/dz over its lattice, the z axis always
+    among the read ones, and returns (certificate, sup_above).  The
+    certificate is the dict of `gamma` = 1.05*max(0, sup), the sampled
+    `sup_slope`, its `worst_point`, the per-axis `samples` and the `slab`'s
+    z-range, so -dH/dz + gamma >= 0 holds at every sampled point by
+    construction.  `sup_above(z)` is the sampled sup over the lattice's z
+    rows from the row at or below z upward: the bound over the narrower slab
+    [z, max u0], read off the same samples.
     """
-    _, sup, _, worst = sampled_range(penalized_pmc(H, h, 0.0), box, "z", samples)
-    return {"gamma": 1.0 + 1.05 * max(0.0, sup), "sup_slope": sup,
-            "worst_point": worst, "samples": int(samples)}
+    env = slab.sample_lattice(samples, H.ast.diff("z").variables() | {"z"})
+    slope = np.broadcast_to(H.partial("z", env), env["z"].shape)
+    j = int(np.argmax(slope))
+    rows = np.linspace(slab.z_min, slab.z_max, samples)
+    # the sup of each z row and of every row above it
+    above = np.maximum.accumulate(
+        [np.max(slope[env["z"] == z]) for z in rows[::-1]])[::-1]
+
+    def sup_above(z):
+        return float(above[max(int(np.searchsorted(rows, z, "right")) - 1, 0)])
+
+    sup = float(slope[j])
+    return {"gamma": 1.05 * max(0.0, sup), "sup_slope": sup,
+            "worst_point": {k: float(env[k][j]) for k in variables(slab.dimension)},
+            "samples": int(samples), "slab": [slab.z_min, slab.z_max]}, sup_above
 
 
 def penalized_pmc(H, cutoff, gamma):
     """Cut-off, height-penalized prescription h(z)*H - gamma*z.
 
     The anchor part gamma*u_prev enters the inner solve as a nodal source,
-    not here, so this object's height slope is h'H + hH_z - gamma <= -1 by
-    the gamma certificate, uniformly on the working box.  At gamma = 0 the
-    tree folds to h(z)*H, which equals H on the plateau.
+    not here.  On the cutoff's plateau this object's height slope is
+    H_z - gamma, which the gamma certificate makes <= 0 at every sample of
+    the barrier slab; on the ramps h'H is not bounded by it.  At gamma = 0
+    the tree folds to h(z)*H, which equals H on the plateau.
     """
     z = Var("z")
     cut = Func("cutoff", cutoff.h, (z,), (Func("cutoff'", cutoff.h_prime, (z,)),))
@@ -942,7 +970,7 @@ def _forcing_term(loose, pseudo_time, history):
 
 
 def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
-                lagged=None, forcing=0.0, evaluation=None):
+                lagged=None, forcing=0.0, evaluation=None, bounds=None):
     """Damped Newton on the discrete prescribed-curvature system.
 
     F must be non-increasing in height; when a working box is supplied that
@@ -966,6 +994,12 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     already evaluated with the same F, such a returned field or a
     candidate the outer iteration's gate evaluated, takes that evaluation
     as `evaluation` in place of evaluating init.
+
+    With `bounds` = (lo, hi) every trial iterate, Newton or pseudo-time, is
+    clipped into [lo, hi] at the unknowns.  The outer iteration passes its
+    cutoff's plateau: off it the cut-off problem has flat solutions of its
+    own, such as u = b_ramp where h(u)*H = 0, which a Newton step from a
+    far seed can reach.
 
     Returns (solution field, report dict).  Raises SolverFailure with the
     best iterate when the step budget runs out; falls back to pseudo-time
@@ -1009,7 +1043,8 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
         # the iterate moved by `step`, with its residual and its
         # evaluation, or None where the prescription refuses it
         v = u.copy()
-        v.reshape(-1)[unknown] += step
+        moved = v.reshape(-1)[unknown] + step
+        v.reshape(-1)[unknown] = moved if bounds is None else np.clip(moved, *bounds)
         try:
             return (v, *residual(v))
         except ValueError:
@@ -1107,6 +1142,7 @@ class SolveReport:
     converged: bool
     mode: str
     gamma: float
+    gamma_history: list
     gamma_certificate: object
     cutoff: object
     outer_count: int
@@ -1211,13 +1247,24 @@ def outer_iterate(H, B, cfg=None):
     """Solve the prescribed-curvature problem between the barriers.
 
     Each sweep x -> T(x) solves the cut-off penalized problem anchored at x,
-    starting from the lower barrier.  The penalty gamma is 0 when H passes
-    `check_monotone` over the working box, and otherwise `gamma_for`'s or
-    the explicit cfg.gamma.  A sweep at gamma = 0 does not read its anchor:
-    it is solved to tol_inner and ends the iteration, the direct solve, and
-    the report's `mode` is "direct".  At gamma > 0 T is monotone, so plain
-    sweeps climb to the minimal solution u* between the barriers, slowly
-    (about 0.8-0.9 per sweep on the shipped configs).  Once two sweeps are
+    starting from the lower barrier, with every Newton trial iterate
+    clipped to the cutoff's plateau [c1, c2] (`solve_inner`'s `bounds`).
+    The first sweep's penalty gamma is 0 when H passes `check_monotone`
+    over the working box, and otherwise the explicit cfg.gamma or
+    `gamma_for`'s over the barrier slab [min u1, max u0].  A sweep at gamma
+    = 0 does not read its anchor: it is solved to tol_inner and ends the
+    iteration, the direct solve.  At gamma > 0 T is monotone, so plain sweeps
+    climb to the minimal solution u* between the barriers.  The comparison
+    argument behind that needs hH - gamma*z non-increasing only at the
+    heights the iterates take, the slab [last output, u0], which narrows as
+    they climb.  So with an "auto" penalty, after each counted sweep, the
+    sampled sup of dH/dz over the narrower slab is read off `gamma_for`'s
+    lattice; once it is <= 0, gamma drops to 0, the pending proposal and
+    the evaluation made with the old penalty are dropped, and the next sweep
+    is the direct solve from the last output.  An explicit cfg.gamma stays
+    fixed for every sweep.  The report's `gamma` is the first sweep's,
+    `gamma_history` holds every counted sweep's, and `mode` is "penalized"
+    iff one of them is above 0, "direct" otherwise.  Once two sweeps are
     counted, Anderson proposes the next anchor after each counted sweep
     (`_anderson_candidate`), and three rules judge every sweep.  Rules 1,
     2 and the first half of rule 3 are one gate at the top of each pass,
@@ -1243,7 +1290,7 @@ def outer_iterate(H, B, cfg=None):
        more than MONOTONE_ABORT aborts the solve with MonotonicityError;
        smaller violations are tolerated as scheme noise.  Like every
        SolverFailure raised here, the error carries the counts so far as
-       `partial`, the nine the report takes from the same record.
+       `partial`, the ten the report takes from the same record.
 
     A proposal stays pending until the next counted sweep replaces it, so
     a sweep redone after a discard is plain by rule 1.
@@ -1255,10 +1302,10 @@ def outer_iterate(H, B, cfg=None):
     max(tol_outer, tol_k) is finished to tol_inner from the same anchor and
     measured again, so the exit sweep is a counted one solved to
     tol_inner, with step <= tol_outer at gamma > 0, and the consistency
-    bound tol_inner + gamma*step holds.  `inner_newton_counts` adds up both
-    solves of such a sweep; max_outer caps all sweeps, discarded ones
-    included.  An explicit cutoff plateau that does not hold the barrier
-    range is refused with a ValueError.
+    bound tol_inner + gamma*step holds, with the exit sweep's gamma.
+    `inner_newton_counts` adds up both solves of such a sweep; max_outer
+    caps all sweeps, discarded ones included.  An explicit cutoff plateau
+    that does not hold the barrier range is refused with a ValueError.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -1281,11 +1328,14 @@ def outer_iterate(H, B, cfg=None):
             f"cutoff plateau [{c1:.6g}, {c2:.6g}] must hold the barrier "
             f"range [{zmin:.6g}, {zmax:.6g}]")
     cut = Cutoff(c1, c2, box.z_min, box.z_max)
-    gamma_cert = None
+    gamma_cert = sup_above = None
     gamma = 0.0 if mono["passed"] else cfg.gamma
     if gamma == "auto":
-        gamma_cert = gamma_for(H, cut, box, cfg.samples)
+        gamma_cert, sup_above = gamma_for(
+            H, WorkingBox.from_grid(grid, (zmin, zmax)), cfg.samples)
         gamma = gamma_cert["gamma"]
+    # the first sweep's penalty, which names the report's mode
+    sized = gamma
     F_core = penalized_pmc(H, cut, gamma)
 
     interior = ~grid.boundary_mask
@@ -1308,6 +1358,7 @@ def outer_iterate(H, B, cfg=None):
     step_history = []
     mono_viol = []
     conf_viol = []
+    gamma_history = []
     # interior values of f = T(x) - x and g = T(x) over the last counted
     # sweeps x -> T(x), for the Anderson proposals
     f_hist = []
@@ -1330,7 +1381,8 @@ def outer_iterate(H, B, cfg=None):
     def partial(history):
         # the counts the report shares with an unfinished solve's exit-3
         # partial
-        return {"mode": "penalized" if gamma else "direct", "gamma": gamma,
+        return {"mode": "penalized" if sized else "direct", "gamma": sized,
+                "gamma_history": gamma_history,
                 "outer_count": len(step_history), "rejected_steps": rejected,
                 "factorizations": lagged.factorizations,
                 "krylov_iterations": lagged.krylov_iterations,
@@ -1365,7 +1417,7 @@ def outer_iterate(H, B, cfg=None):
             u_next, irep = solve_inner(grid, F_core, B.psi,
                                        seed if m == 0 else anchor, cfg,
                                        source=source, lagged=lagged, forcing=forcing,
-                                       evaluation=seeded)
+                                       evaluation=seeded, bounds=(c1, c2))
             inner_steps = irep["newton_steps"] + irep["ptc_steps"]
             step = sup_norm(u_next, anchor)
             tol = irep["tolerance"]
@@ -1374,7 +1426,8 @@ def outer_iterate(H, B, cfg=None):
                 # within its own tolerance: finish it to tol_inner
                 u_next, irep = solve_inner(grid, F_core, B.psi, u_next, cfg,
                                            source=source, lagged=lagged,
-                                           evaluation=irep["evaluation"])
+                                           evaluation=irep["evaluation"],
+                                           bounds=(c1, c2))
                 inner_steps += irep["newton_steps"] + irep["ptc_steps"]
                 step = sup_norm(u_next, anchor)
         except SolverFailure as exc:
@@ -1399,6 +1452,7 @@ def outer_iterate(H, B, cfg=None):
         step_history.append(float(step))
         mono_viol.append(viol)
         conf_viol.append(conf)
+        gamma_history.append(gamma)
         if max(viol, conf) > MONOTONE_ABORT:
             raise MonotonicityError(
                 f"outer sweep {len(step_history)} moved down by {viol:.3e} and "
@@ -1411,6 +1465,14 @@ def outer_iterate(H, B, cfg=None):
         if step <= cfg.tol_outer or not gamma:
             # the next sweep at gamma = 0 would solve the same problem
             break
+        if sup_above is not None and sup_above(float(np.min(u_prev.values))) <= 0.0:
+            # H does not increase over the slab [last output, u0]: the next
+            # sweep is the direct solve from the last output, and neither the
+            # pending proposal nor the evaluation, made with the old penalty,
+            # carries over
+            gamma, forcing, proposal, evaluation = 0.0, 0.0, None, None
+            F_core = penalized_pmc(H, cut, 0.0)
+            continue
         f_hist = (f_hist + [diff])[-ANDERSON_DEPTH - 1:]
         g_hist = (g_hist + [u_next.values[interior]])[-ANDERSON_DEPTH - 1:]
         proposal = _anderson_candidate(f_hist, g_hist) if len(f_hist) > 1 else None
@@ -1427,7 +1489,7 @@ def outer_iterate(H, B, cfg=None):
     v = u_prev
     final = pmc_residual(grid, v, H, box=box)
     final_residual = float(np.max(np.abs(final.values)))
-    bound = cfg.tol_inner + gamma * max(step_history[-1], 0.0)
+    bound = cfg.tol_inner + gamma_history[-1] * max(step_history[-1], 0.0)
     theta = graph_normal_env(grid, v.values)[0]["t"]
     report = SolveReport(
         **partial(residual_history),

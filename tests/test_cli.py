@@ -378,16 +378,34 @@ def test_split_with_conformal_metric_is_refused_alike_everywhere(capsys):
 
 
 def test_failed_solve_exits_3_with_partial_report(tmp_path):
+    # the small torus takes three sweeps, the last one the direct solve
     report = tmp_path / "r.json"
-    code = run(["solve", *small_torus(["--override", "solver.max_outer=3"]),
+    code = run(["solve", *small_torus(["--override", "solver.max_outer=2"]),
                 "--out-report", str(report)])
     assert code == 3
     doc = read_json(report)
     assert doc["converged"] is False
-    assert len(doc["residual_history"]) == 3
+    assert len(doc["residual_history"]) == 2
     assert doc["best_iterate_path"] == str(tmp_path / "r.best.csv")
     assert os.path.exists(doc["best_iterate_path"])
-    assert doc["partial"]["outer_count"] == 3
+    assert doc["partial"]["outer_count"] == 2
+    assert doc["partial"]["gamma_history"] == [doc["partial"]["gamma"]] * 2
+
+
+def test_several_solutions_config_returns_the_minimal_solution(tmp_path, monkeypatch):
+    # the several-solutions config of tools/run_list.py: H = 0.02*sin(pi*z)
+    # vanishes at every integer height, so u = 1 is the least of the
+    # constant solutions between the barriers u1 = 0.05 and u0 = 3.5
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    from run_list import SEVERAL_SOLUTIONS
+
+    config = tmp_path / "several_solutions.json"
+    config.write_text(json.dumps(SEVERAL_SOLUTIONS))
+    report, field = tmp_path / "r.json", tmp_path / "u.csv"
+    code = run(["solve", "--config", str(config), "--out-report", str(report),
+                "--out-field", str(field)])
+    assert code == 0 and read_json(report)["consistency_ok"]
+    assert np.max(np.abs(read_field_csv(str(field)).values - 1.0)) <= 1e-6
 
 
 def test_monotonicity_abort_exits_3_with_partial_report(tmp_path):

@@ -2,8 +2,11 @@
 
 Runs `solve`, `check-monotone`, `check-barrier`, `transform`, `reparam`,
 `diagnose` and `eval-residual` (of the field `solve` wrote) on each config
-under `configs/`, plus the several-solutions problem of ROADMAP item 10 and
-horosphere in a working box that leaves little room around its barriers.
+under `configs/`, plus the several-solutions problem of ROADMAP item 10,
+horosphere in a working box that leaves little room around its barriers,
+and torus_sine at the explicit penalty 1.9064653208705127, the one its
+`auto` penalty was before it was sized to the barrier slab, which keeps that
+older path of fixed-penalty sweeps in the comparison.
 Every run writes `<command>/<case>.json` (the report), `<command>/<case>.csv`
 (the field or table, when the command writes one) and `<command>/<case>.log`
 (exit code, stdout and stderr).  Paths in the reports are relative to the
@@ -54,6 +57,7 @@ SEVERAL_SOLUTIONS = {
 EXTRA = {
     "several_solutions": ("several_solutions.json", ()),
     "horosphere_tight_box": ("horosphere.json", ("box=[0.79,1.26]",)),
+    "torus_sine_explicit_gamma": ("torus_sine.json", ("solver.gamma=1.9064653208705127",)),
 }
 
 
