@@ -24,7 +24,8 @@ Evaluation is vectorized over numpy arrays.  Domain problems (division by
 zero, ln of a negative, ...) are not caught eagerly; `eval_checked` raises
 once a non-finite value appears, naming the first offending sample point.
 It also evaluates several trees at once, such as a prescription and its
-partials, computing each subtree they share once.
+partials, computing each subtree they share once; `shared_subtrees` makes
+the subtrees of one structure one node, so that each is shared.
 
 A tree may also hold `Func` nodes, numeric functions given as Python code;
 where such a node has no derivative rule, `Func.diff` takes a centered
@@ -44,6 +45,7 @@ __all__ = [
     "Func",
     "parse_expr",
     "eval_checked",
+    "shared_subtrees",
     "takes_differences",
 ]
 
@@ -594,6 +596,23 @@ def rename_var(node, old, new):
     if isinstance(node, Var):
         return Var(new) if node.name == old else node
     return node._map(lambda a: rename_var(a, old, new))
+
+
+def shared_subtrees(nodes):
+    """The trees `nodes` rebuilt so that subtrees of one structure are one
+    node, which an evaluation with a memo then computes once.  Two subtrees
+    have one structure when they are of one type, call one function and
+    have the same children, or are equal leaves; the table that finds them
+    lives for this call only."""
+    table = {}
+
+    def share(node):
+        node = node._map(share)
+        key = (type(node), getattr(node, "fn", None),
+               tuple(map(id, node.args)) if node.args else node.to_str())
+        return table.setdefault(key, node)
+
+    return [share(n) for n in nodes]
 
 
 def takes_differences(node):

@@ -34,7 +34,16 @@ import math
 import numpy as np
 
 from .calculus import mean_curvature_product_values, node_gradients
-from .expr import Add, Func, Mul, Var, eval_checked, parse_expr, takes_differences
+from .expr import (
+    Add,
+    Func,
+    Mul,
+    Var,
+    eval_checked,
+    parse_expr,
+    shared_subtrees,
+    takes_differences,
+)
 from .grid import DIMENSIONS, ScalarField
 
 __all__ = [
@@ -111,11 +120,11 @@ class PMCFunction:
     """
 
     def __init__(self, ast, provenance="expression", text=None, label="curvature"):
-        self.ast = ast
         self.provenance = provenance
         self.text = text
         self.label = label
-        self._partials = {var: ast.diff(var) for var in PMC_VARS}
+        self.ast, *partials = shared_subtrees([ast] + [ast.diff(v) for v in PMC_VARS])
+        self._partials = dict(zip(PMC_VARS, partials))
 
     @classmethod
     def from_callable(cls, fn):
@@ -134,9 +143,13 @@ class PMCFunction:
         value and the partials compute each subtree they share once.  Bit
         for bit what `eval` and `partial` return, and a non-finite value
         raises the error the first of those calls would raise."""
-        nodes = [self.ast] + [self._partials[v] for v in names]
         labels = [self.label] + [f"d/d{v} of {self.label}" for v in names]
-        return eval_checked(nodes, env, labels)
+        return eval_checked(self.trees(names), env, labels)
+
+    def trees(self, names):
+        """[H, dH/d names[0], ...] as trees, in which no two inner nodes
+        have one structure (`expr.shared_subtrees`)."""
+        return [self.ast] + [self._partials[v] for v in names]
 
     @property
     def has_exact_partials(self):

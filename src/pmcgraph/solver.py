@@ -48,15 +48,19 @@ That evaluation leaves out the anchor source, so it passes from an inner
 solve to the next one seeded at its output, and every iterate of an outer
 solve is evaluated once.
 
-The linear algebra is numpy's alone.  Every grid is 1-D or 2-D, so each
-grid line of a Jacobian couples only to its neighbouring lines, plus the
-first and last lines to each other when axis 0 wraps and a border row
-when the mean is pinned.  `LineLU` factors it by block LU with one block
-per line and those extra couplings eliminated last, by one Schur
-complement; it scatters every block from the slot array.  A 1-D grid is
-one line, inverted whole.  The linear systems of one solve go through one
-`LaggedLU`: it keeps the last factor and solves each new system by one
-right-preconditioned GMRES restart cycle.  Successive Jacobians differ only
+The linear algebra is numpy's alone.  On a fully periodic grid a Jacobian
+whose every slot holds one value on all rows, as at a constant iterate of a
+prescription whose partials do not read x, is a circulant, and
+`FourierFactor` solves it exactly by the FFT.  Any other Jacobian goes to
+`LineLU`.  Every grid is 1-D or 2-D, so each grid line of a Jacobian
+couples only to its neighbouring lines, plus the first and last lines to
+each other when axis 0 wraps and a border row when the mean is pinned.
+`LineLU` factors it by block LU with one block per line and those extra
+couplings eliminated last, by one Schur complement; it scatters every block
+from the slot array.  A 1-D grid is one line, inverted whole.  The linear
+systems of one solve go through one `LaggedLU`: it keeps the last factor,
+of either kind, and solves each new system by one right-preconditioned
+GMRES restart cycle.  Successive Jacobians differ only
 through u and the anchor source, so the lagged factor is a near-exact
 preconditioner; the matrix is factored afresh only when that cycle misses
 its tolerance or the system size changes.  Newton asks for inexact steps: a
@@ -70,6 +74,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -151,7 +156,11 @@ SWEEP_FORCING = 0.01
 # the default and near the arithmetic's reach: a direct LineLU solve of a
 # smooth right-hand side leaves 6.7e-14 / 2.7e-13 / 1.2e-12 of it at
 # 64x64 / 128x128 / 256x256, and with KRYLOV_RTOL as the only target 40 of
-# the 55 cycles of the 256x256 torus_sine config missed it
+# the 55 cycles of the 256x256 torus_sine config missed it, when its first
+# Jacobian was factored by LineLU.  A FourierFactor solve of a constant
+# iterate's Jacobian misses the exact solution by at most 5e-16 of its sup
+# at 64x64 and at 256 unknowns in 1-D, where a dense LU solve misses it by
+# 1.1e-14 and 3.6e-14
 KRYLOV_RESTART = 20
 KRYLOV_RTOL = 1e-11
 
@@ -179,8 +188,9 @@ KRYLOV_RTOL = 1e-11
 #   changes, also at 128x128.
 # At the fixed penalty 1.906 the torus took 16/3/5 sweeps, 20 linear
 # solves and 18 GMRES iterations, and 32 under the rule of a solve to
-# tol_inner.  At 256x256 the torus_sine config takes 10 linear solves, 12
-# GMRES iterations and 1 factorization, in about 3.9 s by CLI on 2 cores
+# tol_inner.  At 256x256 the torus_sine config takes 9 linear solves, 10
+# GMRES iterations and 1 factorization, by FFT, in 0.8-0.9 s by CLI on 2
+# cores (3.3-4.3 s when LineLU factored it)
 FORCING_FIRST = 1e-8
 FORCING_MAX = 1e-2
 FORCING_FLOOR = 0.1
@@ -475,6 +485,7 @@ class _JacobianPlan:
     axis 1, a 1-D grid being one line (L0 = 1).  A row has 9 slots, one per
     neighbour offset in {-1, 0, 1}^2 of that array, wrapping on the
     `periodic` axes: slot 3 * k0 + k1 is the offset (k0 - 1, k1 - 1).
+    `torus` is True when every axis of the grid wraps.
     `cols[s]` is the column of slot s, or the row's own where that
     neighbour is a dirichlet node or off a 1-D grid's line (its weight
     stays 0); `nnz` counts the others.  Only index arithmetic builds them.
@@ -493,6 +504,7 @@ class _JacobianPlan:
     def __init__(self, grid):
         pad = 2 - grid.dimension
         self.periodic = (False,) * pad + tuple(t == "periodic" for t in grid.topology)
+        self.torus = all(t == "periodic" for t in grid.topology)
         L0, L1 = self.lines = (1,) * pad + tuple(
             s - 2 * (t == "dirichlet") for s, t in zip(grid.shape, grid.topology))
         n = self.n = L0 * L1
@@ -852,17 +864,71 @@ class LineLU:
         return x
 
 
-class LaggedLU:
-    """Linear solver of one solve: the last block LU factor, reused.
+class FourierFactor:
+    """Exact factor of a translation-invariant `StencilMatrix` of a fully
+    periodic grid, one whose every slot holds one value on all rows.
 
-    `solve(A, b, atol)` runs one GMRES cycle of `KRYLOV_RESTART` iterations
-    on the new matrix, started from and preconditioned by the `LineLU` of an
-    earlier one.  The cycle is accepted once its true residual is at most
-    max(KRYLOV_RTOL*|b|, atol) in the 2-norm, so by default at
-    KRYLOV_RTOL*|b|.  The new matrix is factored only when there is no
-    factor of its size or the cycle stops short.  Make one per solve: a
-    factor never passes from one solve to another.  It counts its `solve`
-    calls, its factorizations and its GMRES iterations.
+    Row i's slot 3 * k0 + k1 reads the unknown at offset (k0 - 1, k1 - 1),
+    so the matrix is the circular convolution with the kernel that holds
+    that slot's value at offset (1 - k0, 1 - k1): a circulant, which the
+    discrete Fourier transform diagonalizes (Golub & Van Loan, Matrix
+    Computations, 4th ed., sec. 4.8).  Its eigenvalues are the kernel's
+    transform, and a solve divides the transform of the right-hand side by
+    them.  The constants are the eigenvector of the zero mode, so the
+    bordered system, J x + mu = f with sum(x) = g, sets that mode of x to g
+    and mu to (f_0 - lambda_0 g) / N, with f_0 the sum of f.  Raises numpy's
+    LinAlgError on a zero eigenvalue, the bordered system's zero mode
+    excepted.
+    """
+
+    def __init__(self, A):
+        L0, m = self.lines = A.plan.lines
+        self.n = A.plan.n
+        self.shape = A.shape
+        self.border = A.border
+        row = A.data[:, 0]
+        # each slot's term of lambda, value * (exp(-i phi) - 1), through
+        # sin(phi/2)^2, so that no low frequency loses digits to cancellation
+        # against the row sum
+        lam = np.full((L0, m // 2 + 1), math.fsum(row), dtype=complex)
+        f0, f1 = np.fft.fftfreq(L0)[:, None], np.fft.rfftfreq(m)
+        for s, value in enumerate(row):
+            k0, k1 = divmod(s, 3)
+            phi = 2.0 * np.pi * (f0 * (1 - k0) + f1 * (1 - k1))
+            lam -= value * (2.0 * np.sin(0.5 * phi) ** 2 + 1j * np.sin(phi))
+        if np.any(lam.reshape(-1)[self.border:] == 0):
+            raise np.linalg.LinAlgError("singular translation-invariant matrix")
+        self.lam0 = lam[0, 0].real
+        if self.border:
+            lam[0, 0] = 1.0
+        self.lam = lam
+
+    def solve(self, b):
+        n = self.n
+        f = np.fft.rfft2(b[:n].reshape(self.lines))
+        if not self.border:
+            return np.fft.irfft2(f / self.lam, s=self.lines).reshape(-1)
+        g = b[n]
+        mu = (f[0, 0].real - self.lam0 * g) / n
+        f[0, 0] = g
+        return np.append(np.fft.irfft2(f / self.lam, s=self.lines), mu)
+
+
+class LaggedLU:
+    """Linear solver of one solve: the last factor, reused.
+
+    A new matrix is factored by a `FourierFactor` when its grid is fully
+    periodic and the matrix is translation-invariant, as at a constant
+    iterate when the prescription's partials do not read x, and by a
+    `LineLU` otherwise.  `solve(A, b, atol)` runs one GMRES cycle of
+    `KRYLOV_RESTART` iterations on the new matrix, started from and
+    preconditioned by the factor of an earlier one.  The cycle is accepted
+    once its true residual is at most max(KRYLOV_RTOL*|b|, atol) in the
+    2-norm, so by default at KRYLOV_RTOL*|b|.  The new matrix is factored
+    only when there is no factor of its size or the cycle stops short.
+    Make one per solve: a factor never passes from one solve to another.
+    It counts its `solve` calls, its factorizations of either kind and its
+    GMRES iterations.
     """
 
     def __init__(self):
@@ -879,8 +945,9 @@ class LaggedLU:
                 return x
         # release the old factor first, so that two are never alive at once
         self.factor = None
+        invariant = A.plan.torus and np.all(A.data == A.data[:, :1])
         try:
-            self.factor = LineLU(A)
+            self.factor = (FourierFactor if invariant else LineLU)(A)
         except np.linalg.LinAlgError:
             # exactly singular: a non-finite step, which the caller reports
             return np.full(A.shape[0], np.nan)
@@ -939,7 +1006,8 @@ class LaggedLU:
 
 
 def spsolve(A, b, lagged=None, atol=0.0):
-    """Solve A x = b through `lagged`, or by a fresh block LU factorization.
+    """Solve A x = b through `lagged`, or by a fresh factorization, by FFT
+    or block LU as `LaggedLU` picks it.
 
     A lagged factor's GMRES cycle may stop at a true residual of `atol`
     (`LaggedLU.solve`); a fresh factor's solve is direct.

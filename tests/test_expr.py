@@ -10,6 +10,7 @@ from pmcgraph.expr import (
     Var,
     eval_checked,
     parse_expr,
+    shared_subtrees,
     takes_differences,
 )
 
@@ -220,3 +221,20 @@ def test_partial_of_each_parsed_function_matches_a_centered_difference(name):
     for z in PARSED_FUNCTIONS[name]:
         fd = (eval_checked(node, {"z": z + h}) - eval_checked(node, {"z": z - h})) / (2 * h)
         assert eval_checked(dz, {"z": z}) == pytest.approx(fd, rel=1e-7, abs=1e-7)
+
+
+def test_shared_subtrees_makes_equal_subtrees_one_node():
+    a, b = (parse_expr(t, VARS) for t in ("sin(z)*sin(z) + 1/z", "-(1/z) + 1/z"))
+    sa, sb = shared_subtrees([a, b])
+    assert sa.to_str() == a.to_str() and sb.to_str() == b.to_str()
+    # both sin(z) are one node, and so are the three 1/z across the trees
+    assert sa.a.a is sa.a.b
+    assert sa.b is sb.a.a is sb.b
+    env = {"z": np.linspace(0.5, 2.0, 7)}
+    for old, new in ((a, sa), (b, sb)):
+        assert np.array_equal(old.eval(env), new.eval(env))
+    # a numeric function is one node only with its own function
+    f = Func("f", np.sin, [Var("z")])
+    g = Func("f", np.cos, [Var("z")])
+    sf, sg = shared_subtrees([f, g])
+    assert sf is not sg and sf.fn is np.sin and sg.fn is np.cos

@@ -17,6 +17,7 @@ from pmcgraph.solver import (
     MonotonicityError,
     SolveConfig,
     SolverFailure,
+    StencilMatrix,
     assemble_jacobian,
     barriers_from_phi,
     check_barrier,
@@ -1407,6 +1408,123 @@ def test_singular_linear_system_gives_a_non_finite_step():
         J = _line_jacobian(shape, ("periodic",) * len(shape))
         zero = StencilMatrix(J.plan, np.zeros_like(J.data))
         assert np.all(np.isnan(spsolve(zero, np.ones(zero.shape[0]))))
+
+
+def test_singular_block_lu_gives_a_non_finite_step():
+    from pmcgraph.solver import LaggedLU, LineLU, StencilMatrix, spsolve
+
+    # a dirichlet grid is never factored by FFT, so its zero matrix reaches
+    # the block LU's singular pivot
+    J = _line_jacobian((6, 5), ("dirichlet", "periodic"))
+    zero = StencilMatrix(J.plan, np.zeros_like(J.data))
+    with pytest.raises(np.linalg.LinAlgError):
+        LineLU(zero)
+    assert np.all(np.isnan(spsolve(zero, np.ones(zero.shape[0]))))
+    lagged = LaggedLU()
+    lagged.solve(zero, np.ones(zero.shape[0]))
+    assert lagged.factor is None and lagged.factorizations == 0
+
+
+def _constant_jacobian(shape, gauge_free, border=None):
+    # the Jacobian at a constant graph, whose every row is the same stencil;
+    # bordered when the prescription is height-free, unless told otherwise
+    text = "0.2*sin(y1) - 0.3*t" if gauge_free else "0.2*sin(y1) - 0.3*t - 2*z"
+    grid = build_grid(len(shape), shape, (1.0,) * len(shape), ("periodic",) * len(shape))
+    J = assemble_jacobian(grid, np.full(grid.shape, 0.7), parse_pmc(text))
+    return J.bordered() if (gauge_free if border is None else border) else J
+
+
+# every fully periodic grid of _WRAPPED, and lines of odd length on both axes
+_TORI = [shape for shape, _ in _WRAPPED] + [(7, 5), (33, 31)]
+
+
+@pytest.mark.parametrize("shape", _TORI)
+@pytest.mark.parametrize("gauge_free", [False, True])
+def test_fourier_factor_matches_a_dense_solve(shape, gauge_free):
+    from pmcgraph.solver import FourierFactor
+
+    A = _constant_jacobian(shape, gauge_free)
+    assert np.all(A.data == A.data[:, :1])
+    b = np.random.default_rng(1).standard_normal(A.shape[0])
+    x = FourierFactor(A).solve(b)
+    expected = np.linalg.solve(A.toarray(), b)
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_fourier_factor_rejects_a_zero_eigenvalue():
+    import math
+
+    from pmcgraph.solver import FourierFactor
+
+    # a height-free prescription leaves the constants in the kernel: the
+    # zero mode's eigenvalue, the row sum, is 0.  Only the border pins it
+    A = _constant_jacobian((8, 6), gauge_free=True, border=False)
+    assert math.fsum(A.data[:, 0]) == 0.0
+    FourierFactor(A.bordered())
+    with pytest.raises(np.linalg.LinAlgError):
+        FourierFactor(A)
+    assert np.all(np.isnan(LaggedLU().solve(A, np.ones(A.shape[0]))))
+
+
+def test_lagged_factor_takes_the_fft_only_for_a_translation_invariant_matrix():
+    from pmcgraph.solver import FourierFactor, LineLU
+
+    A = _constant_jacobian((16, 12), gauge_free=False)
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    lagged = LaggedLU()
+    lagged.solve(A, b)
+    assert isinstance(lagged.factor, FourierFactor) and lagged.factorizations == 1
+    # one entry of one row moved by one ulp breaks the invariance
+    data = A.data.copy()
+    data[3, 17] = np.nextafter(data[3, 17], np.inf)
+    moved = StencilMatrix(A.plan, data)
+    fresh = LaggedLU()
+    x = fresh.solve(moved, b)
+    assert isinstance(fresh.factor, LineLU)
+    np.testing.assert_allclose(x, np.linalg.solve(moved.toarray(), b), rtol=0, atol=1e-12)
+    # a grid with a dirichlet axis is no torus, however invariant its rows
+    grid = build_grid(2, (10, 8), (1.0, 1.0), ("dirichlet", "periodic"))
+    J = assemble_jacobian(grid, np.full(grid.shape, 0.7), parse_pmc("-2*z"))
+    fresh.solve(J, np.ones(J.shape[0]))
+    assert isinstance(fresh.factor, LineLU)
+
+
+@pytest.mark.parametrize("config", ["torus_sine.json", "horosphere.json"])
+def test_shipped_periodic_solves_build_no_block_lu(monkeypatch, tmp_path, config):
+    import json
+    import os
+
+    import pmcgraph.solver as solver
+    from pmcgraph.cli import main
+
+    built = []
+    real = solver.LineLU
+    monkeypatch.setattr(solver, "LineLU", lambda A: built.append(A) or real(A))
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", config)
+    report = tmp_path / "report.json"
+    assert main(["solve", "--config", path, "--out-report", str(report),
+                 "--out-field", str(tmp_path / "field.csv")]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["consistency_ok"] and doc["factorizations"] == 1
+    assert built == []
+
+
+def test_penalized_horosphere_trees_share_every_repeated_subtree():
+    grid, H, B, cfg = _horosphere_16()
+    F = penalized_pmc(H, Cutoff(0.755, 1.295, 0.5, 2.0), 1.64)
+    inner = {}
+
+    def walk(node):
+        if node.args and id(node) not in inner:
+            inner[id(node)] = node.to_str()
+            for a in node.args:
+                walk(a)
+
+    for tree in F.trees(["z", "y1", "y2", "t"]):
+        walk(tree)
+    # (1.0 / z) and its negation each appear in two of the trees
+    assert len(inner) == 32
+    assert len(set(inner.values())) == len(inner)
 
 
 def test_direct_mode_reports_no_acceleration_and_no_quasi_keys():
