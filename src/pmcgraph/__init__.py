@@ -48,7 +48,6 @@ from .geometry import (
 )
 from .solver import (
     BarrierPair,
-    Cutoff,
     MonotonicityError,
     SolveConfig,
     SolverFailure,

@@ -531,11 +531,10 @@ def _check_payload(message):
 
 def _float_rows(path, header, columns):
     rows = len(columns[0])
-    lines = [header]
-    for i in range(rows):
-        lines.append(",".join(format(float(col[i]), ".17g") for col in columns))
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    cells = np.column_stack(columns).astype(float).reshape(-1).tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n" + (row * rows) % tuple(cells))
     return rows
 
 

@@ -1,15 +1,15 @@
 """Barrier verification and the graph-curvature solvers.
 
 Every prescription takes one outer iteration over one inner engine, damped
-Newton.  The iteration cuts the prescription off outside a plateau that
-holds the barrier range, clips Newton's trial iterates to that plateau, and
-adds a penalty gamma*(z - anchor) that makes the problem non-increasing in
-height over the barrier slab, the heights the iterates take.  When the
-prescription is already non-increasing in height gamma is 0: the one sweep
-does not read its anchor, and it is the direct solve (the diagonal shift
--dF/dz >= 0 keeps the linearization nondegenerate).  Otherwise a plain
-sweep anchors at the previous output, and plain sweeps climb monotonically
-from the lower barrier to the minimal fixed point of the original problem.
+Newton.  The iteration clips Newton's trial iterates to a plateau that
+holds the barrier range, and adds a penalty gamma*(z - anchor) that makes
+the problem non-increasing in height over the barrier slab, the heights the
+iterates take.  When the prescription is already non-increasing in height
+over the slab, gamma is 0: the one sweep does not read its anchor, and it
+is the direct solve (the diagonal shift -dF/dz >= 0 keeps the
+linearization nondegenerate).  Otherwise a plain sweep anchors at the
+previous output, and plain sweeps climb monotonically from the lower
+barrier to the minimal fixed point of the original problem.
 The slab narrows as they climb: once the prescription no longer increases
 in height over [last output, u0], gamma drops to 0 and the next sweep is
 the direct solve, which ends the iteration.  Anderson acceleration
@@ -85,7 +85,7 @@ from .calculus import (
     node_gradients,
     operators,
 )
-from .expr import Func, Var
+from .expr import Var
 from .grid import ScalarField, refine_field, refine_grid, sup_norm
 from .pmc import (
     PMCFunction,
@@ -107,7 +107,6 @@ __all__ = [
     "LaggedLU",
     "check_barrier",
     "working_box",
-    "Cutoff",
     "gamma_for",
     "penalized_pmc",
     "solve_inner",
@@ -216,10 +215,12 @@ class SolveConfig:
     """Knobs shared by the inner and outer solvers.
 
     gamma is "auto" (sampled-slope certificate with a 5% safety factor) or an
-    explicit positive number; cutoff is an explicit (c1, c2) plateau override,
-    which must hold the barrier range, otherwise the plateau is the barrier
-    range padded at each end by the smaller of 10% of its span and half the
-    gap to the working box.
+    explicit positive number, which holds for every sweep.  cutoff is an
+    explicit (c1, c2) plateau, the range `outer_iterate` clips Newton's
+    trial iterates to; it must hold the barrier range and lie strictly
+    inside the working box.  Otherwise the plateau is the barrier range
+    padded at each end by the smaller of 10% of its span and half the gap
+    to the working box.
     box is an explicit working z-range; default is the barrier range padded
     by half its span.
     """
@@ -364,66 +365,7 @@ def check_barrier(B, H, allowance=10.0):
 
 
 # ---------------------------------------------------------------------------
-# height cutoff and penalty size
-
-
-def _smoothstep(s):
-    return s * s * s * (10.0 + s * (6.0 * s - 15.0))
-
-
-def _smoothstep_prime(s):
-    return 30.0 * s * s * (1.0 - s) * (1.0 - s)
-
-
-class Cutoff:
-    """C^2 plateau profile: 1 on [c1, c2], 0 outside the ramp feet.
-
-    The ramps are quintic smoothsteps on [a', c1] and [c2, b'] where a', b'
-    are the midpoints between the plateau and the working range ends, so the
-    profile vanishes well inside the working range.
-    """
-
-    def __init__(self, c1, c2, a, b):
-        c1, c2, a, b = float(c1), float(c2), float(a), float(b)
-        if not (a < c1 < c2 < b):
-            raise ValueError(
-                f"cutoff needs a < c1 < c2 < b, got a={a:.6g} c1={c1:.6g} "
-                f"c2={c2:.6g} b={b:.6g}")
-        self.c1, self.c2, self.a, self.b = c1, c2, a, b
-        self.a_ramp = 0.5 * (a + c1)
-        self.b_ramp = 0.5 * (c2 + b)
-
-    def _ramps(self, r):
-        """The positions of r on the rising and the falling ramp, clipped
-        to [0, 1], and the two ramps' widths."""
-        w1, w2 = self.c1 - self.a_ramp, self.b_ramp - self.c2
-        return (np.clip((r - self.a_ramp) / w1, 0.0, 1.0),
-                np.clip((self.b_ramp - r) / w2, 0.0, 1.0), w1, w2)
-
-    def _off_plateau(self, r, plateau, ramps):
-        """`ramps(*self._ramps(r))` off the plateau [c1, c2], where both
-        ramp positions are 1, and `plateau` on it: each ramp term is then
-        exactly 1 or 0, so only the heights off it need the quintics."""
-        r = np.asarray(r, dtype=float)
-        out = np.full(r.shape, plateau)
-        off = ~((r >= self.c1) & (r <= self.c2))
-        if off.any():
-            out[off] = ramps(*self._ramps(r[off]))
-        return out if out.shape else float(out)
-
-    def h(self, r):
-        return self._off_plateau(
-            r, 1.0, lambda s1, s2, w1, w2: _smoothstep(s1) * _smoothstep(s2))
-
-    def h_prime(self, r):
-        return self._off_plateau(
-            r, 0.0, lambda s1, s2, w1, w2: (
-                _smoothstep_prime(s1) / w1 * _smoothstep(s2)
-                - _smoothstep(s1) * (_smoothstep_prime(s2) / w2)))
-
-    def describe(self):
-        return {"c1": self.c1, "c2": self.c2, "a": self.a, "b": self.b,
-                "a_ramp": self.a_ramp, "b_ramp": self.b_ramp}
+# penalty size
 
 
 def gamma_for(H, slab, samples=9):
@@ -431,15 +373,15 @@ def gamma_for(H, slab, samples=9):
     its certificate and the slope bound of every narrower slab.
 
     `slab` is the `WorkingBox` of the heights the sweeps' iterates take,
-    [min u1, max u0], which lies on the cutoff's plateau, where the cut-off
-    prescription is H.  Samples dH/dz over its lattice, the z axis always
+    [min u1, max u0].  Samples dH/dz over its lattice, the z axis always
     among the read ones, and returns (certificate, sup_above).  The
     certificate is the dict of `gamma` = 1.05*max(0, sup), the sampled
     `sup_slope`, its `worst_point`, the per-axis `samples` and the `slab`'s
     z-range, so -dH/dz + gamma >= 0 holds at every sampled point by
-    construction.  `sup_above(z)` is the sampled sup over the lattice's z
-    rows from the row at or below z upward: the bound over the narrower slab
-    [z, max u0], read off the same samples.
+    construction; a sup <= 0 gives gamma = 0, the direct solve.
+    `sup_above(z)` is the sampled sup over the lattice's z rows from the row
+    at or below z upward: the bound over the narrower slab [z, max u0], read
+    off the same samples.
     """
     env = slab.sample_lattice(samples, H.ast.diff("z").variables() | {"z"})
     slope = np.broadcast_to(H.partial("z", env), env["z"].shape)
@@ -458,18 +400,15 @@ def gamma_for(H, slab, samples=9):
             "samples": int(samples), "slab": [slab.z_min, slab.z_max]}, sup_above
 
 
-def penalized_pmc(H, cutoff, gamma):
-    """Cut-off, height-penalized prescription h(z)*H - gamma*z.
+def penalized_pmc(H, gamma):
+    """Height-penalized prescription H - gamma*z.
 
     The anchor part gamma*u_prev enters the inner solve as a nodal source,
-    not here.  On the cutoff's plateau this object's height slope is
-    H_z - gamma, which the gamma certificate makes <= 0 at every sample of
-    the barrier slab; on the ramps h'H is not bounded by it.  At gamma = 0
-    the tree folds to h(z)*H, which equals H on the plateau.
+    not here.  This object's height slope is H_z - gamma, which the gamma
+    certificate makes <= 0 at every sample of the barrier slab.  At
+    gamma = 0 the tree folds to H's.
     """
-    z = Var("z")
-    cut = Func("cutoff", cutoff.h, (z,), (Func("cutoff'", cutoff.h_prime, (z,)),))
-    return PMCFunction(cut * H.ast - gamma * z, provenance="penalized", label=H.label)
+    return PMCFunction(H.ast - gamma * Var("z"), provenance="penalized", label=H.label)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,9 +1004,9 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
 
     With `bounds` = (lo, hi) every trial iterate, Newton or pseudo-time, is
     clipped into [lo, hi] at the unknowns.  The outer iteration passes its
-    cutoff's plateau: off it the cut-off problem has flat solutions of its
-    own, such as u = b_ramp where h(u)*H = 0, which a Newton step from a
-    far seed can reach.
+    plateau, which holds the barrier slab: the penalty certificate holds on
+    the slab only, and off it the problem may have solutions of its own,
+    which a Newton step from a far seed can reach.
 
     Returns (solution field, report dict).  Raises SolverFailure with the
     best iterate when the step budget runs out; falls back to pseudo-time
@@ -1231,7 +1170,6 @@ class SolveReport:
     sup_abs_u: float
     sup_abs_curvature: float
     barrier_check: dict
-    monotone_check: dict
     box: dict
     grid: dict
     quasi_check: object = None
@@ -1314,22 +1252,23 @@ def working_box(B, cfg):
 def outer_iterate(H, B, cfg=None):
     """Solve the prescribed-curvature problem between the barriers.
 
-    Each sweep x -> T(x) solves the cut-off penalized problem anchored at x,
+    Each sweep x -> T(x) solves the penalized problem anchored at x,
     starting from the lower barrier, with every Newton trial iterate
-    clipped to the cutoff's plateau [c1, c2] (`solve_inner`'s `bounds`).
-    The first sweep's penalty gamma is 0 when H passes `check_monotone`
-    over the working box, and otherwise the explicit cfg.gamma or
-    `gamma_for`'s over the barrier slab [min u1, max u0].  A sweep at gamma
-    = 0 does not read its anchor: it is solved to tol_inner and ends the
-    iteration, the direct solve.  At gamma > 0 T is monotone, so plain sweeps
-    climb to the minimal solution u* between the barriers.  The comparison
-    argument behind that needs hH - gamma*z non-increasing only at the
-    heights the iterates take, the slab [last output, u0], which narrows as
-    they climb.  So with an "auto" penalty, after each counted sweep, the
-    sampled sup of dH/dz over the narrower slab is read off `gamma_for`'s
-    lattice; once it is <= 0, gamma drops to 0, the pending proposal and
-    the evaluation made with the old penalty are dropped, and the next sweep
-    is the direct solve from the last output.  An explicit cfg.gamma stays
+    clipped to the plateau [c1, c2] (`solve_inner`'s `bounds`): cfg.cutoff,
+    or the barrier range padded at each end by the smaller of 10% of its
+    span and half the gap to the working box.  The first sweep's penalty
+    gamma is the explicit cfg.gamma, or `gamma_for`'s over the barrier slab
+    [min u1, max u0], which is 0 where H does not increase in height there.
+    A sweep at gamma = 0 does not read its anchor: it is solved to tol_inner
+    and ends the iteration, the direct solve.  At gamma > 0 T is monotone,
+    so plain sweeps climb to the minimal solution u* between the barriers.
+    The comparison argument behind that needs H - gamma*z non-increasing
+    only at the heights the iterates take, the slab [last output, u0],
+    which narrows as they climb.  So with an "auto" penalty, after each
+    counted sweep, the sampled sup of dH/dz over the narrower slab is read
+    off `gamma_for`'s lattice; once it is <= 0, gamma drops to 0, the
+    pending proposal and the evaluation made with the old penalty are
+    dropped, and the next sweep is the direct solve from the last output.  An explicit cfg.gamma stays
     fixed for every sweep.  The report's `gamma` is the first sweep's,
     `gamma_history` holds every counted sweep's, and `mode` is "penalized"
     iff one of them is above 0, "direct" otherwise.  Once two sweeps are
@@ -1373,7 +1312,8 @@ def outer_iterate(H, B, cfg=None):
     bound tol_inner + gamma*step holds, with the exit sweep's gamma.
     `inner_newton_counts` adds up both solves of such a sweep; max_outer
     caps all sweeps, discarded ones included.  An explicit cutoff plateau
-    that does not hold the barrier range is refused with a ValueError.
+    that does not hold the barrier range, or does not lie strictly inside
+    the working box, is refused with a ValueError.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -1385,26 +1325,28 @@ def outer_iterate(H, B, cfg=None):
             "barrier check failed (worst sub-solution residual "
             f"{barrier_check['worst_sub']:.3e}, worst super-solution residual "
             f"{barrier_check['worst_super']:.3e}, tolerance {barrier_check['tol']:.3e})")
-    mono = check_monotone(H, box, cfg.samples)
     zmin, zmax = B.z_bounds()
     span = max(zmax - zmin, 1e-12)
     c1, c2 = cfg.cutoff or (zmin - min(0.1 * span, 0.5 * (zmin - box.z_min)),
                             zmax + min(0.1 * span, 0.5 * (box.z_max - zmax)))
     if not (c1 <= zmin and zmax <= c2):
-        # off the plateau the sweeps solve the cut-off problem, not H's
+        # the clip would keep Newton from the barriers' heights
         raise ValueError(
             f"cutoff plateau [{c1:.6g}, {c2:.6g}] must hold the barrier "
             f"range [{zmin:.6g}, {zmax:.6g}]")
-    cut = Cutoff(c1, c2, box.z_min, box.z_max)
+    if not (box.z_min < c1 and c2 < box.z_max):
+        raise ValueError(
+            f"cutoff plateau [{c1:.6g}, {c2:.6g}] must lie strictly inside "
+            f"the working z-range ({box.z_min:.6g}, {box.z_max:.6g})")
     gamma_cert = sup_above = None
-    gamma = 0.0 if mono["passed"] else cfg.gamma
+    gamma = cfg.gamma
     if gamma == "auto":
         gamma_cert, sup_above = gamma_for(
             H, WorkingBox.from_grid(grid, (zmin, zmax)), cfg.samples)
         gamma = gamma_cert["gamma"]
     # the first sweep's penalty, which names the report's mode
     sized = gamma
-    F_core = penalized_pmc(H, cut, gamma)
+    F_core = penalized_pmc(H, gamma)
 
     interior = ~grid.boundary_mask
     u_prev = ScalarField(grid, B.u1.values.copy())
@@ -1539,7 +1481,7 @@ def outer_iterate(H, B, cfg=None):
             # pending proposal nor the evaluation, made with the old penalty,
             # carries over
             gamma, forcing, proposal, evaluation = 0.0, 0.0, None, None
-            F_core = penalized_pmc(H, cut, 0.0)
+            F_core = penalized_pmc(H, 0.0)
             continue
         f_hist = (f_hist + [diff])[-ANDERSON_DEPTH - 1:]
         g_hist = (g_hist + [u_next.values[interior]])[-ANDERSON_DEPTH - 1:]
@@ -1563,7 +1505,7 @@ def outer_iterate(H, B, cfg=None):
         **partial(residual_history),
         converged=True,
         gamma_certificate=gamma_cert,
-        cutoff=cut.describe(),
+        cutoff={"c1": c1, "c2": c2},
         accelerated_steps=accelerated,
         inner_newton_counts=inner_counts,
         monotonicity_violations=mono_viol,
@@ -1576,7 +1518,6 @@ def outer_iterate(H, B, cfg=None):
         sup_abs_curvature=float(np.max(np.abs(
             mean_curvature_product_values(grid, v.values)))),
         barrier_check=barrier_check,
-        monotone_check=mono,
         box={"z_min": box.z_min, "z_max": box.z_max},
         grid=_grid_meta(grid),
     )

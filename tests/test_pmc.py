@@ -385,30 +385,31 @@ def test_monotone_tolerance_is_tight():
 PARTIALS = ("z", "y1", "y2", "t")
 
 
-class _CountingCutoff:
-    """A cutoff profile that counts the evaluations of its value."""
+class _CountingProfile:
+    """The height profile exp(-z/10) as a `Func` node, counting the
+    evaluations of its value."""
 
     def __init__(self):
-        from pmcgraph.solver import Cutoff
+        from pmcgraph.expr import Func, Var
 
-        self.cut = Cutoff(0.2, 3.5, -1.5, 5.2)
         self.calls = 0
+        z = Var("z")
+        self.node = Func("profile", self.value, (z,),
+                         (Func("profile'", lambda r: -0.1 * np.exp(-0.1 * r), (z,)),))
 
-    def h(self, r):
+    def value(self, r):
         self.calls += 1
-        return self.cut.h(r)
-
-    def h_prime(self, r):
-        return self.cut.h_prime(r)
+        return np.exp(-0.1 * r)
 
 
-def _prescription(case, cutoff=None):
+def _prescription(case, profile=None):
     from pmcgraph.geometry import ConformalFactor, conformal_transform_pmc
     from pmcgraph.solver import penalized_pmc
 
     if case == "penalized":
         H = parse_pmc(f"0.5*sin(z) + 0.1*sin({TWO_PI}*x1) + 0.3*y1*t - sqrt(z + 1)")
-        return penalized_pmc(H, cutoff or _CountingCutoff(), 1.9)
+        profile = profile or _CountingProfile()
+        return penalized_pmc(PMCFunction(profile.node * H.ast), 1.9)
     return conformal_transform_pmc(parse_pmc("-1 - z + 0.2*y2"),
                                    ConformalFactor.from_expr("-ln(r) + 0.1*x2*r"), 2)
 
@@ -460,12 +461,12 @@ def test_shared_evaluation_raises_the_first_separate_error(case, z):
 
 
 def test_shared_evaluation_computes_a_common_subtree_once():
-    counter = _CountingCutoff()
+    counter = _CountingProfile()
     F = _prescription("penalized", counter)
     env = _lattice(3)
     for call in _separate_calls(F, env):
         call()
-    # the cutoff is a factor of the value and of the partials by z, y1 and
+    # the profile is a factor of the value and of the partials by z, y1 and
     # t; the one by y2 folds to the constant 0
     assert counter.calls == 4
     counter.calls = 0

@@ -12,7 +12,6 @@ from pmcgraph.pmc import (
 )
 from pmcgraph.solver import (
     BarrierPair,
-    Cutoff,
     LaggedLU,
     MonotonicityError,
     SolveConfig,
@@ -105,41 +104,6 @@ def test_jacobian_matches_finite_differences_1d_dirichlet():
 
 
 # ---------------------------------------------------------------------------
-# cutoff profile
-
-
-def test_cutoff_plateau_and_support_are_exact():
-    cut = Cutoff(0.0, 1.0, -1.0, 2.0)
-    assert cut.a_ramp == -0.5 and cut.b_ramp == 1.5
-    assert cut.h(0.0) == 1.0 and cut.h(0.5) == 1.0 and cut.h(1.0) == 1.0
-    assert cut.h(-0.5) == 0.0 and cut.h(-0.9) == 0.0
-    assert cut.h(1.5) == 0.0 and cut.h(1.9) == 0.0
-    assert cut.h_prime(0.5) == 0.0 and cut.h_prime(-0.8) == 0.0
-
-
-def test_cutoff_ramp_frozen_values():
-    cut = Cutoff(0.0, 1.0, -1.0, 2.0)
-    # quintic smoothstep: value 1/2 and slope 1.875/width at the ramp midpoint
-    assert abs(cut.h(-0.25) - 0.5) < 1e-15
-    assert abs(cut.h_prime(-0.25) - 3.75) < 1e-15
-    assert abs(cut.h(1.25) - 0.5) < 1e-15
-    assert abs(cut.h_prime(1.25) + 3.75) < 1e-15
-    # C^1 at the plateau edge
-    assert abs(cut.h(-1e-9) - 1.0) < 1e-8
-    assert abs(cut.h_prime(-1e-9)) < 1e-7
-    r = np.linspace(-1.0, 2.0, 601)
-    hv = cut.h(r)
-    assert np.all(hv >= 0.0) and np.all(hv <= 1.0)
-
-
-def test_cutoff_rejects_bad_ordering():
-    with pytest.raises(ValueError, match="a < c1 < c2 < b"):
-        Cutoff(0.5, 0.4, 0.0, 1.0)
-    with pytest.raises(ValueError, match="a < c1 < c2 < b"):
-        Cutoff(0.0, 1.0, 0.2, 2.0)
-
-
-# ---------------------------------------------------------------------------
 # penalty size
 
 
@@ -147,8 +111,7 @@ def test_gamma_frozen_value_for_sine_prescription():
     H = parse_pmc("0.5*sin(z)")
     slab = WorkingBox((-1.0, 1.0), ((0.0, 1.0),))
     cert, sup_above = gamma_for(H, slab, samples=9)
-    # the slab lies on the cutoff's plateau, so the slope is 0.5*cos(z),
-    # maximized at the sampled point z = 0
+    # the slope is 0.5*cos(z), maximized at the sampled point z = 0
     assert abs(cert["gamma"] - 0.525) < 1e-14
     assert abs(cert["sup_slope"] - 0.5) < 1e-14
     assert cert["worst_point"]["z"] == 0.0
@@ -185,20 +148,16 @@ def test_gamma_has_no_floor():
 
 def test_penalized_prescription_is_uniformly_decreasing():
     H = parse_pmc("0.5*sin(z)")
-    cut = Cutoff(-1.0, 1.0, -3.0, 3.0)
     slab = WorkingBox((-1.0, 1.0), ((0.0, 1.0),))
     gamma = gamma_for(H, slab)[0]["gamma"]
-    F = penalized_pmc(H, cut, gamma)
+    F = penalized_pmc(H, gamma)
     assert F.provenance == "penalized"
-    # on the plateau: d/dz = 0.5*cos(z) - gamma, equal to -0.025 at z=0
+    # d/dz = 0.5*cos(z) - gamma, equal to -0.025 at z=0
     dz = F.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 0.0, 0.0, 0.0, 1.0))))
     assert abs(dz + 0.025) < 1e-14
     # at every sample of the slab, 5% of the sampled sup below 0
     slope = F.partial("z", slab.sample_lattice(9))
     assert np.max(slope) <= -0.05 * 0.5 + 1e-12
-    # outside the cutoff support only the penalty survives
-    val = F.eval(dict(zip(PMC_VARS, (0.0, 0.0, 2.5, 0.0, 0.0, 1.0))))
-    assert abs(val + gamma * 2.5) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +352,11 @@ def test_a_min_step_of_zero_would_count_zero_steps_as_newton_steps(monkeypatch):
 
 def _supersolution_seed():
     # the 16x16 torus_sine problem penalized and anchored at its upper
-    # barrier u0 = pi + 0.25, inside the default cutoff plateau: the residual
-    # there is -H(x, u0) = 0.5*sin(0.25) - 0.1*sin(2*pi*x1) >= 0.0237
+    # barrier u0 = pi + 0.25: the residual there is
+    # -H(x, u0) = 0.5*sin(0.25) - 0.1*sin(2*pi*x1) >= 0.0237
     grid, H, B = _torus_sine_16()
     gamma = 2.0
-    F = penalized_pmc(H, Cutoff(0.25 - 0.1 * np.pi, 1.1 * np.pi + 0.25,
-                                0.25 - 0.5 * np.pi, 1.5 * np.pi + 0.25), gamma)
+    F = penalized_pmc(H, gamma)
     return grid, F, B.u0, gamma * B.u0.values
 
 
@@ -582,17 +540,13 @@ def test_outer_direct_mode_dirichlet():
 
 @pytest.mark.parametrize("case", ["cap", "quasi"])
 def test_height_monotone_prescription_is_one_sweep_at_gamma_zero(case):
-    # a prescription that does not increase in height takes the one outer
-    # path at gamma = 0: its one sweep does not read the anchor, so it is
-    # solved exactly and ends the iteration, on the cut-off problem
+    # a prescription that does not increase in height over the barrier
+    # slab takes the one outer path at gamma = 0: its one sweep does not
+    # read the anchor, so it is solved exactly and ends the iteration
     if case == "cap":
-        grid = build_grid(2, (17, 17), (1.0, 1.0), ("dirichlet", "dirichlet"),
-                          origin=(-0.5, -0.5))
-        x1, x2 = grid.node_positions()
-        cap = np.sqrt(1.0 - x1 ** 2 - x2 ** 2)
-        H, psi = parse_pmc("2"), ScalarField(grid, cap)
-        B = BarrierPair(ScalarField(grid, cap - 0.1), ScalarField(grid, cap + 0.1), psi)
-        seed = ScalarField(grid, np.clip(cap, B.u1.values, B.u0.values))
+        grid, H, B, _ = _cap_17()
+        psi = B.psi
+        seed = ScalarField(grid, np.clip(psi.values, B.u1.values, B.u0.values))
     else:
         grid = build_grid(2, (16, 16), (1.0, 1.0), ("periodic", "periodic"))
         H, psi = parse_pmc("-z + 0.3*t"), None
@@ -601,23 +555,38 @@ def test_height_monotone_prescription_is_one_sweep_at_gamma_zero(case):
         seed = B.u1
     v, rep = outer_iterate(H, B)
     assert rep.outer_count == 1 and rep.mode == "direct" and rep.gamma == 0
-    assert rep.gamma_certificate is None and rep.consistency_ok
-    assert rep.cutoff.keys() == {"c1", "c2", "a", "b", "a_ramp", "b_ramp"}
+    # the slab-sized penalty certifies gamma = 0
+    cert = rep.gamma_certificate
+    assert cert["gamma"] == 0.0 and cert["sup_slope"] <= 0.0 and rep.consistency_ok
     zmin, zmax = B.z_bounds()
+    assert cert["slab"] == [zmin, zmax]
     assert rep.cutoff["c1"] <= zmin and zmax <= rep.cutoff["c2"]
-    # the direct Newton solve of H from the same seed, bit for bit: no
-    # iterate left the plateau, where the cut-off problem is H's
+    # the direct Newton solve of H from the same seed, bit for bit: the
+    # plateau clip never bound
     u, _ = solve_inner(grid, H, psi, seed)
     assert np.array_equal(v.values, u.values)
 
 
 def test_explicit_cutoff_is_checked_at_gamma_zero_too():
-    # the gamma = 0 sweep solves the cut-off problem as every sweep does
+    # the gamma = 0 sweep clips its Newton iterates as every sweep does
     grid = build_grid(1, (16,), (1.0,), ("periodic",))
     B = BarrierPair(ScalarField(grid, np.full(grid.shape, -0.8)),
                     ScalarField(grid, np.full(grid.shape, 0.9)))
     with pytest.raises(ValueError, match="must hold the barrier range"):
         outer_iterate(parse_pmc("-z"), B, SolveConfig(cutoff=(-0.5, 0.5)))
+
+
+def test_cutoff_rejects_bad_ordering():
+    # an explicit plateau must also lie strictly inside the working box
+    grid = build_grid(1, (16,), (1.0,), ("periodic",))
+    B = BarrierPair(ScalarField(grid, np.full(grid.shape, -0.8)),
+                    ScalarField(grid, np.full(grid.shape, 0.9)))
+    for cutoff in [(-1.0, 1.0), (-0.9, 2.0), (-1.5, 0.95)]:
+        with pytest.raises(ValueError, match="strictly inside the working z-range"):
+            outer_iterate(parse_pmc("-z"), B, SolveConfig(box=(-1.0, 2.0), cutoff=cutoff))
+    _, rep = outer_iterate(parse_pmc("-z"), B,
+                           SolveConfig(box=(-1.0, 2.0), cutoff=(-0.95, 1.95)))
+    assert rep.converged and rep.cutoff == {"c1": -0.95, "c2": 1.95}
 
 
 def test_outer_penalized_torus_sine():
@@ -678,8 +647,7 @@ def test_accelerated_sweeps_return_the_plain_iteration_limit():
     v, rep = outer_iterate(H, B, SolveConfig(gamma=BOX_GAMMA))
     assert rep.rejected_steps >= 1
     # the plain Picard iteration, run far past the default tol_outer
-    F = penalized_pmc(H, Cutoff(*(rep.cutoff[k] for k in "c1 c2 a b".split())),
-                      rep.gamma)
+    F = penalized_pmc(H, rep.gamma)
     u, step = B.u1, np.inf
     while step > 1e-12:
         u_next, _ = solve_inner(grid, F, None, u, SolveConfig(),
@@ -785,27 +753,62 @@ def test_newton_iterates_stay_on_the_cutoff_plateau():
     from pmcgraph.solver import SWEEP_FORCING
 
     # the 64x64 torus's first two sweeps at its slab-sized penalty, then
-    # the direct solve of the cut-off problem from the second output
+    # the direct solve from the second output
     grid, H, B, _ = _torus_sine_64()
     v, rep = outer_iterate(H, B)
     gamma = 0.5086790213980885
     assert rep.gamma_history == [gamma, gamma, 0.0]
     c1, c2 = rep.cutoff["c1"], rep.cutoff["c2"]
-    cut = Cutoff(c1, c2, rep.cutoff["a"], rep.cutoff["b"])
-    F = penalized_pmc(H, cut, gamma)
+    F = penalized_pmc(H, gamma)
     u = B.u1
     for _ in range(2):
         u, _ = solve_inner(grid, F, None, u, source=gamma * u.values,
                            forcing=SWEEP_FORCING / max(gamma, 1.0), bounds=(c1, c2))
-    direct = penalized_pmc(H, cut, 0.0)
-    w, _ = solve_inner(grid, direct, None, u, bounds=(c1, c2))
+    w, _ = solve_inner(grid, penalized_pmc(H, 0.0), None, u, bounds=(c1, c2))
     assert c1 <= np.min(w.values) and np.max(w.values) <= c2
     assert sup_norm(w, v) <= 1e-9
-    # unclipped, Newton leaves the plateau and ends at the flat solution
-    # u = 4.334 of the cut-off problem, next to b_ramp, where h(u)*H = 0
-    free, _ = solve_inner(grid, direct, None, u)
-    assert np.min(free.values) > c2
-    assert np.max(np.abs(free.values - rep.cutoff["b_ramp"])) < 1e-3
+
+
+def _cap_17():
+    # the cap's constant-curvature problem on a 17x17 dirichlet square
+    grid = build_grid(2, (17, 17), (1.0, 1.0), ("dirichlet", "dirichlet"),
+                      origin=(-0.5, -0.5))
+    x1, x2 = grid.node_positions()
+    cap = np.sqrt(1.0 - x1 ** 2 - x2 ** 2)
+    B = BarrierPair(ScalarField(grid, cap - 0.1), ScalarField(grid, cap + 0.1),
+                    ScalarField(grid, cap))
+    return grid, parse_pmc("2"), B, SolveConfig()
+
+
+@pytest.mark.parametrize("case", ["torus-64", "torus-16-box-gamma", "horosphere", "cap",
+                                  "1d-several-solutions"])
+def test_every_evaluated_field_lies_on_the_plateau(monkeypatch, case):
+    import pmcgraph.solver as solver
+
+    # the penalized prescription is H - gamma*z at every height, and the
+    # sweeps evaluate it only at fields on the plateau [c1, c2]: their
+    # seeds, gate candidates and clipped Newton trial iterates.  At the
+    # box-sized penalty the 16x16 torus's gate admits candidates too
+    grid, H, B, cfg = {
+        "torus-64": lambda: (*_torus_sine_64()[:3], SolveConfig()),
+        "torus-16-box-gamma": lambda: _penalized_case("torus_sine", candidates=True),
+        "horosphere": _horosphere_16,
+        "cap": _cap_17,
+        "1d-several-solutions": _one_dimensional_multiple_solutions,
+    }[case]()
+    real = solver._graph_residual
+    fields = []
+
+    def recording(grid, values, F):
+        fields.append(values.copy())
+        return real(grid, values, F)
+
+    monkeypatch.setattr(solver, "_graph_residual", recording)
+    _, rep = outer_iterate(H, B, cfg)
+    c1, c2 = rep.cutoff["c1"], rep.cutoff["c2"]
+    assert rep.cutoff.keys() == {"c1", "c2"} and fields
+    for values in fields:
+        assert c1 <= np.min(values) and np.max(values) <= c2
 
 
 # the box-sized penalty returned u = 3 on (k, u1, x term) = (0.02, 0.05,
@@ -976,7 +979,7 @@ def test_only_the_exit_sweep_needs_the_inner_tolerance(case):
     assert rep.mode == "penalized" and rep.converged
     # early sweeps stop at a fraction of their seed's residual over gamma,
     # above tol_inner, the first sweep too: its seed, the lower barrier,
-    # lies on the cutoff's plateau and is its anchor, so that residual is
+    # lies on the plateau and is its anchor, so that residual is
     # the barrier's own ...
     seed = np.max(np.abs(pmc_residual(grid, B.u1, H).values))
     assert (cfg.tol_inner < rep.residual_history[0]
@@ -1511,7 +1514,7 @@ def test_shipped_periodic_solves_build_no_block_lu(monkeypatch, tmp_path, config
 
 def test_penalized_horosphere_trees_share_every_repeated_subtree():
     grid, H, B, cfg = _horosphere_16()
-    F = penalized_pmc(H, Cutoff(0.755, 1.295, 0.5, 2.0), 1.64)
+    F = penalized_pmc(H, 1.64)
     inner = {}
 
     def walk(node):
@@ -1523,7 +1526,7 @@ def test_penalized_horosphere_trees_share_every_repeated_subtree():
     for tree in F.trees(["z", "y1", "y2", "t"]):
         walk(tree)
     # (1.0 / z) and its negation each appear in two of the trees
-    assert len(inner) == 32
+    assert len(inner) == 25
     assert len(set(inner.values())) == len(inner)
 
 

@@ -4,7 +4,9 @@ Runs `solve`, `check-monotone`, `check-barrier`, `transform`, `reparam`,
 `diagnose` and `eval-residual` (of the field `solve` wrote) on each config
 under `configs/`, plus the several-solutions problem of ROADMAP item 10,
 horosphere in a working box that leaves little room around its barriers,
-and torus_sine at the explicit penalty 1.9064653208705127, the one its
+cap at the explicit penalty 0.1, which penalizes every sweep of a
+prescription that does not rise in height, torus_sine at the explicit
+penalty 1.9064653208705127, the one its
 `auto` penalty was before it was sized to the barrier slab, which keeps that
 older path of fixed-penalty sweeps in the comparison, and torus_sine with a
 prescription whose height slope varies along x1, so that its first Jacobian
@@ -59,6 +61,7 @@ SEVERAL_SOLUTIONS = {
 EXTRA = {
     "several_solutions": ("several_solutions.json", ()),
     "horosphere_tight_box": ("horosphere.json", ("box=[0.79,1.26]",)),
+    "cap_explicit_gamma": ("cap.json", ("solver.gamma=0.1",)),
     "torus_sine_explicit_gamma": ("torus_sine.json", ("solver.gamma=1.9064653208705127",)),
     "torus_sine_x_slope": ("torus_sine.json", (
         "pmc.expr=0.5*sin(z)*(1 + 0.1*sin(6.283185307179586*x1))"
