@@ -56,7 +56,6 @@ from .solver import (
     check_barrier,
     gamma_for,
     outer_iterate,
-    penalized_pmc,
     solve_inner,
     solve_quasi,
 )

@@ -148,7 +148,7 @@ def _suspect_flag(max_grads, all_pass):
     return True
 
 
-def blowup_diagnostics(prescription, barriers, cfg=None, levels=2, grid=None):
+def blowup_diagnostics(prescription, build, grid, cfg=None, levels=2):
     """Refinement study of a solve: slope growth, tilt, functionals.
 
     Solves the problem on `levels` nested grids (each one halving the
@@ -158,12 +158,10 @@ def blowup_diagnostics(prescription, barriers, cfg=None, levels=2, grid=None):
     raised only when max |Du| at least doubles on every halving while every
     level still converged.
 
-    `barriers` is either a BarrierPair -- carried to finer levels by field
-    interpolation, which is only safe for flat barriers -- or a callable
-    grid -> BarrierPair that rebuilds the pair on each level (pass `grid`
-    for the coarsest level then).  Rebuilding is the sound choice whenever
-    the barriers come from expressions: interpolated fields accumulate
-    curvature noise that a fine-level residual check cannot absorb.
+    `build` maps a grid to its `BarrierPair` and is called once per level,
+    from the coarsest `grid` on: barriers interpolated from a coarser grid
+    would carry curvature noise that a fine level's residual check cannot
+    absorb.
     """
     if int(levels) < 2:
         raise ValueError("a refinement study needs at least 2 levels")
@@ -171,20 +169,12 @@ def blowup_diagnostics(prescription, barriers, cfg=None, levels=2, grid=None):
         cfg = SolveConfig()
     H = (prescription.composite()
          if isinstance(prescription, QuasiDecomposition) else prescription)
-    build = None
-    if callable(barriers):
-        if grid is None:
-            raise ValueError("a barrier builder needs the coarsest grid")
-        build = barriers
-        pair = build(grid)
-    else:
-        pair = barriers
+    pair = build(grid)
     rows = []
     errors = []
     max_grads = []
     all_pass = True
     for level in range(int(levels)):
-        grid = pair.grid
         row = {"level": level, "spacing": grid.max_spacing(),
                "shape": list(grid.shape)}
         try:
@@ -207,7 +197,8 @@ def blowup_diagnostics(prescription, barriers, cfg=None, levels=2, grid=None):
             all_pass = False
         rows.append(row)
         if level + 1 < int(levels):
-            pair = pair.refined() if build is None else build(refine_grid(grid))
+            grid = refine_grid(grid)
+            pair = build(grid)
 
     orders = {}
     for key in ("total_variation", "area", "max_grad"):

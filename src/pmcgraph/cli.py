@@ -546,11 +546,10 @@ def _cmd_solve(cfg, args):
     p = _problem(cfg)
     build = _barrier_builder(cfg, p.grid, p.solk)
     try:
-        B = build(p.grid)
         if p.kind == "split":
-            v, rep = solve_quasi(p.presc, B, p.solk)
+            v, rep = solve_quasi(p.presc, build, p.grid, p.solk)
         else:
-            v, rep = outer_iterate(p.H, B, p.solk)
+            v, rep = outer_iterate(p.H, build(p.grid), p.solk)
     except SolverFailure as exc:
         payload = {
             "converged": False,
@@ -669,7 +668,7 @@ def _cmd_diagnose(cfg, args):
     if levels < 2:
         raise CLIConfigError("--levels must be at least 2")
     try:
-        report = blowup_diagnostics(p.H, build, cfg=p.solk, levels=levels, grid=p.grid)
+        report = blowup_diagnostics(p.H, build, p.grid, cfg=p.solk, levels=levels)
     except (SolverFailure, ValueError) as exc:
         return _check_payload(str(exc)), 1
     payload = report.to_dict()

@@ -230,6 +230,18 @@ class WorkingBox:
         v = np.asarray(values)
         return bool(np.all(v >= self.z_min - 1e-12) and np.all(v <= self.z_max + 1e-12))
 
+    def require_values(self, values):
+        """Raise ValueError naming the nodes where the heights `values`
+        leave the z-range, never a silent clamp."""
+        if self.contains_values(values):
+            return
+        flat = np.asarray(values).reshape(-1)
+        bad = np.flatnonzero((flat < self.z_min - 1e-12) | (flat > self.z_max + 1e-12))
+        head = ", ".join(str(i) for i in bad[:5])
+        raise ValueError(
+            f"graph leaves the working box z-range [{self.z_min:.6g}, {self.z_max:.6g}] "
+            f"at {bad.size} node(s) (flat indices {head}{', ...' if bad.size > 5 else ''})")
+
     def sample_lattice(self, samples=9, reads=None):
         """Deterministic sample environment over box x base x half-ball.
 
@@ -362,13 +374,8 @@ def pmc_residual(grid, u, H, F=None, box=None):
     """
     if u.grid != grid:
         raise ValueError("field is not defined on the supplied grid")
-    if box is not None and not box.contains_values(u.values):
-        bad = np.flatnonzero((u.values.reshape(-1) < box.z_min - 1e-12)
-                             | (u.values.reshape(-1) > box.z_max + 1e-12))
-        head = ", ".join(str(i) for i in bad[:5])
-        raise ValueError(
-            f"graph leaves the working box z-range [{box.z_min:.6g}, {box.z_max:.6g}] "
-            f"at {bad.size} node(s) (flat indices {head}{', ...' if bad.size > 5 else ''})")
+    if box is not None:
+        box.require_values(u.values)
     grads = node_gradients(grid, u.values)
     env, _ = graph_normal_env(grid, u.values, grads)
     if F is None:

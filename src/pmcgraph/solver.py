@@ -2,9 +2,9 @@
 
 Every prescription takes one outer iteration over one inner engine, damped
 Newton.  The iteration clips Newton's trial iterates to a plateau that
-holds the barrier range, and adds a penalty gamma*(z - anchor) that makes
-the problem non-increasing in height over the barrier slab, the heights the
-iterates take.  When the prescription is already non-increasing in height
+holds the barrier range, and adds a penalty gamma*(u - anchor) to the
+residual that makes the problem non-increasing in height over the barrier
+slab, the heights the iterates take.  When the prescription is already non-increasing in height
 over the slab, gamma is 0: the one sweep does not read its anchor, and it
 is the direct solve (the diagonal shift -dF/dz >= 0 keeps the
 linearization nondegenerate).  Otherwise a plain sweep anchors at the
@@ -44,9 +44,12 @@ row; each Newton step only evaluates the coefficients and adds each entry
 into its slot, and a product is one gather.  The coefficients read what the
 residual of the same iterate computed (`_graph_residual`): its gradients,
 area factors, and the prescription's partials, evaluated with its value.
-That evaluation leaves out the anchor source, so it passes from an inner
-solve to the next one seeded at its output, and every iterate of an outer
-solve is evaluated once.
+That evaluation is of the prescription H itself: the penalty
+gamma*(u - anchor) is added to its residual after it, and gamma to the
+Jacobian's diagonal.  So one evaluation of a field serves every use of it,
+whatever the anchor or gamma: the inner solve seeded at it, the outer
+iteration's gate, a sweep after gamma drops, and the report of the
+returned field.
 
 The linear algebra is numpy's alone.  On a fully periodic grid a Jacobian
 whose every slot holds one value on all rows, as at a constant iterate of a
@@ -61,7 +64,7 @@ from the slot array.  A 1-D grid is one line, inverted whole.  The linear
 systems of one solve go through one `LaggedLU`: it keeps the last factor,
 of either kind, and solves each new system by one right-preconditioned
 GMRES restart cycle.  Successive Jacobians differ only
-through u and the anchor source, so the lagged factor is a near-exact
+through u, so the lagged factor is a near-exact
 preconditioner; the matrix is factored afresh only when that cycle misses
 its tolerance or the system size changes.  Newton asks for inexact steps: a
 cycle may stop once its residual is a forcing term times the Newton
@@ -86,11 +89,10 @@ from .calculus import (
     operators,
 )
 from .expr import Var
-from .grid import ScalarField, refine_field, refine_grid, sup_norm
+from .grid import ScalarField, refine_grid, sup_norm
 from .pmc import (
     PMCFunction,
     WorkingBox,
-    check_monotone,
     check_quasi_decreasing,
     graph_normal_env,
     pmc_residual,
@@ -108,7 +110,6 @@ __all__ = [
     "check_barrier",
     "working_box",
     "gamma_for",
-    "penalized_pmc",
     "solve_inner",
     "outer_iterate",
     "barriers_from_phi",
@@ -322,13 +323,6 @@ class BarrierPair:
     def z_bounds(self):
         return float(np.min(self.u1.values)), float(np.max(self.u0.values))
 
-    def refined(self):
-        """The pair interpolated onto the grid of one halving of the spacing."""
-        fine = refine_grid(self.grid)
-        return BarrierPair(
-            refine_field(self.u1, fine), refine_field(self.u0, fine),
-            refine_field(self.psi, fine) if self.psi is not None else None)
-
 
 def check_barrier(B, H, allowance=10.0):
     """Verify the barrier inequalities against a product-metric prescription.
@@ -398,17 +392,6 @@ def gamma_for(H, slab, samples=9):
     return {"gamma": 1.05 * max(0.0, sup), "sup_slope": sup,
             "worst_point": {k: float(env[k][j]) for k in variables(slab.dimension)},
             "samples": int(samples), "slab": [slab.z_min, slab.z_max]}, sup_above
-
-
-def penalized_pmc(H, gamma):
-    """Height-penalized prescription H - gamma*z.
-
-    The anchor part gamma*u_prev enters the inner solve as a nodal source,
-    not here.  This object's height slope is H_z - gamma, which the gamma
-    certificate makes <= 0 at every sample of the barrier slab.  At
-    gamma = 0 the tree folds to H's.
-    """
-    return PMCFunction(H.ast - gamma * Var("z"), provenance="penalized", label=H.label)
 
 
 # ---------------------------------------------------------------------------
@@ -976,15 +959,17 @@ def _forcing_term(loose, pseudo_time, history):
     return min(FORCING_MAX, 0.9 * (history[-1] / history[-2]) ** 2)
 
 
-def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
+def solve_inner(grid, H, psi, init, cfg=None, penalty=None,
                 lagged=None, forcing=0.0, evaluation=None, bounds=None):
     """Damped Newton on the discrete prescribed-curvature system.
 
-    F must be non-increasing in height; when a working box is supplied that
-    is verified by sampling and a failure refuses to run.  psi fixes the
-    dirichlet boundary (None on fully periodic grids); `source` is an
-    optional nodal field added to the prescription (the penalty anchor).
-    On a fully periodic grid with a height-free prescription the mean of the
+    Solves mcp(u) - H(graph env of u) + gamma*(u - anchor) = 0, with
+    `penalty` = (gamma, anchor), gamma >= 0 and anchor a nodal field, or
+    without the term when `penalty` is None.  The term adds gamma to the
+    Jacobian's diagonal, and at gamma = 0 the anchor is not read.  H - gamma*z
+    must be non-increasing in height at the heights the iterates take.
+    psi fixes the dirichlet boundary (None on fully periodic grids).  On a
+    fully periodic grid, at gamma = 0 with a height-free H, the mean of the
     iterate is pinned through a bordered linear system.  `lagged` is the
     LaggedLU shared by the sweeps of one outer solve; without one the call
     makes its own.  The solve stops at a sup-residual of
@@ -996,11 +981,11 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     linear solves' floor stays at FORCING_FLOOR*cfg.tol_inner either way.
 
     Every iterate is evaluated once: its residual pass keeps what the
-    Jacobian reads (`_graph_residual`, before the source).  The report's
-    `evaluation` is that of the returned field.  A solve seeded at a field
-    already evaluated with the same F, such a returned field or a
+    Jacobian reads (`_graph_residual` of H, before the penalty).  The
+    report's `evaluation` is that of the returned field.  A solve seeded at
+    a field already evaluated with the same H, such a returned field or a
     candidate the outer iteration's gate evaluated, takes that evaluation
-    as `evaluation` in place of evaluating init.
+    as `evaluation` in place of evaluating init, whatever its penalty.
 
     With `bounds` = (lo, hi) every trial iterate, Newton or pseudo-time, is
     clipped into [lo, hi] at the unknowns.  The outer iteration passes its
@@ -1014,13 +999,7 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     """
     if cfg is None:
         cfg = SolveConfig()
-    if box is not None:
-        mono = check_monotone(F, box, cfg.samples)
-        if not mono["passed"]:
-            raise ValueError(
-                "prescription increases with height (sampled slope "
-                f"{mono['worst_value']:.6g} at {mono['worst_point']}); "
-                "the monotone solver refuses to run")
+    gamma, anchor = penalty or (0.0, None)
     has_dirichlet = any(t == "dirichlet" for t in grid.topology)
     if has_dirichlet and psi is None:
         raise ValueError("dirichlet grid needs boundary data")
@@ -1033,17 +1012,14 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
     if has_dirichlet:
         u[grid.boundary_mask] = psi.values[grid.boundary_mask]
     unknown = np.flatnonzero(~grid.boundary_mask.reshape(-1))
-    src = None
-    if source is not None:
-        src = np.broadcast_to(np.asarray(source, dtype=float), grid.shape)
 
     def residual(vals, evaluation=None):
         # the residual at vals on the unknowns, and its evaluation: the
-        # `_graph_residual` before the source, with the parts the Jacobian
-        # at an accepted iterate reads
+        # `_graph_residual` of H before the penalty, with the parts the
+        # Jacobian at an accepted iterate reads
         if evaluation is None:
-            evaluation = _graph_residual(grid, vals, F)
-        out = evaluation[0] if src is None else evaluation[0] - src
+            evaluation = _graph_residual(grid, vals, H)
+        out = evaluation[0] + gamma * (vals - anchor) if gamma else evaluation[0]
         return out.reshape(-1)[unknown], evaluation
 
     def trial(step):
@@ -1058,10 +1034,10 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
             return None
 
     R, evaluated = residual(u, evaluation)
-    # a height-free prescription leaves the mean free: read off dF/dz at
-    # the seed, the first Jacobian's block
-    dz = evaluated[1][-1][0]
-    bordered = grid.is_fully_periodic() and np.max(np.abs(dz)) <= 1e-13
+    # a height-free prescription leaves the mean free when no penalty holds
+    # it: read off dH/dz at the seed, the first Jacobian's block
+    bordered = (not gamma and grid.is_fully_periodic()
+                and np.max(np.abs(evaluated[1][-1][0])) <= 1e-13)
 
     res_sup = float(np.max(np.abs(R))) if R.size else 0.0
     tol = max(cfg.tol_inner, forcing * res_sup)
@@ -1077,7 +1053,7 @@ def solve_inner(grid, F, psi, init, cfg=None, box=None, source=None,
                 f"(residual {res_sup:.3e}, tolerance {tol:.3e})",
                 best=ScalarField(grid, u), residual_history=history)
         J = assemble_jacobian(
-            grid, u, F, shift=0.0 if ptc_dt is None else 1.0 / ptc_dt,
+            grid, u, H, shift=gamma + (0.0 if ptc_dt is None else 1.0 / ptc_dt),
             parts=evaluated[1])
         phi0 = np.linalg.norm(R)
         eta = _forcing_term(tol > cfg.tol_inner, ptc_dt is not None, history)
@@ -1216,8 +1192,9 @@ def _clip(proposal, last, upper):
 
 def _strict_supersolution(residual, tol):
     """Rule 3 of `outer_iterate` before any Newton step: a candidate whose
-    `residual` in its own problem, the anchor source included, exceeds `tol`
-    at every unknown is a strict supersolution of that problem."""
+    `residual` in its own problem exceeds `tol` at every unknown is a strict
+    supersolution of that problem.  Anchored at itself, the candidate's
+    penalty term is 0, so that residual is H's own."""
     return bool(residual.size and np.min(residual) > tol)
 
 
@@ -1267,9 +1244,10 @@ def outer_iterate(H, B, cfg=None):
     which narrows as they climb.  So with an "auto" penalty, after each
     counted sweep, the sampled sup of dH/dz over the narrower slab is read
     off `gamma_for`'s lattice; once it is <= 0, gamma drops to 0, the
-    pending proposal and the evaluation made with the old penalty are
-    dropped, and the next sweep is the direct solve from the last output.  An explicit cfg.gamma stays
-    fixed for every sweep.  The report's `gamma` is the first sweep's,
+    pending proposal is dropped, and the next sweep is the direct solve
+    from the last output, seeded with that output's evaluation: an
+    evaluation is of H alone, whatever the penalty.  An explicit cfg.gamma
+    stays fixed for every sweep.  The report's `gamma` is the first sweep's,
     `gamma_history` holds every counted sweep's, and `mode` is "penalized"
     iff one of them is above 0, "direct" otherwise.  Once two sweeps are
     counted, Anderson proposes the next anchor after each counted sweep
@@ -1311,9 +1289,12 @@ def outer_iterate(H, B, cfg=None):
     tol_inner, with step <= tol_outer at gamma > 0, and the consistency
     bound tol_inner + gamma*step holds, with the exit sweep's gamma.
     `inner_newton_counts` adds up both solves of such a sweep; max_outer
-    caps all sweeps, discarded ones included.  An explicit cutoff plateau
-    that does not hold the barrier range, or does not lie strictly inside
-    the working box, is refused with a ValueError.
+    caps all sweeps, discarded ones included.  The report's
+    `final_residual`, `min_theta` and `sup_abs_curvature` are read off the
+    returned field's evaluation, and that field must lie in the working
+    box.  An explicit cutoff plateau that does not hold the barrier range,
+    or does not lie strictly inside the working box, is refused with a
+    ValueError.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -1346,7 +1327,6 @@ def outer_iterate(H, B, cfg=None):
         gamma = gamma_cert["gamma"]
     # the first sweep's penalty, which names the report's mode
     sized = gamma
-    F_core = penalized_pmc(H, gamma)
 
     interior = ~grid.boundary_mask
     u_prev = ScalarField(grid, B.u1.values.copy())
@@ -1412,9 +1392,8 @@ def outer_iterate(H, B, cfg=None):
             if not (np.array_equal(cand, last) or cand.tobytes() in discarded):
                 values = u_prev.values.copy()
                 values[interior] = cand
-                seeded = _graph_residual(grid, values, F_core)
-                if _strict_supersolution(
-                        (seeded[0] - gamma * values)[interior], cfg.tol_outer):
+                seeded = _graph_residual(grid, values, H)
+                if _strict_supersolution(seeded[0][interior], cfg.tol_outer):
                     # lower the bracket's upper end, and redo the sweep
                     upper = np.minimum(upper, cand)
                     discarded.add(cand.tobytes())
@@ -1422,11 +1401,11 @@ def outer_iterate(H, B, cfg=None):
                     continue
                 anchor = ScalarField(grid, values)
         plain = anchor is u_prev
-        source = gamma * anchor.values
+        penalty = (gamma, anchor.values)
         try:
-            u_next, irep = solve_inner(grid, F_core, B.psi,
+            u_next, irep = solve_inner(grid, H, B.psi,
                                        seed if m == 0 else anchor, cfg,
-                                       source=source, lagged=lagged, forcing=forcing,
+                                       penalty=penalty, lagged=lagged, forcing=forcing,
                                        evaluation=seeded, bounds=(c1, c2))
             inner_steps = irep["newton_steps"] + irep["ptc_steps"]
             step = sup_norm(u_next, anchor)
@@ -1434,8 +1413,8 @@ def outer_iterate(H, B, cfg=None):
             if tol > cfg.tol_inner and step <= max(cfg.tol_outer, tol):
                 # a sweep that may end the iteration, or whose step is
                 # within its own tolerance: finish it to tol_inner
-                u_next, irep = solve_inner(grid, F_core, B.psi, u_next, cfg,
-                                           source=source, lagged=lagged,
+                u_next, irep = solve_inner(grid, H, B.psi, u_next, cfg,
+                                           penalty=penalty, lagged=lagged,
                                            evaluation=irep["evaluation"],
                                            bounds=(c1, c2))
                 inner_steps += irep["newton_steps"] + irep["ptc_steps"]
@@ -1477,11 +1456,9 @@ def outer_iterate(H, B, cfg=None):
             break
         if sup_above is not None and sup_above(float(np.min(u_prev.values))) <= 0.0:
             # H does not increase over the slab [last output, u0]: the next
-            # sweep is the direct solve from the last output, and neither the
-            # pending proposal nor the evaluation, made with the old penalty,
-            # carries over
-            gamma, forcing, proposal, evaluation = 0.0, 0.0, None, None
-            F_core = penalized_pmc(H, 0.0)
+            # sweep is the direct solve from the last output, and the pending
+            # proposal, made with the old penalty, does not carry over
+            gamma, forcing, proposal = 0.0, 0.0, None
             continue
         f_hist = (f_hist + [diff])[-ANDERSON_DEPTH - 1:]
         g_hist = (g_hist + [u_next.values[interior]])[-ANDERSON_DEPTH - 1:]
@@ -1497,10 +1474,10 @@ def outer_iterate(H, B, cfg=None):
             partial=partial(residual_history))
 
     v = u_prev
-    final = pmc_residual(grid, v, H, box=box)
-    final_residual = float(np.max(np.abs(final.values)))
+    box.require_values(v.values)
+    residual, (grads, faces, omega, _) = evaluation
+    final_residual = float(np.max(np.abs(residual[interior]), initial=0.0))
     bound = cfg.tol_inner + gamma_history[-1] * max(step_history[-1], 0.0)
-    theta = graph_normal_env(grid, v.values)[0]["t"]
     report = SolveReport(
         **partial(residual_history),
         converged=True,
@@ -1513,10 +1490,10 @@ def outer_iterate(H, B, cfg=None):
         final_residual=final_residual,
         consistency_bound=bound,
         consistency_ok=bool(final_residual <= bound),
-        min_theta=float(np.min(theta)),
+        min_theta=float(np.min(1.0 / omega)),
         sup_abs_u=float(np.max(np.abs(v.values))),
         sup_abs_curvature=float(np.max(np.abs(
-            mean_curvature_product_values(grid, v.values)))),
+            mean_curvature_product_values(grid, v.values, grads, faces)))),
         barrier_check=barrier_check,
         box={"z_min": box.z_min, "z_max": box.z_max},
         grid=_grid_meta(grid),
@@ -1566,18 +1543,22 @@ def barriers_from_phi(grid, Fbase, phi, psi, cfg=None):
     return BarrierPair(u1, u0, psi)
 
 
-def solve_quasi(D, B, cfg=None):
+def solve_quasi(D, build, grid, cfg=None):
     """Solve for a split prescription and certify the result is a graph.
 
-    Runs the outer iteration on the composite H1 + t*H2 (the split's height
-    monotonicity makes it the one sweep at gamma = 0), then attaches the tilt
-    certificate: min Theta, the stability-equation residual, the graphical
-    flag, and a one-halving refinement comparison of min Theta.
+    `build` maps a grid to its `BarrierPair`, and `grid` is the one to
+    solve on.  Runs the outer iteration on the composite H1 + t*H2 (the
+    split's height monotonicity makes it the one sweep at gamma = 0) between
+    the barriers `build(grid)`, then attaches the tilt certificate: min
+    Theta, the stability-equation residual, the graphical flag, and a
+    one-halving refinement comparison of min Theta, solved between barriers
+    built anew on the refined grid.
     """
     from .geometry import jacobi_residual
 
     if cfg is None:
         cfg = SolveConfig()
+    B = build(grid)
     box = working_box(B, cfg)
     qcheck = check_quasi_decreasing(D, box, cfg.samples)
     if not qcheck["passed"]:
@@ -1588,7 +1569,6 @@ def solve_quasi(D, B, cfg=None):
             + ")")
     H = D.composite()
     v, report = outer_iterate(H, B, cfg)
-    grid = B.grid
     jac = jacobi_residual(grid, v, H)
     report.quasi_check = qcheck
     report.theta_threshold = cfg.theta_threshold
@@ -1596,12 +1576,11 @@ def solve_quasi(D, B, cfg=None):
     report.jacobi_sup = float(np.max(np.abs(jac.values)))
 
     if cfg.refine_check:
-        fine_pair = B.refined()
         try:
-            _, fine_report = outer_iterate(H, fine_pair, cfg)
+            _, fine_report = outer_iterate(H, build(refine_grid(grid)), cfg)
         except (ValueError, SolverFailure) as exc:
-            # refined non-flat barriers can fail their own residual check;
-            # report the attempt rather than abort the whole solve
+            # the fine solve, or its barriers, can fail on their own; report
+            # the attempt rather than abort the whole solve
             report.refinement = {"min_theta_coarse": report.min_theta,
                                  "error": str(exc), "stable": False}
         else:

@@ -156,8 +156,9 @@ def quasi_solution():
     if "quasi" not in _CACHE:
         g = build_grid(2, (64, 64), (1.0, 1.0), ("periodic", "periodic"))
         D = QuasiDecomposition(parse_pmc("-z"), parse_pmc("0.3"))
-        B = BarrierPair(constant_field(g, -1.0), constant_field(g, 1.0))
-        v, rep = solve_quasi(D, B)
+        v, rep = solve_quasi(
+            D, lambda grid: BarrierPair(constant_field(grid, -1.0),
+                                        constant_field(grid, 1.0)), g)
         _CACHE["quasi"] = (g, v, rep)
     return _CACHE["quasi"]
 

@@ -113,11 +113,16 @@ def test_perimeter_lower_bound_holds_for_smooth_fields():
         assert area >= total_variation(g, u) - 1e-12
 
 
+def _constant_pair(lower, upper, trace=None):
+    # a builder of constant barriers, with a constant trace on dirichlet grids
+    return lambda grid: BarrierPair(
+        constant_field(grid, lower), constant_field(grid, upper),
+        None if trace is None else constant_field(grid, trace))
+
+
 def test_refinement_study_on_flat_problem():
     g = build_grid(1, 17, 1.0, "dirichlet")
-    psi = constant_field(g, 0.0)
-    B = BarrierPair(constant_field(g, -0.5), constant_field(g, 0.5), psi)
-    rep = blowup_diagnostics(parse_pmc("0"), B, levels=3)
+    rep = blowup_diagnostics(parse_pmc("0"), _constant_pair(-0.5, 0.5, 0.0), g, levels=3)
     assert len(rep.rows) == 3
     assert all(row["converged"] for row in rep.rows)
     assert all(row["max_grad"] < 1e-10 for row in rep.rows)
@@ -129,9 +134,8 @@ def test_refinement_study_on_flat_problem():
 
 def test_refinement_study_accepts_split_prescription():
     g = build_grid(1, 16, 1.0, "periodic")
-    B = BarrierPair(constant_field(g, -1.0), constant_field(g, 1.0))
     D = QuasiDecomposition(parse_pmc("-z"), parse_pmc("0.3"))
-    rep = blowup_diagnostics(D, B, levels=2)
+    rep = blowup_diagnostics(D, _constant_pair(-1.0, 1.0), g, levels=2)
     assert all(abs(row["area"] - 1.0) < 1e-10 for row in rep.rows)
     assert not rep.suspected_nongraphical
 
@@ -152,25 +156,18 @@ def test_refinement_study_steepening_cap():
 
     g = _unit_square(17, origin=(-0.5, -0.5))
     cfg = SolveConfig(allowance_constant=60.0)
-    rep = blowup_diagnostics(parse_pmc(f"{2.0 / R}"), pair_for, cfg=cfg,
-                             levels=3, grid=g)
+    rep = blowup_diagnostics(parse_pmc(f"{2.0 / R}"), pair_for, g, cfg=cfg, levels=3)
     thetas = [row["min_theta"] for row in rep.rows if row["converged"]]
     assert len(thetas) == 3
     assert thetas[0] > thetas[1] > thetas[2]
     assert not rep.suspected_nongraphical
 
 
-def test_refinement_study_builder_needs_grid():
-    with pytest.raises(ValueError, match="coarsest grid"):
-        blowup_diagnostics(parse_pmc("0"), lambda g: None, levels=2)
-
-
 def test_refinement_study_continues_past_failures():
     g = build_grid(1, 17, 1.0, "dirichlet")
-    psi = constant_field(g, 0.0)
-    B = BarrierPair(constant_field(g, -0.5), constant_field(g, 0.5), psi)
     cfg = SolveConfig(max_newton=1)
-    rep = blowup_diagnostics(parse_pmc("1.5"), B, cfg=cfg, levels=2)
+    rep = blowup_diagnostics(parse_pmc("1.5"), _constant_pair(-0.5, 0.5, 0.0), g,
+                             cfg=cfg, levels=2)
     assert len(rep.rows) == 2
     assert rep.errors and not rep.suspected_nongraphical
 
@@ -189,6 +186,5 @@ def test_report_requires_two_levels():
     with pytest.raises(ValueError, match="at least 2"):
         RefinementReport([{"spacing": 0.1}], {}, False, [])
     g = build_grid(1, 16, 1.0, "periodic")
-    B = BarrierPair(constant_field(g, -1.0), constant_field(g, 1.0))
     with pytest.raises(ValueError, match="at least 2"):
-        blowup_diagnostics(parse_pmc("-z"), B, levels=1)
+        blowup_diagnostics(parse_pmc("-z"), _constant_pair(-1.0, 1.0), g, levels=1)

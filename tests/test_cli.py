@@ -309,6 +309,18 @@ def test_solve_split_prescription_reports_tilt(tmp_path):
     assert "refinement" in doc and doc["refinement"]["stable"] is True
 
 
+def test_split_cap_refines_between_rebuilt_barriers(tmp_path):
+    # the cap's curved barriers, built anew on the refined grid, pass their
+    # check there; interpolated from the coarse grid they failed it
+    report = tmp_path / "r.json"
+    code = run(["solve", "--config", cfg_path("cap.json"),
+                "--override", 'pmc={"h1": "2", "h2": "0"}',
+                "--out-report", str(report)])
+    assert code == 0
+    refinement = read_json(report)["refinement"]
+    assert "error" not in refinement and refinement["stable"] is True
+
+
 def test_solve_conformal_reports_conformal_residual(tmp_path):
     report = tmp_path / "r.json"
     code = run(["solve", "--config", cfg_path("horosphere.json"),

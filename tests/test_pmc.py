@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmcgraph.grid import build_grid, constant_field, field_from_expr
-from pmcgraph.expr import EvalDomainError, ParseError
+from pmcgraph.expr import EvalDomainError, ParseError, Var
 from pmcgraph.pmc import (
     MONOTONE_TOL,
     PMC_VARS,
@@ -404,12 +404,11 @@ class _CountingProfile:
 
 def _prescription(case, profile=None):
     from pmcgraph.geometry import ConformalFactor, conformal_transform_pmc
-    from pmcgraph.solver import penalized_pmc
 
     if case == "penalized":
         H = parse_pmc(f"0.5*sin(z) + 0.1*sin({TWO_PI}*x1) + 0.3*y1*t - sqrt(z + 1)")
         profile = profile or _CountingProfile()
-        return penalized_pmc(PMCFunction(profile.node * H.ast), 1.9)
+        return PMCFunction(profile.node * H.ast - 1.9 * Var("z"))
     return conformal_transform_pmc(parse_pmc("-1 - z + 0.2*y2"),
                                    ConformalFactor.from_expr("-ln(r) + 0.1*x2*r"), 2)
 

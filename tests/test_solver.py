@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pmcgraph.expr import Var
 from pmcgraph.grid import ScalarField, build_grid, sup_norm
 from pmcgraph.pmc import (
     PMC_VARS,
@@ -22,7 +23,6 @@ from pmcgraph.solver import (
     check_barrier,
     gamma_for,
     outer_iterate,
-    penalized_pmc,
     solve_inner,
     solve_quasi,
 )
@@ -150,13 +150,12 @@ def test_penalized_prescription_is_uniformly_decreasing():
     H = parse_pmc("0.5*sin(z)")
     slab = WorkingBox((-1.0, 1.0), ((0.0, 1.0),))
     gamma = gamma_for(H, slab)[0]["gamma"]
-    F = penalized_pmc(H, gamma)
-    assert F.provenance == "penalized"
-    # d/dz = 0.5*cos(z) - gamma, equal to -0.025 at z=0
-    dz = F.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 0.0, 0.0, 0.0, 1.0))))
+    # the penalty gamma*(u - anchor) gives the inner problem the height
+    # slope d/dz of H - gamma*z = 0.5*cos(z) - gamma, equal to -0.025 at z=0
+    dz = H.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))) - gamma
     assert abs(dz + 0.025) < 1e-14
     # at every sample of the slab, 5% of the sampled sup below 0
-    slope = F.partial("z", slab.sample_lattice(9))
+    slope = H.partial("z", slab.sample_lattice(9)) - gamma
     assert np.max(slope) <= -0.05 * 0.5 + 1e-12
 
 
@@ -254,8 +253,7 @@ def test_inner_solve_cap_dirichlet():
     cap = np.sqrt(4.0 - pos[0] ** 2 - pos[1] ** 2)
     psi = ScalarField(grid, cap.copy())
     init = ScalarField(grid, np.full(grid.shape, float(np.min(cap))))
-    box = WorkingBox.from_grid(grid, (1.0, 2.5))
-    u, rep = solve_inner(grid, parse_pmc("1"), psi, init, box=box)
+    u, rep = solve_inner(grid, parse_pmc("1"), psi, init)
     assert rep["residual_sup"] <= rep["tolerance"]
     err = np.max(np.abs(u.values - cap))
     assert err < 1e-3
@@ -263,16 +261,8 @@ def test_inner_solve_cap_dirichlet():
     # a second start far from the solution lands on the same discrete answer
     init2 = ScalarField(grid, cap + 0.2 * np.cos(np.pi * pos[0]) *
                         np.cos(np.pi * pos[1]))
-    u2, _ = solve_inner(grid, parse_pmc("1"), psi, init2, box=box)
+    u2, _ = solve_inner(grid, parse_pmc("1"), psi, init2)
     assert sup_norm(u, u2) < 10 * 1e-10
-
-
-def test_inner_solve_refuses_increasing_prescription():
-    grid = build_grid(1, (16,), (1.0,), ("periodic",))
-    init = ScalarField(grid, np.zeros(grid.shape))
-    box = WorkingBox.from_grid(grid, (-1.0, 1.0))
-    with pytest.raises(ValueError, match="refuses to run"):
-        solve_inner(grid, parse_pmc("z"), None, init, box=box)
 
 
 def test_inner_solve_budget_failure_carries_best_iterate():
@@ -355,9 +345,7 @@ def _supersolution_seed():
     # barrier u0 = pi + 0.25: the residual there is
     # -H(x, u0) = 0.5*sin(0.25) - 0.1*sin(2*pi*x1) >= 0.0237
     grid, H, B = _torus_sine_16()
-    gamma = 2.0
-    F = penalized_pmc(H, gamma)
-    return grid, F, B.u0, gamma * B.u0.values
+    return grid, H, B.u0, (2.0, B.u0.values)
 
 
 def _record_passes(monkeypatch):
@@ -404,7 +392,7 @@ def _judged(log):
     a candidate right after a counted sweep, so the last output is that of
     the solve before the test.  A candidate the gate admits is the seed of
     the next solve, and its sweep was discarded if the next sweep, the next
-    solve with another anchor source, starts from that last output again."""
+    solve with another penalty, starts from that last output again."""
     out = []
     for i, (kind, cand, unsolved, _) in enumerate(log):
         if kind != "gate":
@@ -415,7 +403,7 @@ def _judged(log):
         if not unsolved:
             assert np.array_equal(solves[0][1], cand)
             after = [e for e in solves[1:]
-                     if not np.array_equal(e[3]["source"], solves[0][3]["source"])]
+                     if not _same(e[3]["penalty"], solves[0][3]["penalty"])]
             discarded = bool(after) and np.array_equal(after[0][1], last)
         out.append((i, cand, last, unsolved, discarded))
     return out
@@ -424,10 +412,11 @@ def _judged(log):
 def test_candidate_supersolution_is_returned_unsolved(monkeypatch):
     from pmcgraph.solver import _graph_residual, _strict_supersolution
 
-    # the seed's residual, less its anchor source, is above tol_outer at
+    # the seed's residual, its penalty included, is above tol_outer at
     # every unknown
-    grid, F, seed, source = _supersolution_seed()
-    residual = (_graph_residual(grid, seed.values, F)[0] - source).reshape(-1)
+    grid, H, seed, (gamma, anchor) = _supersolution_seed()
+    residual = (_graph_residual(grid, seed.values, H)[0]
+                + gamma * (seed.values - anchor)).reshape(-1)
     assert np.min(residual) > SolveConfig().tol_outer
     assert _strict_supersolution(residual, SolveConfig().tol_outer)
     # the gate discards such a candidate before any Newton step: no solve
@@ -458,18 +447,20 @@ def _same(a, b):
     return bool(np.array_equal(a, b))
 
 
-def _solved_as_plain(grid, F, seed, source, cfg=None):
+def _solved_as_plain(grid, H, seed, penalty, cfg=None):
     # the gate admits the seed, and its solve from the gate's evaluation is
     # its plain solve, bit for bit
     from pmcgraph.solver import _graph_residual, _strict_supersolution
 
     cfg = cfg or SolveConfig()
-    evaluation = _graph_residual(grid, seed.values, F)
-    assert not _strict_supersolution((evaluation[0] - source).reshape(-1), cfg.tol_outer)
+    gamma, anchor = penalty
+    evaluation = _graph_residual(grid, seed.values, H)
+    assert not _strict_supersolution(
+        (evaluation[0] + gamma * (seed.values - anchor)).reshape(-1), cfg.tol_outer)
     runs = []
     for handed in (None, evaluation):
         lagged = LaggedLU()
-        u, rep = solve_inner(grid, F, None, seed, cfg, source=source,
+        u, rep = solve_inner(grid, H, None, seed, cfg, penalty=penalty,
                              lagged=lagged, evaluation=handed)
         runs.append((u.values, rep, lagged.linear_solves))
     (plain, plain_rep, plain_solves), (u, rep, solves) = runs
@@ -479,17 +470,18 @@ def _solved_as_plain(grid, F, seed, source, cfg=None):
 
 
 def test_candidate_below_its_problem_at_one_node_is_solved():
-    grid, F, seed, source = _supersolution_seed()
-    # a larger source at one node makes the residual there negative
-    source = source.copy()
-    source[3, 5] += 1.0
-    _solved_as_plain(grid, F, seed, source)
+    grid, H, seed, (gamma, anchor) = _supersolution_seed()
+    # an anchor higher by 1/gamma at one node makes the residual there
+    # negative
+    anchor = anchor.copy()
+    anchor[3, 5] += 1.0 / gamma
+    _solved_as_plain(grid, H, seed, (gamma, anchor))
 
 
 def test_candidate_residual_is_judged_against_tol_outer(monkeypatch):
-    grid, F, seed, source = _supersolution_seed()
+    grid, H, seed, penalty = _supersolution_seed()
     # the same seed, with tol_outer above its smallest residual
-    _solved_as_plain(grid, F, seed, source, SolveConfig(tol_outer=0.05))
+    _solved_as_plain(grid, H, seed, penalty, SolveConfig(tol_outer=0.05))
     # the gate passes the solve's own tol_outer
     grid, H, B = _torus_sine_16()
     log = _record_passes(monkeypatch)
@@ -499,9 +491,9 @@ def test_candidate_residual_is_judged_against_tol_outer(monkeypatch):
 
 
 def test_solve_inner_solves_a_supersolution_seed():
-    grid, F, seed, source = _supersolution_seed()
+    grid, H, seed, penalty = _supersolution_seed()
     lagged = LaggedLU()
-    u, rep = solve_inner(grid, F, None, seed, source=source, lagged=lagged)
+    u, rep = solve_inner(grid, H, None, seed, penalty=penalty, lagged=lagged)
     assert rep["residual_sup"] <= rep["tolerance"]
     assert rep["newton_steps"] >= 1 and lagged.linear_solves == rep["newton_steps"]
     assert rep["residual_sup"] <= SolveConfig().tol_inner
@@ -647,11 +639,10 @@ def test_accelerated_sweeps_return_the_plain_iteration_limit():
     v, rep = outer_iterate(H, B, SolveConfig(gamma=BOX_GAMMA))
     assert rep.rejected_steps >= 1
     # the plain Picard iteration, run far past the default tol_outer
-    F = penalized_pmc(H, rep.gamma)
     u, step = B.u1, np.inf
     while step > 1e-12:
-        u_next, _ = solve_inner(grid, F, None, u, SolveConfig(),
-                                source=rep.gamma * u.values)
+        u_next, _ = solve_inner(grid, H, None, u, SolveConfig(),
+                                penalty=(rep.gamma, u.values))
         step = sup_norm(u_next, u)
         u = u_next
     assert sup_norm(v, u) <= 1e-9
@@ -759,12 +750,11 @@ def test_newton_iterates_stay_on_the_cutoff_plateau():
     gamma = 0.5086790213980885
     assert rep.gamma_history == [gamma, gamma, 0.0]
     c1, c2 = rep.cutoff["c1"], rep.cutoff["c2"]
-    F = penalized_pmc(H, gamma)
     u = B.u1
     for _ in range(2):
-        u, _ = solve_inner(grid, F, None, u, source=gamma * u.values,
+        u, _ = solve_inner(grid, H, None, u, penalty=(gamma, u.values),
                            forcing=SWEEP_FORCING / max(gamma, 1.0), bounds=(c1, c2))
-    w, _ = solve_inner(grid, penalized_pmc(H, 0.0), None, u, bounds=(c1, c2))
+    w, _ = solve_inner(grid, H, None, u, bounds=(c1, c2))
     assert c1 <= np.min(w.values) and np.max(w.values) <= c2
     assert sup_norm(w, v) <= 1e-9
 
@@ -785,8 +775,7 @@ def _cap_17():
 def test_every_evaluated_field_lies_on_the_plateau(monkeypatch, case):
     import pmcgraph.solver as solver
 
-    # the penalized prescription is H - gamma*z at every height, and the
-    # sweeps evaluate it only at fields on the plateau [c1, c2]: their
+    # the sweeps evaluate H only at fields on the plateau [c1, c2]: their
     # seeds, gate candidates and clipped Newton trial iterates.  At the
     # box-sized penalty the 16x16 torus's gate admits candidates too
     grid, H, B, cfg = {
@@ -1023,18 +1012,18 @@ def test_candidate_sweeps_start_from_their_anchor(monkeypatch):
     log = _record_passes(monkeypatch)
     _, rep = outer_iterate(H, B, SolveConfig(gamma=BOX_GAMMA))
     assert rep.accelerated_steps + rep.rejected_steps > 0
-    starts = [(seed, kwargs["source"]) for kind, seed, _, kwargs in log if kind == "solve"]
+    starts = [(seed, kwargs["penalty"]) for kind, seed, _, kwargs in log if kind == "solve"]
     unsolved = sum(e[2] for e in log if e[0] == "gate")
-    # every sweep's first Newton iterate is its anchor, source / gamma, but
-    # for the candidates the gate discards unsolved; a finishing solve
-    # starts from its sweep's output instead
+    # every sweep's first Newton iterate is its anchor, but for the
+    # candidates the gate discards unsolved; a finishing solve starts from
+    # its sweep's output instead
     fresh = [k for k in range(len(starts))
-             if k == 0 or not np.array_equal(starts[k][1], starts[k - 1][1])]
+             if k == 0 or not _same(starts[k][1], starts[k - 1][1])]
     assert unsolved >= 1
     assert len(fresh) == rep.outer_count + rep.rejected_steps - unsolved
     for k in fresh:
-        init, source = starts[k]
-        assert np.array_equal(rep.gamma * init, source)
+        init, (gamma, anchor) = starts[k]
+        assert gamma == rep.gamma and np.array_equal(init, anchor)
 
 
 @pytest.mark.parametrize("case", ["torus_sine", "horosphere"])
@@ -1092,9 +1081,9 @@ def test_only_loose_solves_force_at_forcing_max(monkeypatch):
 
     # the penalized torus of `_supersolution_seed`, anchored at its lower
     # barrier 0.25 instead, with its penalty 2
-    grid, F, _, _ = _supersolution_seed()
+    grid, H, _, _ = _supersolution_seed()
     lower = ScalarField(grid, np.full(grid.shape, 0.25))
-    source = 2.0 * lower.values
+    penalty = (2.0, lower.values)
     real = solver._forcing_term
     etas = []
 
@@ -1105,18 +1094,18 @@ def test_only_loose_solves_force_at_forcing_max(monkeypatch):
     monkeypatch.setattr(solver, "_forcing_term", recording)
     # a loose sweep from the lower barrier, then the solve that finishes
     # it to tol_inner from its output
-    u, loose = solve_inner(grid, F, None, lower, source=source, forcing=0.01)
+    u, loose = solve_inner(grid, H, None, lower, penalty=penalty, forcing=0.01)
     assert loose["tolerance"] > SolveConfig().tol_inner
     assert etas == [FORCING_MAX] * loose["newton_steps"] and etas
     etas.clear()
-    _, finish = solve_inner(grid, F, None, u, source=source)
+    _, finish = solve_inner(grid, H, None, u, penalty=penalty)
     assert finish["tolerance"] == SolveConfig().tol_inner
     assert finish["newton_steps"] >= 2
     assert etas[0] == FORCING_FIRST and max(etas[1:]) <= FORCING_MAX
 
 
-# the torus at its box-sized penalty: at the slab-sized one its direct
-# sweep evaluates its seed again, with the penalty dropped
+# the torus at its box-sized penalty, whose sweeps evaluate no field twice;
+# at the slab-sized one see the next test
 @pytest.mark.parametrize("case, evals, every", [("torus_sine", 30, 45),
                                                 ("horosphere", 14, 20)])
 def test_each_iterate_is_evaluated_once(monkeypatch, case, evals, every):
@@ -1146,6 +1135,59 @@ def test_each_iterate_is_evaluated_once(monkeypatch, case, evals, every):
     assert len(calls) == every
     assert np.array_equal(v.values, v_own.values)
     assert rep.to_dict() == own.to_dict()
+
+
+def test_the_direct_sweep_after_the_penalty_drops_starts_from_an_evaluation(monkeypatch):
+    import pmcgraph.solver as solver
+
+    # the 64x64 torus_sine config: two sweeps at its slab-sized penalty,
+    # then the direct sweep from the second output, seeded with that
+    # output's evaluation.  The one field evaluated twice is the full
+    # Newton step clipped to u = c2, a trial of the first sweep and of the
+    # direct one
+    grid, H, B, _ = _torus_sine_64()
+    real, inner = solver._graph_residual, solver.solve_inner
+    log = []
+
+    def evaluating(grid, values, H):
+        log.append(values.copy())
+        return real(grid, values, H)
+
+    def solving(*args, **kwargs):
+        log.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_graph_residual", evaluating)
+    monkeypatch.setattr(solver, "solve_inner", solving)
+    _, rep = outer_iterate(H, B)
+    assert rep.gamma_history == [rep.gamma, rep.gamma, 0.0] and rep.gamma > 0.0
+    sweeps = [i for i, e in enumerate(log) if e is None]
+    calls = [e for e in log if e is not None]
+    assert len(sweeps) == 3 and len(calls) == 14
+    assert len({c.tobytes() for c in calls}) == 13
+    twice = [i for i, e in enumerate(log) if e is not None
+             and sum(c.tobytes() == e.tobytes() for c in calls) == 2]
+    assert len(twice) == 2 and np.all(log[twice[0]] == rep.cutoff["c2"])
+    assert sweeps[0] < twice[0] < sweeps[1] and sweeps[2] < twice[1]
+    # the direct sweep evaluates no seed: its first call is that trial
+    assert twice[1] == sweeps[2] + 1
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: (*_torus_sine_64()[:3], SolveConfig()), lambda: _horosphere_16(),
+    lambda: _cap_17(), lambda: _one_dimensional_multiple_solutions()],
+    ids=["torus-64", "horosphere", "cap", "1d-several-solutions"])
+def test_the_report_reads_the_returned_fields_evaluation(problem):
+    # final_residual, min_theta and sup_abs_curvature come off the last
+    # output's evaluation, bit for bit what a fresh pass over the returned
+    # field gives, at gamma = 0 (torus, cap) and above it (horosphere,
+    # several solutions)
+    grid, H, B, cfg = problem()
+    v, rep = outer_iterate(H, B, cfg)
+    assert rep.final_residual == float(np.max(np.abs(pmc_residual(grid, v, H).values)))
+    assert rep.min_theta == float(np.min(graph_normal_env(grid, v.values)[0]["t"]))
+    assert rep.sup_abs_curvature == float(np.max(np.abs(
+        mean_curvature_product_values(grid, v.values))))
 
 
 @pytest.mark.parametrize("case", ["torus_sine", "horosphere"])
@@ -1514,7 +1556,7 @@ def test_shipped_periodic_solves_build_no_block_lu(monkeypatch, tmp_path, config
 
 def test_penalized_horosphere_trees_share_every_repeated_subtree():
     grid, H, B, cfg = _horosphere_16()
-    F = penalized_pmc(H, 1.64)
+    F = PMCFunction(H.ast - 1.64 * Var("z"))
     inner = {}
 
     def walk(node):
@@ -1603,12 +1645,16 @@ def test_barriers_from_phi_needs_dirichlet():
 # quasi-decreasing frontend
 
 
+def _constant_pair(lower, upper):
+    # a builder of the constant barriers on any fully periodic grid
+    return lambda grid: BarrierPair(ScalarField(grid, np.full(grid.shape, lower)),
+                                    ScalarField(grid, np.full(grid.shape, upper)))
+
+
 def test_solve_quasi_constant_solution():
     grid = build_grid(1, (16,), (1.0,), ("periodic",))
     D = QuasiDecomposition(parse_pmc("-z"), parse_pmc("0.3"))
-    B = BarrierPair(ScalarField(grid, np.full(grid.shape, -1.0)),
-                    ScalarField(grid, np.full(grid.shape, 1.0)))
-    v, rep = solve_quasi(D, B)
+    v, rep = solve_quasi(D, _constant_pair(-1.0, 1.0), grid)
     assert np.max(np.abs(v.values - 0.3)) < 1e-7
     assert rep.graphical and rep.min_theta == 1.0
     assert rep.jacobi_sup < 1e-9
@@ -1621,10 +1667,8 @@ def test_solve_quasi_constant_solution():
 def test_solve_quasi_rejects_increasing_split():
     grid = build_grid(1, (16,), (1.0,), ("periodic",))
     D = QuasiDecomposition(parse_pmc("z"), parse_pmc("0"))
-    B = BarrierPair(ScalarField(grid, np.full(grid.shape, -1.0)),
-                    ScalarField(grid, np.full(grid.shape, 1.0)))
     with pytest.raises(ValueError, match="not quasi-decreasing"):
-        solve_quasi(D, B)
+        solve_quasi(D, _constant_pair(-1.0, 1.0), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ penalty 1.9064653208705127, the one its
 `auto` penalty was before it was sized to the barrier slab, which keeps that
 older path of fixed-penalty sweeps in the comparison, and torus_sine with a
 prescription whose height slope varies along x1, so that its first Jacobian
-is not translation-invariant and goes to the block LU factor.
+is not translation-invariant and goes to the block LU factor, and cap split
+as h1 = 2, h2 = 0, which runs the quasi-decreasing solve with its refinement
+block and a split diagnose between curved barriers.
 Every run writes `<command>/<case>.json` (the report), `<command>/<case>.csv`
 (the field or table, when the command writes one) and `<command>/<case>.log`
 (exit code, stdout and stderr).  Paths in the reports are relative to the
@@ -62,6 +64,7 @@ EXTRA = {
     "several_solutions": ("several_solutions.json", ()),
     "horosphere_tight_box": ("horosphere.json", ("box=[0.79,1.26]",)),
     "cap_explicit_gamma": ("cap.json", ("solver.gamma=0.1",)),
+    "cap_split": ("cap.json", ('pmc={"h1": "2", "h2": "0"}',)),
     "torus_sine_explicit_gamma": ("torus_sine.json", ("solver.gamma=1.9064653208705127",)),
     "torus_sine_x_slope": ("torus_sine.json", (
         "pmc.expr=0.5*sin(z)*(1 + 0.1*sin(6.283185307179586*x1))"
