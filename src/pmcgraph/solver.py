@@ -51,26 +51,27 @@ whatever the anchor or gamma: the inner solve seeded at it, the outer
 iteration's gate, a sweep after gamma drops, and the report of the
 returned field.
 
-The linear algebra is numpy's alone.  On a fully periodic grid a Jacobian
-whose every slot holds one value on all rows, as at a constant iterate of a
-prescription whose partials do not read x, is a circulant, and
-`FourierFactor` solves it exactly by the FFT.  Any other Jacobian goes to
-`LineLU`.  Every grid is 1-D or 2-D, so each grid line of a Jacobian
-couples only to its neighbouring lines, plus the first and last lines to
-each other when axis 0 wraps and a border row when the mean is pinned.
-`LineLU` factors it by block LU with one block per line and those extra
-couplings eliminated last, by one Schur complement; it scatters every block
-from the slot array.  A 1-D grid is one line, inverted whole.  The linear
-systems of one solve go through one `LaggedLU`: it keeps the last factor,
-of either kind, and solves each new system by one right-preconditioned
-GMRES restart cycle.  Successive Jacobians differ only
-through u, so the lagged factor is a near-exact
-preconditioner; the matrix is factored afresh only when that cycle misses
-its tolerance or the system size changes.  Newton asks for inexact steps: a
-cycle may stop once its residual is a forcing term times the Newton
+The linear algebra is numpy's alone.  Each Newton system is solved by
+GMRES, right-preconditioned by a fast direct solver of a nearby matrix
+(`Preconditioner`): the diagonally scaled row mean of the Jacobian's
+stencil, a constant stencil that the FFT along periodic axes and the DST-I
+along dirichlet axes diagonalize, as each is a tensor product of one
+operator per axis.  On a fully periodic grid a Jacobian whose every slot
+holds one value on all rows, as at a constant iterate of a prescription
+whose partials do not read x, is that matrix itself, which the
+preconditioner then solves exactly.  The linear systems of one solve go
+through one `LaggedLU`: it keeps the last preconditioner and runs one
+GMRES restart cycle on each new system with it.  Successive Jacobians
+differ only through u, so the lagged preconditioner serves about as well
+as a new one; one is built from the new matrix only when that cycle misses
+its tolerance or the system size changes.  Newton asks for inexact steps:
+GMRES may stop once its residual is a forcing term times the Newton
 residual (Eisenstat & Walker 1996), and never needs to go below a tenth of
 the inner tolerance.  A loose sweep, which stops at a fraction of its
-seed's residual, asks every step for the largest forcing term.
+seed's residual, asks every step for the largest forcing term, in the
+2-norm and in the sup norm it stops in.  No inner solve stops below the
+residual's rounding floor (`rounding_floor`), which takes the inner
+tolerance's place on fine grids.
 """
 
 from __future__ import annotations
@@ -149,28 +150,40 @@ ANDERSON_DEPTH = 2
 # at the fixed penalty 1.906 at every value
 SWEEP_FORCING = 0.01
 
-# GMRES preconditioned by a lagged LU factor: one restart cycle of this
-# length must reach its acceptance residual, or the matrix is refactored.
+# GMRES preconditioned by a lagged `Preconditioner`: one restart cycle of
+# KRYLOV_RESTART iterations must reach its acceptance residual, or a new
+# preconditioner is built, with which GMRES runs up to KRYLOV_CYCLES cycles.
 # That residual is the larger of KRYLOV_RTOL*|b| and the caller's absolute
 # tolerance, in the 2-norm, checked on the true residual.  KRYLOV_RTOL is
-# the default and near the arithmetic's reach: a direct LineLU solve of a
-# smooth right-hand side leaves 6.7e-14 / 2.7e-13 / 1.2e-12 of it at
-# 64x64 / 128x128 / 256x256, and with KRYLOV_RTOL as the only target 40 of
-# the 55 cycles of the 256x256 torus_sine config missed it, when its first
-# Jacobian was factored by LineLU.  A FourierFactor solve of a constant
-# iterate's Jacobian misses the exact solution by at most 5e-16 of its sup
-# at 64x64 and at 256 unknowns in 1-D, where a dense LU solve misses it by
-# 1.1e-14 and 3.6e-14
+# the default and near the arithmetic's reach: an exact solve of a smooth
+# right-hand side leaves 6.7e-14 / 2.7e-13 / 1.2e-12 of it at 64x64 /
+# 128x128 / 256x256.  GMRES iterations per linear solve, with the
+# preconditioner built for each matrix: 8 on cap at 257x257, 10 on the
+# catenoid at 257x257, 24 on the catenoid moved to the origin (1.02, -0.4),
+# where |Du| reaches about 5, at 257x257, and 1-2 on torus_sine_x_slope at
+# 256x256; a lagged one took as many or fewer.  A build per matrix instead
+# made the in-process solve of the x slope 0.42 s against 0.35 s and that of
+# torus_sine at 256x256 0.56 s against 0.42 s, and the others within noise.
+# So the steep catenoid needs a second cycle; KRYLOV_CYCLES leaves room for
+# steeper graphs and bounds the work on a system GMRES cannot solve
 KRYLOV_RESTART = 20
 KRYLOV_RTOL = 1e-11
+KRYLOV_CYCLES = 10
 
 # inexact Newton forcing terms of the inner solve (Dembo, Eisenstat &
 # Steihaug 1982; Eisenstat & Walker 1996, choice 2), as `_forcing_term`
 # picks them.  A loose solve, a penalized sweep stopping at a fraction of
 # its seed's residual above tol_inner, uses FORCING_MAX on every Newton
-# step: it stops at SWEEP_FORCING/max(gamma, 1) of its seed's residual,
+# step: it stops at SWEEP_FORCING/max(gamma, 1) of its seed's sup-residual,
 # 0.01 on the torus below and 6.1e-3 on the horosphere, so no step of it
-# needs a finer linear solve.  A solve to tol_inner uses FORCING_FIRST on its
+# needs a finer linear solve.  Since it stops in the sup norm, its steps'
+# linear residuals must be at most FORCING_MAX of the Newton residual in the
+# sup norm too: with the 2-norm condition alone, the cap config at the
+# explicit penalty 0.1 took 10 linear solves instead of 7, its steps
+# landing at up to 6 times their sweep's tolerance, while an exact solve
+# overshot that condition by orders of magnitude.  The sup condition moves
+# no count of the torus or the horosphere below, nor of the torus at the
+# fixed penalty 1.906.  A solve to tol_inner uses FORCING_FIRST on its
 # first step and min(FORCING_MAX, 0.9*(|R_k|/|R_k-1|)^2) after it, with sup
 # norms, and every pseudo-time step uses FORCING_FIRST.  Every step may
 # stop at a 2-norm residual of FORCING_FLOOR*tol_inner, which bounds the
@@ -189,11 +202,22 @@ KRYLOV_RTOL = 1e-11
 # At the fixed penalty 1.906 the torus took 16/3/5 sweeps, 20 linear
 # solves and 18 GMRES iterations, and 32 under the rule of a solve to
 # tol_inner.  At 256x256 the torus_sine config takes 9 linear solves, 10
-# GMRES iterations and 1 factorization, by FFT, in 0.8-0.9 s by CLI on 2
-# cores (3.3-4.3 s when LineLU factored it)
+# GMRES iterations and 1 preconditioner, exact for its first Jacobian
 FORCING_FIRST = 1e-8
 FORCING_MAX = 1e-2
 FORCING_FLOOR = 0.1
+
+# the rounding floor of the inner solve, in units of eps*|u|*W, with W the
+# absolute row sum of the curvature's flux stencils (`rounding_floor`).
+# Moving a node by one ulp, at most eps*|u|, moves the residual of a row by
+# at most about eps*|u|*W.  Moving every node of the solved torus_sine field
+# one ulp up or down at random moved its sup-residual by 1.5e-11 / 5.8e-11 /
+# 2.3e-10 at 64x64 / 128x128 / 256x256, 0.64 of eps*max|u|*W at each; on
+# the catenoid at 257x257 by 2.1e-10, 0.92 of it.  Twice the bound leaves
+# room for the residual evaluation's own rounding, of the same size.  With
+# the clip range's height, 3.71, it is 5.4e-11 on the 64x64 torus, below
+# the default tol_inner, and 8.6e-10 at 256x256
+FLOOR_ULPS = 2.0
 
 
 class SolverFailure(RuntimeError):
@@ -407,12 +431,9 @@ class _JacobianPlan:
     axis 1, a 1-D grid being one line (L0 = 1).  A row has 9 slots, one per
     neighbour offset in {-1, 0, 1}^2 of that array, wrapping on the
     `periodic` axes: slot 3 * k0 + k1 is the offset (k0 - 1, k1 - 1).
-    `torus` is True when every axis of the grid wraps.
     `cols[s]` is the column of slot s, or the row's own where that
     neighbour is a dirichlet node or off a 1-D grid's line (its weight
     stays 0); `nnz` counts the others.  Only index arithmetic builds them.
-    `link` lists the within-line slots k1 that read a node b of a line and
-    the node c of the line they read, the same on every line.
 
     The contributions are the entries of outer . diag(c) . inner over the
     `_jacobian_chains` whose weight is not 0 on every row.  Each falls in
@@ -426,7 +447,6 @@ class _JacobianPlan:
     def __init__(self, grid):
         pad = 2 - grid.dimension
         self.periodic = (False,) * pad + tuple(t == "periodic" for t in grid.topology)
-        self.torus = all(t == "periodic" for t in grid.topology)
         L0, L1 = self.lines = (1,) * pad + tuple(
             s - 2 * (t == "dirichlet") for s, t in zip(grid.shape, grid.topology))
         n = self.n = L0 * L1
@@ -440,9 +460,6 @@ class _JacobianPlan:
                 cols.append(np.where(ok, y0 * L1 + y1, row.reshape(L0, L1)).reshape(-1))
         self.cols = np.array(cols)
         self.nnz = int(np.count_nonzero(self.cols != row)) + n
-        within = self.cols[3:6, :L1]
-        k1, b = np.nonzero((within != row[:L1]) | (np.arange(3) == 1)[:, None])
-        self.link = k1, b, within[k1, b]
 
         # the unknown each node is, -1 for a dirichlet node
         unknown = ~grid.boundary_mask.reshape(-1)
@@ -477,9 +494,7 @@ class _JacobianPlan:
         self.src = np.array(src)
 
 
-@functools.lru_cache(maxsize=8)
-def _jacobian_plan(grid):
-    return _JacobianPlan(grid)
+_jacobian_plan = functools.lru_cache(maxsize=8)(_JacobianPlan)
 
 
 def _jacobian_chains(grid):
@@ -593,9 +608,7 @@ class StencilMatrix:
     """
 
     def __init__(self, plan, data, border=False):
-        self.plan = plan
-        self.data = data
-        self.border = bool(border)
+        self.plan, self.data, self.border = plan, data, bool(border)
         self.shape = (plan.n + self.border,) * 2
         self.nnz = plan.nnz + 2 * plan.n * self.border
         self._gather = Stencil(plan.cols, data, (plan.n,))
@@ -609,339 +622,250 @@ class StencilMatrix:
         return np.append(self._gather(x[:-1]) + x[-1], np.sum(x[:-1]))
 
     def toarray(self):
-        out = np.zeros(self.shape)
-        for c, v in zip(self.plan.cols, self.data):
-            out[np.arange(self.plan.n), c] += v
-        if self.border:
-            out[-1, :-1] = out[:-1, -1] = 1.0
-        return out
-
-    def diagonal(self, lines, k0=1):
-        """Dense couplings of the lines `lines` to the line before them
-        (k0 = 0), to themselves (k0 = 1) or to the line after (k0 = 2): the
-        three within-line slots of axis-0 slot k0, scattered by `link`."""
-        p = self.plan
-        k1, b, c = p.link
-        out = np.zeros(np.shape(lines) + (p.lines[1],) * 2)
-        out[..., b, c] = self.data.reshape(3, 3, *p.lines)[k0][
-            k1, np.asarray(lines)[..., None], b]
-        return out
+        # column j is the product with the j-th unit vector
+        return np.array([self @ e for e in np.eye(self.shape[0])]).T
 
 
-class LineLU:
-    """Block LU factor of a `StencilMatrix` over its grid lines.
+def _exact_mean(x):
+    """Mean over the last axis, as the first entry plus the mean of the
+    differences from it: exact when every entry is equal."""
+    first = x[..., :1]
+    return (first + np.mean(x - first, axis=-1, keepdims=True))[..., 0]
 
-    The head lines, all but the last one when axis 0 wraps, form a matrix
-    T whose blocks couple only to their neighbours (Golub & Van Loan,
-    Matrix Computations, sec. 4.5).  It is eliminated from both ends at
-    once, a twisted block LU: level j eliminates lines j and 2a - j
-    together, a = h // 2 >= 1 for h >= 2 head lines, and line a, the root,
-    comes last.  The inverse of every pivot is kept, so that a sweep
-    applies both of a level's in one stacked matmul.  For even h the second
-    line of level 0 is a dummy, an identity coupled to nothing.  The tail,
-    the last line when axis 0 wraps and then the border, is eliminated by
-    one Schur complement: W = T^-1 C of the tail columns C is kept, with
-    the inverse of E - R W.  `solve` reads those stacks and the couplings
-    between lines of the matrix itself, kept as (rows, columns, values)
-    triplets.  A matrix of one line, every 1-D one, is inverted whole,
-    border and all.  Raises numpy's LinAlgError on
-    an exactly singular pivot.
+
+def _sine_transform(x, axis):
+    """-2 times the DST-I of the real array x along `axis`: the imaginary
+    part of the rfft of the odd extension [0, x, 0, -x reversed], of length
+    2(L + 1).  Entry k is -2 sum_n x_n sin(pi k n / (L + 1)), k, n = 1..L,
+    so applying it twice multiplies by 2(L + 1)."""
+    x = np.moveaxis(x, axis, -1)
+    zero = np.zeros(x.shape[:-1] + (1,))
+    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+    return np.moveaxis(np.fft.rfft(odd)[..., 1:x.shape[-1] + 1].imag, -1, axis)
+
+
+class Preconditioner:
+    """M^-1 = S K^-1 S for a `StencilMatrix` A, applied by fast transforms:
+    a fast direct solver of a nearby separable matrix as the preconditioner
+    of a nonseparable one (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
+
+    S = diag(|a_ii| / mean |a_ii|)^(-1/2) evens out the diagonal, and K is
+    translation-invariant: its slot s holds the mean of slot s of S A S over
+    the rows whose neighbours are all unknowns (every row along an axis too
+    short to have such rows), symmetrized across each dirichlet axis.  K is
+    thus a sum of tensor products of one operator per axis.  The discrete
+    Fourier transform diagonalizes it along a periodic axis, with the
+    eigenvalue exp(i d phi) for the offset d, and the DST-I along a
+    dirichlet axis of L unknowns, with cos(d theta_j), theta_j =
+    pi j / (L + 1) (Golub & Van Loan, Matrix Computations, 4th ed., sec.
+    4.8).  A solve transforms along every axis longer than 1, divides by
+    the eigenvalues and transforms back.
+
+    On a translation-invariant matrix of a fully periodic grid S = I and
+    K = A bit for bit, so M is the exact factor of that circulant.  Each
+    slot's term of an eigenvalue, value * (exp(-i phi) - 1) relative to the
+    row sum, is taken through sin(phi/2)^2, so that no low frequency loses
+    digits to cancellation against the row sum.  The constants are the
+    zero mode's eigenvector on a fully periodic grid, so the bordered
+    system, K x + mu = f with sum(x) = g, sets that mode of x to g and mu to
+    (f_0 - lambda_0 g) / N, with f_0 the sum of f; S scales f and x only.
+    Raises numpy's LinAlgError on a zero diagonal entry or a zero
+    eigenvalue, the bordered system's zero mode excepted.
     """
 
     def __init__(self, A):
         p = A.plan
-        self.A = A
-        self.shape = A.shape
-        self.W = None
-        L0, m = p.lines
-        if L0 == 1:
-            self.root = np.linalg.inv(A.toarray())
-            self.levels = 0
-            return
-        wrap = p.periodic[0]
-        h = L0 - wrap
-        t = m * wrap + A.border
-        self.head = h * m
-        a = self.levels = h // 2
-        # the lines of each level; -1 is the dummy, which reads and writes
-        # the last row of the padded work arrays
-        order = self.order = np.array(
-            [(j, 2 * a - j if 2 * a - j < h else -1) for j in range(a)],
-            dtype=np.int64).reshape(a, 2)
-        # the lines each level is eliminated from and into
-        outward = np.concatenate([[[-1, -1]], order[:-1]])
-        inward = np.concatenate([order[1:], [[a, a]]])[:a]
-        k1, b, c = p.link
-        # the weights `link` scatters into the couplings of every line to
-        # the line before it (axis-0 slot 0) and after it (slot 2), read
-        # once.  Dense blocks of them all would hold 2*L0*m*m doubles, twice
-        # the pivot inverses: at 256x256 they raised the peak memory of a
-        # torus_sine solve from 395 to 623 MiB
-        weights = A.data.reshape(3, 3, *p.lines)[[0, 2]][:, k1, :, b]
+        self.n, self.lines, self.shape, self.border = p.n, p.lines, A.shape, A.border
+        diag = np.abs(A.data[4])
+        if not np.all(diag > 0.0):
+            raise np.linalg.LinAlgError("zero diagonal entry")
+        self.scale = np.sqrt(_exact_mean(diag) / diag)
+        sas = (A.data * self.scale * self.scale[p.cols]).reshape(3, 3, *p.lines)
+        # an axis of one line needs no transform, whatever its topology
+        self.fft_axes = tuple(a for a, L in enumerate(p.lines) if p.periodic[a] and L > 1)
+        self.sine_axes = tuple(a for a, L in enumerate(p.lines) if not p.periodic[a] and L > 1)
+        inner = tuple(slice(1, -1) if a in self.sine_axes and L > 2 else slice(None)
+                      for a, L in enumerate(p.lines))
+        kernel = _exact_mean(sas[(..., *inner)].reshape(3, 3, -1))
+        for a in self.sine_axes:
+            kernel = 0.5 * (kernel + np.flip(kernel, a))
 
-        def band(k0, i, j):
-            # the coupling of line i to line j through slot k0, or zero
-            # unless both are lines (-1 is the dummy)
-            out = np.zeros((m, m))
-            if i >= 0 and j >= 0:
-                out[b, c] = weights[:, k0 // 2, i]
-            return out
-
-        def sparse(blocks, rows_at, cols_at):
-            # (rows, columns, values) of one level's (or the root's)
-            # couplings as one, each at its rows and columns within the level
-            return tuple(np.concatenate(x) for x in zip(*(
-                (r + b, q + c, B[b, c]) for B, r, q in zip(blocks, rows_at, cols_at))))
-
-        def eliminate(rows, prev, D, C, pivots, up):
-            # the couplings of lines `rows` to the eliminated lines `prev`
-            # (position 0 outward through slot 0, position 1 through slot
-            # 2), subtracted from their pivots D and tail columns C
-            low = [band(0, rows[0], prev[0]), band(2, rows[1], prev[1])]
-            for k in range(2):
-                D[k] -= low[k] @ pivots[k] @ up[k]
-                C[k] -= low[k] @ W[prev[k]]
-            return low
-
-        self.inv = A.diagonal(order)
-        self.inv[order < 0] = np.eye(m)
-        self.fwd, self.bwd = [], []
-        # the tail columns of every head line, W = T^-1 C once eliminated
-        W = np.zeros((h + 1, m, t))
-        if A.border:
-            W[:h, :, -1] = 1.0
-        for k0, i in ((0, 0), (2, h - 1)) if wrap else ():
-            W[i][:, :m] += band(k0, i, h)
-        for j, (rows, prev) in enumerate(zip(order, outward)):
-            C = W[rows]
-            if j:
-                low = eliminate(rows, prev, self.inv[j], C, self.inv[j - 1], up)
-                self.fwd.append(sparse(low, (0, m), (0, m)))
-            self.inv[j] = np.linalg.inv(self.inv[j])
-            up = [band(2, rows[0], inward[j][0]), band(0, rows[1], inward[j][1])]
-            self.bwd.append(sparse(up, (0, m), (0, m * (j + 1 < a))))
-            W[rows] = self.inv[j] @ C
-        D, C = A.diagonal(a), W[a]
-        low = eliminate((a, a), order[-1], [D, D], [C, C], self.inv[-1], up)
-        self.root_fwd = sparse(low, (0, 0), (0, m))
-        self.root = np.linalg.inv(D)
-        if not t:
-            return
-        W[a] = self.root @ C
-        for j in range(a - 1, -1, -1):
-            for k, k0 in enumerate((2, 0)):
-                i, o = order[j][k], inward[j][k]
-                W[i] -= self.inv[j, k] @ (band(k0, i, o) @ W[o])
-        W = W[:h]
-        S = np.zeros((t, t))
-        if A.border:
-            S[:-1, -1] = S[-1, :-1] = 1.0
-            S[-1] -= W.sum(axis=(0, 1))
-        # the tail line couples to the last head line and, wrapping, to the
-        # first
-        self.tail_low = []
-        if wrap:
-            S[:m, :m] += A.diagonal(h)
-            for k0, j in ((0, h - 1), (2, 0)):
-                B = band(k0, h, j)
-                S[:m] -= B @ W[j]
-                self.tail_low.append((j, sparse([B], [0], [0])))
-        self.tail_inv = np.linalg.inv(S)
-        self.W = W.reshape(self.head, t)
-
-    def solve(self, b):
-        a = self.levels
-        if not a:
-            return self.root @ b
-        m = self.root.shape[0]
-        h = self.head // m
-        y = np.zeros((h + 1, m))
-        y[:h] = b[:self.head].reshape(h, m)
-        # the levels' right-hand sides, then their solutions, in level order
-        rhs = y[self.order][..., None]
-        g = np.empty((a, 2, m, 1))
-        for j, (S, w, out) in enumerate(zip(self.inv, rhs, g)):
-            if j:
-                r, c, v = self.fwd[j - 1]
-                w = w - np.bincount(r, v * prev.ravel()[c], 2 * m).reshape(2, m, 1)
-            prev = np.matmul(S, w, out=out)
-        r, c, v = self.root_fwd
-        up = y[a] = self.root @ (y[a] - np.bincount(r, v * prev.ravel()[c], m))
-        for S, x, (r, c, v) in zip(self.inv[::-1], g[::-1], self.bwd[::-1]):
-            x -= S @ np.bincount(r, v * up.ravel()[c], 2 * m).reshape(2, m, 1)
-            up = x
-        y[self.order] = g[..., 0]
-        x = np.empty(self.shape[0])
-        x[:self.head] = y[:h].reshape(-1)
-        if self.W is None:
-            return x
-        tail = b[self.head:].copy()
-        for j, (r, c, v) in self.tail_low:
-            tail[:m] -= np.bincount(r, v * y[j][c], m)
-        if self.A.border:
-            tail[-1] -= x[:self.head].sum()
-        tail = self.tail_inv @ tail
-        x[:self.head] -= self.W @ tail
-        x[self.head:] = tail
-        return x
-
-
-class FourierFactor:
-    """Exact factor of a translation-invariant `StencilMatrix` of a fully
-    periodic grid, one whose every slot holds one value on all rows.
-
-    Row i's slot 3 * k0 + k1 reads the unknown at offset (k0 - 1, k1 - 1),
-    so the matrix is the circular convolution with the kernel that holds
-    that slot's value at offset (1 - k0, 1 - k1): a circulant, which the
-    discrete Fourier transform diagonalizes (Golub & Van Loan, Matrix
-    Computations, 4th ed., sec. 4.8).  Its eigenvalues are the kernel's
-    transform, and a solve divides the transform of the right-hand side by
-    them.  The constants are the eigenvector of the zero mode, so the
-    bordered system, J x + mu = f with sum(x) = g, sets that mode of x to g
-    and mu to (f_0 - lambda_0 g) / N, with f_0 the sum of f.  Raises numpy's
-    LinAlgError on a zero eigenvalue, the bordered system's zero mode
-    excepted.
-    """
-
-    def __init__(self, A):
-        L0, m = self.lines = A.plan.lines
-        self.n = A.plan.n
-        self.shape = A.shape
-        self.border = A.border
-        row = A.data[:, 0]
-        # each slot's term of lambda, value * (exp(-i phi) - 1), through
-        # sin(phi/2)^2, so that no low frequency loses digits to cancellation
-        # against the row sum
-        lam = np.full((L0, m // 2 + 1), math.fsum(row), dtype=complex)
-        f0, f1 = np.fft.fftfreq(L0)[:, None], np.fft.rfftfreq(m)
-        for s, value in enumerate(row):
-            k0, k1 = divmod(s, 3)
-            phi = 2.0 * np.pi * (f0 * (1 - k0) + f1 * (1 - k1))
-            lam -= value * (2.0 * np.sin(0.5 * phi) ** 2 + 1j * np.sin(phi))
+        # each axis's angles theta_j of the DST-I, or frequencies of the FFT
+        last = (self.fft_axes or (None,))[-1]
+        coords = [np.pi * np.arange(1, L + 1) / (L + 1) if a in self.sine_axes
+                  else (np.fft.rfftfreq if a == last else np.fft.fftfreq)(L)
+                  for a, L in enumerate(p.lines)]
+        coords[0] = coords[0][:, None]
+        lam = np.full((coords[0].size, coords[1].size), math.fsum(kernel.reshape(-1)),
+                      dtype=complex)
+        for k, value in np.ndenumerate(kernel):
+            phi = 2.0 * np.pi * sum(coords[a] * (1 - k[a]) for a in self.fft_axes)
+            # 1 - exp(-i phi) c, with c the product of cos(d theta) over the
+            # dirichlet axes
+            q = 2.0 * np.sin(0.5 * phi) ** 2 + 1j * np.sin(phi)
+            if self.sine_axes:
+                c = math.prod(np.cos((k[a] - 1) * coords[a]) for a in self.sine_axes)
+                q = 1.0 - c * (1.0 - q)
+            lam -= value * q
         if np.any(lam.reshape(-1)[self.border:] == 0):
-            raise np.linalg.LinAlgError("singular translation-invariant matrix")
+            raise np.linalg.LinAlgError("zero eigenvalue")
         self.lam0 = lam[0, 0].real
         if self.border:
             lam[0, 0] = 1.0
-        self.lam = lam
+        # the DST-I applied twice multiplies by 2(L + 1)
+        lam *= math.prod(2 * (p.lines[a] + 1) for a in self.sine_axes)
+        self.lam = lam if self.fft_axes else lam.real
 
     def solve(self, b):
-        n = self.n
-        f = np.fft.rfft2(b[:n].reshape(self.lines))
-        if not self.border:
-            return np.fft.irfft2(f / self.lam, s=self.lines).reshape(-1)
-        g = b[n]
-        mu = (f[0, 0].real - self.lam0 * g) / n
-        f[0, 0] = g
-        return np.append(np.fft.irfft2(f / self.lam, s=self.lines), mu)
+        y = (b[:self.n] * self.scale).reshape(self.lines)
+        for a in self.sine_axes:
+            y = _sine_transform(y, a)
+        if self.fft_axes:
+            y = np.fft.rfftn(y, axes=self.fft_axes)
+        if self.border:
+            mu = (y[0, 0].real - self.lam0 * b[self.n]) / self.n
+            y[0, 0] = b[self.n]
+        y = y / self.lam
+        if self.fft_axes:
+            y = np.fft.irfftn(y, s=[self.lines[a] for a in self.fft_axes], axes=self.fft_axes)
+        for a in self.sine_axes:
+            y = _sine_transform(y, a)
+        x = y.reshape(-1) * self.scale
+        return np.append(x, mu) if self.border else x
 
 
 class LaggedLU:
-    """Linear solver of one solve: the last factor, reused.
+    """Linear solver of one solve: GMRES preconditioned by the last
+    `Preconditioner`, reused.
 
-    A new matrix is factored by a `FourierFactor` when its grid is fully
-    periodic and the matrix is translation-invariant, as at a constant
-    iterate when the prescription's partials do not read x, and by a
-    `LineLU` otherwise.  `solve(A, b, atol)` runs one GMRES cycle of
-    `KRYLOV_RESTART` iterations on the new matrix, started from and
-    preconditioned by the factor of an earlier one.  The cycle is accepted
-    once its true residual is at most max(KRYLOV_RTOL*|b|, atol) in the
-    2-norm, so by default at KRYLOV_RTOL*|b|.  The new matrix is factored
-    only when there is no factor of its size or the cycle stops short.
-    Make one per solve: a factor never passes from one solve to another.
-    It counts its `solve` calls, its factorizations of either kind and its
-    GMRES iterations.
+    `solve(A, b, atol, bound)` runs right-preconditioned GMRES (Saad &
+    Schultz 1986) from x0 = M b, restarted every KRYLOV_RESTART iterations,
+    until its true residual is at most max(KRYLOV_RTOL*|b|, atol) in the
+    2-norm, so by default KRYLOV_RTOL*|b|, and at most `bound` in the sup
+    norm, by default no bound.  M is the preconditioner built from an
+    earlier matrix of the same size while one restart cycle on the new
+    matrix meets the 2-norm target, and any later cycles the bound.  It is
+    built from the new matrix only when there is none of its size or GMRES
+    stops short, and GMRES then runs up to KRYLOV_CYCLES cycles from the
+    new M's x0.  A system the cycles cannot solve, one whose cycle does not
+    lower the residual or whose last cycle misses the target, gets a step
+    of NaNs, and so does a matrix whose preconditioner does not exist (a
+    zero diagonal entry or eigenvalue); the caller reports the non-finite
+    step.  Make one per
+    solve: a preconditioner never passes from one solve to another.  It
+    counts its `solve` calls, its preconditioner builds as
+    `factorizations` and its GMRES iterations.  The Krylov basis is
+    allocated once and reused while the system size stays.
     """
 
     def __init__(self):
-        self.factor = None
-        self.factorizations = 0
-        self.krylov_iterations = 0
-        self.linear_solves = 0
+        self.preconditioner = self.basis = None
+        self.factorizations = self.krylov_iterations = self.linear_solves = 0
 
-    def solve(self, A, b, atol=0.0):
+    def solve(self, A, b, atol=0.0, bound=np.inf):
         self.linear_solves += 1
-        if self.factor is not None and self.factor.shape == A.shape:
-            x = self._krylov(A, b, max(KRYLOV_RTOL * np.linalg.norm(b), atol))
+        tol = max(KRYLOV_RTOL * np.linalg.norm(b), atol)
+        if self.preconditioner is not None and self.preconditioner.shape == A.shape:
+            x = self._krylov(A, b, tol, bound, 1)
             if x is not None:
                 return x
-        # release the old factor first, so that two are never alive at once
-        self.factor = None
-        invariant = A.plan.torus and np.all(A.data == A.data[:, :1])
+        # drop the old one first: a matrix without a preconditioner leaves none
+        self.preconditioner = None
         try:
-            self.factor = (FourierFactor if invariant else LineLU)(A)
+            self.preconditioner = Preconditioner(A)
         except np.linalg.LinAlgError:
-            # exactly singular: a non-finite step, which the caller reports
             return np.full(A.shape[0], np.nan)
         self.factorizations += 1
-        return self.factor.solve(b)
+        x = self._krylov(A, b, tol, bound, KRYLOV_CYCLES)
+        return np.full(A.shape[0], np.nan) if x is None else x
 
-    def _krylov(self, A, b, tol):
-        """x from one right-preconditioned GMRES cycle (Saad & Schultz 1986),
-        or None if its true residual misses `tol`.
+    def _krylov(self, A, b, tol, bound, cycles):
+        """x from right-preconditioned GMRES started at x0 = M b and
+        restarted every KRYLOV_RESTART iterations, once its true residual r
+        has |r|_2 <= tol and |r|_inf <= bound, or None if `cycles` cycles do
+        not get |r|_2 to tol, KRYLOV_CYCLES do not get it there, or a cycle
+        does not lower |r|_2.
 
-        The cycle starts from x0 = M b, M the lagged factor's solve, and
-        keeps each M v of the basis, so the factor is applied once per
-        iteration and once for x0.
+        A cycle aims at |r|_2 <= tol, and once that holds at |r|_2 <= bound,
+        which bounds |r|_inf.  It keeps each M v of its basis, so M is
+        applied once per iteration and once for x0.
         """
-        M = self.factor.solve
+        M = self.preconditioner.solve
         x = M(b)
         r = b - A @ x
         beta = np.linalg.norm(r)
-        if beta <= tol:
-            return x
         k = KRYLOV_RESTART
-        V = np.empty((k + 1, b.size))
-        Z = np.empty((k, b.size))
-        H = np.zeros((k + 1, k))
-        rot = np.zeros((k, 2))
-        g = np.zeros(k + 1)
-        g[0] = beta
-        V[0] = r / beta
-        for j in range(k):
-            Z[j] = M(V[j])
-            w = A @ Z[j]
-            # classical Gram-Schmidt, run twice for orthogonality
-            for _ in range(2):
-                c = V[:j + 1] @ w
-                w -= c @ V[:j + 1]
-                H[:j + 1, j] += c
-            H[j + 1, j] = np.linalg.norm(w)
-            for i in range(j):
-                cs, sn = rot[i]
-                H[i, j], H[i + 1, j] = (cs * H[i, j] + sn * H[i + 1, j],
-                                        cs * H[i + 1, j] - sn * H[i, j])
-            rho = np.hypot(H[j, j], H[j + 1, j])
-            if rho == 0.0:
+        for cycle in range(KRYLOV_CYCLES):
+            if beta <= tol and np.max(np.abs(r)) <= bound:
+                return x
+            if beta > tol and cycle == cycles:
                 return None
-            rot[j] = H[j, j] / rho, H[j + 1, j] / rho
-            H[j, j] = rho
-            g[j + 1] = -rot[j, 1] * g[j]
-            g[j] *= rot[j, 0]
-            self.krylov_iterations += 1
-            if abs(g[j + 1]) <= tol:
-                break
-            V[j + 1] = w / H[j + 1, j]
-        y = np.linalg.solve(np.triu(H[:j + 1, :j + 1]), g[:j + 1])
-        x += y @ Z[:j + 1]
-        return x if np.linalg.norm(b - A @ x) <= tol else None
+            target = tol if beta > tol else bound
+            if self.basis is None or self.basis.shape[1] != b.size:
+                self.basis = np.empty((2 * k + 1, b.size))
+            V, Z = self.basis[:k + 1], self.basis[k + 1:]
+            H, rot, g = np.zeros((k + 1, k)), np.zeros((k, 2)), np.zeros(k + 1)
+            g[0] = beta
+            V[0] = r / beta
+            for j in range(k):
+                Z[j] = M(V[j])
+                w = A @ Z[j]
+                # classical Gram-Schmidt, run twice for orthogonality
+                for _ in range(2):
+                    c = V[:j + 1] @ w
+                    w -= c @ V[:j + 1]
+                    H[:j + 1, j] += c
+                H[j + 1, j] = np.linalg.norm(w)
+                for i in range(j):
+                    cs, sn = rot[i]
+                    H[i, j], H[i + 1, j] = (cs * H[i, j] + sn * H[i + 1, j],
+                                            cs * H[i + 1, j] - sn * H[i, j])
+                rho = np.hypot(H[j, j], H[j + 1, j])
+                if rho == 0.0:
+                    return None
+                rot[j] = H[j, j] / rho, H[j + 1, j] / rho
+                H[j, j] = rho
+                g[j + 1] = -rot[j, 1] * g[j]
+                g[j] *= rot[j, 0]
+                self.krylov_iterations += 1
+                if abs(g[j + 1]) <= target:
+                    break
+                V[j + 1] = w / H[j + 1, j]
+            y = np.linalg.solve(np.triu(H[:j + 1, :j + 1]), g[:j + 1])
+            x += y @ Z[:j + 1]
+            r = b - A @ x
+            last, beta = beta, np.linalg.norm(r)
+            if not beta < last:
+                return None
+        return x if beta <= tol and np.max(np.abs(r)) <= bound else None
 
 
-def spsolve(A, b, lagged=None, atol=0.0):
-    """Solve A x = b through `lagged`, or by a fresh factorization, by FFT
-    or block LU as `LaggedLU` picks it.
-
-    A lagged factor's GMRES cycle may stop at a true residual of `atol`
-    (`LaggedLU.solve`); a fresh factor's solve is direct.
+def spsolve(A, b, lagged=None, atol=0.0, bound=np.inf):
+    """Solve A x = b through `lagged`, or through a fresh `LaggedLU`: by
+    GMRES preconditioned by fast transforms, to a true residual of at most
+    max(KRYLOV_RTOL*|b|, atol) (`LaggedLU.solve`).
     Every Newton step makes exactly one call.  The benchmark's tracer
     (perfbench/spans.py) wraps this module-level name, counts its calls as
     linear solves and reads the system size off the first argument.
     """
-    return (LaggedLU() if lagged is None else lagged).solve(A, b, atol)
+    return (LaggedLU() if lagged is None else lagged).solve(A, b, atol, bound)
 
 
 # ---------------------------------------------------------------------------
 # inner solve
+
+
+def rounding_floor(grid, height):
+    """The sup-residual that rounding keeps an inner solve from telling
+    apart from 0, for fields of sup norm `height` on `grid`: FLOOR_ULPS *
+    eps * height * W.  W sums over the axes the largest absolute row sum
+    of div[k] times that of along[k] (`calculus.operators`), which bounds
+    the absolute row sums of the flux stencil div[k] . along[k], 4/h^2 on a
+    uniform axis."""
+    ops = operators(grid)
+    W = sum(np.max(np.abs(d.weights).sum(axis=0)) * np.max(np.abs(a.weights).sum(axis=0))
+            for d, a in zip(ops.div, ops.along))
+    return FLOOR_ULPS * np.finfo(float).eps * height * float(W)
 
 
 def _forcing_term(loose, pseudo_time, history):
@@ -975,10 +899,15 @@ def solve_inner(grid, H, psi, init, cfg=None, penalty=None,
     makes its own.  The solve stops at a sup-residual of
     max(cfg.tol_inner, forcing * the seed's), the report's `tolerance`, so
     a `forcing` below 1 takes at least one Newton step from a seed above
-    cfg.tol_inner; the outer iteration loosens its sweeps this way.  A
-    loose solve, one whose tolerance is above cfg.tol_inner, forces each
-    Newton step's linear solve at FORCING_MAX (`_forcing_term`); the
-    linear solves' floor stays at FORCING_FLOOR*cfg.tol_inner either way.
+    cfg.tol_inner; the outer iteration loosens its sweeps this way.  Where
+    the report's `floor`, the `rounding_floor` of the largest height of the
+    seed and of `bounds`, exceeds cfg.tol_inner, it takes cfg.tol_inner's
+    place in all of this: the effective tol_inner is the larger of the two.
+    A loose solve, one whose tolerance is above the effective tol_inner,
+    forces each Newton step's linear solve at FORCING_MAX
+    (`_forcing_term`), in the 2-norm and in the sup norm; the linear
+    solves' floor stays at FORCING_FLOOR times the effective tol_inner
+    either way.
 
     Every iterate is evaluated once: its residual pass keeps what the
     Jacobian reads (`_graph_residual` of H, before the penalty).  The
@@ -1040,7 +969,10 @@ def solve_inner(grid, H, psi, init, cfg=None, penalty=None,
                 and np.max(np.abs(evaluated[1][-1][0])) <= 1e-13)
 
     res_sup = float(np.max(np.abs(R))) if R.size else 0.0
-    tol = max(cfg.tol_inner, forcing * res_sup)
+    floor = rounding_floor(grid, max([float(np.max(np.abs(u))), *map(abs, bounds or ())]))
+    tol_inner = max(cfg.tol_inner, floor)
+    atol_floor = FORCING_FLOOR * tol_inner
+    tol = max(tol_inner, forcing * res_sup)
     history = [res_sup]
     newton_steps = 0
     ptc_steps = 0
@@ -1056,10 +988,11 @@ def solve_inner(grid, H, psi, init, cfg=None, penalty=None,
             grid, u, H, shift=gamma + (0.0 if ptc_dt is None else 1.0 / ptc_dt),
             parts=evaluated[1])
         phi0 = np.linalg.norm(R)
-        eta = _forcing_term(tol > cfg.tol_inner, ptc_dt is not None, history)
-        atol = max(eta * phi0, FORCING_FLOOR * cfg.tol_inner)
+        eta = _forcing_term(tol > tol_inner, ptc_dt is not None, history)
         A, rhs = (J.bordered(), np.append(-R, 0.0)) if bordered else (J, -R)
-        delta = spsolve(A, rhs, lagged, atol)[:R.size]
+        # a loose solve's forcing holds in the sup norm it stops in too
+        bound = max(FORCING_MAX * res_sup, atol_floor) if tol > tol_inner else np.inf
+        delta = spsolve(A, rhs, lagged, max(eta * phi0, atol_floor), bound)[:R.size]
         if not np.all(np.isfinite(delta)):
             raise SolverFailure(
                 "linear solve produced a non-finite step (singular linearization)",
@@ -1104,6 +1037,7 @@ def solve_inner(grid, H, psi, init, cfg=None, penalty=None,
         "residual_sup": res_sup,
         "residual_history": history,
         "tolerance": tol,
+        "floor": floor,
         "bordered": bool(bordered),
         "evaluation": evaluated,
     }
@@ -1140,6 +1074,7 @@ class SolveReport:
     monotonicity_violations: list
     confinement_violations: list
     final_residual: float
+    rounding_floor: float
     consistency_bound: float
     consistency_ok: bool
     min_theta: float
@@ -1287,7 +1222,10 @@ def outer_iterate(H, B, cfg=None):
     max(tol_outer, tol_k) is finished to tol_inner from the same anchor and
     measured again, so the exit sweep is a counted one solved to
     tol_inner, with step <= tol_outer at gamma > 0, and the consistency
-    bound tol_inner + gamma*step holds, with the exit sweep's gamma.
+    bound tol_inner + gamma*step holds, with the exit sweep's gamma.  Here
+    tol_inner is the effective one, the larger of cfg.tol_inner and the
+    inner solves' `rounding_floor` at the clip range's height, which the
+    report gives as `rounding_floor`.
     `inner_newton_counts` adds up both solves of such a sweep; max_outer
     caps all sweeps, discarded ones included.  The report's
     `final_residual`, `min_theta` and `sup_abs_curvature` are read off the
@@ -1410,7 +1348,7 @@ def outer_iterate(H, B, cfg=None):
             inner_steps = irep["newton_steps"] + irep["ptc_steps"]
             step = sup_norm(u_next, anchor)
             tol = irep["tolerance"]
-            if tol > cfg.tol_inner and step <= max(cfg.tol_outer, tol):
+            if tol > max(cfg.tol_inner, irep["floor"]) and step <= max(cfg.tol_outer, tol):
                 # a sweep that may end the iteration, or whose step is
                 # within its own tolerance: finish it to tol_inner
                 u_next, irep = solve_inner(grid, H, B.psi, u_next, cfg,
@@ -1477,7 +1415,8 @@ def outer_iterate(H, B, cfg=None):
     box.require_values(v.values)
     residual, (grads, faces, omega, _) = evaluation
     final_residual = float(np.max(np.abs(residual[interior]), initial=0.0))
-    bound = cfg.tol_inner + gamma_history[-1] * max(step_history[-1], 0.0)
+    floor = irep["floor"]
+    bound = max(cfg.tol_inner, floor) + gamma_history[-1] * max(step_history[-1], 0.0)
     report = SolveReport(
         **partial(residual_history),
         converged=True,
@@ -1488,6 +1427,7 @@ def outer_iterate(H, B, cfg=None):
         monotonicity_violations=mono_viol,
         confinement_violations=conf_viol,
         final_residual=final_residual,
+        rounding_floor=floor,
         consistency_bound=bound,
         consistency_ok=bool(final_residual <= bound),
         min_theta=float(np.min(1.0 / omega)),

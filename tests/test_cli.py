@@ -420,6 +420,25 @@ def test_several_solutions_config_returns_the_minimal_solution(tmp_path, monkeyp
     assert np.max(np.abs(read_field_csv(str(field)).values - 1.0)) <= 1e-6
 
 
+def test_run_list_describes_each_changed_leaf_of_a_report(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    from run_list import describe
+
+    old = {"rows": [{"a": 1, "b": [1, 2]}, {"a": 2, "final_residual": 1e-11}],
+           "k": 3, "gone": 1, "long": list(range(6))}
+    new = {"rows": [{"a": 1, "b": [1, 2]}, {"a": 2, "final_residual": 2e-11}],
+           "k": 3, "added": True, "long": list(range(7))}
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, doc in zip(paths, (old, new)):
+        path.write_text(json.dumps(doc))
+    # lists of one length are compared entry by entry, others whole
+    assert describe(*paths) == [
+        "  added: (absent) -> true",
+        "  gone: 1 -> (absent)",
+        "  long: [6 entries, last 5] -> [7 entries, last 6]",
+        "  rows[1].final_residual: 1e-11 -> 2e-11"]
+
+
 def test_explicit_gamma_holds_for_a_height_monotone_prescription(tmp_path):
     # cap's H = 2 does not rise in height, so its "auto" penalty is 0 and
     # its one sweep is the direct solve; an explicit gamma penalizes every

@@ -309,8 +309,10 @@ def test_solve_config_refuses_steps_and_thresholds_out_of_range():
 def test_a_min_step_of_zero_would_count_zero_steps_as_newton_steps(monkeypatch):
     import pmcgraph.solver as solver
 
-    # a tolerance below the residual's rounding floor: once the iterate
-    # reaches that floor, no step s >= min_step passes the line search
+    # a tolerance below the residual's rounding floor, with the solve's own
+    # floor taken away: once the iterate reaches that floor, no step
+    # s >= min_step passes the line search
+    monkeypatch.setattr(solver, "FLOOR_ULPS", 0.0)
     grid = build_grid(1, (16,), (1.0,), ("periodic",))
     init = ScalarField(grid, 1.3 + 0.1 * np.sin(TWO_PI * np.arange(16) / 16))
     F = parse_pmc("1 - z + 0.1*sin(z)")
@@ -908,12 +910,18 @@ def test_lagged_factor_counters_are_pinned_and_match_refactoring(monkeypatch):
     grid, H, B = _torus_sine_16()
     v, rep = outer_iterate(H, B)
     assert rep.factorizations == 1 and rep.krylov_iterations == 10
-    # every linear solve factors its own matrix
-    monkeypatch.setattr(solver.LaggedLU, "_krylov", lambda self, A, b, tol: None)
+    # every linear solve builds the preconditioner of its own matrix
+    real = solver.LaggedLU.solve
+
+    def fresh(self, A, b, *args):
+        self.preconditioner = None
+        return real(self, A, b, *args)
+
+    monkeypatch.setattr(solver.LaggedLU, "solve", fresh)
     v_direct, direct = outer_iterate(H, B)
-    assert direct.krylov_iterations == 0
-    assert direct.factorizations > rep.factorizations
-    assert np.max(np.abs(v.values - v_direct.values)) <= 1e-12
+    assert direct.factorizations == direct.linear_solves > rep.factorizations
+    # two sequences of inexact Newton steps, each to tol_inner
+    assert np.max(np.abs(v.values - v_direct.values)) <= 1e-10
     assert direct.outer_count == rep.outer_count
     assert direct.inner_newton_counts == rep.inner_newton_counts
     assert direct.accelerated_steps == rep.accelerated_steps
@@ -1237,21 +1245,17 @@ def _line_jacobian(shape, topology, text="0.2*sin(y1) - 0.3*t - 2*z"):
     return assemble_jacobian(grid, u, parse_pmc(text))
 
 
-# fully periodic, each with and without the border: one line, inverted
-# whole, in 1-D; in 2-D lines of 6 to 130 unknowns that wrap on axis 0, so
-# the last line is the tail
+# fully periodic, each with and without the border: one line in 1-D; in 2-D
+# lines of 5 to 130 unknowns
 _WRAPPED = [((12,), ("periodic",)), ((128,), ("periodic",)),
             ((256,), ("periodic",)), ((300,), ("periodic",)),
             ((8, 6), ("periodic", "periodic")), ((16, 8), ("periodic", "periodic")),
             ((16, 16), ("periodic", "periodic")), ((24, 20), ("periodic", "periodic")),
             ((6, 130), ("periodic", "periodic"))]
-# the ends of the twisted elimination, wrapped and bordered likewise: 3
-# head lines, one level and the root; 6 head lines, whose first level pairs
-# a line with the dummy
+# few lines, wrapped and bordered likewise
 _WRAPPED_ENDS = [((4, 5), ("periodic", "periodic")), ((7, 130), ("periodic", "periodic"))]
-# a dirichlet axis, so no border: one line in 1-D; in 2-D no wrap when axis
-# 0 is dirichlet, from 2 lines (one level with the dummy) up, and the wrap
-# when only axis 1 is
+# a dirichlet axis, so no border: one line in 1-D; in 2-D from 2 lines up,
+# with and without a periodic axis
 _DIRICHLET = [((12,), ("dirichlet",)), ((302,), ("dirichlet",)),
               ((4, 4), ("dirichlet", "dirichlet")), ((7, 9), ("dirichlet", "dirichlet")),
               ((22, 12), ("dirichlet", "dirichlet")), ((40, 9), ("dirichlet", "dirichlet")),
@@ -1267,7 +1271,9 @@ _DIRICHLET = [((12,), ("dirichlet",)), ((302,), ("dirichlet",)),
       for free in (False, True)),
 ])
 def test_block_lu_matches_a_dense_solve(shape, topology, gauge_free):
-    from pmcgraph.solver import LineLU
+    # the test of the block LU solver, on the same matrices, now of the
+    # preconditioned GMRES solve that replaced it
+    from pmcgraph.solver import KRYLOV_RTOL, spsolve
 
     # a height-free prescription leaves the constants in the kernel, which
     # the border row removes
@@ -1279,9 +1285,12 @@ def test_block_lu_matches_a_dense_solve(shape, topology, gauge_free):
     Ab = dense @ b
     assert np.max(np.abs(A @ b - Ab)) <= 1e-12 * np.max(np.abs(Ab))
     assert A.nnz == J.nnz + 2 * J.shape[0] * gauge_free
-    x = LineLU(A).solve(b)
+    # GMRES stops at a residual of KRYLOV_RTOL; the systems are well enough
+    # conditioned that the solution then agrees to 1e-9
+    x = spsolve(A, b)
+    assert np.linalg.norm(A @ x - b) <= KRYLOV_RTOL * np.linalg.norm(b)
     expected = np.linalg.solve(dense, b)
-    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(x - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
 # besides the grids above: a 1-D line of two unknowns, and long lines or
@@ -1356,75 +1365,77 @@ def test_jacobian_stencil_sums_every_chain_entry_into_its_slot():
         assert np.max(np.abs(J - dense)) <= 1e-12 * np.max(np.abs(dense)), (shape, topology)
 
 
-def test_lagged_factor_refactors_far_or_resized_systems():
-    from pmcgraph.solver import LaggedLU
-
-    def direct(A, b):
-        return np.linalg.solve(A.toarray(), b)
-
+def _smooth_graph():
+    # a smooth graph on a torus, and a prescription rising in height
     grid = build_grid(2, (16, 12), (1.0, 1.0), ("periodic", "periodic"))
+    x1, x2 = grid.node_positions()
+    return grid, 0.1 * np.sin(TWO_PI * x1) * np.cos(TWO_PI * x2), parse_pmc("0.5*sin(z) - 2*z")
+
+
+def test_lagged_factor_refactors_far_or_resized_systems():
+    from pmcgraph.solver import KRYLOV_RTOL, LaggedLU
+
+    def solved(A, x, b):
+        return np.linalg.norm(A @ x - b) <= KRYLOV_RTOL * np.linalg.norm(b)
+
+    grid, u, F = _smooth_graph()
     rng = np.random.default_rng(0)
-    u = 0.3 * rng.standard_normal(grid.shape)
-    F = parse_pmc("0.5*sin(z) - 2*z")
     A = assemble_jacobian(grid, u, F)
     b = rng.standard_normal(A.shape[0])
     lagged = LaggedLU()
-    np.testing.assert_allclose(lagged.solve(A, b), direct(A, b), rtol=0, atol=1e-12)
-    assert (lagged.factorizations, lagged.krylov_iterations) == (1, 0)
-    # a nearby matrix is solved by GMRES on the old factor
+    assert solved(A, lagged.solve(A, b), b)
+    assert lagged.factorizations == 1
+    # a nearby matrix is solved by GMRES on the old preconditioner
+    before = lagged.krylov_iterations
     near = assemble_jacobian(grid, u + 1e-3 * rng.standard_normal(grid.shape), F)
-    x = lagged.solve(near, b)
-    assert lagged.factorizations == 1 and lagged.krylov_iterations > 0
-    assert np.max(np.abs(near @ x - b)) <= 1e-10 * np.linalg.norm(b)
-    # one restart cycle cannot fix a factor this far off
+    assert solved(near, lagged.solve(near, b), b)
+    assert lagged.factorizations == 1 and lagged.krylov_iterations > before
+    # one restart cycle cannot fix a preconditioner this far off
     far = assemble_jacobian(grid, u, F, shift=1e4)
-    np.testing.assert_allclose(lagged.solve(far, b), direct(far, b), rtol=0, atol=1e-12)
+    assert solved(far, lagged.solve(far, b), b)
     assert lagged.factorizations == 2
     # the bordered periodic system is one unknown larger
     big = A.bordered()
     b_big = rng.standard_normal(A.shape[0] + 1)
-    np.testing.assert_allclose(lagged.solve(big, b_big), direct(big, b_big),
-                               rtol=0, atol=1e-12)
+    assert solved(big, lagged.solve(big, b_big), b_big)
     assert lagged.factorizations == 3
+
+
+def _counting_applies(monkeypatch):
+    # the size of every vector the preconditioner is applied to
+    from pmcgraph.solver import Preconditioner
+
+    applies = []
+    real = Preconditioner.solve
+    monkeypatch.setattr(Preconditioner, "solve",
+                        lambda self, b: applies.append(b.size) or real(self, b))
+    return applies
 
 
 def test_lagged_solve_applies_the_factor_once_per_iteration_and_once_more(
         monkeypatch):
-    from pmcgraph.solver import LaggedLU, LineLU
+    from pmcgraph.solver import LaggedLU
 
-    applies = []
-    real = LineLU.solve
-    monkeypatch.setattr(LineLU, "solve",
-                        lambda self, b: applies.append(b.size) or real(self, b))
-    grid = build_grid(2, (16, 12), (1.0, 1.0), ("periodic", "periodic"))
+    applies = _counting_applies(monkeypatch)
+    grid, u, F = _smooth_graph()
     rng = np.random.default_rng(0)
-    u = 0.3 * rng.standard_normal(grid.shape)
-    F = parse_pmc("0.5*sin(z) - 2*z")
     b = rng.standard_normal(grid.node_count)
     lagged = LaggedLU()
-    lagged.solve(assemble_jacobian(grid, u, F), b)
-    assert len(applies) == 1
-    for k in range(3):
+    for k in range(4):
         applies.clear()
         before = lagged.krylov_iterations
-        near = assemble_jacobian(grid, u + 1e-3 * (k + 1) * np.cos(u), F)
-        lagged.solve(near, b)
+        lagged.solve(assemble_jacobian(grid, u + 1e-3 * k * np.cos(u), F), b)
         assert lagged.factorizations == 1
         # x0 = M b, then one M v per iteration; no solve is repeated
         assert len(applies) == lagged.krylov_iterations - before + 1 >= 2
 
 
 def test_lagged_cycle_stops_at_the_callers_tolerance(monkeypatch):
-    from pmcgraph.solver import KRYLOV_RTOL, LaggedLU, LineLU
+    from pmcgraph.solver import KRYLOV_RTOL, LaggedLU
 
-    applies = []
-    real = LineLU.solve
-    monkeypatch.setattr(LineLU, "solve",
-                        lambda self, b: applies.append(b.size) or real(self, b))
-    grid = build_grid(2, (16, 12), (1.0, 1.0), ("periodic", "periodic"))
+    applies = _counting_applies(monkeypatch)
+    grid, u, F = _smooth_graph()
     rng = np.random.default_rng(0)
-    u = 0.3 * rng.standard_normal(grid.shape)
-    F = parse_pmc("0.5*sin(z) - 2*z")
     lagged = LaggedLU()
     lagged.solve(assemble_jacobian(grid, u, F),
                  rng.standard_normal(grid.node_count))
@@ -1432,49 +1443,95 @@ def test_lagged_cycle_stops_at_the_callers_tolerance(monkeypatch):
     # a right-hand side whose start x0 = M b already leaves less than atol
     atol = 1e-8
     b = rng.standard_normal(grid.node_count)
-    b *= 0.5 * atol / np.linalg.norm(b - near @ lagged.factor.solve(b))
+    b *= 0.5 * atol / np.linalg.norm(b - near @ lagged.preconditioner.solve(b))
     assert atol > KRYLOV_RTOL * np.linalg.norm(b)
     applies.clear()
+    before = lagged.krylov_iterations
     x = lagged.solve(near, b, atol)
-    assert (lagged.factorizations, lagged.krylov_iterations) == (1, 0)
+    assert (lagged.factorizations, lagged.krylov_iterations) == (1, before)
     assert len(applies) == 1
     assert np.linalg.norm(near @ x - b) <= atol
+    # a bound on the residual's sup below that of x0 takes iterations
+    bound = 0.5 * np.max(np.abs(b - near @ x))
+    x = lagged.solve(near, b, atol, bound)
+    assert lagged.factorizations == 1 and lagged.krylov_iterations > before
+    assert np.max(np.abs(near @ x - b)) <= bound
     # without a tolerance the cycle runs on to KRYLOV_RTOL
+    before = lagged.krylov_iterations
     x = lagged.solve(near, b)
-    assert lagged.factorizations == 1 and lagged.krylov_iterations > 0
+    assert lagged.factorizations == 1 and lagged.krylov_iterations > before
     assert np.linalg.norm(near @ x - b) <= KRYLOV_RTOL * np.linalg.norm(b)
+
+
+def test_krylov_basis_is_allocated_once_per_system_size():
+    from pmcgraph.solver import KRYLOV_RESTART, LaggedLU
+
+    grid, u, F = _smooth_graph()
+    rng = np.random.default_rng(0)
+    lagged = LaggedLU()
+    bases = []
+    for k in range(3):
+        A = assemble_jacobian(grid, u + 1e-3 * k * np.cos(u), F)
+        lagged.solve(A, rng.standard_normal(A.shape[0]))
+        bases.append(lagged.basis)
+    # V and Z of one restart cycle, reused by every later cycle
+    assert bases[0].shape == (2 * KRYLOV_RESTART + 1, A.shape[0])
+    assert bases[1] is bases[0] and bases[2] is bases[0]
+    big = A.bordered()
+    lagged.solve(big, rng.standard_normal(big.shape[0]))
+    assert lagged.basis.shape == (2 * KRYLOV_RESTART + 1, big.shape[0])
 
 
 def test_singular_linear_system_gives_a_non_finite_step():
     from pmcgraph.solver import StencilMatrix, spsolve
 
-    # one dense block, and several blocks with a wrap
-    for shape in ((4,), (4, 4), (24, 20)):
-        J = _line_jacobian(shape, ("periodic",) * len(shape))
+    # a zero matrix on one line, on several lines with a wrap, and on
+    # dirichlet and mixed grids
+    for shape, topology in (((4,), ("periodic",)), ((4, 4), ("periodic",) * 2),
+                            ((24, 20), ("periodic",) * 2),
+                            ((6, 5), ("dirichlet", "periodic")),
+                            ((6, 5), ("dirichlet", "dirichlet"))):
+        J = _line_jacobian(shape, topology)
         zero = StencilMatrix(J.plan, np.zeros_like(J.data))
         assert np.all(np.isnan(spsolve(zero, np.ones(zero.shape[0]))))
+    # the unbordered Jacobian of a height-free prescription keeps the
+    # constants in its kernel; GMRES stalls on a right-hand side off its range
+    J = _line_jacobian((16, 12), ("periodic", "periodic"), "0.2*sin(y1) - 0.3*t")
+    assert np.all(np.isnan(spsolve(J, np.ones(J.shape[0]))))
 
 
-def test_singular_block_lu_gives_a_non_finite_step():
-    from pmcgraph.solver import LaggedLU, LineLU, StencilMatrix, spsolve
+@pytest.mark.parametrize("config", ["cap.json", "torus_sine.json"])
+def test_singular_system_ends_as_exit_3_with_a_partial_report(
+        monkeypatch, tmp_path, config):
+    import json
+    import os
 
-    # a dirichlet grid is never factored by FFT, so its zero matrix reaches
-    # the block LU's singular pivot
-    J = _line_jacobian((6, 5), ("dirichlet", "periodic"))
-    zero = StencilMatrix(J.plan, np.zeros_like(J.data))
-    with pytest.raises(np.linalg.LinAlgError):
-        LineLU(zero)
-    assert np.all(np.isnan(spsolve(zero, np.ones(zero.shape[0]))))
-    lagged = LaggedLU()
-    lagged.solve(zero, np.ones(zero.shape[0]))
-    assert lagged.factor is None and lagged.factorizations == 0
+    import pmcgraph.solver as solver
+    from pmcgraph.cli import main
+
+    # every Jacobian of the solve zeroed: its linear solve gives NaNs
+    real = solver.assemble_jacobian
+
+    def zeroed(*args, **kwargs):
+        J = real(*args, **kwargs)
+        return StencilMatrix(J.plan, np.zeros_like(J.data))
+
+    monkeypatch.setattr(solver, "assemble_jacobian", zeroed)
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", config)
+    report = tmp_path / "report.json"
+    assert main(["solve", "--config", path, "--out-report", str(report),
+                 "--out-field", str(tmp_path / "field.csv")]) == 3
+    doc = json.loads(report.read_text())
+    assert "non-finite step" in doc["error"] and doc["partial"]["linear_solves"] == 1
+    assert doc["best_iterate_path"] is not None
 
 
-def _constant_jacobian(shape, gauge_free, border=None):
+def _constant_jacobian(shape, gauge_free, border=None, topology=None):
     # the Jacobian at a constant graph, whose every row is the same stencil;
     # bordered when the prescription is height-free, unless told otherwise
     text = "0.2*sin(y1) - 0.3*t" if gauge_free else "0.2*sin(y1) - 0.3*t - 2*z"
-    grid = build_grid(len(shape), shape, (1.0,) * len(shape), ("periodic",) * len(shape))
+    grid = build_grid(len(shape), shape, (1.0,) * len(shape),
+                      topology or ("periodic",) * len(shape))
     J = assemble_jacobian(grid, np.full(grid.shape, 0.7), parse_pmc(text))
     return J.bordered() if (gauge_free if border is None else border) else J
 
@@ -1486,72 +1543,214 @@ _TORI = [shape for shape, _ in _WRAPPED] + [(7, 5), (33, 31)]
 @pytest.mark.parametrize("shape", _TORI)
 @pytest.mark.parametrize("gauge_free", [False, True])
 def test_fourier_factor_matches_a_dense_solve(shape, gauge_free):
-    from pmcgraph.solver import FourierFactor
+    # on a translation-invariant matrix of a torus the preconditioner is
+    # the exact factor of a circulant
+    from pmcgraph.solver import Preconditioner
 
     A = _constant_jacobian(shape, gauge_free)
     assert np.all(A.data == A.data[:, :1])
     b = np.random.default_rng(1).standard_normal(A.shape[0])
-    x = FourierFactor(A).solve(b)
+    x = Preconditioner(A).solve(b)
     expected = np.linalg.solve(A.toarray(), b)
     assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _fourier_factor_solve(A, b):
+    """The FFT solve of a translation-invariant `StencilMatrix` of a torus,
+    as the solver wrote it before its general preconditioner: each slot's
+    eigenvalue term through sin(phi/2)^2 against the row sum, and the
+    bordered system's zero mode set to the border's value."""
+    import math
+
+    L0, m = lines = A.plan.lines
+    n = A.plan.n
+    row = A.data[:, 0]
+    lam = np.full((L0, m // 2 + 1), math.fsum(row), dtype=complex)
+    f0, f1 = np.fft.fftfreq(L0)[:, None], np.fft.rfftfreq(m)
+    for s, value in enumerate(row):
+        k0, k1 = divmod(s, 3)
+        phi = 2.0 * np.pi * (f0 * (1 - k0) + f1 * (1 - k1))
+        lam -= value * (2.0 * np.sin(0.5 * phi) ** 2 + 1j * np.sin(phi))
+    lam0 = lam[0, 0].real
+    if A.border:
+        lam[0, 0] = 1.0
+    f = np.fft.rfft2(b[:n].reshape(lines))
+    if not A.border:
+        return np.fft.irfft2(f / lam, s=lines).reshape(-1)
+    g = b[n]
+    mu = (f[0, 0].real - lam0 * g) / n
+    f[0, 0] = g
+    return np.append(np.fft.irfft2(f / lam, s=lines), mu)
+
+
+@pytest.mark.parametrize("shape", _TORI)
+@pytest.mark.parametrize("gauge_free", [False, True])
+def test_preconditioner_reproduces_the_fourier_factor_bit_for_bit(shape, gauge_free):
+    from pmcgraph.solver import Preconditioner
+
+    # S = I and K = A exactly, so torus_sine and horosphere, whose first
+    # Jacobian is such a matrix, keep every counter
+    A = _constant_jacobian(shape, gauge_free)
+    b = np.random.default_rng(2).standard_normal(A.shape[0])
+    M = Preconditioner(A)
+    assert np.all(M.scale == 1.0)
+    assert np.array_equal(M.solve(b), _fourier_factor_solve(A, b))
 
 
 def test_fourier_factor_rejects_a_zero_eigenvalue():
     import math
 
-    from pmcgraph.solver import FourierFactor
+    from pmcgraph.solver import Preconditioner
 
     # a height-free prescription leaves the constants in the kernel: the
     # zero mode's eigenvalue, the row sum, is 0.  Only the border pins it
     A = _constant_jacobian((8, 6), gauge_free=True, border=False)
     assert math.fsum(A.data[:, 0]) == 0.0
-    FourierFactor(A.bordered())
+    Preconditioner(A.bordered())
     with pytest.raises(np.linalg.LinAlgError):
-        FourierFactor(A)
+        Preconditioner(A)
     assert np.all(np.isnan(LaggedLU().solve(A, np.ones(A.shape[0]))))
 
 
-def test_lagged_factor_takes_the_fft_only_for_a_translation_invariant_matrix():
-    from pmcgraph.solver import FourierFactor, LineLU
+@pytest.mark.parametrize("L", [1, 2, 5, 16, 31])
+def test_sine_transform_is_the_dense_sine_matrix(L):
+    from pmcgraph.solver import _sine_transform
 
-    A = _constant_jacobian((16, 12), gauge_free=False)
+    # -2 times the DST-I matrix sin(pi k n / (L + 1)), k, n = 1..L, along
+    # either axis of a 2-D array; applied twice, 2(L + 1) times the identity
+    k = np.arange(1, L + 1)
+    Q = np.sin(np.pi * np.outer(k, k) / (L + 1))
+    x = np.random.default_rng(L).standard_normal((L, 3))
+    np.testing.assert_allclose(_sine_transform(x, 0), -2.0 * Q @ x, rtol=0, atol=1e-12 * L)
+    np.testing.assert_allclose(_sine_transform(x.T, 1), -2.0 * (Q @ x).T, rtol=0,
+                               atol=1e-12 * L)
+    np.testing.assert_allclose(_sine_transform(_sine_transform(x, 0), 0),
+                               2 * (L + 1) * x, rtol=0, atol=1e-12 * L)
+
+
+# translation-invariant rows on a torus, on dirichlet and mixed grids, and
+# in 1-D; the prescription reads no gradient, so that the stencil is
+# symmetric across a dirichlet axis
+_INVARIANT = [((16, 12), ("periodic", "periodic")), ((16, 12), ("dirichlet", "dirichlet")),
+              ((9, 14), ("periodic", "dirichlet")), ((14, 9), ("dirichlet", "periodic")),
+              ((20,), ("dirichlet",)), ((20,), ("periodic",))]
+
+
+@pytest.mark.parametrize("shape, topology", _INVARIANT)
+def test_preconditioner_is_exact_only_for_a_translation_invariant_matrix(shape, topology):
+    from pmcgraph.solver import Preconditioner
+
+    grid = build_grid(len(shape), shape, (1.0,) * len(shape), topology)
+    A = assemble_jacobian(grid, np.full(grid.shape, 0.7), parse_pmc("-0.3*t - 2*z"))
     b = np.random.default_rng(0).standard_normal(A.shape[0])
+    expected = np.linalg.solve(A.toarray(), b)
+    # FFT along periodic axes, DST-I along dirichlet ones
+    x = Preconditioner(A).solve(b)
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # at a graph that is not constant the rows differ, and M is a
+    # preconditioner only: GMRES takes iterations to meet KRYLOV_RTOL
+    J = _line_jacobian(shape, topology, "-0.3*t - 2*z")
+    x = Preconditioner(J).solve(b)
+    expected = np.linalg.solve(J.toarray(), b)
+    assert np.max(np.abs(x - expected)) > 1e-6 * np.max(np.abs(expected))
     lagged = LaggedLU()
-    lagged.solve(A, b)
-    assert isinstance(lagged.factor, FourierFactor) and lagged.factorizations == 1
-    # one entry of one row moved by one ulp breaks the invariance
-    data = A.data.copy()
-    data[3, 17] = np.nextafter(data[3, 17], np.inf)
-    moved = StencilMatrix(A.plan, data)
-    fresh = LaggedLU()
-    x = fresh.solve(moved, b)
-    assert isinstance(fresh.factor, LineLU)
-    np.testing.assert_allclose(x, np.linalg.solve(moved.toarray(), b), rtol=0, atol=1e-12)
-    # a grid with a dirichlet axis is no torus, however invariant its rows
-    grid = build_grid(2, (10, 8), (1.0, 1.0), ("dirichlet", "periodic"))
-    J = assemble_jacobian(grid, np.full(grid.shape, 0.7), parse_pmc("-2*z"))
-    fresh.solve(J, np.ones(J.shape[0]))
-    assert isinstance(fresh.factor, LineLU)
+    lagged.solve(J, b)
+    assert lagged.factorizations == 1 and lagged.krylov_iterations > 0
 
 
 @pytest.mark.parametrize("config", ["torus_sine.json", "horosphere.json"])
-def test_shipped_periodic_solves_build_no_block_lu(monkeypatch, tmp_path, config):
+def test_shipped_periodic_solves_build_one_exact_preconditioner(
+        monkeypatch, tmp_path, config):
     import json
     import os
 
     import pmcgraph.solver as solver
     from pmcgraph.cli import main
 
+    # their first Jacobian is at a constant graph of a prescription whose
+    # partials do not read x: the one preconditioner is its exact factor,
+    # and the later systems take GMRES iterations on it
     built = []
-    real = solver.LineLU
-    monkeypatch.setattr(solver, "LineLU", lambda A: built.append(A) or real(A))
+    real = solver.Preconditioner
+    monkeypatch.setattr(solver, "Preconditioner", lambda A: built.append(A) or real(A))
     path = os.path.join(os.path.dirname(__file__), "..", "configs", config)
     report = tmp_path / "report.json"
     assert main(["solve", "--config", path, "--out-report", str(report),
                  "--out-field", str(tmp_path / "field.csv")]) == 0
     doc = json.loads(report.read_text())
     assert doc["consistency_ok"] and doc["factorizations"] == 1
-    assert built == []
+    assert doc["krylov_iterations"] == {"torus_sine.json": 10, "horosphere.json": 7}[config]
+    assert len(built) == 1 and np.all(built[0].data == built[0].data[:, :1])
+
+
+def _mixed_torus_sine():
+    # the 16x16 torus_sine problem with its second axis dirichlet, at the
+    # trace pi/2 between the barriers
+    grid = build_grid(2, (16, 17), (1.0, 1.0), ("periodic", "dirichlet"))
+    H = parse_pmc(f"0.5*sin(z) + 0.1*sin({TWO_PI}*x1)")
+    B = BarrierPair(ScalarField(grid, np.full(grid.shape, 0.25)),
+                    ScalarField(grid, np.full(grid.shape, np.pi + 0.25)),
+                    ScalarField(grid, np.full(grid.shape, 0.5 * np.pi)))
+    return grid, H, B, SolveConfig()
+
+
+def _steep_catenoid_33():
+    # the catenoid config moved toward its neck: |Du| reaches about 5
+    grid = build_grid(2, (33, 33), (0.8, 0.8), ("dirichlet", "dirichlet"),
+                      origin=(1.02, -0.4))
+    x1, x2 = grid.node_positions()
+    r = np.sqrt(x1 ** 2 + x2 ** 2)
+    cat = np.log(r + np.sqrt(r ** 2 - 1.0))
+    B = BarrierPair(ScalarField(grid, cat - 0.05), ScalarField(grid, cat + 0.05),
+                    ScalarField(grid, cat))
+    return grid, parse_pmc("0"), B, SolveConfig(allowance_constant=100.0)
+
+
+@pytest.mark.parametrize("problem", [_mixed_torus_sine, _steep_catenoid_33],
+                         ids=["mixed-torus-sine", "steep-catenoid"])
+def test_preconditioned_newton_converges_to_the_exactly_solved_field(
+        monkeypatch, problem):
+    import pmcgraph.solver as solver
+
+    grid, H, B, cfg = problem()
+    v, rep = outer_iterate(H, B, cfg)
+    assert rep.consistency_ok and rep.krylov_iterations > 0
+    # every Newton step solved by a dense LU instead, as the block LU did
+    monkeypatch.setattr(solver, "spsolve", lambda A, b, *args: np.linalg.solve(A.toarray(), b))
+    v_exact, exact = outer_iterate(H, B, cfg)
+    assert sup_norm(v, v_exact) <= 1e-10
+
+
+def test_a_tolerance_below_the_rounding_floor_keeps_every_counter(monkeypatch):
+    import pmcgraph.solver as solver
+
+    grid, H, B = _torus_sine_16()
+    cfg = SolveConfig(tol_inner=1e-15)
+    # the lower barrier moved down by one ulp at every node
+    lower = BarrierPair(ScalarField(grid, np.nextafter(B.u1.values, -np.inf)), B.u0)
+    counters = ("outer_count", "accelerated_steps", "rejected_steps", "inner_newton_counts",
+                "linear_solves", "krylov_iterations", "factorizations")
+    reports = [outer_iterate(H, pair, cfg)[1] for pair in (B, lower)]
+    for name in counters:
+        assert getattr(reports[0], name) == getattr(reports[1], name), name
+    rep = reports[0]
+    assert rep.rounding_floor > cfg.tol_inner and rep.consistency_ok
+    assert rep.consistency_bound == rep.rounding_floor
+    # without the floor the last sweep chases rounding to its step budget
+    monkeypatch.setattr(solver, "FLOOR_ULPS", 0.0)
+    with pytest.raises(SolverFailure, match="exhausted"):
+        outer_iterate(H, B, cfg)
+
+
+def test_shipped_sizes_keep_the_floor_below_the_default_tolerance():
+    from pmcgraph.solver import rounding_floor
+
+    # the 64x64 torus_sine config at its clip range's height, and the
+    # tolerance it meets at 256x256
+    torus = build_grid(2, (64, 64), (1.0, 1.0), ("periodic", "periodic"))
+    assert 5e-11 < rounding_floor(torus, 3.71) < SolveConfig().tol_inner
+    fine = build_grid(2, (256, 256), (1.0, 1.0), ("periodic", "periodic"))
+    assert rounding_floor(fine, 3.71) == pytest.approx(16 * rounding_floor(torus, 3.71))
 
 
 def test_penalized_horosphere_trees_share_every_repeated_subtree():

@@ -28,10 +28,11 @@ whose contents differ are printed, and any difference exits 1:
 
     python tools/run_list.py OUT_NEW --against HEAD~1
 
-Under each differing `.json` report go the top-level keys whose values
-differ, old -> new, a list of more than four entries shown as its length
-and last entry; under each differing `.csv`, the largest absolute
-difference of its numbers.
+Under each differing `.json` report goes each changed leaf of the report,
+as a dotted path such as `rows[1].final_residual: old -> new`: dicts and
+lists of equal length are compared entry by entry, anything else whole, a
+list of more than four entries shown as its length and last entry.  Under
+each differing `.csv` goes the largest absolute difference of its numbers.
 
 Runs go one at a time, each in its own interpreter, with the package
 imported from `<repo>/src`.
@@ -146,21 +147,35 @@ def numbers(path):
     return out
 
 
+ABSENT = object()
+
+
+def changed_leaves(a, b, path=""):
+    """(path, old, new) of each leaf where the report values `a` and `b`
+    differ, ABSENT for a key only one side has: dicts are compared key by
+    key and lists of equal length entry by entry, anything else whole."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [leaf for key in sorted(a.keys() | b.keys()) for leaf in changed_leaves(
+            a.get(key, ABSENT), b.get(key, ABSENT), f"{path}.{key}" if path else key)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [leaf for i, (x, y) in enumerate(zip(a, b))
+                for leaf in changed_leaves(x, y, f"{path}[{i}]")]
+    return [] if a == b else [(path, a, b)]
+
+
 def describe(old, new):
-    """Lines saying how the file `new` differs from `old`: the top-level keys
-    of a `.json` report whose values differ, or the largest absolute
-    difference of the numbers of a `.csv`."""
+    """Lines saying how the file `new` differs from `old`: the changed
+    leaves of a `.json` report, or the largest absolute difference of the
+    numbers of a `.csv`."""
     if not (old.is_file() and new.is_file()):
         return [f"  only in {'new' if new.is_file() else 'old'}"]
     if old.suffix == ".json":
         a, b = (json.loads(p.read_text()) for p in (old, new))
 
-        def value(doc, key):
-            return shown(doc[key]) if key in doc else "(absent)"
+        def value(v):
+            return "(absent)" if v is ABSENT else shown(v)
 
-        return [f"  {key}: {value(a, key)} -> {value(b, key)}"
-                for key in sorted(a.keys() | b.keys())
-                if (key in a, a.get(key)) != (key in b, b.get(key))]
+        return [f"  {path}: {value(x)} -> {value(y)}" for path, x, y in changed_leaves(a, b)]
     if old.suffix == ".csv":
         a, b = numbers(old), numbers(new)
         if len(a) != len(b):
