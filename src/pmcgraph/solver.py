@@ -185,13 +185,13 @@ KRYLOV_CYCLES = 10
 # no count of the torus or the horosphere below, nor of the torus at the
 # fixed penalty 1.906.  A solve to tol_inner uses FORCING_FIRST on its
 # first step and min(FORCING_MAX, 0.9*(|R_k|/|R_k-1|)^2) after it, with sup
-# norms, and every pseudo-time step uses FORCING_FIRST.  Every step may
-# stop at a 2-norm residual of FORCING_FLOOR*tol_inner, which bounds the
-# sup norm, so the linearized residual of the last step stays below
-# tol_inner.  Measured as GMRES iterations of the 64x64 torus_sine config
-# (3/0/0 sweeps, counted as in the SWEEP_FORCING table, 9 linear solves, 1
-# factorization) and of the horosphere config (7/5/0 sweeps, 8 linear
-# solves); no sweep or linear-solve count moves in any of these:
+# norms.  Every step may stop at a 2-norm residual of
+# FORCING_FLOOR*tol_inner, which bounds the sup norm, so the linearized
+# residual of the last step stays below tol_inner.  Measured as GMRES
+# iterations of the 64x64 torus_sine config (3/0/0 sweeps, counted as in
+# the SWEEP_FORCING table, 9 linear solves, 1 factorization) and of the
+# horosphere config (7/5/0 sweeps, 8 linear solves); no sweep or
+# linear-solve count moves in any of these:
 # - loose steps at FORCING_MAX: 10 and 7; under the rule of a solve to
 #   tol_inner: 11 and 7.  At 128x128: 10 against 11;
 # - FORCING_MAX at 1e-3: 12 and 7; at 0.03: 10 and 7; at 0.1: 10 and 5;
@@ -218,6 +218,13 @@ FORCING_FLOOR = 0.1
 # the clip range's height, 3.71, it is 5.4e-11 on the 64x64 torus, below
 # the default tol_inner, and 8.6e-10 at 256x256
 FLOOR_ULPS = 2.0
+
+# the inner solve's line search: a step s of the Newton direction is
+# accepted where it lowers the 2-norm residual by the factor 1 - ARMIJO_C*s
+# (Armijo 1966), and s halves from 1 until it does; below MIN_STEP the
+# search has stagnated and the solve fails
+ARMIJO_C = 1e-4
+MIN_STEP = 2.0 ** -20
 
 
 class SolverFailure(RuntimeError):
@@ -247,15 +254,14 @@ class SolveConfig:
     padded at each end by the smaller of 10% of its span and half the gap
     to the working box.
     box is an explicit working z-range; default is the barrier range padded
-    by half its span.
+    by half its span.  The inner solve's line search takes its constants
+    from the module, ARMIJO_C and MIN_STEP.
     """
 
     tol_inner: float = 1e-10
     tol_outer: float = 1e-8
     max_newton: int = 50
     max_outer: int = 200
-    armijo_c: float = 1e-4
-    min_step: float = 2.0 ** -20
     gamma: object = "auto"
     samples: int = 9
     theta_threshold: float = 1e-3
@@ -269,8 +275,6 @@ class SolveConfig:
             raise ValueError("tolerances must be positive")
         if int(self.max_newton) < 1 or int(self.max_outer) < 1:
             raise ValueError("iteration caps must be at least 1")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo constant must lie in (0, 1)")
         if self.gamma != "auto":
             self.gamma = float(self.gamma)
             if not self.gamma > 0.0:
@@ -289,8 +293,6 @@ class SolveConfig:
         self.tol_outer = float(self.tol_outer)
         self.max_newton = int(self.max_newton)
         self.max_outer = int(self.max_outer)
-        self.armijo_c = float(self.armijo_c)
-        self.min_step = float(self.min_step)
         self.samples = int(self.samples)
         if self.samples < 3 or self.samples % 2 == 0:
             # an even count misses the normal poles, and at 2 the 2-D
@@ -299,11 +301,10 @@ class SolveConfig:
         self.theta_threshold = float(self.theta_threshold)
         self.allowance_constant = float(self.allowance_constant)
         self.refine_check = bool(self.refine_check)
-        # a step above 1 skips the line search, and one at or below 0 lets
-        # it halve to a zero step; min_theta lies in (0, 1]
-        for key in ("min_step", "theta_threshold"):
-            if not 0.0 < getattr(self, key) <= 1.0:
-                raise ValueError(f"{key} must lie in (0, 1], got {getattr(self, key)}")
+        # min_theta lies in (0, 1]
+        if not 0.0 < self.theta_threshold <= 1.0:
+            raise ValueError(
+                f"theta_threshold must lie in (0, 1], got {self.theta_threshold}")
         if not self.allowance_constant >= 0.0:
             raise ValueError(
                 f"allowance_constant must be non-negative, got {self.allowance_constant}")
@@ -868,14 +869,12 @@ def rounding_floor(grid, height):
     return FLOOR_ULPS * np.finfo(float).eps * height * float(W)
 
 
-def _forcing_term(loose, pseudo_time, history):
+def _forcing_term(loose, history):
     """The forcing term of the next step's linear solve (see FORCING_*):
-    FORCING_FIRST for a `pseudo_time` step, FORCING_MAX in a `loose` solve,
-    one that stops above tol_inner, and otherwise FORCING_FIRST for the
-    solve's first step, with one entry in its sup-residual `history`, and
-    Eisenstat & Walker's choice 2 after it."""
-    if pseudo_time:
-        return FORCING_FIRST
+    FORCING_MAX in a `loose` solve, one that stops above tol_inner, and
+    otherwise FORCING_FIRST for the solve's first step, with one entry in
+    its sup-residual `history`, and Eisenstat & Walker's choice 2 after
+    it."""
     if loose:
         return FORCING_MAX
     if len(history) == 1:
@@ -916,15 +915,15 @@ def solve_inner(grid, H, psi, init, cfg=None, penalty=None,
     candidate the outer iteration's gate evaluated, takes that evaluation
     as `evaluation` in place of evaluating init, whatever its penalty.
 
-    With `bounds` = (lo, hi) every trial iterate, Newton or pseudo-time, is
-    clipped into [lo, hi] at the unknowns.  The outer iteration passes its
-    plateau, which holds the barrier slab: the penalty certificate holds on
-    the slab only, and off it the problem may have solutions of its own,
-    which a Newton step from a far seed can reach.
+    With `bounds` = (lo, hi) every trial iterate is clipped into [lo, hi]
+    at the unknowns.  The outer iteration passes its plateau, which holds
+    the barrier slab: the penalty certificate holds on the slab only, and
+    off it the problem may have solutions of its own, which a Newton step
+    from a far seed can reach.
 
     Returns (solution field, report dict).  Raises SolverFailure with the
-    best iterate when the step budget runs out; falls back to pseudo-time
-    stepping when the line search stagnates.
+    best iterate when the step budget runs out, and when the line search
+    stagnates: no step of at least MIN_STEP lowers the residual.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -975,20 +974,16 @@ def solve_inner(grid, H, psi, init, cfg=None, penalty=None,
     tol = max(tol_inner, forcing * res_sup)
     history = [res_sup]
     newton_steps = 0
-    ptc_steps = 0
-    ptc_dt = None
 
     while res_sup > tol:
-        if newton_steps + ptc_steps >= cfg.max_newton:
+        if newton_steps >= cfg.max_newton:
             raise SolverFailure(
                 f"inner solve exhausted {cfg.max_newton} steps "
                 f"(residual {res_sup:.3e}, tolerance {tol:.3e})",
                 best=ScalarField(grid, u), residual_history=history)
-        J = assemble_jacobian(
-            grid, u, H, shift=gamma + (0.0 if ptc_dt is None else 1.0 / ptc_dt),
-            parts=evaluated[1])
+        J = assemble_jacobian(grid, u, H, shift=gamma, parts=evaluated[1])
         phi0 = np.linalg.norm(R)
-        eta = _forcing_term(tol > tol_inner, ptc_dt is not None, history)
+        eta = _forcing_term(tol > tol_inner, history)
         A, rhs = (J.bordered(), np.append(-R, 0.0)) if bordered else (J, -R)
         # a loose solve's forcing holds in the sup norm it stops in too
         bound = max(FORCING_MAX * res_sup, atol_floor) if tol > tol_inner else np.inf
@@ -998,29 +993,11 @@ def solve_inner(grid, H, psi, init, cfg=None, penalty=None,
                 "linear solve produced a non-finite step (singular linearization)",
                 best=ScalarField(grid, u), residual_history=history)
 
-        if ptc_dt is not None:
-            # pseudo-transient phase: accept the damped implicit-Euler step,
-            # grow the pseudo step as the residual drops
-            step = trial(delta)
-            if step is None:
-                ptc_dt = max(ptc_dt * 0.25, 1e-8)
-                ptc_steps += 1
-                continue
-            new_sup = float(np.max(np.abs(step[1])))
-            if np.isfinite(new_sup) and new_sup <= res_sup * 1.2:
-                (u, R, evaluated), res_sup = step, new_sup
-                ptc_dt = min(ptc_dt * max(phi0 / max(np.linalg.norm(R), 1e-300), 0.5), 1e12)
-            else:
-                ptc_dt = max(ptc_dt * 0.25, 1e-8)
-            ptc_steps += 1
-            history.append(res_sup)
-            continue
-
         s = 1.0
-        while s >= cfg.min_step:
+        while s >= MIN_STEP:
             step = trial(s * delta)
             if step and np.all(np.isfinite(step[1])) and (
-                    np.linalg.norm(step[1]) <= (1.0 - cfg.armijo_c * s) * phi0):
+                    np.linalg.norm(step[1]) <= (1.0 - ARMIJO_C * s) * phi0):
                 u, R, evaluated = step
                 res_sup = float(np.max(np.abs(R)))
                 newton_steps += 1
@@ -1028,12 +1005,15 @@ def solve_inner(grid, H, psi, init, cfg=None, penalty=None,
                 break
             s *= 0.5
         else:
-            # stagnation: engage the parabolic relaxation fallback
-            ptc_dt = 1.0
+            raise SolverFailure(
+                "inner solve: line search stagnated "
+                f"(residual {res_sup:.3e}, tolerance {tol:.3e})",
+                best=ScalarField(grid, u), residual_history=history)
 
     report = {
         "newton_steps": newton_steps,
-        "ptc_steps": ptc_steps,
+        # always 0: the benchmark's tracer still reads this key
+        "ptc_steps": 0,
         "residual_sup": res_sup,
         "residual_history": history,
         "tolerance": tol,
@@ -1345,7 +1325,7 @@ def outer_iterate(H, B, cfg=None):
                                        seed if m == 0 else anchor, cfg,
                                        penalty=penalty, lagged=lagged, forcing=forcing,
                                        evaluation=seeded, bounds=(c1, c2))
-            inner_steps = irep["newton_steps"] + irep["ptc_steps"]
+            inner_steps = irep["newton_steps"]
             step = sup_norm(u_next, anchor)
             tol = irep["tolerance"]
             if tol > max(cfg.tol_inner, irep["floor"]) and step <= max(cfg.tol_outer, tol):
@@ -1355,7 +1335,7 @@ def outer_iterate(H, B, cfg=None):
                                            penalty=penalty, lagged=lagged,
                                            evaluation=irep["evaluation"],
                                            bounds=(c1, c2))
-                inner_steps += irep["newton_steps"] + irep["ptc_steps"]
+                inner_steps += irep["newton_steps"]
                 step = sup_norm(u_next, anchor)
         except SolverFailure as exc:
             exc.partial = partial(residual_history + exc.residual_history)

@@ -229,12 +229,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 
 
 def test_solver_numbers_out_of_range_exit_2(capsys):
-    # a min_step above 1 skipped the line search and at 0 let it accept a
-    # zero step; a negative allowance made the barrier tolerance negative;
-    # a theta_threshold outside (0, 1] fixed the graphical verdict
-    for override, key in (("solver.min_step=2", "min_step"),
-                          ("solver.min_step=0", "min_step"),
-                          ("solver.allowance_constant=-1", "allowance_constant"),
+    # a negative allowance made the barrier tolerance negative; a
+    # theta_threshold outside (0, 1] fixed the graphical verdict
+    for override, key in (("solver.allowance_constant=-1", "allowance_constant"),
                           ("solver.theta_threshold=0", "theta_threshold"),
                           ("solver.theta_threshold=1.5", "theta_threshold")):
         for sub in ("solve", "check-barrier"):
@@ -402,6 +399,29 @@ def test_failed_solve_exits_3_with_partial_report(tmp_path):
     assert os.path.exists(doc["best_iterate_path"])
     assert doc["partial"]["outer_count"] == 2
     assert doc["partial"]["gamma_history"] == [doc["partial"]["gamma"]] * 2
+
+
+def test_stagnating_line_search_exits_3_with_partial_report(
+        tmp_path, monkeypatch, capsys):
+    import pmcgraph.solver as solver
+
+    # a tolerance below the residual's rounding floor, with the floor taken
+    # away: the last sweep's line search stagnates at the rounding noise
+    monkeypatch.setattr(solver, "FLOOR_ULPS", 0.0)
+    report = tmp_path / "r.json"
+    code = run(["solve", "--config", cfg_path("torus_sine.json"),
+                "--override", "solver.tol_inner=1e-300", "--out-report", str(report)])
+    assert code == 3
+    doc = read_json(report)
+    assert doc["error"].startswith("inner solve: line search stagnated")
+    assert doc["partial"]["linear_solves"] > 0
+    assert doc["best_iterate_path"] == str(tmp_path / "r.best.csv")
+    assert os.path.exists(doc["best_iterate_path"])
+    capsys.readouterr()
+    # the line search's constants are not config keys
+    assert run(["solve", "--config", cfg_path("torus_sine.json"),
+                "--override", "solver.min_step=0.5"]) == 2
+    assert "solver: unknown key 'min_step'" in capsys.readouterr().err
 
 
 def test_several_solutions_config_returns_the_minimal_solution(tmp_path, monkeypatch):

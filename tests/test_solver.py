@@ -280,66 +280,42 @@ def test_inner_solve_budget_failure_carries_best_iterate():
     assert len(exc.value.residual_history) == 2
 
 
-def test_inner_solve_pseudo_time_fallback():
-    # a min_step of 1 tries the full Newton step alone, and an armijo
-    # constant of 0.5 refuses it from this flat seed, so the
-    # pseudo-transient branch does all the work
-    grid = build_grid(2, (17, 17), (1.0, 1.0), ("dirichlet", "dirichlet"),
-                origin=(-0.5, -0.5))
-    pos = grid.node_positions()
-    cap = np.sqrt(4.0 - pos[0] ** 2 - pos[1] ** 2)
-    psi = ScalarField(grid, cap.copy())
-    init = ScalarField(grid, np.full(grid.shape, float(np.min(cap))))
-    cfg = SolveConfig(min_step=1.0, armijo_c=0.5, max_newton=200)
-    u, rep = solve_inner(grid, parse_pmc("1"), psi, init, cfg)
-    assert rep["ptc_steps"] > 0 and rep["newton_steps"] == 0
-    assert np.max(np.abs(u.values - cap)) < 1e-3
-
-
 def test_solve_config_refuses_steps_and_thresholds_out_of_range():
-    for key, value in (("min_step", 2.0), ("min_step", 0.0), ("min_step", -1.0),
-                       ("theta_threshold", 0.0), ("theta_threshold", 1.5),
-                       ("allowance_constant", -1.0), ("min_step", float("nan"))):
+    for key, value in (("theta_threshold", 0.0), ("theta_threshold", 1.5),
+                       ("theta_threshold", float("nan")), ("allowance_constant", -1.0)):
         with pytest.raises(ValueError, match=key):
             SolveConfig(**{key: value})
-    cfg = SolveConfig(min_step=1.0, theta_threshold=1.0, allowance_constant=0.0)
-    assert (cfg.min_step, cfg.theta_threshold, cfg.allowance_constant) == (1.0, 1.0, 0.0)
+    cfg = SolveConfig(theta_threshold=1.0, allowance_constant=0.0)
+    assert (cfg.theta_threshold, cfg.allowance_constant) == (1.0, 0.0)
 
 
-def test_a_min_step_of_zero_would_count_zero_steps_as_newton_steps(monkeypatch):
+def test_a_stagnating_line_search_fails_with_its_best_iterate(monkeypatch):
     import pmcgraph.solver as solver
 
     # a tolerance below the residual's rounding floor, with the solve's own
     # floor taken away: once the iterate reaches that floor, no step
-    # s >= min_step passes the line search
+    # s >= MIN_STEP passes the line search, and the solve fails there
+    # rather than spend its step budget
     monkeypatch.setattr(solver, "FLOOR_ULPS", 0.0)
     grid = build_grid(1, (16,), (1.0,), ("periodic",))
     init = ScalarField(grid, 1.3 + 0.1 * np.sin(TWO_PI * np.arange(16) / 16))
     F = parse_pmc("1 - z + 0.1*sin(z)")
     real = solver.assemble_jacobian
+    shifts = []
 
-    def run(min_step):
-        seen = []
+    def recording(grid, values, F, shift=0.0, parts=None):
+        shifts.append(shift)
+        return real(grid, values, F, shift, parts)
 
-        def recording(grid, values, F, shift=0.0, parts=None):
-            seen.append((values.copy(), shift))
-            return real(grid, values, F, shift, parts)
-
-        monkeypatch.setattr(solver, "assemble_jacobian", recording)
-        cfg = SolveConfig(tol_inner=1e-300, max_newton=8)
-        # set after construction, which now refuses a min_step of 0
-        cfg.min_step = min_step
-        with pytest.raises(SolverFailure):
-            solve_inner(grid, F, None, init, cfg)
-        return seen
-
-    # the default halts the line search and moves to pseudo-time steps
-    assert any(shift > 0.0 for _, shift in run(SolveConfig().min_step))
-    # at 0 the halving reaches a step that leaves the iterate as it is,
-    # accepts it as a Newton step, and does so until the budget runs out
-    seen = run(0.0)
-    assert all(shift == 0.0 for _, shift in seen)
-    assert np.array_equal(seen[-1][0], seen[-2][0])
+    monkeypatch.setattr(solver, "assemble_jacobian", recording)
+    cfg = SolveConfig(tol_inner=1e-300)
+    with pytest.raises(SolverFailure, match="line search stagnated") as exc:
+        solve_inner(grid, F, None, init, cfg)
+    assert exc.value.best is not None and exc.value.best.grid == grid
+    # one Jacobian per step, the last one's line search refused every step
+    assert 1 < len(shifts) < cfg.max_newton
+    assert len(exc.value.residual_history) == len(shifts)
+    assert all(shift == 0.0 for shift in shifts)
 
 
 def _supersolution_seed():
@@ -1053,7 +1029,7 @@ def test_a_seed_above_the_inner_tolerance_takes_a_newton_step(monkeypatch, case)
     # already meets tol_inner takes none
     for rep in reports:
         if rep["residual_history"][0] > cfg.tol_inner:
-            assert rep["newton_steps"] + rep["ptc_steps"] >= 1
+            assert rep["newton_steps"] >= 1
     # and the loose sweeps were there to check
     assert any(rep["tolerance"] > cfg.tol_inner for rep in reports)
 
@@ -1074,7 +1050,7 @@ def test_loose_forcing_changes_only_the_krylov_counts(
     assert rep.krylov_iterations == krylov
     real = solver._forcing_term
     monkeypatch.setattr(solver, "_forcing_term",
-                        lambda loose, pseudo_time, history: real(False, pseudo_time, history))
+                        lambda loose, history: real(False, history))
     v_tight, every = outer_iterate(H, B, cfg)
     assert every.krylov_iterations == tight
     for name in ("outer_count", "accelerated_steps", "rejected_steps",
@@ -1095,8 +1071,8 @@ def test_only_loose_solves_force_at_forcing_max(monkeypatch):
     real = solver._forcing_term
     etas = []
 
-    def recording(loose, pseudo_time, history):
-        etas.append(real(loose, pseudo_time, history))
+    def recording(loose, history):
+        etas.append(real(loose, history))
         return etas[-1]
 
     monkeypatch.setattr(solver, "_forcing_term", recording)
@@ -1736,9 +1712,10 @@ def test_a_tolerance_below_the_rounding_floor_keeps_every_counter(monkeypatch):
     rep = reports[0]
     assert rep.rounding_floor > cfg.tol_inner and rep.consistency_ok
     assert rep.consistency_bound == rep.rounding_floor
-    # without the floor the last sweep chases rounding to its step budget
+    # without the floor the last sweep chases rounding until its line search
+    # stagnates
     monkeypatch.setattr(solver, "FLOOR_ULPS", 0.0)
-    with pytest.raises(SolverFailure, match="exhausted"):
+    with pytest.raises(SolverFailure, match="line search stagnated"):
         outer_iterate(H, B, cfg)
 
 
@@ -1883,5 +1860,3 @@ def test_config_validation():
         SolveConfig(box=(1.0, 1.0))
     with pytest.raises(ValueError, match="increasing"):
         SolveConfig(cutoff=(0.5, 0.5))
-    with pytest.raises(ValueError, match="armijo"):
-        SolveConfig(armijo_c=1.5)

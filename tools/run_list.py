@@ -10,7 +10,8 @@ penalty 1.9064653208705127, the one its
 `auto` penalty was before it was sized to the barrier slab, which keeps that
 older path of fixed-penalty sweeps in the comparison, and torus_sine with a
 prescription whose height slope varies along x1, so that its first Jacobian
-is not translation-invariant and goes to the block LU factor, and cap split
+is not translation-invariant and the fast-transform preconditioner is not
+exact for it, and cap split
 as h1 = 2, h2 = 0, which runs the quasi-decreasing solve with its refinement
 block and a split diagnose between curved barriers.
 Every run writes `<command>/<case>.json` (the report), `<command>/<case>.csv`
