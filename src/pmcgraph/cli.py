@@ -273,11 +273,7 @@ def _validate_solver(raw):
     for key, value in s.items():
         if key not in _SOLVER_KEYS:
             raise CLIConfigError(f"solver: unknown key {key!r}")
-        if key == "cutoff":
-            value = _float_list("solver", value, 2, "cutoff")
-        elif key == "refine_check":
-            value = _want("solver", value, bool, "refine_check")
-        elif key in ("max_newton", "max_outer", "samples"):
+        if key in ("max_outer", "samples"):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise CLIConfigError(f"solver: {key} must be an integer")
         elif not (key == "gamma" and value == "auto"):

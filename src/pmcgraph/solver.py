@@ -39,9 +39,9 @@ non-dirichlet nodes, and it is a nine-slot stencil over them, a
 one line), and a row has one slot per neighbour offset in {-1, 0, 1}^2 of
 that array, wrapping on periodic axes, since no composed entry reaches
 farther.  The plan of one grid gets the slots' columns by index
-arithmetic and finds the one slot each composed entry falls in on every
-row; each Newton step only evaluates the coefficients and adds each entry
-into its slot, and a product is one gather.  The coefficients read what the
+arithmetic and finds the one slot and the one weight each composed entry
+has on every row; each Newton step only evaluates the coefficients and
+adds each entry into its slot, and a product is one gather.  The coefficients read what the
 residual of the same iterate computed (`_graph_residual`): its gradients,
 area factors, and the prescription's partials, evaluated with its value.
 That evaluation is of the prescription H itself: the penalty
@@ -226,6 +226,14 @@ FLOOR_ULPS = 2.0
 ARMIJO_C = 1e-4
 MIN_STEP = 2.0 ** -20
 
+# the inner solve's budget of Newton steps; a solve that still misses its
+# tolerance after that many fails
+NEWTON_BUDGET = 50
+
+# `solve_quasi` calls its result graphical when min Theta, the smallest
+# vertical component of the unit normal, is at least this
+THETA_THRESHOLD = 1e-3
+
 
 class SolverFailure(RuntimeError):
     """Solve did not reach its tolerance; carries the best iterate so far."""
@@ -247,34 +255,27 @@ class SolveConfig:
     """Knobs shared by the inner and outer solvers.
 
     gamma is "auto" (sampled-slope certificate with a 5% safety factor) or an
-    explicit positive number, which holds for every sweep.  cutoff is an
-    explicit (c1, c2) plateau, the range `outer_iterate` clips Newton's
-    trial iterates to; it must hold the barrier range and lie strictly
-    inside the working box.  Otherwise the plateau is the barrier range
-    padded at each end by the smaller of 10% of its span and half the gap
-    to the working box.
+    explicit positive number, which holds for every sweep.
     box is an explicit working z-range; default is the barrier range padded
-    by half its span.  The inner solve's line search takes its constants
-    from the module, ARMIJO_C and MIN_STEP.
+    by half its span.  The rest is the module's: the inner solve's step
+    budget NEWTON_BUDGET and line-search constants ARMIJO_C and MIN_STEP,
+    the graphical verdict's THETA_THRESHOLD, and `outer_iterate`'s plateau,
+    derived from the barrier range and the working box.
     """
 
     tol_inner: float = 1e-10
     tol_outer: float = 1e-8
-    max_newton: int = 50
     max_outer: int = 200
     gamma: object = "auto"
     samples: int = 9
-    theta_threshold: float = 1e-3
     allowance_constant: float = 10.0
     box: object = None
-    cutoff: object = None
-    refine_check: bool = True
 
     def __post_init__(self):
         if not (self.tol_inner > 0.0 and self.tol_outer > 0.0):
             raise ValueError("tolerances must be positive")
-        if int(self.max_newton) < 1 or int(self.max_outer) < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if int(self.max_outer) < 1:
+            raise ValueError("max_outer must be at least 1")
         if self.gamma != "auto":
             self.gamma = float(self.gamma)
             if not self.gamma > 0.0:
@@ -284,27 +285,15 @@ class SolveConfig:
             if not a < b:
                 raise ValueError(f"box z-range must be increasing, got ({a}, {b})")
             self.box = (a, b)
-        if self.cutoff is not None:
-            c1, c2 = float(self.cutoff[0]), float(self.cutoff[1])
-            if not c1 < c2:
-                raise ValueError(f"cutoff plateau must be increasing, got ({c1}, {c2})")
-            self.cutoff = (c1, c2)
         self.tol_inner = float(self.tol_inner)
         self.tol_outer = float(self.tol_outer)
-        self.max_newton = int(self.max_newton)
         self.max_outer = int(self.max_outer)
         self.samples = int(self.samples)
         if self.samples < 3 or self.samples % 2 == 0:
             # an even count misses the normal poles, and at 2 the 2-D
             # half-ball keeps no sample at all
             raise ValueError(f"samples must be an odd count >= 3, got {self.samples}")
-        self.theta_threshold = float(self.theta_threshold)
         self.allowance_constant = float(self.allowance_constant)
-        self.refine_check = bool(self.refine_check)
-        # min_theta lies in (0, 1]
-        if not 0.0 < self.theta_threshold <= 1.0:
-            raise ValueError(
-                f"theta_threshold must lie in (0, 1], got {self.theta_threshold}")
         if not self.allowance_constant >= 0.0:
             raise ValueError(
                 f"allowance_constant must be non-negative, got {self.allowance_constant}")
@@ -433,16 +422,19 @@ class _JacobianPlan:
     neighbour offset in {-1, 0, 1}^2 of that array, wrapping on the
     `periodic` axes: slot 3 * k0 + k1 is the offset (k0 - 1, k1 - 1).
     `cols[s]` is the column of slot s, or the row's own where that
-    neighbour is a dirichlet node or off a 1-D grid's line (its weight
-    stays 0); `nnz` counts the others.  Only index arithmetic builds them.
+    neighbour is a dirichlet node or off a 1-D grid's line; `empty` lists
+    those slots, flat in (slot, row) order, whose entry stays 0, and `nnz`
+    counts the others.  Only index arithmetic builds them.
 
     The contributions are the entries of outer . diag(c) . inner over the
-    `_jacobian_chains` whose weight is not 0 on every row.  Each falls in
-    the same slot on every row, which the plan checks, and `terms` holds
-    one (slot, k, weight) per contribution: to row i it adds
-    coefficient[src[k, i]] * weight[i], with the coefficient vector from
+    `_jacobian_chains` whose weight is not 0 on every row.  On a uniform
+    grid each falls in the same slot with the same weight on every row
+    whose slot is not empty, and in no empty one, which the plan checks on
+    every row.  So slot s of row i is sum_k weights[s, k] *
+    coefficient[src[k, i]], with the coefficient vector from
     `_jacobian_coefficients`, src[k] the coefficient each row reads through
-    one outer slot, and the grid-only weight of the composed stencil.
+    one outer slot, and weights[s, k] the composed stencil's grid-only
+    weight.
     """
 
     def __init__(self, grid):
@@ -460,14 +452,19 @@ class _JacobianPlan:
                 ok = (y0 >= 0) & (y0 < L0) & (y1 >= 0) & (y1 < L1)
                 cols.append(np.where(ok, y0 * L1 + y1, row.reshape(L0, L1)).reshape(-1))
         self.cols = np.array(cols)
-        self.nnz = int(np.count_nonzero(self.cols != row)) + n
+        # slot 4 is the offset (0, 0), the diagonal
+        full = (self.cols != row) | (np.arange(9) == 4)[:, None]
+        self.empty = np.flatnonzero(~full)
+        self.nnz = int(np.count_nonzero(full))
 
         # the unknown each node is, -1 for a dirichlet node
         unknown = ~grid.boundary_mask.reshape(-1)
         keep = np.flatnonzero(unknown)
         pos = np.where(unknown, np.cumsum(unknown) - 1, -1)
-        self.terms, src, offset = [], [], 0
-        for outer, inner in _jacobian_chains(grid):
+        chains = _jacobian_chains(grid)
+        self.weights = np.zeros((9, sum(outer.width for outer, _ in chains)))
+        src, offset = [], 0
+        for outer, inner in chains:
             reads = [pos[c] for c in inner.cols]
             for oc, ow in zip(outer.cols, outer.weights):
                 oc, ow = oc[keep], ow[keep]
@@ -482,15 +479,16 @@ class _JacobianPlan:
                     live = (w != 0.0) & (col >= 0)
                     if not live.any():
                         continue
-                    # the slot, read off the first live row (every slot past
-                    # a dirichlet end reads the row's own column), and
-                    # checked on every row
+                    # the slot and weight, read off the first live row (every
+                    # slot past a dirichlet end reads the row's own column),
+                    # and checked on every row
                     i = int(np.argmax(live))
                     s = (4 if col[i] == i
                          else int(np.argmax(self.cols[:, i] == col[i])))
-                    if np.any(live & (col != self.cols[s])):
+                    if (np.any(live & (col != self.cols[s]))
+                            or np.any(np.where(live, w, 0.0) != np.where(full[s], w[i], 0.0))):
                         raise RuntimeError("a Jacobian entry leaves its row's slots")
-                    self.terms.append((s, len(src) - 1, w if live.all() else w * live))
+                    self.weights[s, len(src) - 1] += w[i]
             offset += inner.cols.shape[1]
         self.src = np.array(src)
 
@@ -580,15 +578,19 @@ def assemble_jacobian(grid, values, F, shift=0.0, parts=None):
     columns in flat order); `shift` is added to the diagonal, and `parts`
     are the parts of the residual at `values` that the Jacobian reads, when
     the caller has them (`_graph_residual`).  The stencil is planned once
-    per grid, so a call only evaluates the coefficients and adds each
-    contribution into its slot.
+    per grid, so a call only evaluates the coefficients and takes one
+    product with the plan's weights.
     """
     plan = _jacobian_plan(grid)
     q = _jacobian_coefficients(grid, values, F, parts)
-    data = np.zeros(plan.cols.shape)
     read = q[plan.src]
-    for s, g, w in plan.terms:
-        data[s] += read[g] * w
+    data = np.zeros(plan.cols.shape)
+    # each slot sums its coefficient rows k in order: a matrix product's
+    # fused multiply-adds would round differently where a weight is no
+    # power of 2
+    for s, k in zip(*np.nonzero(plan.weights)):
+        data[s] += plan.weights[s, k] * read[k]
+    data.reshape(-1)[plan.empty] = 0.0
     if shift:
         # slot 4 is the offset (0, 0), the diagonal
         data[4] += shift
@@ -976,9 +978,9 @@ def solve_inner(grid, H, psi, init, cfg=None, penalty=None,
     newton_steps = 0
 
     while res_sup > tol:
-        if newton_steps >= cfg.max_newton:
+        if newton_steps >= NEWTON_BUDGET:
             raise SolverFailure(
-                f"inner solve exhausted {cfg.max_newton} steps "
+                f"inner solve exhausted {NEWTON_BUDGET} steps "
                 f"(residual {res_sup:.3e}, tolerance {tol:.3e})",
                 best=ScalarField(grid, u), residual_history=history)
         J = assemble_jacobian(grid, u, H, shift=gamma, parts=evaluated[1])
@@ -1146,9 +1148,9 @@ def outer_iterate(H, B, cfg=None):
 
     Each sweep x -> T(x) solves the penalized problem anchored at x,
     starting from the lower barrier, with every Newton trial iterate
-    clipped to the plateau [c1, c2] (`solve_inner`'s `bounds`): cfg.cutoff,
-    or the barrier range padded at each end by the smaller of 10% of its
-    span and half the gap to the working box.  The first sweep's penalty
+    clipped to the plateau [c1, c2] (`solve_inner`'s `bounds`): the
+    barrier range padded at each end by the smaller of 10% of its span and
+    half the gap to the working box.  The first sweep's penalty
     gamma is the explicit cfg.gamma, or `gamma_for`'s over the barrier slab
     [min u1, max u0], which is 0 where H does not increase in height there.
     A sweep at gamma = 0 does not read its anchor: it is solved to tol_inner
@@ -1210,9 +1212,9 @@ def outer_iterate(H, B, cfg=None):
     caps all sweeps, discarded ones included.  The report's
     `final_residual`, `min_theta` and `sup_abs_curvature` are read off the
     returned field's evaluation, and that field must lie in the working
-    box.  An explicit cutoff plateau that does not hold the barrier range,
-    or does not lie strictly inside the working box, is refused with a
-    ValueError.
+    box.  A plateau that does not lie strictly inside the working box, as
+    rounding leaves it when an explicit box lies within an ulp of the
+    barrier range, is refused with a ValueError.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -1226,13 +1228,10 @@ def outer_iterate(H, B, cfg=None):
             f"{barrier_check['worst_super']:.3e}, tolerance {barrier_check['tol']:.3e})")
     zmin, zmax = B.z_bounds()
     span = max(zmax - zmin, 1e-12)
-    c1, c2 = cfg.cutoff or (zmin - min(0.1 * span, 0.5 * (zmin - box.z_min)),
-                            zmax + min(0.1 * span, 0.5 * (box.z_max - zmax)))
-    if not (c1 <= zmin and zmax <= c2):
-        # the clip would keep Newton from the barriers' heights
-        raise ValueError(
-            f"cutoff plateau [{c1:.6g}, {c2:.6g}] must hold the barrier "
-            f"range [{zmin:.6g}, {zmax:.6g}]")
+    c1 = zmin - min(0.1 * span, 0.5 * (zmin - box.z_min))
+    c2 = zmax + min(0.1 * span, 0.5 * (box.z_max - zmax))
+    # rounding can put an end on the box's edge when the box hugs the
+    # barrier range
     if not (box.z_min < c1 and c2 < box.z_max):
         raise ValueError(
             f"cutoff plateau [{c1:.6g}, {c2:.6g}] must lie strictly inside "
@@ -1491,25 +1490,24 @@ def solve_quasi(D, build, grid, cfg=None):
     v, report = outer_iterate(H, B, cfg)
     jac = jacobi_residual(grid, v, H)
     report.quasi_check = qcheck
-    report.theta_threshold = cfg.theta_threshold
-    report.graphical = bool(report.min_theta >= cfg.theta_threshold)
+    report.theta_threshold = THETA_THRESHOLD
+    report.graphical = bool(report.min_theta >= THETA_THRESHOLD)
     report.jacobi_sup = float(np.max(np.abs(jac.values)))
 
-    if cfg.refine_check:
-        try:
-            _, fine_report = outer_iterate(H, build(refine_grid(grid)), cfg)
-        except (ValueError, SolverFailure) as exc:
-            # the fine solve, or its barriers, can fail on their own; report
-            # the attempt rather than abort the whole solve
-            report.refinement = {"min_theta_coarse": report.min_theta,
-                                 "error": str(exc), "stable": False}
-        else:
-            coarse = report.min_theta
-            change = abs(fine_report.min_theta - coarse) / max(abs(coarse), 1e-300)
-            report.refinement = {
-                "min_theta_coarse": coarse,
-                "min_theta_fine": fine_report.min_theta,
-                "relative_change": change,
-                "stable": bool(change <= 0.2),
-            }
+    try:
+        _, fine_report = outer_iterate(H, build(refine_grid(grid)), cfg)
+    except (ValueError, SolverFailure) as exc:
+        # the fine solve, or its barriers, can fail on their own; report
+        # the attempt rather than abort the whole solve
+        report.refinement = {"min_theta_coarse": report.min_theta,
+                             "error": str(exc), "stable": False}
+    else:
+        coarse = report.min_theta
+        change = abs(fine_report.min_theta - coarse) / max(abs(coarse), 1e-300)
+        report.refinement = {
+            "min_theta_coarse": coarse,
+            "min_theta_fine": fine_report.min_theta,
+            "relative_change": change,
+            "stable": bool(change <= 0.2),
+        }
     return v, report

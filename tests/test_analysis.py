@@ -163,11 +163,14 @@ def test_refinement_study_steepening_cap():
     assert not rep.suspected_nongraphical
 
 
-def test_refinement_study_continues_past_failures():
+def test_refinement_study_continues_past_failures(monkeypatch):
+    import pmcgraph.solver as solver
+
+    # one Newton step is too few for either level
+    monkeypatch.setattr(solver, "NEWTON_BUDGET", 1)
     g = build_grid(1, 17, 1.0, "dirichlet")
-    cfg = SolveConfig(max_newton=1)
     rep = blowup_diagnostics(parse_pmc("1.5"), _constant_pair(-0.5, 0.5, 0.0), g,
-                             cfg=cfg, levels=2)
+                             levels=2)
     assert len(rep.rows) == 2
     assert rep.errors and not rep.suspected_nongraphical
 

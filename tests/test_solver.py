@@ -265,28 +265,30 @@ def test_inner_solve_cap_dirichlet():
     assert sup_norm(u, u2) < 10 * 1e-10
 
 
-def test_inner_solve_budget_failure_carries_best_iterate():
+def test_inner_solve_budget_failure_carries_best_iterate(monkeypatch):
+    import pmcgraph.solver as solver
+
+    monkeypatch.setattr(solver, "NEWTON_BUDGET", 1)
     grid = build_grid(2, (17, 17), (1.0, 1.0), ("dirichlet", "dirichlet"),
                 origin=(-0.5, -0.5))
     pos = grid.node_positions()
     cap = np.sqrt(4.0 - pos[0] ** 2 - pos[1] ** 2)
     psi = ScalarField(grid, cap.copy())
     init = ScalarField(grid, np.full(grid.shape, float(np.min(cap))))
-    cfg = SolveConfig(max_newton=1)
-    with pytest.raises(SolverFailure, match="exhausted") as exc:
-        solve_inner(grid, parse_pmc("1"), psi, init, cfg)
+    with pytest.raises(SolverFailure, match="exhausted 1 steps") as exc:
+        solve_inner(grid, parse_pmc("1"), psi, init)
     assert exc.value.best is not None
     assert exc.value.best.grid == grid
     assert len(exc.value.residual_history) == 2
 
 
 def test_solve_config_refuses_steps_and_thresholds_out_of_range():
-    for key, value in (("theta_threshold", 0.0), ("theta_threshold", 1.5),
-                       ("theta_threshold", float("nan")), ("allowance_constant", -1.0)):
+    for key, value in (("max_outer", 0), ("samples", 4), ("samples", 1),
+                       ("allowance_constant", float("nan")), ("allowance_constant", -1.0)):
         with pytest.raises(ValueError, match=key):
             SolveConfig(**{key: value})
-    cfg = SolveConfig(theta_threshold=1.0, allowance_constant=0.0)
-    assert (cfg.theta_threshold, cfg.allowance_constant) == (1.0, 0.0)
+    cfg = SolveConfig(max_outer=1, samples=3, allowance_constant=0.0)
+    assert (cfg.max_outer, cfg.samples, cfg.allowance_constant) == (1, 3, 0.0)
 
 
 def test_a_stagnating_line_search_fails_with_its_best_iterate(monkeypatch):
@@ -313,7 +315,7 @@ def test_a_stagnating_line_search_fails_with_its_best_iterate(monkeypatch):
         solve_inner(grid, F, None, init, cfg)
     assert exc.value.best is not None and exc.value.best.grid == grid
     # one Jacobian per step, the last one's line search refused every step
-    assert 1 < len(shifts) < cfg.max_newton
+    assert 1 < len(shifts) < solver.NEWTON_BUDGET
     assert len(exc.value.residual_history) == len(shifts)
     assert all(shift == 0.0 for shift in shifts)
 
@@ -537,26 +539,21 @@ def test_height_monotone_prescription_is_one_sweep_at_gamma_zero(case):
     assert np.array_equal(v.values, u.values)
 
 
-def test_explicit_cutoff_is_checked_at_gamma_zero_too():
-    # the gamma = 0 sweep clips its Newton iterates as every sweep does
+def test_a_box_an_ulp_outside_the_barriers_leaves_no_plateau():
+    # the plateau pads the barrier range [0.3, 0.9] by half the gap to the
+    # box, half an ulp here, which rounds onto the box's edge
     grid = build_grid(1, (16,), (1.0,), ("periodic",))
-    B = BarrierPair(ScalarField(grid, np.full(grid.shape, -0.8)),
+    B = BarrierPair(ScalarField(grid, np.full(grid.shape, 0.3)),
                     ScalarField(grid, np.full(grid.shape, 0.9)))
-    with pytest.raises(ValueError, match="must hold the barrier range"):
-        outer_iterate(parse_pmc("-z"), B, SolveConfig(cutoff=(-0.5, 0.5)))
-
-
-def test_cutoff_rejects_bad_ordering():
-    # an explicit plateau must also lie strictly inside the working box
-    grid = build_grid(1, (16,), (1.0,), ("periodic",))
-    B = BarrierPair(ScalarField(grid, np.full(grid.shape, -0.8)),
-                    ScalarField(grid, np.full(grid.shape, 0.9)))
-    for cutoff in [(-1.0, 1.0), (-0.9, 2.0), (-1.5, 0.95)]:
-        with pytest.raises(ValueError, match="strictly inside the working z-range"):
-            outer_iterate(parse_pmc("-z"), B, SolveConfig(box=(-1.0, 2.0), cutoff=cutoff))
-    _, rep = outer_iterate(parse_pmc("-z"), B,
-                           SolveConfig(box=(-1.0, 2.0), cutoff=(-0.95, 1.95)))
-    assert rep.converged and rep.cutoff == {"c1": -0.95, "c2": 1.95}
+    edge = np.nextafter(0.3, 0.0)
+    with pytest.raises(ValueError, match="strictly inside the working z-range"):
+        outer_iterate(parse_pmc("0.6 - z"), B, SolveConfig(box=(edge, 2.0)))
+    # a box two ulps out leaves room for it
+    v, rep = outer_iterate(parse_pmc("0.6 - z"), B,
+                           SolveConfig(box=(np.nextafter(edge, 0.0), 2.0)))
+    assert rep.converged and rep.cutoff["c1"] == edge
+    assert rep.cutoff["c2"] == pytest.approx(0.96, abs=1e-15)
+    assert np.allclose(v.values, 0.6)
 
 
 def test_outer_penalized_torus_sine():
@@ -1341,6 +1338,67 @@ def test_jacobian_stencil_sums_every_chain_entry_into_its_slot():
         assert np.max(np.abs(J - dense)) <= 1e-12 * np.max(np.abs(dense)), (shape, topology)
 
 
+@pytest.mark.parametrize("topology", [("periodic", "periodic"), ("dirichlet", "dirichlet"),
+                                      ("periodic", "dirichlet")])
+def test_a_weight_that_varies_along_the_rows_is_refused(monkeypatch, topology):
+    import pmcgraph.solver as solver
+    from pmcgraph.calculus import Stencil
+
+    # the plan keeps one weight per slot and coefficient row, so a chain
+    # whose weight differs on one interior row must not pass its check
+    grid = build_grid(2, (12, 12), (1.0, 1.0), topology)
+    real = solver._jacobian_chains
+
+    def bent(grid):
+        (outer, inner), *rest = real(grid)
+        weights = outer.weights.copy()
+        weights[:, grid.node_count // 2 + 6] *= 1.5
+        return [(Stencil(outer.cols.copy(), weights, outer.shape), inner), *rest]
+
+    solver._JacobianPlan(grid)
+    monkeypatch.setattr(solver, "_jacobian_chains", bent)
+    with pytest.raises(RuntimeError, match="a Jacobian entry leaves its row's slots"):
+        solver._JacobianPlan(grid)
+
+
+def test_the_plan_keeps_no_weight_per_unknown():
+    from pmcgraph.solver import _JacobianPlan
+
+    # every float array of the plan, also one held in a list, has the same
+    # shape at 64x64 as at 128x128: its weights are one per slot and
+    # coefficient row, not one per unknown
+    def floats(value):
+        if isinstance(value, (list, tuple)):
+            return [shape for item in value for shape in floats(item)]
+        if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+            return [value.shape]
+        return []
+
+    def shapes(n):
+        plan = _JacobianPlan(build_grid(2, (n, n), (1.0, 1.0), ("dirichlet", "periodic")))
+        return {name: floats(value) for name, value in vars(plan).items()}
+
+    small, large = shapes(64), shapes(128)
+    assert small == large and small["weights"] == [(9, 11)]
+
+
+def test_a_non_finite_coefficient_ends_in_a_non_finite_step(monkeypatch):
+    import pmcgraph.solver as solver
+
+    # a NaN in one coefficient reaches the linear solve, which gives NaNs
+    grid, H, B = _torus_sine_16()
+    real = solver._jacobian_coefficients
+
+    def poisoned(*args, **kwargs):
+        q = real(*args, **kwargs)
+        q[3] = np.nan
+        return q
+
+    monkeypatch.setattr(solver, "_jacobian_coefficients", poisoned)
+    with pytest.raises(SolverFailure, match="non-finite step"):
+        solve_inner(grid, H, None, B.u1, penalty=(1.0, B.u1.values))
+
+
 def _smooth_graph():
     # a smooth graph on a torus, and a prescription rising in height
     grid = build_grid(2, (16, 12), (1.0, 1.0), ("periodic", "periodic"))
@@ -1858,5 +1916,3 @@ def test_config_validation():
         SolveConfig(gamma=-2.0)
     with pytest.raises(ValueError, match="increasing"):
         SolveConfig(box=(1.0, 1.0))
-    with pytest.raises(ValueError, match="increasing"):
-        SolveConfig(cutoff=(0.5, 0.5))

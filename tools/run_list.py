@@ -11,9 +11,12 @@ penalty 1.9064653208705127, the one its
 older path of fixed-penalty sweeps in the comparison, and torus_sine with a
 prescription whose height slope varies along x1, so that its first Jacobian
 is not translation-invariant and the fast-transform preconditioner is not
-exact for it, and cap split
+exact for it, cap split
 as h1 = 2, h2 = 0, which runs the quasi-decreasing solve with its refinement
-block and a split diagnose between curved barriers.
+block and a split diagnose between curved barriers, and warped_radial
+between barriers of polar lines, r cos(x1 - 0.5) = const, the one warped
+and the one 1-D dirichlet solve (warped_radial alone has no barriers, so
+its solve exits 2).
 Every run writes `<command>/<case>.json` (the report), `<command>/<case>.csv`
 (the field or table, when the command writes one) and `<command>/<case>.log`
 (exit code, stdout and stderr).  Paths in the reports are relative to the
@@ -71,6 +74,9 @@ EXTRA = {
     "torus_sine_x_slope": ("torus_sine.json", (
         "pmc.expr=0.5*sin(z)*(1 + 0.1*sin(6.283185307179586*x1))"
         " + 0.1*sin(6.283185307179586*x1)",)),
+    "warped_polar_lines": ("warped_radial.json", (
+        'barriers={"u1": "0.25 - ln(cos(x1 - 0.5))", "u0": "0.35 - ln(cos(x1 - 0.5))",'
+        ' "psi": "0.3 - ln(cos(x1 - 0.5))"}',)),
 }
 
 
