@@ -6,20 +6,15 @@ from .expr import EvalDomainError, ParseError, parse_expr
 from .grid import (
     BaseGrid,
     ScalarField,
-    VectorField,
     build_grid,
     constant_field,
     field_from_expr,
-    make_field,
     read_field_csv,
-    refine_field,
     refine_grid,
     sup_norm,
     write_field_csv,
 )
 from .calculus import (
-    flux_divergence,
-    gradient,
     graph_laplacian,
     integrate,
     mean_curvature_product,
@@ -43,7 +38,6 @@ from .geometry import (
     divergence_oracle,
     jacobi_residual,
     second_fundamental_norm,
-    theta_field,
     warped_to_conformal,
 )
 from .solver import (

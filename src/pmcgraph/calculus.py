@@ -36,16 +36,15 @@ import functools
 
 import numpy as np
 
-from .grid import ScalarField, VectorField
+from .grid import ScalarField
 
 __all__ = [
     "Stencil",
     "operators",
-    "gradient",
-    "flux_divergence",
     "mean_curvature_product",
     "graph_laplacian",
     "integrate",
+    "quadrature_weights",
     "node_gradients",
     "face_gradients",
     "graph_faces",
@@ -147,16 +146,6 @@ def node_gradients(grid, values):
     return [g(values) for g in operators(grid).grad]
 
 
-def gradient(field):
-    """Node-centered gradient of a scalar field.
-
-    Centered differences inside/periodically; second-order one-sided stencils
-    on dirichlet boundary layers, so the result is defined at every node.
-    """
-    comps = node_gradients(field.grid, field.values)
-    return VectorField(field.grid, comps, "node")
-
-
 def face_gradients(grid, values, axis, grads=None):
     """All gradient components of `values` on the faces of `axis`.
 
@@ -176,21 +165,14 @@ def face_gradients(grid, values, axis, grads=None):
 
 
 def _divergence(grid, face_comps):
-    """`flux_divergence` on raw face arrays."""
-    return sum(d(V) for d, V in zip(operators(grid).div, face_comps))
-
-
-def flux_divergence(vfield):
-    """Nodal divergence of a face-centered vector field.
+    """Nodal divergence of per-axis face arrays, component k on the faces
+    of axis k.
 
     Interior nodes receive the conservative difference of adjacent face
     values; nodes on a dirichlet boundary are set to 0.  On an all-periodic
     grid the output sums to zero against the cell volumes (telescoping).
     """
-    if vfield.centering != "face":
-        raise ValueError("flux_divergence needs a face-centered field")
-    grid = vfield.grid
-    return ScalarField(grid, _divergence(grid, vfield.components))
+    return sum(d(V) for d, V in zip(operators(grid).div, face_comps))
 
 
 # ---------------------------------------------------------------------------

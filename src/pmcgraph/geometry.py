@@ -30,7 +30,6 @@ __all__ = [
     "divergence_oracle",
     "conformal_transform_pmc",
     "warped_to_conformal",
-    "theta_field",
     "second_fundamental_norm",
     "jacobi_residual",
 ]
@@ -390,41 +389,31 @@ def warped_to_conformal(P, interval):
 # graph geometry fields
 
 
-def theta_field(grid, u):
-    """Vertical tilt of the upward unit normal: 1/omega, in (0, 1]."""
-    return ScalarField(grid, graph_normal_env(grid, u.values)[0]["t"])
-
-
 def second_fundamental_norm(grid, u, grads=None):
     """Squared norm of the graph's second fundamental form, |A|².
 
-    Centered second differences for the Hessian: the pure ones are `div`
-    of the along-face difference, the mixed one the node gradient along
-    axis 1 of that along axis 0.  The metric contractions are algebraic in
-    the node gradient, `grads` when the caller has it.  Boundary nodes
-    carry 0.
+    One formula over the grid's own axes.  Centered second differences give
+    the Hessian: Hess_aa is `div[a]` of the along-face difference, and
+    Hess_ab = Hess_ba for a < b is the node gradient along axis b of that
+    along axis a.  With the inverse induced metric g^-1 = I - Du Du^T/omega^2
+    and M = g^-1 Hess, |A|^2 = tr(M M)/omega^2, summed as
+    (2 - delta_ab) M_ab M_ba over a <= b.  The metric contractions are
+    algebraic in the node gradient, `grads` when the caller has it.
+    Boundary nodes carry 0.
     """
     values = u.values
     ops = operators(grid)
     grads = node_gradients(grid, values) if grads is None else grads
     omega2 = 1.0 + sum(g * g for g in grads)
-    if grid.dimension == 1:
-        upp = ops.div[0](ops.along[0](values))
-        out = upp * upp / omega2 ** 3
-    else:
-        h11 = ops.div[0](ops.along[0](values))
-        h22 = ops.div[1](ops.along[1](values))
-        h12 = ops.grad[1](grads[0])
-        v1, v2 = grads
-        g11 = 1.0 - v1 * v1 / omega2
-        g22 = 1.0 - v2 * v2 / omega2
-        g12 = -v1 * v2 / omega2
-        # M = g^{-1} Hess, |A|^2 = tr(M M)/omega^2
-        m11 = g11 * h11 + g12 * h12
-        m12 = g11 * h12 + g12 * h22
-        m21 = g12 * h11 + g22 * h12
-        m22 = g12 * h12 + g22 * h22
-        out = (m11 * m11 + 2.0 * m12 * m21 + m22 * m22) / omega2
+    axes = range(grid.dimension)
+    hess = [[None] * grid.dimension for _ in axes]
+    for a in axes:
+        hess[a][a] = ops.div[a](ops.along[a](values))
+        for b in axes[a + 1:]:
+            hess[a][b] = hess[b][a] = ops.grad[b](grads[a])
+    ginv = [[float(a == b) - grads[a] * grads[b] / omega2 for b in axes] for a in axes]
+    M = [[sum(ginv[a][c] * hess[c][b] for c in axes) for b in axes] for a in axes]
+    out = sum((2.0 - (a == b)) * M[a][b] * M[b][a] for a in axes for b in axes[a:]) / omega2
     out[grid.boundary_mask] = 0.0
     return ScalarField(grid, out)
 

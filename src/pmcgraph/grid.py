@@ -15,16 +15,13 @@ from .expr import ExprNode, eval_checked, parse_expr
 __all__ = [
     "BaseGrid",
     "ScalarField",
-    "VectorField",
     "build_grid",
     "field_from_expr",
-    "make_field",
     "constant_field",
     "sup_norm",
     "write_field_csv",
     "read_field_csv",
     "refine_grid",
-    "refine_field",
     "DIMENSIONS",
 ]
 
@@ -124,13 +121,6 @@ class BaseGrid:
         the grid, built once per grid."""
         return self._positions
 
-    def boundary_indices(self):
-        """Sorted flat (row-major) indices of boundary nodes."""
-        return np.flatnonzero(self.boundary_mask.reshape(-1))
-
-    def interior_mask(self):
-        return ~self.boundary_mask
-
     def is_fully_periodic(self):
         return all(t == "periodic" for t in self.topology)
 
@@ -176,46 +166,9 @@ class ScalarField:
         self.grid = grid
         self.values = values
 
-    def copy_values(self):
-        return np.array(self.values, copy=True)
-
     def __repr__(self):
         lo, hi = float(self.values.min()), float(self.values.max())
         return f"ScalarField(range=[{lo:.6g}, {hi:.6g}], grid={self.grid!r})"
-
-
-class VectorField:
-    """Per-axis component arrays, node- or face-centered.
-
-    Face-centered component k lives on the faces normal to axis k: a
-    periodic axis has as many faces as nodes (face i joins nodes i, i+1 mod
-    s), a dirichlet axis one fewer.
-    """
-
-    def __init__(self, grid, components, centering):
-        if centering not in ("node", "face"):
-            raise ValueError(f"centering must be 'node' or 'face', got {centering!r}")
-        components = tuple(np.array(c, dtype=float, copy=True) for c in components)
-        if len(components) != grid.dimension:
-            raise ValueError(
-                f"need {grid.dimension} components, got {len(components)}")
-        for ax, comp in enumerate(components):
-            want = face_shape(grid, ax) if centering == "face" else grid.shape
-            if comp.shape != want:
-                raise ValueError(
-                    f"component {ax} has shape {comp.shape}, expected {want}")
-            comp.flags.writeable = False
-        self.grid = grid
-        self.components = components
-        self.centering = centering
-
-
-def face_shape(grid, axis):
-    """Shape of the face array normal to `axis`."""
-    shp = list(grid.shape)
-    if grid.topology[axis] == "dirichlet":
-        shp[axis] -= 1
-    return tuple(shp)
 
 
 def face_positions(grid, axis):
@@ -229,10 +182,6 @@ def face_positions(grid, axis):
                 c = c[:-1]
         coords.append(c)
     return tuple(np.meshgrid(*coords, indexing="ij"))
-
-
-def make_field(grid, values):
-    return ScalarField(grid, values)
 
 
 def constant_field(grid, value):
@@ -340,44 +289,3 @@ def refine_grid(grid):
         for s, t in zip(grid.shape, grid.topology))
     return build_grid(grid.dimension, shape, grid.lengths, grid.topology, grid.origin)
 
-
-def _refine_axis(values, axis, topology):
-    # cubic 4-point midpoints: linear interpolation leaves gradient kinks at
-    # the coarse nodes whose second differences at the fine spacing are O(1),
-    # which would wreck the discrete curvature of any refined field
-    n = values.shape[axis]
-    values = np.moveaxis(values, axis, 0)
-    if topology == "periodic":
-        out = np.empty((2 * n,) + values.shape[1:], dtype=float)
-        out[0::2] = values
-        out[1::2] = (-np.roll(values, 1, axis=0) + 9.0 * values
-                     + 9.0 * np.roll(values, -1, axis=0)
-                     - np.roll(values, -2, axis=0)) / 16.0
-    else:
-        out = np.empty((2 * n - 1,) + values.shape[1:], dtype=float)
-        out[0::2] = values
-        mids = np.empty((n - 1,) + values.shape[1:], dtype=float)
-        mids[1:-1] = (-values[:-3] + 9.0 * values[1:-2]
-                      + 9.0 * values[2:-1] - values[3:]) / 16.0
-        mids[0] = (5.0 * values[0] + 15.0 * values[1]
-                   - 5.0 * values[2] + values[3]) / 16.0
-        mids[-1] = (5.0 * values[-1] + 15.0 * values[-2]
-                    - 5.0 * values[-3] + values[-4]) / 16.0
-        out[1::2] = mids
-    return np.moveaxis(out, 0, axis)
-
-
-def refine_field(field, fine_grid=None):
-    """Interpolate a field onto the grid one refinement finer.
-
-    Midpoints are filled by cubic 4-point interpolation (one-sided at
-    dirichlet ends), so smooth fields keep their discrete curvature through
-    refinement.
-    """
-    grid = field.grid
-    if fine_grid is None:
-        fine_grid = refine_grid(grid)
-    values = field.copy_values()
-    for ax in range(grid.dimension):
-        values = _refine_axis(values, ax, grid.topology[ax])
-    return ScalarField(fine_grid, values)

@@ -100,7 +100,7 @@ class PMCFunction:
     """Curvature prescription H(x, z, Y, t) held as one expression tree.
 
     Parsed text, wrapped callables and every rewrite (composite, tilt term,
-    conformal pullback, penalty) are trees, and the first partials are the
+    conformal pullback) are trees, and the first partials are the
     tree's `diff`.  `has_exact_partials` is False when one of them takes a
     centered difference (a `Func` node without a derivative rule).  `eval`
     and `partial` take an environment, a dict from variable names to
@@ -112,7 +112,7 @@ class PMCFunction:
         Tree over the variables `PMC_VARS`.
     provenance : str
         How the prescription was built: 'expression', 'callable',
-        'composite', 'transformed' or 'penalized'.
+        'composite' or 'transformed'.
     text : str, optional
         Source text, when there is one.
     label : str
@@ -222,9 +222,6 @@ class WorkingBox:
     @property
     def dimension(self):
         return len(self.x_ranges)
-
-    def z_span(self):
-        return self.z_max - self.z_min
 
     def contains_values(self, values):
         v = np.asarray(values)

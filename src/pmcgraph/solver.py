@@ -34,10 +34,10 @@ diag(c) . (node stencil) for the prescription through the height and the
 unit normal, with c the pointwise derivatives.  `_jacobian_chains` lists
 these compositions in the order of the coefficient blocks of
 `_jacobian_coefficients`.  Its rows and columns are the unknowns, the
-non-dirichlet nodes, and it is a nine-slot stencil over them, a
-`StencilMatrix`: the unknowns form grid lines along axis 1 (a 1-D grid is
-one line), and a row has one slot per neighbour offset in {-1, 0, 1}^2 of
-that array, wrapping on periodic axes, since no composed entry reaches
+non-dirichlet nodes, and it is a 3^d-slot stencil over them, a
+`StencilMatrix`: the unknowns form an array over the grid's own d axes,
+and a row has one slot per neighbour offset in {-1, 0, 1}^d of that
+array, wrapping on periodic axes, since no composed entry reaches
 farther.  The plan of one grid gets the slots' columns by index
 arithmetic and finds the one slot and the one weight each composed entry
 has on every row; each Newton step only evaluates the coefficients and
@@ -108,6 +108,7 @@ __all__ = [
     "SolverFailure",
     "MonotonicityError",
     "LaggedLU",
+    "assemble_jacobian",
     "check_barrier",
     "working_box",
     "gamma_for",
@@ -417,14 +418,16 @@ class _JacobianPlan:
     contribution lands in it.
 
     Rows and columns are the unknowns, the non-dirichlet nodes in flat
-    order.  They form an array shaped `lines`: L0 lines of L1 nodes along
-    axis 1, a 1-D grid being one line (L0 = 1).  A row has 9 slots, one per
-    neighbour offset in {-1, 0, 1}^2 of that array, wrapping on the
-    `periodic` axes: slot 3 * k0 + k1 is the offset (k0 - 1, k1 - 1).
-    `cols[s]` is the column of slot s, or the row's own where that
-    neighbour is a dirichlet node or off a 1-D grid's line; `empty` lists
-    those slots, flat in (slot, row) order, whose entry stays 0, and `nnz`
-    counts the others.  Only index arithmetic builds them.
+    order.  They form an array over the grid's own axes, shaped `lines`,
+    which wraps on the `periodic` axes.  A row has 3^d slots, one per
+    neighbour offset in {-1, 0, 1}^d of that array in C order, so slot
+    `center` = 3^d // 2 is the offset 0, the diagonal.  `cols[s]` is the
+    column of slot s, or the row's own where that neighbour is a dirichlet
+    node; `empty` lists those slots, flat in (slot, row) order, whose entry
+    stays 0, and `nnz` counts the others.  Only index arithmetic builds
+    them: the unknowns' index array, padded by one on each axis (wrapped on
+    a periodic axis, -1 on a dirichlet one), read through its 3^d shifted
+    windows.
 
     The contributions are the entries of outer . diag(c) . inner over the
     `_jacobian_chains` whose weight is not 0 on every row.  On a uniform
@@ -438,22 +441,21 @@ class _JacobianPlan:
     """
 
     def __init__(self, grid):
-        pad = 2 - grid.dimension
-        self.periodic = (False,) * pad + tuple(t == "periodic" for t in grid.topology)
-        L0, L1 = self.lines = (1,) * pad + tuple(
-            s - 2 * (t == "dirichlet") for s, t in zip(grid.shape, grid.topology))
-        n = self.n = L0 * L1
+        d = grid.dimension
+        self.periodic = tuple(t == "periodic" for t in grid.topology)
+        self.lines = tuple(s - 2 * (t == "dirichlet") for s, t in zip(grid.shape, grid.topology))
+        n = self.n = math.prod(self.lines)
         row = np.arange(n)
-        cols = []
-        for d0 in (-1, 0, 1):
-            for d1 in (-1, 0, 1):
-                y0, y1 = ((x + d) % L if wrap else x + d for x, d, L, wrap in zip(
-                    np.ogrid[:L0, :L1], (d0, d1), self.lines, self.periodic))
-                ok = (y0 >= 0) & (y0 < L0) & (y1 >= 0) & (y1 < L1)
-                cols.append(np.where(ok, y0 * L1 + y1, row.reshape(L0, L1)).reshape(-1))
-        self.cols = np.array(cols)
-        # slot 4 is the offset (0, 0), the diagonal
-        full = (self.cols != row) | (np.arange(9) == 4)[:, None]
+        index = row.reshape(self.lines)
+        for a, wrap in enumerate(self.periodic):
+            pad = [(1, 1) if b == a else (0, 0) for b in range(d)]
+            index = (np.pad(index, pad, mode="wrap") if wrap
+                     else np.pad(index, pad, constant_values=-1))
+        windows = np.lib.stride_tricks.sliding_window_view(index, (3,) * d)
+        cols = np.ascontiguousarray(windows.reshape(n, 3 ** d).T)
+        self.cols = np.where(cols < 0, row, cols)
+        self.center = 3 ** d // 2
+        full = (self.cols != row) | (np.arange(3 ** d) == self.center)[:, None]
         self.empty = np.flatnonzero(~full)
         self.nnz = int(np.count_nonzero(full))
 
@@ -462,7 +464,7 @@ class _JacobianPlan:
         keep = np.flatnonzero(unknown)
         pos = np.where(unknown, np.cumsum(unknown) - 1, -1)
         chains = _jacobian_chains(grid)
-        self.weights = np.zeros((9, sum(outer.width for outer, _ in chains)))
+        self.weights = np.zeros((3 ** d, sum(outer.width for outer, _ in chains)))
         src, offset = [], 0
         for outer, inner in chains:
             reads = [pos[c] for c in inner.cols]
@@ -483,7 +485,7 @@ class _JacobianPlan:
                     # slot past a dirichlet end reads the row's own column),
                     # and checked on every row
                     i = int(np.argmax(live))
-                    s = (4 if col[i] == i
+                    s = (self.center if col[i] == i
                          else int(np.argmax(self.cols[:, i] == col[i])))
                     if (np.any(live & (col != self.cols[s]))
                             or np.any(np.where(live, w, 0.0) != np.where(full[s], w[i], 0.0))):
@@ -592,8 +594,7 @@ def assemble_jacobian(grid, values, F, shift=0.0, parts=None):
         data[s] += plan.weights[s, k] * read[k]
     data.reshape(-1)[plan.empty] = 0.0
     if shift:
-        # slot 4 is the offset (0, 0), the diagonal
-        data[4] += shift
+        data[plan.center] += shift
     return StencilMatrix(plan, data)
 
 
@@ -603,8 +604,9 @@ def assemble_jacobian(grid, values, F, shift=0.0, parts=None):
 
 class StencilMatrix:
     """Square matrix over the unknowns of a `_JacobianPlan`: `data[s, i]`
-    is row i's entry in slot s, so a product is the `Stencil` gather of
-    the plan's columns.
+    is row i's entry in slot s, one of the 3^d offsets over the grid's own
+    axes, so a product is the `Stencil` gather of the plan's columns and
+    `data[plan.center]` is the diagonal.
 
     With `border` it gains a last row and column of ones and a zero corner:
     the bordered system that pins the mean of a gauge-free periodic solve.
@@ -655,14 +657,15 @@ class Preconditioner:
     S = diag(|a_ii| / mean |a_ii|)^(-1/2) evens out the diagonal, and K is
     translation-invariant: its slot s holds the mean of slot s of S A S over
     the rows whose neighbours are all unknowns (every row along an axis too
-    short to have such rows), symmetrized across each dirichlet axis.  K is
-    thus a sum of tensor products of one operator per axis.  The discrete
-    Fourier transform diagonalizes it along a periodic axis, with the
-    eigenvalue exp(i d phi) for the offset d, and the DST-I along a
-    dirichlet axis of L unknowns, with cos(d theta_j), theta_j =
+    short to have such rows), symmetrized across each dirichlet axis.  Its
+    slots are the 3^d offsets over the grid's own d axes, so K is a kernel
+    of shape (3,) * d and a sum of tensor products of one operator per
+    axis.  The discrete Fourier transform diagonalizes it along a periodic
+    axis, with the eigenvalue exp(i d phi) for the offset d, and the DST-I
+    along a dirichlet axis of L unknowns, with cos(d theta_j), theta_j =
     pi j / (L + 1) (Golub & Van Loan, Matrix Computations, 4th ed., sec.
-    4.8).  A solve transforms along every axis longer than 1, divides by
-    the eigenvalues and transforms back.
+    4.8).  A solve transforms along every axis, divides by the eigenvalues
+    and transforms back.
 
     On a translation-invariant matrix of a fully periodic grid S = I and
     K = A bit for bit, so M is the exact factor of that circulant.  Each
@@ -679,27 +682,26 @@ class Preconditioner:
     def __init__(self, A):
         p = A.plan
         self.n, self.lines, self.shape, self.border = p.n, p.lines, A.shape, A.border
-        diag = np.abs(A.data[4])
+        diag = np.abs(A.data[p.center])
         if not np.all(diag > 0.0):
             raise np.linalg.LinAlgError("zero diagonal entry")
         self.scale = np.sqrt(_exact_mean(diag) / diag)
-        sas = (A.data * self.scale * self.scale[p.cols]).reshape(3, 3, *p.lines)
-        # an axis of one line needs no transform, whatever its topology
-        self.fft_axes = tuple(a for a, L in enumerate(p.lines) if p.periodic[a] and L > 1)
-        self.sine_axes = tuple(a for a, L in enumerate(p.lines) if not p.periodic[a] and L > 1)
+        slots = (3,) * len(p.lines)
+        sas = (A.data * self.scale * self.scale[p.cols]).reshape(slots + p.lines)
+        self.fft_axes = tuple(a for a, wrap in enumerate(p.periodic) if wrap)
+        self.sine_axes = tuple(a for a, wrap in enumerate(p.periodic) if not wrap)
         inner = tuple(slice(1, -1) if a in self.sine_axes and L > 2 else slice(None)
                       for a, L in enumerate(p.lines))
-        kernel = _exact_mean(sas[(..., *inner)].reshape(3, 3, -1))
+        kernel = _exact_mean(sas[(..., *inner)].reshape(slots + (-1,)))
         for a in self.sine_axes:
             kernel = 0.5 * (kernel + np.flip(kernel, a))
 
         # each axis's angles theta_j of the DST-I, or frequencies of the FFT
         last = (self.fft_axes or (None,))[-1]
-        coords = [np.pi * np.arange(1, L + 1) / (L + 1) if a in self.sine_axes
-                  else (np.fft.rfftfreq if a == last else np.fft.fftfreq)(L)
-                  for a, L in enumerate(p.lines)]
-        coords[0] = coords[0][:, None]
-        lam = np.full((coords[0].size, coords[1].size), math.fsum(kernel.reshape(-1)),
+        coords = np.ix_(*(np.pi * np.arange(1, L + 1) / (L + 1) if a in self.sine_axes
+                          else (np.fft.rfftfreq if a == last else np.fft.fftfreq)(L)
+                          for a, L in enumerate(p.lines)))
+        lam = np.full(tuple(c.size for c in coords), math.fsum(kernel.reshape(-1)),
                       dtype=complex)
         for k, value in np.ndenumerate(kernel):
             phi = 2.0 * np.pi * sum(coords[a] * (1 - k[a]) for a in self.fft_axes)
@@ -712,9 +714,9 @@ class Preconditioner:
             lam -= value * q
         if np.any(lam.reshape(-1)[self.border:] == 0):
             raise np.linalg.LinAlgError("zero eigenvalue")
-        self.lam0 = lam[0, 0].real
+        self.lam0 = lam.flat[0].real
         if self.border:
-            lam[0, 0] = 1.0
+            lam.flat[0] = 1.0
         # the DST-I applied twice multiplies by 2(L + 1)
         lam *= math.prod(2 * (p.lines[a] + 1) for a in self.sine_axes)
         self.lam = lam if self.fft_axes else lam.real
@@ -726,8 +728,8 @@ class Preconditioner:
         if self.fft_axes:
             y = np.fft.rfftn(y, axes=self.fft_axes)
         if self.border:
-            mu = (y[0, 0].real - self.lam0 * b[self.n]) / self.n
-            y[0, 0] = b[self.n]
+            mu = (y.flat[0].real - self.lam0 * b[self.n]) / self.n
+            y.flat[0] = b[self.n]
         y = y / self.lam
         if self.fft_axes:
             y = np.fft.irfftn(y, s=[self.lines[a] for a in self.fft_axes], axes=self.fft_axes)

@@ -2,21 +2,20 @@ import numpy as np
 import pytest
 
 from pmcgraph.calculus import (
+    _divergence,
     face_gradients,
-    flux_divergence,
-    gradient,
     graph_laplacian,
     integrate,
     mean_curvature_product,
+    node_gradients,
     quadrature_weights,
 )
 from pmcgraph.grid import (
-    VectorField,
+    ScalarField,
     build_grid,
     constant_field,
     face_positions,
     field_from_expr,
-    make_field,
     sup_norm,
 )
 
@@ -24,7 +23,7 @@ TWO_PI = 6.283185307179586
 
 
 def interior_max(field):
-    vals = np.abs(field.values[field.grid.interior_mask()])
+    vals = np.abs(field.values[~field.grid.boundary_mask])
     return float(vals.max())
 
 
@@ -37,7 +36,7 @@ def test_gradient_exact_on_quadratics_dirichlet():
     # exact for quadratics
     g = build_grid(1, 9, 1.0, "dirichlet")
     u = field_from_expr(g, "x1^2")
-    (du,) = gradient(u).components
+    (du,) = node_gradients(g, u.values)
     assert np.max(np.abs(du - 2.0 * g.axis_coords[0])) < 1e-13
 
 
@@ -46,7 +45,7 @@ def test_gradient_order_periodic():
     for s in (32, 64):
         g = build_grid(1, s, 1.0, "periodic")
         u = field_from_expr(g, f"sin({TWO_PI}*x1)")
-        (du,) = gradient(u).components
+        (du,) = node_gradients(g, u.values)
         want = TWO_PI * np.cos(TWO_PI * g.axis_coords[0])
         errs.append(np.max(np.abs(du - want)))
     order = np.log2(errs[0] / errs[1])
@@ -56,7 +55,7 @@ def test_gradient_order_periodic():
 def test_gradient_2d_components():
     g = build_grid(2, (16, 17), (1.0, 1.0), ("periodic", "dirichlet"))
     u = field_from_expr(g, f"sin({TWO_PI}*x1) + x2^2")
-    d1, d2 = gradient(u).components
+    d1, d2 = node_gradients(g, u.values)
     X1, X2 = g.node_positions()
     assert np.max(np.abs(d2 - 2.0 * X2)) < 1e-12
     # centered-difference phase error for sin at h=1/16 is 2*pi*(1-sinc(2*pi*h))
@@ -70,26 +69,18 @@ def test_gradient_2d_components():
 def test_flux_divergence_linear_field_is_exactly_one():
     g = build_grid(2, (17, 17), (1.0, 1.0), "dirichlet")
     fx = face_positions(g, 0)[0]
-    V = VectorField(g, (fx, np.zeros((17, 16))), "face")
-    div = flux_divergence(V)
-    inner = div.values[1:-1, 1:-1]
+    div = _divergence(g, (fx, np.zeros((17, 16))))
+    inner = div[1:-1, 1:-1]
     assert np.max(np.abs(inner - 1.0)) < 1e-12
-    assert np.all(div.values[g.boundary_mask] == 0.0)
+    assert np.all(div[g.boundary_mask] == 0.0)
 
 
 def test_flux_divergence_periodic_integrates_to_zero():
     g = build_grid(2, (12, 8), (1.0, 1.0), "periodic")
     rng = np.random.default_rng(3)
-    V = VectorField(g, (rng.standard_normal(g.shape), rng.standard_normal(g.shape)), "face")
-    total = integrate(flux_divergence(V))
+    V = (rng.standard_normal(g.shape), rng.standard_normal(g.shape))
+    total = integrate(ScalarField(g, _divergence(g, V)))
     assert abs(total) < 1e-12
-
-
-def test_flux_divergence_rejects_node_centered():
-    g = build_grid(1, 8, 1.0, "periodic")
-    V = VectorField(g, (np.zeros(8),), "node")
-    with pytest.raises(ValueError):
-        flux_divergence(V)
 
 
 def test_face_transverse_gradient_is_four_point_average():
@@ -119,7 +110,7 @@ def test_mcp_constant_and_plane_are_flat():
 def test_mcp_translation_invariance():
     g = build_grid(2, (16, 16), (1.0, 1.0), "periodic")
     u = field_from_expr(g, f"0.2*sin({TWO_PI}*x1)+0.1*cos({TWO_PI}*x2)")
-    shifted = make_field(g, u.values + 0.7)
+    shifted = ScalarField(g, u.values + 0.7)
     a = mean_curvature_product(u)
     b = mean_curvature_product(shifted)
     assert sup_norm(a, b) < 1e-12
@@ -148,7 +139,7 @@ def test_mcp_1d_circle_arc():
     g = build_grid(1, 65, 1.0, "dirichlet", origin=(-0.5,))
     u = field_from_expr(g, "sqrt(4 - x1^2)")
     H = mean_curvature_product(u)
-    assert interior_max(make_field(g, H.values - np.where(g.boundary_mask, 0.0, 0.5))) < 2e-4
+    assert interior_max(ScalarField(g, H.values - np.where(g.boundary_mask, 0.0, 0.5))) < 2e-4
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +151,7 @@ def test_graph_laplacian_reduces_to_flat_laplacian():
     flat = constant_field(g, 0.0)
     phi = field_from_expr(g, "x1^2")
     lap = graph_laplacian(flat, phi)
-    assert np.max(np.abs(lap.values[g.interior_mask()] - 2.0)) < 1e-11
+    assert np.max(np.abs(lap.values[~g.boundary_mask] - 2.0)) < 1e-11
 
 
 def test_graph_laplacian_grid_mismatch():

@@ -27,7 +27,7 @@ from pmcgraph.cli import (
     main,
     validate_config,
 )
-from pmcgraph.grid import read_field_csv
+from pmcgraph.grid import build_grid, constant_field, read_field_csv, write_field_csv
 from pmcgraph.pmc import WorkingBox
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -728,15 +728,36 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     assert out.strip() == "False"
 
 
-def test_a_solve_loads_no_module_past_the_cli_import_but_numpy_fft(tmp_path):
+# each subcommand at test size: its config, then its overrides
+_SUBCOMMANDS = {
+    "solve": ["torus_sine.json", "grid.shape=[16,16]"],
+    "check-barrier": ["torus_sine.json", "grid.shape=[16,16]"],
+    "check-monotone": ["quasi_decreasing.json", "grid.shape=[16,16]"],
+    "transform": ["horosphere.json", "grid.shape=[16,16]", "solver.samples=3"],
+    "reparam": ["warped_radial.json"],
+    "diagnose": ["torus_sine.json", "grid.shape=[16,16]"],
+    "eval-residual": ["torus_sine.json", "grid.shape=[16,16]"],
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_SUBCOMMANDS))
+def test_a_subcommand_loads_no_module_past_the_cli_import_but_numpy_fft(tmp_path, subcommand):
     # a first use of numpy.random costs about 9-12 ms and numpy.ma, which a
     # plain np.unique loads, about 12 ms, against 35-48 ms for a whole 64x64
-    # solve; the preconditioner's FFT is the one module a solve adds
-    src = os.path.dirname(os.path.dirname(pmcgraph.__file__))
-    argv = ["solve", "--config", cfg_path("torus_sine.json"),
-            "--override", "grid.shape=[16,16]",
+    # solve; the preconditioner's FFT is the one module a subcommand may add,
+    # so none loads scipy either.  A fresh interpreter per subcommand, since
+    # this one has imported more
+    config, *overrides = _SUBCOMMANDS[subcommand]
+    if subcommand == "eval-residual":
+        field = str(tmp_path / "u.csv")
+        write_field_csv(constant_field(build_grid(2, (16, 16), (1.0, 1.0), "periodic"), 1.0),
+                        field)
+        overrides.append(f"field={json.dumps(field)}")
+    argv = [subcommand, "--config", cfg_path(config),
+            *(arg for spec in overrides for arg in ("--override", spec)),
             "--out-report", str(tmp_path / "r.json"),
             "--out-field", str(tmp_path / "f.csv")]
+    src = os.path.dirname(os.path.dirname(pmcgraph.__file__))
     probe = ("import json, sys, pmcgraph.cli as cli; before = set(sys.modules); "
              "code = cli.main(sys.argv[1:]); "
              "print(json.dumps([code, sorted(set(sys.modules) - before)]))")
@@ -746,25 +767,6 @@ def test_a_solve_loads_no_module_past_the_cli_import_but_numpy_fft(tmp_path):
     code, loaded = json.loads(out)
     assert code == 0
     assert all(m == "numpy.fft" or m.startswith("numpy.fft.") for m in loaded), loaded
-
-
-@pytest.mark.parametrize("argv", [
-    ["solve", "--config", cfg_path("torus_sine.json"),
-     "--override", "grid.shape=[16,16]"],
-    ["reparam", "--config", cfg_path("warped_radial.json")],
-], ids=["solve-torus", "reparam-warped"])
-def test_subcommands_load_no_scipy(tmp_path, argv):
-    # a fresh interpreter, since this one may have imported scipy elsewhere
-    src = os.path.dirname(os.path.dirname(pmcgraph.__file__))
-    argv = argv + ["--out-report", str(tmp_path / "r.json"),
-                   "--out-field", str(tmp_path / "f.csv")]
-    probe = ("import sys, pmcgraph.cli as cli; code = cli.main(sys.argv[1:]); "
-             "print(code, sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    assert out.strip() == "0 []"
 
 
 def test_third_party_imports_are_declared_dependencies():

@@ -11,11 +11,10 @@ from pmcgraph.geometry import (
     divergence_oracle,
     jacobi_residual,
     second_fundamental_norm,
-    theta_field,
     warped_to_conformal,
 )
 from pmcgraph.expr import EvalDomainError
-from pmcgraph.pmc import PMC_VARS, parse_pmc, pmc_residual
+from pmcgraph.pmc import PMC_VARS, graph_normal_env, parse_pmc, pmc_residual
 
 TWO_PI = 6.283185307179586
 LN4 = 1.3862943611198906
@@ -252,11 +251,11 @@ def test_theta_on_cap():
     # on the unit cap the tilt equals the height itself
     g = build_grid(2, (33, 33), (1.0, 1.0), "dirichlet", origin=(-0.5, -0.5))
     u = field_from_expr(g, "sqrt(1 - x1^2 - x2^2)")
-    th = theta_field(g, u)
-    assert th.values[16, 16] == 1.0  # flat at the pole, discretely too
-    assert np.max(np.abs(th.values - u.values)) < 1e-3
-    assert np.all(th.values > 0.0)
-    assert np.all(th.values <= 1.0)
+    th = graph_normal_env(g, u.values)[0]["t"]
+    assert th[16, 16] == 1.0  # flat at the pole, discretely too
+    assert np.max(np.abs(th - u.values)) < 1e-3
+    assert np.all(th > 0.0)
+    assert np.all(th <= 1.0)
 
 
 def test_second_fundamental_norm_sphere():
@@ -280,6 +279,31 @@ def test_second_fundamental_norm_plane_is_zero():
     u = field_from_expr(g, "0.3 + 0.2*x1 - 0.1*x2")
     a2 = second_fundamental_norm(g, u)
     assert np.max(np.abs(a2.values)) < 1e-12
+
+
+def test_second_fundamental_norm_keeps_the_2d_closed_form_bit_for_bit():
+    from pmcgraph.calculus import node_gradients, operators
+
+    # the one formula over the axes, summed in its order, is the former
+    # 2-D branch written out: M = g^-1 Hess, |A|^2 = tr(M M)/omega^2
+    g = build_grid(2, (33, 29), (1.0, 1.0), ("dirichlet", "periodic"), origin=(-0.5, 0.0))
+    u = field_from_expr(g, f"sqrt(2 - x1^2) + 0.2*sin({TWO_PI}*x2)*x1")
+    ops = operators(g)
+    v1, v2 = node_gradients(g, u.values)
+    omega2 = 1.0 + (v1 * v1 + v2 * v2)
+    h11 = ops.div[0](ops.along[0](u.values))
+    h22 = ops.div[1](ops.along[1](u.values))
+    h12 = ops.grad[1](v1)
+    g11 = 1.0 - v1 * v1 / omega2
+    g22 = 1.0 - v2 * v2 / omega2
+    g12 = -v1 * v2 / omega2
+    m11 = g11 * h11 + g12 * h12
+    m12 = g11 * h12 + g12 * h22
+    m21 = g12 * h11 + g22 * h12
+    m22 = g12 * h12 + g22 * h22
+    want = (m11 * m11 + 2.0 * m12 * m21 + m22 * m22) / omega2
+    want[g.boundary_mask] = 0.0
+    assert np.array_equal(second_fundamental_norm(g, u).values, want)
 
 
 def test_jacobi_residual_cap():

@@ -5,15 +5,12 @@ import pytest
 
 from pmcgraph.expr import ParseError, parse_expr
 from pmcgraph.grid import (
-    VectorField,
+    ScalarField,
     build_grid,
     constant_field,
     face_positions,
-    face_shape,
     field_from_expr,
-    make_field,
     read_field_csv,
-    refine_field,
     refine_grid,
     sup_norm,
     write_field_csv,
@@ -41,13 +38,13 @@ def test_axis_coords_and_positions():
 
 
 def test_boundary_masks():
-    assert build_grid(2, (10, 8), (1, 1), "periodic").boundary_indices().size == 0
+    assert not build_grid(2, (10, 8), (1, 1), "periodic").boundary_mask.any()
     d = build_grid(2, (10, 8), (1, 1), "dirichlet")
-    assert d.boundary_indices().size == 32  # perimeter of a 10x8 lattice
+    assert np.flatnonzero(d.boundary_mask).size == 32  # perimeter of a 10x8 lattice
     mixed = build_grid(2, (10, 8), (1, 1), ("periodic", "dirichlet"))
-    assert mixed.boundary_indices().size == 20
+    assert np.flatnonzero(mixed.boundary_mask).size == 20
     d1 = build_grid(1, 9, 1.0, "dirichlet")
-    assert list(d1.boundary_indices()) == [0, 8]
+    assert list(np.flatnonzero(d1.boundary_mask)) == [0, 8]
 
 
 def test_validation_errors():
@@ -101,7 +98,7 @@ def test_non_finite_field_rejected():
     vals = np.zeros(8)
     vals[3] = np.inf
     with pytest.raises(ValueError):
-        make_field(g, vals)
+        ScalarField(g, vals)
 
 
 def test_sup_norm_and_grid_identity():
@@ -128,7 +125,7 @@ def test_csv_header_format(tmp_path):
 def test_csv_roundtrip_exact(tmp_path):
     g = build_grid(2, (6, 5), (1.0, 3.0), ("periodic", "dirichlet"), origin=(0.25, 0.0))
     rng = np.random.default_rng(7)
-    f = make_field(g, rng.standard_normal(g.shape))
+    f = ScalarField(g, rng.standard_normal(g.shape))
     path = os.path.join(tmp_path, "f.csv")
     write_field_csv(f, path)
     back = read_field_csv(path)
@@ -148,16 +145,6 @@ def test_csv_error_cases(tmp_path):
         read_field_csv(path)  # wrong value count
 
 
-def test_face_shapes():
-    g = build_grid(2, (8, 5), (1, 1), ("periodic", "dirichlet"))
-    assert face_shape(g, 0) == (8, 5)
-    assert face_shape(g, 1) == (8, 4)
-    with pytest.raises(ValueError):
-        VectorField(g, (np.zeros((8, 5)), np.zeros((8, 5))), "face")
-    VectorField(g, (np.zeros((8, 5)), np.zeros((8, 4))), "face")
-    VectorField(g, (np.zeros((8, 5)), np.zeros((8, 5))), "node")
-
-
 def test_face_positions_offset():
     g = build_grid(1, 8, 1.0, "dirichlet")
     (fx,) = face_positions(g, 0)
@@ -173,33 +160,6 @@ def test_refine_periodic_and_dirichlet():
     gd = build_grid(1, 9, 1.0, "dirichlet")
     fd = refine_grid(gd)
     assert fd.shape == (17,) and abs(fd.spacing[0] - gd.spacing[0] / 2) < 1e-16
-
-
-def test_refine_field_preserves_nodes_and_cubics():
-    # coarse nodes are copied through; cubic data gets exact midpoints,
-    # one-sided rows included
-    g = build_grid(1, 9, 1.0, "dirichlet")
-    x = g.axis_coords[0]
-    f = make_field(g, x ** 3 - 0.5 * x ** 2 + 0.25 * x)
-    r = refine_field(f)
-    xf = refine_grid(g).axis_coords[0]
-    exact = xf ** 3 - 0.5 * xf ** 2 + 0.25 * xf
-    assert np.array_equal(r.values[0::2], f.values)
-    assert np.max(np.abs(r.values - exact)) < 1e-14
-
-    g2 = build_grid(2, (16, 5), (1, 1), ("periodic", "dirichlet"))
-    f2 = field_from_expr(g2, "sin(6.283185307179586*x1) + 2*x2")
-    r2 = refine_field(f2)
-    assert np.array_equal(r2.values[0::2, 0::2], f2.values)
-    fine = refine_grid(g2)
-    exact2 = field_from_expr(fine, "sin(6.283185307179586*x1) + 2*x2")
-    # interpolation error of the smooth part is fourth order in the spacing
-    assert np.max(np.abs(r2.values - exact2.values)) < 6e-4
-    g3 = build_grid(2, (32, 5), (1, 1), ("periodic", "dirichlet"))
-    f3 = field_from_expr(g3, "sin(6.283185307179586*x1) + 2*x2")
-    r3 = refine_field(f3)
-    exact3 = field_from_expr(refine_grid(g3), "sin(6.283185307179586*x1) + 2*x2")
-    assert np.max(np.abs(r3.values - exact3.values)) < 6e-4 / 12.0
 
 
 def test_one_dimensional_field_expression_refuses_x2():

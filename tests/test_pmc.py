@@ -67,7 +67,7 @@ def test_box_validation():
         WorkingBox((0.0, 1.0), ((2.0, 1.0),))
     box = WorkingBox((-1.0, 1.0), ((0.0, 1.0), (0.0, 2.0)))
     assert box.dimension == 2
-    assert box.z_span() == 2.0
+    assert box.z_max - box.z_min == 2.0
 
 
 def test_box_from_grid():

@@ -1382,6 +1382,24 @@ def test_the_plan_keeps_no_weight_per_unknown():
     assert small == large and small["weights"] == [(9, 11)]
 
 
+@pytest.mark.parametrize("shape, topology", [
+    ((12,), ("periodic",)), ((12,), ("dirichlet",)), ((4,), ("dirichlet",)),
+    ((8, 6), ("periodic", "periodic")), ((4, 4), ("dirichlet", "dirichlet")),
+    ((8, 9), ("periodic", "dirichlet")), ((9, 8), ("dirichlet", "periodic"))])
+def test_the_plan_has_one_slot_per_offset_over_the_grids_own_axes(shape, topology):
+    from pmcgraph.solver import _JacobianPlan
+
+    # 3^d slots, the center one each row's own column, and none of them
+    # empty on every row: a 1-D row is no line of a 2-D array
+    grid = build_grid(len(shape), shape, (1.0,) * len(shape), topology)
+    plan = _JacobianPlan(grid)
+    assert len(plan.cols) == 3 ** grid.dimension
+    assert np.array_equal(plan.cols[plan.center], np.arange(plan.n))
+    empty = np.zeros(plan.cols.size, dtype=bool)
+    empty[plan.empty] = True
+    assert not np.any(empty.reshape(plan.cols.shape).all(axis=1))
+
+
 def test_a_non_finite_coefficient_ends_in_a_non_finite_step(monkeypatch):
     import pmcgraph.solver as solver
 
@@ -1596,9 +1614,11 @@ def _fourier_factor_solve(A, b):
     bordered system's zero mode set to the border's value."""
     import math
 
-    L0, m = lines = A.plan.lines
+    # a 1-D plan is one line of a 2-D array, its 3 slots the middle row
+    # of the 3 x 3 offsets
+    L0, m = lines = (1,) * (2 - len(A.plan.lines)) + A.plan.lines
     n = A.plan.n
-    row = A.data[:, 0]
+    row = A.data[:, 0] if len(A.data) == 9 else np.pad(A.data[:, 0], 3)
     lam = np.full((L0, m // 2 + 1), math.fsum(row), dtype=complex)
     f0, f1 = np.fft.fftfreq(L0)[:, None], np.fft.rfftfreq(m)
     for s, value in enumerate(row):

@@ -13,10 +13,12 @@ prescription whose height slope varies along x1, so that its first Jacobian
 is not translation-invariant and the fast-transform preconditioner is not
 exact for it, cap split
 as h1 = 2, h2 = 0, which runs the quasi-decreasing solve with its refinement
-block and a split diagnose between curved barriers, and warped_radial
-between barriers of polar lines, r cos(x1 - 0.5) = const, the one warped
-and the one 1-D dirichlet solve (warped_radial alone has no barriers, so
-its solve exits 2).
+block and a split diagnose between curved barriers, the same split in 1-D
+(h1 = 1 over 65 dirichlet nodes, barriers about the arc sqrt(1 - x1^2)),
+the one 1-D quasi-decreasing solve and the one 1-D |A|^2 in a report, and
+warped_radial between barriers of polar lines, r cos(x1 - 0.5) = const,
+the one warped solve (warped_radial alone has no barriers, so its solve
+exits 2).
 Every run writes `<command>/<case>.json` (the report), `<command>/<case>.csv`
 (the field or table, when the command writes one) and `<command>/<case>.log`
 (exit code, stdout and stderr).  Paths in the reports are relative to the
@@ -74,6 +76,12 @@ EXTRA = {
     "torus_sine_x_slope": ("torus_sine.json", (
         "pmc.expr=0.5*sin(z)*(1 + 0.1*sin(6.283185307179586*x1))"
         " + 0.1*sin(6.283185307179586*x1)",)),
+    "cap_1d_split": ("cap.json", (
+        'grid={"dimension": 1, "shape": [65], "lengths": [1.0], "topology": ["dirichlet"],'
+        ' "origin": [-0.5]}',
+        'pmc={"h1": "1", "h2": "0"}',
+        'barriers={"u1": "sqrt(1 - x1^2) - 0.1", "u0": "sqrt(1 - x1^2) + 0.1",'
+        ' "psi": "sqrt(1 - x1^2)"}')),
     "warped_polar_lines": ("warped_radial.json", (
         'barriers={"u1": "0.25 - ln(cos(x1 - 0.5))", "u0": "0.35 - ln(cos(x1 - 0.5))",'
         ' "psi": "0.3 - ln(cos(x1 - 0.5))"}',)),
