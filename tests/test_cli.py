@@ -728,45 +728,68 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     assert out.strip() == "False"
 
 
+def _modules_past_the_cli_import(tmp_path, *argvs):
+    """Run each argv through ``cli.main`` in turn in one fresh interpreter
+    (this one has imported more); return the exit codes and the modules
+    loaded after ``import pmcgraph.cli``."""
+    outputs = ["--out-report", str(tmp_path / "r.json"), "--out-field", str(tmp_path / "f.csv")]
+    src = os.path.dirname(os.path.dirname(pmcgraph.__file__))
+    probe = ("import json, sys, pmcgraph.cli as cli; before = set(sys.modules); "
+             "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+             "print(json.dumps([codes, sorted(set(sys.modules) - before)]))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe,
+                          json.dumps([list(argv) + outputs for argv in argvs])],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def _only_numpy_fft(modules):
+    return all(m == "numpy.fft" or m.startswith("numpy.fft.") for m in modules)
+
+
 # each subcommand at test size: its config, then its overrides
 _SUBCOMMANDS = {
-    "solve": ["torus_sine.json", "grid.shape=[16,16]"],
-    "check-barrier": ["torus_sine.json", "grid.shape=[16,16]"],
-    "check-monotone": ["quasi_decreasing.json", "grid.shape=[16,16]"],
-    "transform": ["horosphere.json", "grid.shape=[16,16]", "solver.samples=3"],
-    "reparam": ["warped_radial.json"],
-    "diagnose": ["torus_sine.json", "grid.shape=[16,16]"],
-    "eval-residual": ["torus_sine.json", "grid.shape=[16,16]"],
+    "solve-torus": ["torus_sine.json", "grid.shape=[16,16]"],
+    "check-barrier-torus": ["torus_sine.json", "grid.shape=[16,16]"],
+    "check-monotone-quasi": ["quasi_decreasing.json", "grid.shape=[16,16]"],
+    "transform-horosphere": ["horosphere.json", "grid.shape=[16,16]", "solver.samples=3"],
+    "reparam-warped": ["warped_radial.json"],
+    "diagnose-torus": ["torus_sine.json", "grid.shape=[16,16]"],
+    "eval-residual-torus": ["torus_sine.json", "grid.shape=[16,16]"],
 }
 
 
-@pytest.mark.parametrize("subcommand", list(_SUBCOMMANDS))
-def test_a_subcommand_loads_no_module_past_the_cli_import_but_numpy_fft(tmp_path, subcommand):
+@pytest.mark.parametrize("case", list(_SUBCOMMANDS))
+def test_subcommands_load_no_scipy(tmp_path, case):
     # a first use of numpy.random costs about 9-12 ms and numpy.ma, which a
     # plain np.unique loads, about 12 ms, against 35-48 ms for a whole 64x64
     # solve; the preconditioner's FFT is the one module a subcommand may add,
-    # so none loads scipy either.  A fresh interpreter per subcommand, since
-    # this one has imported more
-    config, *overrides = _SUBCOMMANDS[subcommand]
+    # so none loads scipy either
+    subcommand = case.rsplit("-", 1)[0]
+    config, *overrides = _SUBCOMMANDS[case]
     if subcommand == "eval-residual":
         field = str(tmp_path / "u.csv")
         write_field_csv(constant_field(build_grid(2, (16, 16), (1.0, 1.0), "periodic"), 1.0),
                         field)
         overrides.append(f"field={json.dumps(field)}")
     argv = [subcommand, "--config", cfg_path(config),
-            *(arg for spec in overrides for arg in ("--override", spec)),
-            "--out-report", str(tmp_path / "r.json"),
-            "--out-field", str(tmp_path / "f.csv")]
-    src = os.path.dirname(os.path.dirname(pmcgraph.__file__))
-    probe = ("import json, sys, pmcgraph.cli as cli; before = set(sys.modules); "
-             "code = cli.main(sys.argv[1:]); "
-             "print(json.dumps([code, sorted(set(sys.modules) - before)]))")
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    code, loaded = json.loads(out)
-    assert code == 0
-    assert all(m == "numpy.fft" or m.startswith("numpy.fft.") for m in loaded), loaded
+            *(arg for spec in overrides for arg in ("--override", spec))]
+    codes, loaded = _modules_past_the_cli_import(tmp_path, argv)
+    assert codes == [0]
+    assert _only_numpy_fft(loaded), loaded
+
+
+def test_a_solve_loads_no_module_past_the_cli_import_but_numpy_fft(tmp_path):
+    # the solve on every other shipped config, one after another in one
+    # interpreter: dirichlet grids, a conformal metric and a quasi prescription
+    argvs = [["solve", "--config", cfg_path(config), "--override", f"grid.shape={shape}"]
+             for config, shape in [("cap.json", "[17,17]"), ("catenoid.json", "[17,17]"),
+                                   ("horosphere.json", "[16,16]"),
+                                   ("quasi_decreasing.json", "[16,16]")]]
+    codes, loaded = _modules_past_the_cli_import(tmp_path, *argvs)
+    assert codes == [0, 0, 0, 0]
+    assert _only_numpy_fft(loaded), loaded
 
 
 def test_third_party_imports_are_declared_dependencies():
