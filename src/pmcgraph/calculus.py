@@ -1,14 +1,15 @@
 """Discrete calculus on structured grids: gradients, flux divergence,
 nonparametric mean curvature, graph Laplacian, quadrature.
 
-Every difference operator is a `Stencil`, a fixed-width gather over flat
-values: out[i] = sum_k weights[k, i] * v[cols[k, i]].  `operators(grid)`
-builds four kinds once per grid, one of each per axis:
+Every difference operator is a `Stencil` along one axis, applied by
+shifted windows of the input array: out[j] = sum_k weight_k * x[j +
+offset_k] along that axis, the taps added in order, with x wrapped on a
+periodic axis.  `operators(grid)` builds four kinds once per grid, one of
+each per axis:
 
-- `grad[c]`, node to node, the derivative along axis c: centered, with a
-  zero-weight third slot on the node itself, inside and on periodic axes;
-  second-order one-sided on the two layers of a dirichlet axis, so it is
-  defined at every node;
+- `grad[c]`, node to node, the derivative along axis c: centered inside
+  and on periodic axes; second-order one-sided on the two layers of a
+  dirichlet axis, so it is defined at every node;
 - `along[k]`, node to face, the exact two-point difference across the
   faces of axis k;
 - `avg[k]`, node to face, the average of a face's two endpoints;
@@ -25,14 +26,15 @@ All divergence-type operators are assembled in conservative (flux) form:
 face fluxes first, then `div` back to nodes.  The rows of `div` are zero on
 every boundary node (a node on a dirichlet layer of any axis), so every
 nodal divergence-type output carries 0 there.  The solver's Jacobian is
-composed from the same stencils, so it differentiates this discretization
-and no copy of it.
+composed from the same taps, so it differentiates this discretization and
+no copy of it.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import operator
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "Stencil",
     "operators",
     "mean_curvature_product",
+    "mean_curvature_product_values",
     "graph_laplacian",
     "integrate",
     "quadrature_weights",
@@ -55,85 +58,88 @@ __all__ = [
 # stencils
 
 
-class Stencil:
-    """Fixed-width gather: out[i] = sum_k weights[k, i] * v[cols[k, i]].
+def _along(axis, index):
+    """The index tuple that takes `index` on `axis` and everything before."""
+    return (slice(None),) * axis + (index,)
 
-    `cols` and `weights` are shaped (width, outputs); the input is read flat
-    and the output has `shape`.  `a @ b` is the stencil of a(b(v)), of
-    width a.width * b.width, slot k * b.width + l reading b's slot l through
-    a's slot k.
+
+class Stencil:
+    """A difference operator along one axis, applied by shifted windows.
+
+    `taps` are (offset, weight) pairs: output position j on `axis` is the
+    sum of weight * x[j + offset] over them, in order, with x the input
+    (shaped `in_shape`) wrapped by `pad` = (lo, hi) layers on a periodic
+    axis.  `pieces` apply them: each is an output window and the input
+    windows and weights whose ordered sum fills it, first the taps' window
+    and then, on a dirichlet axis, any end row with its own taps.  Every
+    output outside the pieces is 0.
     """
 
-    def __init__(self, cols, weights, shape):
-        # shared by every caller of the per-grid cache, so read-only
-        cols.flags.writeable = weights.flags.writeable = False
-        self.cols = cols
-        self.weights = weights
-        self.shape = shape
+    def __init__(self, in_shape, shape, axis, taps, pad, pieces):
+        self.in_shape, self.shape, self.axis = in_shape, shape, axis
+        self.taps, self.pad, self.pieces = taps, pad, pieces
 
-    @property
-    def width(self):
-        return self.cols.shape[0]
+    def padded(self, values):
+        """The input, wrapped by `pad` on the axis: what the pieces read."""
+        x = np.reshape(values, self.in_shape)
+        (lo, hi), n = self.pad, self.in_shape[self.axis]
+        if not (lo or hi):
+            return x
+        return np.concatenate([x[_along(self.axis, slice(n - lo, n))], x,
+                               x[_along(self.axis, slice(0, hi))]], axis=self.axis)
 
     def __call__(self, values):
-        out = np.einsum("ki,ki->i", self.weights, np.take(values, self.cols))
-        return out.reshape(self.shape)
-
-    def __matmul__(self, inner):
-        cols = [ic[oc] for oc in self.cols for ic in inner.cols]
-        weights = [ow * iw[oc] for oc, ow in zip(self.cols, self.weights)
-                   for iw in inner.weights]
-        return Stencil(np.array(cols), np.array(weights), self.shape)
+        x = self.padded(values)
+        sums = [(window, functools.reduce(operator.iadd, (w * x[i] for i, w in reads)))
+                for window, reads in self.pieces]
+        if sums[0][1].shape == self.shape:
+            return sums[0][1]
+        out = np.zeros(self.shape)
+        for window, total in sums:
+            out[window] = total
+        return out
 
 
 Operators = collections.namedtuple("Operators", "grad along avg div")
-
-
-def _axis_stencil(in_shape, axis, pos, wts):
-    """Stencil along one axis of an array shaped `in_shape`: output position
-    j on `axis` reads input positions pos[k][j] with weights wts[k][j], at
-    the same position on the other axis."""
-    idx = np.arange(int(np.prod(in_shape))).reshape(in_shape)
-    out_shape = list(in_shape)
-    out_shape[axis] = len(pos[0])
-    line = [1] * len(in_shape)
-    line[axis] = -1
-    cols = np.stack([np.take(idx, p, axis=axis).reshape(-1) for p in pos])
-    weights = np.stack([np.broadcast_to(np.reshape(w, line), out_shape).reshape(-1)
-                        for w in wts])
-    return Stencil(cols, weights, tuple(out_shape))
 
 
 @functools.lru_cache(maxsize=8)
 def operators(grid):
     """The grid's `grad`, `along`, `avg` and `div` stencils, one per axis,
     built once per grid."""
-    interior = ~grid.boundary_mask.reshape(-1)
+
+    def stencil(ax, n_in, n_out, taps, ends=(), window=None):
+        """The stencil of `taps` from n_in to n_out positions on axis ax;
+        its taps fill the rows where they stay inside the input, within
+        `window` on the other axes, and `ends` give other rows' taps."""
+        offsets = [o for o, _ in taps]
+        lo, hi = ((-min(offsets + [0]), max(offsets + [0]) + n_out - n_in)
+                  if grid.topology[ax] == "periodic" else (0, 0))
+        in_shape, shape = list(grid.shape), list(grid.shape)
+        in_shape[ax], shape[ax] = n_in, n_out
+        window = list(window or (slice(0, n) for n in shape))
+
+        def rows(a, b):
+            return tuple(window[:ax]) + (slice(a, b),) + tuple(window[ax + 1:])
+
+        start, stop = max(0, -lo - min(offsets)), min(n_out, n_in + hi - max(offsets))
+        pieces = [(rows(start, stop), [(rows(start + lo + o, stop + lo + o), w) for o, w in taps])]
+        pieces += [(_along(ax, row), [(_along(ax, i), w) for i, w in end]) for row, end in ends]
+        return Stencil(tuple(in_shape), tuple(shape), ax, taps, (lo, hi), pieces)
+
+    # the nodes off every dirichlet layer, where `div` has its rows
+    inner = [slice(0, n) if t == "periodic" else slice(1, n - 1)
+             for n, t in zip(grid.shape, grid.topology)]
     grad, along, avg, div = [], [], [], []
     for ax, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
         periodic = grid.topology[ax] == "periodic"
-        i = np.arange(n)
-        pos = np.array([i - 1, i + 1, i])
-        wts = np.array([-0.5, 0.5, 0.0])[:, None] / h * np.ones(n)
-        if periodic:
-            pos %= n
-        else:
-            pos[:, 0], wts[:, 0] = (0, 1, 2), np.array([-1.5, 2.0, -0.5]) / h
-            pos[:, -1], wts[:, -1] = (n - 1, n - 2, n - 3), np.array([1.5, -2.0, 0.5]) / h
-        grad.append(_axis_stencil(grid.shape, ax, pos, wts))
-
         nf = n if periodic else n - 1
-        f = np.arange(nf)
-        ends = [f, (f + 1) % n]
-        along.append(_axis_stencil(grid.shape, ax, ends, [-1.0 / h, 1.0 / h]))
-        avg.append(_axis_stencil(grid.shape, ax, ends, [0.5, 0.5]))
-
-        faces = list(grid.shape)
-        faces[ax] = nf
-        left = (i - 1) % n if periodic else np.clip(i - 1, 0, nf - 1)
-        d = _axis_stencil(tuple(faces), ax, [left, np.minimum(i, nf - 1)],
-                          [-1.0 / h, 1.0 / h])
-        div.append(Stencil(d.cols, d.weights * interior, d.shape))
+        grad.append(stencil(ax, n, n, ((-1, -0.5 / h), (1, 0.5 / h)), ends=() if periodic else (
+            (0, ((0, -1.5 / h), (1, 2.0 / h), (2, -0.5 / h))),
+            (n - 1, ((n - 1, 1.5 / h), (n - 2, -2.0 / h), (n - 3, 0.5 / h))))))
+        along.append(stencil(ax, n, nf, ((0, -1.0 / h), (1, 1.0 / h))))
+        avg.append(stencil(ax, n, nf, ((0, 0.5), (1, 0.5))))
+        div.append(stencil(ax, nf, n, ((-1, -1.0 / h), (0, 1.0 / h)), window=inner))
     return Operators(grad, along, avg, div)
 
 

@@ -47,6 +47,12 @@ __all__ = [
     "eval_checked",
     "shared_subtrees",
     "takes_differences",
+    "Add",
+    "Mul",
+    "Call",
+    "Const",
+    "Var",
+    "rename_var",
 ]
 
 FD_STEP = 1e-6

@@ -27,11 +27,13 @@ __all__ = [
     "ConformalFactor",
     "WarpedProfile",
     "conformal_mean_curvature",
+    "conformal_mean_curvature_values",
     "divergence_oracle",
     "conformal_transform_pmc",
     "warped_to_conformal",
     "second_fundamental_norm",
     "jacobi_residual",
+    "FACTOR_VARS",
 ]
 
 # the factor's variables: the widest base point, then the height r

@@ -22,6 +22,7 @@ __all__ = [
     "write_field_csv",
     "read_field_csv",
     "refine_grid",
+    "face_positions",
     "DIMENSIONS",
 ]
 

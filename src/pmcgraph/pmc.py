@@ -59,6 +59,7 @@ __all__ = [
     "variables",
     "padded",
     "MONOTONE_TOL",
+    "PMC_VARS",
 ]
 
 # slack admitted when testing sampled partials against 0 (exact symbolic

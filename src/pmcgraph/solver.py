@@ -38,10 +38,11 @@ non-dirichlet nodes, and it is a 3^d-slot stencil over them, a
 `StencilMatrix`: the unknowns form an array over the grid's own d axes,
 and a row has one slot per neighbour offset in {-1, 0, 1}^d of that
 array, wrapping on periodic axes, since no composed entry reaches
-farther.  The plan of one grid gets the slots' columns by index
-arithmetic and finds the one slot and the one weight each composed entry
-has on every row; each Newton step only evaluates the coefficients and
-adds each entry into its slot, and a product is one gather.  The coefficients read what the
+farther.  The plan of one grid composes the stencils' taps into the one
+slot and the one weight of each entry; each Newton step only evaluates
+the coefficients and adds each one, shifted to the rows that read it,
+into its slots, and a product sums the slots over shifted windows of its
+padded input.  No index array is built.  The coefficients read what the
 residual of the same iterate computed (`_graph_residual`): its gradients,
 area factors, and the prescription's partials, evaluated with its value.
 That evaluation is of the prescription H itself: the penalty
@@ -78,7 +79,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -421,87 +424,68 @@ class _JacobianPlan:
     order.  They form an array over the grid's own axes, shaped `lines`,
     which wraps on the `periodic` axes.  A row has 3^d slots, one per
     neighbour offset in {-1, 0, 1}^d of that array in C order, so slot
-    `center` = 3^d // 2 is the offset 0, the diagonal.  `cols[s]` is the
-    column of slot s, or the row's own where that neighbour is a dirichlet
-    node; `empty` lists those slots, flat in (slot, row) order, whose entry
-    stays 0, and `nnz` counts the others.  Only index arithmetic builds
-    them: the unknowns' index array, padded by one on each axis (wrapped on
-    a periodic axis, -1 on a dirichlet one), read through its 3^d shifted
-    windows.
+    `center` = 3^d // 2 is the offset 0, the diagonal.  Slot s of the rows
+    `rows[s]` (a slice per axis) has a neighbour that is an unknown; on the
+    other rows it is a dirichlet node and the entry stays 0.  `nnz` counts
+    the entries of those windows.  A product reads the input padded by one
+    on each axis, wrapped on a periodic axis and 0 on a dirichlet one
+    (`padded`), through slot s's `windows[s]`.
 
     The contributions are the entries of outer . diag(c) . inner over the
-    `_jacobian_chains` whose weight is not 0 on every row.  On a uniform
-    grid each falls in the same slot with the same weight on every row
-    whose slot is not empty, and in no empty one, which the plan checks on
-    every row.  So slot s of row i is sum_k weights[s, k] *
-    coefficient[src[k, i]], with the coefficient vector from
-    `_jacobian_coefficients`, src[k] the coefficient each row reads through
-    one outer slot, and weights[s, k] the composed stencil's grid-only
-    weight.
+    `_jacobian_chains`, composed from the stencils' taps: on a uniform grid
+    each lands in the slot of the sum of its taps' offsets, with the
+    product of their weights, on every row.  So slot s of row i is
+    sum_k weights[s, k] * coefficient_k[i], with coefficient row k one
+    coefficient block of `_jacobian_coefficients` read through one tap of
+    its chain's outer stencil (`chains`, in order): the window of the
+    padded block that the tap reads for the unknowns.
     """
 
     def __init__(self, grid):
         d = grid.dimension
         self.periodic = tuple(t == "periodic" for t in grid.topology)
         self.lines = tuple(s - 2 * (t == "dirichlet") for s, t in zip(grid.shape, grid.topology))
-        n = self.n = math.prod(self.lines)
-        row = np.arange(n)
-        index = row.reshape(self.lines)
-        for a, wrap in enumerate(self.periodic):
-            pad = [(1, 1) if b == a else (0, 0) for b in range(d)]
-            index = (np.pad(index, pad, mode="wrap") if wrap
-                     else np.pad(index, pad, constant_values=-1))
-        windows = np.lib.stride_tricks.sliding_window_view(index, (3,) * d)
-        cols = np.ascontiguousarray(windows.reshape(n, 3 ** d).T)
-        self.cols = np.where(cols < 0, row, cols)
+        self.n = math.prod(self.lines)
         self.center = 3 ** d // 2
-        full = (self.cols != row) | (np.arange(3 ** d) == self.center)[:, None]
-        self.empty = np.flatnonzero(~full)
-        self.nnz = int(np.count_nonzero(full))
+        self.windows, self.rows = zip(*(
+            (tuple(slice(1 + o, 1 + o + L) for o, L in zip(off, self.lines)),
+             tuple(slice(0, L) if wrap else slice(max(0, -o), L - max(0, o))
+                   for o, L, wrap in zip(off, self.lines, self.periodic)))
+            for off in itertools.product((-1, 0, 1), repeat=d)))
+        self.nnz = sum(math.prod(r.stop - r.start for r in rows) for rows in self.rows)
 
-        # the unknown each node is, -1 for a dirichlet node
-        unknown = ~grid.boundary_mask.reshape(-1)
-        keep = np.flatnonzero(unknown)
-        pos = np.where(unknown, np.cumsum(unknown) - 1, -1)
-        chains = _jacobian_chains(grid)
-        self.weights = np.zeros((3 ** d, sum(outer.width for outer, _ in chains)))
-        src, offset = [], 0
-        for outer, inner in chains:
-            reads = [pos[c] for c in inner.cols]
-            for oc, ow in zip(outer.cols, outer.weights):
-                oc, ow = oc[keep], ow[keep]
-                src.append(offset + oc)
-                for ic, iw in zip(reads, inner.weights):
-                    # the gradient's slot on its own node weighs 0 everywhere
-                    if not iw.any():
-                        continue
-                    # a contribution to a dirichlet column is dropped
-                    col = ic[oc]
-                    w = ow * iw[oc]
-                    live = (w != 0.0) & (col >= 0)
-                    if not live.any():
-                        continue
-                    # the slot and weight, read off the first live row (every
-                    # slot past a dirichlet end reads the row's own column),
-                    # and checked on every row
-                    i = int(np.argmax(live))
-                    s = (self.center if col[i] == i
-                         else int(np.argmax(self.cols[:, i] == col[i])))
-                    if (np.any(live & (col != self.cols[s]))
-                            or np.any(np.where(live, w, 0.0) != np.where(full[s], w[i], 0.0))):
-                        raise RuntimeError("a Jacobian entry leaves its row's slots")
-                    self.weights[s, len(src) - 1] += w[i]
-            offset += inner.cols.shape[1]
-        self.src = np.array(src)
+        self.chains = _jacobian_chains(grid)
+        self.weights = np.zeros((3 ** d, sum(len(outer.taps) for outer, _ in self.chains)))
+        for k, (outer, inner, (o, w_out)) in enumerate(
+                (outer, inner, tap) for outer, inner in self.chains for tap in outer.taps):
+            # every composed tap: the sum of its offsets on each axis and the
+            # product of its weights, in the chain's order
+            for taps in itertools.product(*(s.taps for s in inner)):
+                step = [1 + o * (a == outer.axis) + sum(t[0] for s, t in zip(inner, taps)
+                                                        if s.axis == a) for a in range(d)]
+                self.weights[np.ravel_multi_index(step, (3,) * d), k] += (
+                    w_out * math.prod(w for _, w in taps))
+
+    def padded(self, x):
+        """The unknowns' values x, shaped `lines` and padded by one on each
+        axis: wrapped on a periodic axis, 0 on a dirichlet one."""
+        out = np.zeros(tuple(L + 2 for L in self.lines))
+        out[tuple(slice(1, L + 1) for L in self.lines)] = x.reshape(self.lines)
+        for a in (a for a, wrap in enumerate(self.periodic) if wrap):
+            before = (slice(None),) * a
+            out[before + (0,)], out[before + (-1,)] = out[before + (-2,)], out[before + (1,)]
+        return out
 
 
 _jacobian_plan = functools.lru_cache(maxsize=8)(_JacobianPlan)
 
 
 def _jacobian_chains(grid):
-    """(outer, inner) stencil pairs, one per coefficient block of
+    """(outer, inner) pairs, one per coefficient block of
     `_jacobian_coefficients` and in its order: block b contributes
-    outer_b . diag(coefficients_b) . inner_b to the Jacobian.
+    outer_b . diag(coefficients_b) . inner_b to the Jacobian, with inner_b
+    the composition of a tuple of stencils, the first applied last, and
+    the identity where it is empty.
 
     The residual mcp(u) - F is -sum_k div[k](g_k/omega) - F, with g the face
     gradient (along[k], and avg[k] . grad[c] transverse) and F read through
@@ -509,14 +493,16 @@ def _jacobian_chains(grid):
     prescription blocks through the identity.
     """
     ops = operators(grid)
-    N = grid.node_count
-    eye = Stencil(np.arange(N)[None], np.ones((1, N)), grid.shape)
+    # the identity, read on the unknowns
+    unknowns = tuple(slice(0, n) if t == "periodic" else slice(1, n - 1)
+                     for n, t in zip(grid.shape, grid.topology))
+    eye = Stencil(grid.shape, grid.shape, 0, ((0, 1.0),), (0, 0), [(unknowns, [(unknowns, 1.0)])])
     chains = []
     for ax, div in enumerate(ops.div):
-        chains.append((div, ops.along[ax]))
-        chains.extend((div, ops.avg[ax] @ g) for c, g in enumerate(ops.grad) if c != ax)
-    chains.append((eye, eye))
-    chains.extend((eye, g) for g in ops.grad)
+        chains.append((div, (ops.along[ax],)))
+        chains.extend((div, (ops.avg[ax], g)) for c, g in enumerate(ops.grad) if c != ax)
+    chains.append((eye, ()))
+    chains.extend((eye, (g,)) for g in ops.grad)
     return chains
 
 
@@ -535,7 +521,8 @@ def _graph_residual(grid, values, F):
 
 
 def _jacobian_coefficients(grid, values, F, parts=None):
-    """Per-step coefficients of the `_jacobian_chains` blocks, flat: the
+    """Per-step coefficients of the `_jacobian_chains` blocks, one array
+    per block, shaped like the output of its inner stencils: the
     derivatives of the residual's terms by the quantities they read.
 
     Blocks, in order: per axis the face derivative of -g_along/omega by the
@@ -570,7 +557,7 @@ def _jacobian_coefficients(grid, values, F, parts=None):
                 dY = dY - 1.0 / omega_node
             mult = mult + Fy[m] * dY
         coefs.append(-mult)
-    return np.concatenate([c.reshape(-1) for c in coefs])
+    return coefs
 
 
 def assemble_jacobian(grid, values, F, shift=0.0, parts=None):
@@ -585,14 +572,15 @@ def assemble_jacobian(grid, values, F, shift=0.0, parts=None):
     """
     plan = _jacobian_plan(grid)
     q = _jacobian_coefficients(grid, values, F, parts)
-    read = q[plan.src]
-    data = np.zeros(plan.cols.shape)
+    reads = [x[window] for block, (outer, _) in zip(q, plan.chains)
+             for x in [outer.padded(block)] for window, _ in outer.pieces[0][1]]
+    data = np.zeros((len(plan.weights),) + plan.lines)
     # each slot sums its coefficient rows k in order: a matrix product's
     # fused multiply-adds would round differently where a weight is no
     # power of 2
     for s, k in zip(*np.nonzero(plan.weights)):
-        data[s] += plan.weights[s, k] * read[k]
-    data.reshape(-1)[plan.empty] = 0.0
+        rows = plan.rows[s]
+        data[s][rows] += plan.weights[s, k] * reads[k][rows]
     if shift:
         data[plan.center] += shift
     return StencilMatrix(plan, data)
@@ -603,10 +591,11 @@ def assemble_jacobian(grid, values, F, shift=0.0, parts=None):
 
 
 class StencilMatrix:
-    """Square matrix over the unknowns of a `_JacobianPlan`: `data[s, i]`
-    is row i's entry in slot s, one of the 3^d offsets over the grid's own
-    axes, so a product is the `Stencil` gather of the plan's columns and
-    `data[plan.center]` is the diagonal.
+    """Square matrix over the unknowns of a `_JacobianPlan`: `data[s]`,
+    shaped like the plan's `lines`, holds each row's entry in slot s, one
+    of the 3^d offsets over the grid's own axes, and `data[plan.center]`
+    is the diagonal.  A product is the sum over the slots, in order, of
+    data[s] times the padded input read through slot s's window.
 
     With `border` it gains a last row and column of ones and a zero corner:
     the bordered system that pins the mean of a gauge-free periodic solve.
@@ -616,15 +605,19 @@ class StencilMatrix:
         self.plan, self.data, self.border = plan, data, bool(border)
         self.shape = (plan.n + self.border,) * 2
         self.nnz = plan.nnz + 2 * plan.n * self.border
-        self._gather = Stencil(plan.cols, data, (plan.n,))
 
     def bordered(self):
         return StencilMatrix(self.plan, self.data, border=True)
 
+    def _product(self, x):
+        x = self.plan.padded(x)
+        return functools.reduce(operator.iadd, (d * x[window] for d, window
+                                                in zip(self.data, self.plan.windows))).reshape(-1)
+
     def __matmul__(self, x):
         if not self.border:
-            return self._gather(x)
-        return np.append(self._gather(x[:-1]) + x[-1], np.sum(x[:-1]))
+            return self._product(x)
+        return np.append(self._product(x[:-1]) + x[-1], np.sum(x[:-1]))
 
     def toarray(self):
         # column j is the product with the j-th unit vector
@@ -682,12 +675,13 @@ class Preconditioner:
     def __init__(self, A):
         p = A.plan
         self.n, self.lines, self.shape, self.border = p.n, p.lines, A.shape, A.border
-        diag = np.abs(A.data[p.center])
+        diag = np.abs(A.data[p.center]).reshape(-1)
         if not np.all(diag > 0.0):
             raise np.linalg.LinAlgError("zero diagonal entry")
         self.scale = np.sqrt(_exact_mean(diag) / diag)
         slots = (3,) * len(p.lines)
-        sas = (A.data * self.scale * self.scale[p.cols]).reshape(slots + p.lines)
+        scale = p.padded(self.scale)
+        sas = A.data * self.scale.reshape(p.lines) * np.array([scale[w] for w in p.windows])
         self.fft_axes = tuple(a for a, wrap in enumerate(p.periodic) if wrap)
         self.sine_axes = tuple(a for a, wrap in enumerate(p.periodic) if not wrap)
         inner = tuple(slice(1, -1) if a in self.sine_axes and L > 2 else slice(None)
@@ -868,7 +862,7 @@ def rounding_floor(grid, height):
     the absolute row sums of the flux stencil div[k] . along[k], 4/h^2 on a
     uniform axis."""
     ops = operators(grid)
-    W = sum(np.max(np.abs(d.weights).sum(axis=0)) * np.max(np.abs(a.weights).sum(axis=0))
+    W = sum(sum(abs(w) for _, w in d.taps) * sum(abs(w) for _, w in a.taps)
             for d, a in zip(ops.div, ops.along))
     return FLOOR_ULPS * np.finfo(float).eps * height * float(W)
 

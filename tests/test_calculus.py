@@ -62,6 +62,35 @@ def test_gradient_2d_components():
     assert np.max(np.abs(d1 - TWO_PI * np.cos(TWO_PI * X1))) < 0.2
 
 
+# one-sided ends, wrap-around faces and zero boundary rows: 1-D periodic and
+# dirichlet, a dirichlet line of four nodes, a torus, a dirichlet square and
+# both mixed orders, with unequal spacings
+_SMALL = [((12,), ("periodic",)), ((12,), ("dirichlet",)), ((4,), ("dirichlet",)),
+          ((8, 6), ("periodic", "periodic")), ((4, 4), ("dirichlet", "dirichlet")),
+          ((8, 9), ("periodic", "dirichlet")), ((9, 8), ("dirichlet", "periodic"))]
+
+
+@pytest.mark.parametrize("shape, topology", _SMALL)
+def test_every_operator_matches_its_dense_matrix(shape, topology):
+    from dense_operators import grid_operators
+
+    from pmcgraph.calculus import operators
+
+    grid = build_grid(len(shape), shape, (0.9, 1.3)[:len(shape)], topology)
+    rng = np.random.default_rng(5)
+    ops = operators(grid)
+    for kind, (stencils, dense) in enumerate(zip(ops, grid_operators(grid))):
+        for ax, (op, D) in enumerate(zip(stencils, dense)):
+            x = rng.standard_normal(op.in_shape)
+            out = op(x)
+            assert out.shape == op.shape, (kind, ax)
+            np.testing.assert_allclose(out.reshape(-1), D @ x.reshape(-1),
+                                       rtol=0, atol=1e-13 * np.max(np.abs(D)))
+            if kind == 3:
+                # div is exactly 0 on every dirichlet layer
+                assert np.all(out[grid.boundary_mask] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # flux divergence
 

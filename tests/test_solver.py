@@ -29,6 +29,8 @@ from pmcgraph.solver import (
 from pmcgraph.calculus import mean_curvature_product_values
 from pmcgraph.pmc import graph_normal_env
 
+from dense_operators import chain_entries, dense_jacobian
+
 TWO_PI = 6.283185307179586
 
 
@@ -1274,36 +1276,13 @@ _MORE = [((4,), ("dirichlet",)), ((257,), ("dirichlet",)),
          ((64, 64), ("periodic", "periodic"))]
 
 
-def _chain_entries(grid):
-    """Every composed `_jacobian_chains` entry between two unknowns, zero
-    weights included: its row, column, weight and the index of its
-    coefficient in `_jacobian_coefficients`, rows and columns as unknowns."""
-    from pmcgraph.solver import _jacobian_chains
-
-    keep = np.flatnonzero(~grid.boundary_mask.reshape(-1))
-    pos = np.full(grid.node_count, -1)
-    pos[keep] = np.arange(keep.size)
-    rows, cols, wts, src = [], [], [], []
-    offset = 0
-    for outer, inner in _jacobian_chains(grid):
-        chain = outer @ inner
-        rows.append(np.broadcast_to(np.arange(grid.node_count), chain.cols.shape))
-        cols.append(chain.cols)
-        wts.append(chain.weights)
-        src.append(offset + np.repeat(outer.cols, inner.width, axis=0))
-        offset += inner.cols.shape[1]
-    r, c, w, q = (np.concatenate(x, axis=None) for x in (rows, cols, wts, src))
-    inside = (pos[r] >= 0) & (pos[c] >= 0)
-    return pos[r[inside]], pos[c[inside]], w[inside], q[inside]
-
-
 def test_jacobian_entries_stay_in_their_rows_neighbourhood():
     # the stencil has one slot per neighbour offset in {-1, 0, 1}^d, so no
     # entry of an unknown may reach farther, wrapping on periodic axes
     offsets = []
     for shape, topology in _WRAPPED + _WRAPPED_ENDS + _DIRICHLET + _MORE:
         grid = build_grid(len(shape), shape, (1.0,) * len(shape), topology)
-        r, c, w, _ = _chain_entries(grid)
+        r, c, w, _ = chain_entries(grid)
         lines = [n if top == "periodic" else n - 2 for n, top in zip(shape, topology)]
         at_r = np.unravel_index(r[w != 0.0], lines)
         at_c = np.unravel_index(c[w != 0.0], lines)
@@ -1318,47 +1297,23 @@ def test_jacobian_entries_stay_in_their_rows_neighbourhood():
 
 
 def test_jacobian_stencil_sums_every_chain_entry_into_its_slot():
-    from pmcgraph.solver import _jacobian_coefficients, _jacobian_plan
+    from pmcgraph.solver import _jacobian_plan
 
     F = parse_pmc("0.4*z - 0.3*t + 0.2*sin(y1) + 0.1*y1*y2 "
                   "- 0.05*cos(6.283185307179586*x1)")
     for shape, topology in _WRAPPED + _WRAPPED_ENDS + _DIRICHLET + _MORE:
         grid = build_grid(len(shape), shape, (1.0,) * len(shape), topology)
-        r, c, w, q = _chain_entries(grid)
+        r, c, w, q = chain_entries(grid)
         n = int(np.count_nonzero(~grid.boundary_mask))
-        # the pattern size of the entries summed by position, zero weights
-        # included, which the sorted plan of earlier versions stored
+        # the pattern size of the entries summed by position, which the
+        # sorted plan of earlier versions stored
         assert _jacobian_plan(grid).nnz == np.unique(r * n + c).size, (shape, topology)
         if n > 1500:
             continue
         u = 0.4 * np.random.default_rng(7).standard_normal(grid.shape)
-        dense = np.zeros((n, n))
-        np.add.at(dense, (r, c), w * _jacobian_coefficients(grid, u, F)[q])
+        dense = dense_jacobian(grid, u, F)
         J = assemble_jacobian(grid, u, F).toarray()
         assert np.max(np.abs(J - dense)) <= 1e-12 * np.max(np.abs(dense)), (shape, topology)
-
-
-@pytest.mark.parametrize("topology", [("periodic", "periodic"), ("dirichlet", "dirichlet"),
-                                      ("periodic", "dirichlet")])
-def test_a_weight_that_varies_along_the_rows_is_refused(monkeypatch, topology):
-    import pmcgraph.solver as solver
-    from pmcgraph.calculus import Stencil
-
-    # the plan keeps one weight per slot and coefficient row, so a chain
-    # whose weight differs on one interior row must not pass its check
-    grid = build_grid(2, (12, 12), (1.0, 1.0), topology)
-    real = solver._jacobian_chains
-
-    def bent(grid):
-        (outer, inner), *rest = real(grid)
-        weights = outer.weights.copy()
-        weights[:, grid.node_count // 2 + 6] *= 1.5
-        return [(Stencil(outer.cols.copy(), weights, outer.shape), inner), *rest]
-
-    solver._JacobianPlan(grid)
-    monkeypatch.setattr(solver, "_jacobian_chains", bent)
-    with pytest.raises(RuntimeError, match="a Jacobian entry leaves its row's slots"):
-        solver._JacobianPlan(grid)
 
 
 def test_the_plan_keeps_no_weight_per_unknown():
@@ -1382,22 +1337,73 @@ def test_the_plan_keeps_no_weight_per_unknown():
     assert small == large and small["weights"] == [(9, 11)]
 
 
-@pytest.mark.parametrize("shape, topology", [
-    ((12,), ("periodic",)), ((12,), ("dirichlet",)), ((4,), ("dirichlet",)),
-    ((8, 6), ("periodic", "periodic")), ((4, 4), ("dirichlet", "dirichlet")),
-    ((8, 9), ("periodic", "dirichlet")), ((9, 8), ("dirichlet", "periodic"))])
-def test_the_plan_has_one_slot_per_offset_over_the_grids_own_axes(shape, topology):
-    from pmcgraph.solver import _JacobianPlan
+# the grids of the dense slot-by-slot check: 1-D periodic and dirichlet, a
+# dirichlet line of two unknowns, a torus, a dirichlet square and both
+# mixed orders
+_SMALL = [((12,), ("periodic",)), ((12,), ("dirichlet",)), ((4,), ("dirichlet",)),
+          ((8, 6), ("periodic", "periodic")), ((4, 4), ("dirichlet", "dirichlet")),
+          ((8, 9), ("periodic", "dirichlet")), ((9, 8), ("dirichlet", "periodic"))]
 
-    # 3^d slots, the center one each row's own column, and none of them
-    # empty on every row: a 1-D row is no line of a 2-D array
+
+@pytest.mark.parametrize("shape, topology", _SMALL)
+def test_the_plan_has_one_slot_per_offset_over_the_grids_own_axes(shape, topology):
+    import itertools
+
+    # 3^d slots over the grid's own axes, the center one the diagonal: slot
+    # s of a row holds the dense Jacobian's entry at the neighbour of offset
+    # s, wrapping on a periodic axis, and 0 where that neighbour is a
+    # dirichlet node; no slot is 0 on every row, as a 1-D row is no line of
+    # a 2-D array
     grid = build_grid(len(shape), shape, (1.0,) * len(shape), topology)
-    plan = _JacobianPlan(grid)
-    assert len(plan.cols) == 3 ** grid.dimension
-    assert np.array_equal(plan.cols[plan.center], np.arange(plan.n))
-    empty = np.zeros(plan.cols.size, dtype=bool)
-    empty[plan.empty] = True
-    assert not np.any(empty.reshape(plan.cols.shape).all(axis=1))
+    u = 0.4 * np.random.default_rng(7).standard_normal(grid.shape)
+    F = parse_pmc("0.4*z - 0.3*t + 0.2*sin(y1) - 0.05*cos(6.283185307179586*x1)")
+    J = assemble_jacobian(grid, u, F)
+    dense = dense_jacobian(grid, u, F)
+    lines = J.plan.lines
+    assert J.data.shape == (3 ** grid.dimension,) + lines
+    np.testing.assert_array_equal(J.data[J.plan.center].reshape(-1), np.diag(J.toarray()))
+    scale = 1e-12 * np.max(np.abs(dense))
+    for s, step in enumerate(itertools.product((-1, 0, 1), repeat=grid.dimension)):
+        expected = np.zeros(lines)
+        for row in np.ndindex(*lines):
+            at = [i + d for i, d in zip(row, step)]
+            at = [a % L if t == "periodic" else a for a, L, t in zip(at, lines, topology)]
+            if all(0 <= a < L for a, L in zip(at, lines)):
+                expected[row] = dense[np.ravel_multi_index(row, lines),
+                                      np.ravel_multi_index(at, lines)]
+        np.testing.assert_allclose(J.data[s], expected, rtol=0, atol=scale)
+        assert np.any(J.data[s] != 0.0), step
+
+
+def test_no_per_grid_cache_holds_an_array_per_node_and_slot():
+    import tracemalloc
+
+    from pmcgraph.calculus import operators
+    from pmcgraph.solver import _jacobian_plan
+
+    # the operators and the Jacobian's plan of a grid that no other test
+    # builds hold less than one float per node: their stencils are taps and
+    # windows, not index or weight arrays over the nodes
+    grid = build_grid(2, (257, 257), (1.0, 2.0), ("dirichlet", "periodic"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        operators(grid)
+        _jacobian_plan(grid)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * grid.node_count
+
+    def arrays(value):
+        if isinstance(value, (list, tuple)):
+            return [a for item in value for a in arrays(item)]
+        if hasattr(value, "__dict__"):
+            return arrays(list(vars(value).values()))
+        return [value] if isinstance(value, np.ndarray) else []
+
+    sizes = [a.size for a in arrays([operators(grid), _jacobian_plan(grid)])]
+    assert sizes and max(sizes) < grid.node_count
 
 
 def test_a_non_finite_coefficient_ends_in_a_non_finite_step(monkeypatch):
@@ -1409,7 +1415,7 @@ def test_a_non_finite_coefficient_ends_in_a_non_finite_step(monkeypatch):
 
     def poisoned(*args, **kwargs):
         q = real(*args, **kwargs)
-        q[3] = np.nan
+        q[0].flat[3] = np.nan
         return q
 
     monkeypatch.setattr(solver, "_jacobian_coefficients", poisoned)
@@ -1600,7 +1606,8 @@ def test_fourier_factor_matches_a_dense_solve(shape, gauge_free):
     from pmcgraph.solver import Preconditioner
 
     A = _constant_jacobian(shape, gauge_free)
-    assert np.all(A.data == A.data[:, :1])
+    slots = A.data.reshape(len(A.data), -1)
+    assert np.all(slots == slots[:, :1])
     b = np.random.default_rng(1).standard_normal(A.shape[0])
     x = Preconditioner(A).solve(b)
     expected = np.linalg.solve(A.toarray(), b)
@@ -1618,7 +1625,8 @@ def _fourier_factor_solve(A, b):
     # of the 3 x 3 offsets
     L0, m = lines = (1,) * (2 - len(A.plan.lines)) + A.plan.lines
     n = A.plan.n
-    row = A.data[:, 0] if len(A.data) == 9 else np.pad(A.data[:, 0], 3)
+    row = A.data.reshape(len(A.data), -1)[:, 0]
+    row = row if len(row) == 9 else np.pad(row, 3)
     lam = np.full((L0, m // 2 + 1), math.fsum(row), dtype=complex)
     f0, f1 = np.fft.fftfreq(L0)[:, None], np.fft.rfftfreq(m)
     for s, value in enumerate(row):
@@ -1659,7 +1667,7 @@ def test_fourier_factor_rejects_a_zero_eigenvalue():
     # a height-free prescription leaves the constants in the kernel: the
     # zero mode's eigenvalue, the row sum, is 0.  Only the border pins it
     A = _constant_jacobian((8, 6), gauge_free=True, border=False)
-    assert math.fsum(A.data[:, 0]) == 0.0
+    assert math.fsum(A.data.reshape(len(A.data), -1)[:, 0]) == 0.0
     Preconditioner(A.bordered())
     with pytest.raises(np.linalg.LinAlgError):
         Preconditioner(A)
@@ -1734,7 +1742,8 @@ def test_shipped_periodic_solves_build_one_exact_preconditioner(
     doc = json.loads(report.read_text())
     assert doc["consistency_ok"] and doc["factorizations"] == 1
     assert doc["krylov_iterations"] == {"torus_sine.json": 10, "horosphere.json": 7}[config]
-    assert len(built) == 1 and np.all(built[0].data == built[0].data[:, :1])
+    slots = built[0].data.reshape(len(built[0].data), -1)
+    assert len(built) == 1 and np.all(slots == slots[:, :1])
 
 
 def _mixed_torus_sine():
