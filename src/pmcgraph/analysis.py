@@ -161,7 +161,8 @@ def blowup_diagnostics(prescription, build, grid, cfg=None, levels=2):
     `build` maps a grid to its `BarrierPair` and is called once per level,
     from the coarsest `grid` on: barriers interpolated from a coarser grid
     would carry curvature noise that a fine level's residual check cannot
-    absorb.
+    absorb.  An error building the coarsest pair is raised; one building a
+    finer level's is recorded like a failed solve of that level.
     """
     if int(levels) < 2:
         raise ValueError("a refinement study needs at least 2 levels")
@@ -169,16 +170,18 @@ def blowup_diagnostics(prescription, build, grid, cfg=None, levels=2):
         cfg = SolveConfig()
     H = (prescription.composite()
          if isinstance(prescription, QuasiDecomposition) else prescription)
-    pair = build(grid)
+    first = build(grid)
     rows = []
     errors = []
     max_grads = []
     all_pass = True
     for level in range(int(levels)):
+        if level:
+            grid = refine_grid(grid)
         row = {"level": level, "spacing": grid.max_spacing(),
                "shape": list(grid.shape)}
         try:
-            v, rep = outer_iterate(H, pair, cfg)
+            v, rep = outer_iterate(H, build(grid) if level else first, cfg)
             slope = _slope_magnitude(grid, v.values)
             row.update({
                 "converged": True,
@@ -196,9 +199,6 @@ def blowup_diagnostics(prescription, build, grid, cfg=None, levels=2):
             errors.append({"level": level, "error": str(exc)})
             all_pass = False
         rows.append(row)
-        if level + 1 < int(levels):
-            grid = refine_grid(grid)
-            pair = build(grid)
 
     orders = {}
     for key in ("total_variation", "area", "max_grad"):

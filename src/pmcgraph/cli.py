@@ -46,20 +46,18 @@ from . import __version__
 from .analysis import blowup_diagnostics
 from .expr import ParseError
 from .geometry import (
-    FACTOR_VARS,
     ConformalFactor,
     WarpedProfile,
     conformal_transform_pmc,
     warped_to_conformal,
 )
-from .grid import DIMENSIONS, build_grid, field_from_expr, read_field_csv, write_field_csv
+from .grid import (DIMENSIONS, build_grid, field_from_expr, read_field_csv, require_reads,
+                   variables, write_field_csv)
 from .pmc import (
-    PMC_VARS,
     QuasiDecomposition,
     WorkingBox,
     check_monotone,
     check_quasi_decreasing,
-    padded,
     parse_pmc,
     pmc_residual,
 )
@@ -462,22 +460,25 @@ def _problem(cfg):
     product-metric solver runs, so every check reads what `solve` checks:
     the composite H1 + t*H2 of a split, the `conformal_transform_pmc`
     pullback under a conformal factor, else the prescription itself.  A
-    split under a conformal metric is a config error.
+    split under a conformal metric is a config error, and so is a factor
+    (refused by the pullback) or an `H`, which covers a split's parts,
+    that reads a variable the grid lacks, such as y2 on a 1-D base.
     """
     grid = _grid_of(cfg)
     kind, presc = _prescription_of(cfg)
     factor, meta = _factor_of(cfg)
     solk = _solver_of(cfg)
-    if kind == "split":
+    if kind == "split" and factor is not None:
+        raise CLIConfigError(
+            "split prescriptions (h1/h2) are product-metric only; "
+            "use pmc.expr with a conformal metric")
+    H = presc.composite() if kind == "split" else presc
+    try:
         if factor is not None:
-            raise CLIConfigError(
-                "split prescriptions (h1/h2) are product-metric only; "
-                "use pmc.expr with a conformal metric")
-        H = presc.composite()
-    elif factor is not None:
-        H = conformal_transform_pmc(presc, factor, grid.dimension)
-    else:
-        H = presc
+            H = conformal_transform_pmc(presc, factor, grid.dimension)
+        require_reads(H.ast, variables(grid.dimension), "prescription", grid.dimension)
+    except ValueError as exc:
+        raise CLIConfigError(str(exc)) from exc
     return _Problem(grid, kind, presc, factor, meta, solk, H)
 
 
@@ -496,6 +497,8 @@ def _barrier_builder(cfg, grid, solk):
         if "from_phi" in b:
             base = parse_pmc(b["from_phi"]["base"])
             phi = parse_pmc(b["from_phi"]["phi"])
+            for presc in (base, phi):
+                require_reads(presc.ast, variables(grid.dimension), "from_phi", grid.dimension)
             if psi_expr is None:
                 raise CLIConfigError("barriers: from_phi needs a boundary trace psi")
             fields = (psi_expr,)
@@ -629,8 +632,9 @@ def _cmd_transform(cfg, args):
         "table_path": None,
     }
     if args.out_field is not None:
-        _float_rows(args.out_field, ",".join(PMC_VARS) + ",original,transformed",
-                    [env[k] for k in PMC_VARS] + [original, transformed])
+        # the lattice holds exactly the config's own `variables(dimension)`
+        _float_rows(args.out_field, ",".join(env) + ",original,transformed",
+                    [*env.values(), original, transformed])
         payload["table_path"] = args.out_field
     return payload, 0
 
@@ -643,7 +647,7 @@ def _cmd_reparam(cfg, args):
     r_lo, r_hi = c["warped"]["interval"]
     r = np.linspace(r_lo, r_hi, 1001)
     s = factor.s_of_r(r)
-    f = np.asarray(factor.eval(padded({"r": s}, FACTOR_VARS)))
+    f = np.asarray(factor.eval({"r": s}))
     payload = {
         "conformal": meta,
         "rows": 1001,

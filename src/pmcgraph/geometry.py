@@ -20,8 +20,8 @@ from .calculus import (
     operators,
 )
 from .expr import Call, Const, Func, Var, eval_checked, parse_expr, rename_var, takes_differences
-from .grid import DIMENSIONS, ScalarField, face_positions
-from .pmc import PMC_VARS, PMCFunction, graph_normal_env, padded, variables
+from .grid import DIMENSIONS, ScalarField, face_positions, require_reads, variables
+from .pmc import PMCFunction, callable_variables, graph_normal_env
 
 __all__ = [
     "ConformalFactor",
@@ -33,19 +33,26 @@ __all__ = [
     "warped_to_conformal",
     "second_fundamental_norm",
     "jacobi_residual",
-    "FACTOR_VARS",
 ]
 
-# the factor's variables: the widest base point, then the height r
-FACTOR_VARS = PMC_VARS[:max(DIMENSIONS)] + ("r",)
+def _factor_variables(dimension):
+    """A factor's variables over a `dimension`-D base: the base point, then
+    the height r."""
+    return variables(dimension)[:dimension] + ("r",)
+
+
+# what a factor may be parsed over: the widest base's factor variables; on
+# a d-dimensional base it may read only `_factor_variables(d)`
+FACTOR_VARS = _factor_variables(max(DIMENSIONS))
 
 
 class ConformalFactor:
     """Scale exponent f(x, r) of a conformal product metric e^{2f}(dx²+dr²).
 
-    The factor is an expression tree over `FACTOR_VARS`, and its base
-    gradient and height derivative are the tree's derivatives.  `eval` and
-    `partial` take an environment over those names (`padded`).
+    The factor is an expression tree over the base point and the height r
+    of one base, and its base gradient and height derivative are the tree's
+    derivatives.  `eval` and `partial` take an environment over those
+    names.
     `derivative_mode` is 'analytic' when the derivatives are exact (parsed
     text, or a callable with derivative rules) and 'fd' when one of them
     falls back to a centered difference.
@@ -62,13 +69,14 @@ class ConformalFactor:
 
     @classmethod
     def from_callable(cls, f, d_base=None, d_r=None):
-        """Wrap f over `FACTOR_VARS` in order; derivatives by central
-        differences unless given."""
-        args = [Var(v) for v in FACTOR_VARS]
+        """Wrap f over the base point x1..xd and the height r in order, with
+        the base dimension d read off its d + 1 parameters; derivatives by
+        central differences unless given."""
+        args = [Var(v) for v in callable_variables(f, _factor_variables)]
         given = list(d_base) if d_base is not None else [None] * (len(args) - 1)
         given.append(d_r)
-        rules = [None if g is None else Func(f"d{v}f", g, args)
-                 for v, g in zip(FACTOR_VARS, given)]
+        rules = [None if g is None else Func(f"d{a.name}f", g, args)
+                 for a, g in zip(args, given)]
         return cls(Func("f", f, args, rules))
 
     @property
@@ -96,9 +104,8 @@ class ConformalFactor:
 
 def _factor_env(positions, heights):
     """The factor's environment at `heights` over the base points
-    `positions`, one array per base axis; FACTOR_VARS opens with the base
-    variables, so zipping names them."""
-    return padded({**dict(zip(FACTOR_VARS, positions)), "r": heights}, FACTOR_VARS)
+    `positions`, one array per base axis."""
+    return dict(zip(variables(len(positions)), positions), r=heights)
 
 
 def conformal_mean_curvature_values(grid, values, F, grads=None):
@@ -168,9 +175,11 @@ def conformal_transform_pmc(H, F, n):
 
     with factor derivatives at (x, r).  The height slot of the factor maps
     onto the prescription's z argument.  The transform is built on the two
-    expression trees, so H' has exact partials wherever H and f do.
+    expression trees, so H' has exact partials wherever H and f do.  A
+    factor that reads a variable the n-dimensional base lacks is refused.
     """
     n = int(n)
+    require_reads(F.ast, _factor_variables(n), "conformal factor", n)
     names = variables(n)
     # <Df, Y> + f_r t: the factor's base variables and r against the
     # normal's components y1..yn and t

@@ -4,9 +4,16 @@ A grid is a uniform tensor-product lattice over a box.  Each axis is either
 periodic (the box is a circle factor; the right edge wraps to the left) or
 dirichlet (both edge node layers are boundary).  Grids and fields are
 immutable after construction.
+
+This module says what a base is: its allowed dimensions (`DIMENSIONS`) and
+the variables an expression over a d-dimensional one reads (`variables`).
+Field expressions, prescriptions and conformal factors read only their
+grid's variables, and one that reads another is refused (`require_reads`).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -23,11 +30,37 @@ __all__ = [
     "read_field_csv",
     "refine_grid",
     "face_positions",
+    "require_reads",
+    "variables",
     "DIMENSIONS",
 ]
 
 # the base dimensions a grid, a working box and a config may have
 DIMENSIONS = (1, 2)
+
+
+@functools.cache
+def variables(dimension):
+    """The variables an expression over a `dimension`-D base reads, in axis
+    order: the base point x1..xn, the height z, the horizontal part y1..yn
+    of the unit normal and its vertical part t.
+
+    The one place that spells them: every vocabulary, environment and
+    table header of the package is derived from it.
+    """
+    axes = range(1, dimension + 1)
+    return (*(f"x{i}" for i in axes), "z", *(f"y{i}" for i in axes), "t")
+
+
+def require_reads(node, names, what, dimension):
+    """Refuse an expression tree that reads a variable outside `names`, the
+    ones `what` may read on a `dimension`-D base: ValueError naming the
+    first such variable."""
+    extra = node.variables() - frozenset(names)
+    if extra:
+        raise ValueError(
+            f"{what} uses variable '{min(extra)}' not defined on a {dimension}D base grid")
+
 
 _TOPOLOGIES = ("periodic", "dirichlet")
 
@@ -193,26 +226,18 @@ def field_from_expr(grid, expr):
     """Evaluate an expression of the base coordinates at every node.
 
     `expr` may be source text or an already-parsed node; only the grid's
-    own coordinates x1..xn are available (`pmc.variables`).  Referencing
+    own coordinates x1..xn are available (`variables`).  Referencing
     anything else, x2 on a 1-D grid included, is rejected with the
     offending name in the message.
     """
-    from .pmc import variables  # pmc imports this module
-
     allowed = variables(grid.dimension)[:grid.dimension]
     if isinstance(expr, str):
-        node = parse_expr(expr, allowed)
-    elif isinstance(expr, ExprNode):
-        node = expr
-        extra = node.variables() - frozenset(allowed)
-        if extra:
-            raise ValueError(
-                f"field expression uses variable '{sorted(extra)[0]}' "
-                f"not defined on a {grid.dimension}D base grid")
-    else:
+        expr = parse_expr(expr, allowed)
+    elif not isinstance(expr, ExprNode):
         raise TypeError(f"expr must be text or an ExprNode, got {type(expr)!r}")
+    require_reads(expr, allowed, "field expression", grid.dimension)
     env = dict(zip(allowed, grid.node_positions()))
-    values = eval_checked(node, env, label="field expression")
+    values = eval_checked(expr, env, label="field expression")
     values = np.broadcast_to(values, grid.shape)
     return ScalarField(grid, values)
 

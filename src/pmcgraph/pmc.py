@@ -8,12 +8,13 @@ partial derivatives are the tree's symbolic derivatives; only a `Func` node
 built without a derivative rule, such as a wrapped Python callable, is
 differentiated by a centered difference.
 
-The variables are named once, by `variables(dimension)`: x1..xn, z,
+The variables are named once, by `grid.variables(dimension)`: x1..xn, z,
 y1..yn, t over an n-dimensional base.  A prescription is parsed over the
 widest base's names, `PMC_VARS`, and evaluated on an environment, a dict
-from names to scalars or arrays (`PMCFunction.eval(env)`,
-`PMCFunction.partial(name, env)`).  On a 1-D base the environments are
-`padded`: a prescription that reads x2 or y2 reads 0 there.
+from its base's names to scalars or arrays (`PMCFunction.eval(env)`,
+`PMCFunction.partial(name, env)`).  Every environment holds exactly its
+grid's or box's `variables(dimension)`, so a prescription may read only
+those, as a field expression may read only its grid's coordinates.
 
 The certificates (`check_monotone`, `check_quasi_decreasing` and, in the
 solver, `barriers_from_phi`) bound an expression over a `WorkingBox`
@@ -28,7 +29,7 @@ height row.
 
 from __future__ import annotations
 
-import functools
+import inspect
 import math
 
 import numpy as np
@@ -44,7 +45,7 @@ from .expr import (
     shared_subtrees,
     takes_differences,
 )
-from .grid import DIMENSIONS, ScalarField
+from .grid import DIMENSIONS, ScalarField, variables
 
 __all__ = [
     "PMCFunction",
@@ -56,10 +57,8 @@ __all__ = [
     "sampled_range",
     "graph_normal_env",
     "pmc_residual",
-    "variables",
-    "padded",
+    "callable_variables",
     "MONOTONE_TOL",
-    "PMC_VARS",
 ]
 
 # slack admitted when testing sampled partials against 0 (exact symbolic
@@ -67,34 +66,20 @@ __all__ = [
 MONOTONE_TOL = 1e-12
 
 
-@functools.cache
-def variables(dimension):
-    """The variables an expression over a `dimension`-D base reads, in axis
-    order: the base point x1..xn, the height z, the horizontal part y1..yn
-    of the unit normal and its vertical part t.
-
-    The one place that spells them: every vocabulary, environment and
-    table header of the package is derived from it.
-    """
-    axes = range(1, dimension + 1)
-    return (*(f"x{i}" for i in axes), "z", *(f"y{i}" for i in axes), "t")
-
-
-# what a prescription may read on any base: the widest base's variables
+# what a prescription may be parsed over: the widest base's variables; on
+# a d-dimensional base it may read only `variables(d)` (`grid.require_reads`)
 PMC_VARS = variables(max(DIMENSIONS))
 
 
-def padded(env, names):
-    """The environment over `names`: env's entry for each name it holds,
-    and zeros shaped like its first entry for each one it lacks.
-
-    This is the 1-D rule: a prescription or conformal factor on a 1-D base
-    may read x2 and y2, and reads 0 there, so a 1-D `transform` table has
-    the same columns as a 2-D one.  Field expressions of the base
-    coordinates stay strict (`grid.field_from_expr`).
-    """
-    first = next(iter(env.values()))
-    return {k: env[k] if k in env else np.zeros_like(first) for k in names}
+def callable_variables(fn, names_of):
+    """`names_of(d)` for the base dimension d in `DIMENSIONS` that names as
+    many variables as `fn` takes parameters; ValueError when none does."""
+    count = len(inspect.signature(fn).parameters)
+    fits = [names_of(d) for d in DIMENSIONS if len(names_of(d)) == count]
+    if not fits:
+        raise ValueError(f"a callable of {count} parameters fits no base dimension "
+                         f"in {DIMENSIONS}")
+    return fits[0]
 
 
 class PMCFunction:
@@ -110,7 +95,7 @@ class PMCFunction:
     Parameters
     ----------
     ast : ExprNode
-        Tree over the variables `PMC_VARS`.
+        Tree over the variables of one base, `variables(d)`.
     provenance : str
         How the prescription was built: 'expression', 'callable',
         'composite' or 'transformed'.
@@ -129,8 +114,10 @@ class PMCFunction:
 
     @classmethod
     def from_callable(cls, fn):
-        """Wrap fn over `PMC_VARS` in order; partials by centered differences."""
-        return cls(Func("H", fn, [Var(v) for v in PMC_VARS]), provenance="callable")
+        """Wrap fn over `variables(d)` in order, with the base dimension d
+        read off its 2d + 2 parameters; partials by centered differences."""
+        args = [Var(v) for v in callable_variables(fn, variables)]
+        return cls(Func("H", fn, args), provenance="callable")
 
     def eval(self, env):
         return eval_checked(self.ast, env, label=self.label)
@@ -247,7 +234,7 @@ class WorkingBox:
         (endpoints included, so box corners are in the lattice, and for an
         odd count the normal poles too); normal samples outside the closed
         unit half-ball are dropped.  Returns arrays of equal length,
-        flattened C-order, over `PMC_VARS` (`padded`).
+        flattened C-order, over `variables(dimension)`.
 
         With a set `reads` of variable names, only the first point of each
         class of lattice points that agree on those variables is kept, in
@@ -284,16 +271,15 @@ class WorkingBox:
         flat = [np.repeat(m.reshape(-1), keep.size)
                 for m in np.meshgrid(*base, indexing="ij")]
         flat += [np.tile(a, math.prod(b.size for b in base)) for a in ball]
-        return padded(dict(zip(names, flat)), PMC_VARS)
+        return dict(zip(names, flat))
 
     def __repr__(self):
         return (f"WorkingBox(z=[{self.z_min:.6g}, {self.z_max:.6g}], "
                 f"x={self.x_ranges})")
 
 
-def _worst_point(env, idx, dimension):
-    return {k: float(np.asarray(env[k]).reshape(-1)[idx])
-            for k in variables(dimension)}
+def _worst_point(env, idx):
+    return {k: float(np.asarray(v).reshape(-1)[idx]) for k, v in env.items()}
 
 
 def sampled_range(H, box, var=None, samples=9, lattice=None):
@@ -311,8 +297,7 @@ def sampled_range(H, box, var=None, samples=9, lattice=None):
     vals = H.eval(env) if var is None else H.partial(var, env)
     vals = np.broadcast_to(vals, env["z"].shape)
     i, j = int(np.argmin(vals)), int(np.argmax(vals))
-    return (float(vals[i]), float(vals[j]),
-            _worst_point(env, i, box.dimension), _worst_point(env, j, box.dimension))
+    return float(vals[i]), float(vals[j]), _worst_point(env, i), _worst_point(env, j)
 
 
 def check_monotone(H, box, samples=9):
@@ -351,14 +336,14 @@ def graph_normal_env(grid, values, grads=None):
     Returns (env, omega): env maps x1..xn to the node positions, z to
     `values` and y1..yn, t to the upward unit normal (-Du/omega, 1/omega),
     with omega = sqrt(1 + |Du|^2) from the node gradients `grads` (computed
-    when not given), over `PMC_VARS` (`padded`).  Every evaluation of a
+    when not given), over `variables(grid.dimension)`.  Every evaluation of a
     prescription at a graph, and every tilt 1/omega, is read from here.
     """
     if grads is None:
         grads = node_gradients(grid, values)
     omega = np.sqrt(1.0 + sum(g * g for g in grads))
     columns = [*grid.node_positions(), values, *(-g / omega for g in grads), 1.0 / omega]
-    return padded(dict(zip(variables(grid.dimension), columns)), PMC_VARS), omega
+    return dict(zip(variables(grid.dimension), columns)), omega
 
 
 def pmc_residual(grid, u, H, F=None, box=None):

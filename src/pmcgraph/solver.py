@@ -93,7 +93,7 @@ from .calculus import (
     operators,
 )
 from .expr import Var
-from .grid import ScalarField, refine_grid, sup_norm
+from .grid import ScalarField, refine_grid, sup_norm, variables
 from .pmc import (
     PMCFunction,
     WorkingBox,
@@ -101,7 +101,6 @@ from .pmc import (
     graph_normal_env,
     pmc_residual,
     sampled_range,
-    variables,
 )
 
 __all__ = [
@@ -408,7 +407,7 @@ def gamma_for(H, slab, samples=9):
 
     sup = float(slope[j])
     return {"gamma": 1.05 * max(0.0, sup), "sup_slope": sup,
-            "worst_point": {k: float(env[k][j]) for k in variables(slab.dimension)},
+            "worst_point": {k: float(v[j]) for k, v in env.items()},
             "samples": int(samples), "slab": [slab.z_min, slab.z_max]}, sup_above
 
 

@@ -175,6 +175,26 @@ def test_refinement_study_continues_past_failures(monkeypatch):
     assert rep.errors and not rep.suspected_nongraphical
 
 
+def test_refinement_study_keeps_the_levels_it_solved_when_a_finer_build_fails():
+    g = _unit_square(9, "periodic")
+    coarse = _constant_pair(-1.0, 1.0)
+
+    def build(grid):
+        if grid != g:
+            raise ValueError("no barriers on the refined grid")
+        return coarse(grid)
+
+    rep = blowup_diagnostics(parse_pmc("-z"), build, g, levels=3)
+    assert [row["converged"] for row in rep.rows] == [True, False, False]
+    assert rep.rows[0]["consistency_ok"]
+    assert rep.errors == [{"level": level, "error": "no barriers on the refined grid"}
+                          for level in (1, 2)]
+    assert not rep.suspected_nongraphical
+    # the coarsest pair is the study's own precondition: its failure is raised
+    with pytest.raises(ValueError, match="no barriers"):
+        blowup_diagnostics(parse_pmc("-z"), build, build_grid(2, (8, 8), (1.0, 1.0), "periodic"))
+
+
 def test_suspect_flag_logic():
     assert _suspect_flag([0.1, 0.25, 0.6], True)
     assert not _suspect_flag([0.1, 0.15, 0.6], True)

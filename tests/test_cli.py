@@ -630,17 +630,31 @@ def test_transform_tabulates_both_prescriptions(tmp_path):
     assert abs(trans - expected) < 1e-12
 
 
-def test_one_dimensional_transform_table_reads_x2_and_y2_as_zero(tmp_path):
+def test_one_dimensional_transform_table_has_the_base_columns(tmp_path):
     table = tmp_path / "t.csv"
     code = run(["transform", "--config", cfg_path("warped_radial.json"),
-                "--override", 'pmc.expr="1 + x2 + 3*y2"',
+                "--override", 'pmc.expr="1 + x1 + 3*y1"',
                 "--out-report", str(tmp_path / "r.json"), "--out-field", str(table)])
     assert code == 0
     with open(table) as fh:
-        assert fh.readline().strip() == "x1,x2,z,y1,y2,t,original,transformed"
+        assert fh.readline().strip() == "x1,z,y1,t,original,transformed"
     data = np.loadtxt(table, delimiter=",", skiprows=1)
-    assert np.all(data[:, 1] == 0.0) and np.all(data[:, 4] == 0.0)
-    assert np.all(data[:, 6] == 1.0)
+    np.testing.assert_array_equal(data[:, 4], 1.0 + data[:, 0] + 3.0 * data[:, 2])
+
+
+@pytest.mark.parametrize("command, override, name", [
+    *((command, 'pmc.expr="1 + 3*y2"', "y2")
+      for command in ("solve", "check-monotone", "transform")),
+    *((command, 'conformal={"f": "-ln(r) + 0.1*x2"}', "x2")
+      for command in ("solve", "check-monotone", "transform")),
+    ("solve", 'barriers={"from_phi": {"phi": "0.1*y2"}, "psi": "0.5"}', "y2"),
+])
+def test_one_dimensional_config_reading_a_second_axis_exits_2(command, override, name,
+                                                              capsys):
+    # prescriptions and factors read only their grid's variables, as fields do
+    code = run([command, "--config", cfg_path("warped_radial.json"), "--override", override])
+    assert code == 2
+    assert f"variable '{name}' not defined on a 1D base grid" in capsys.readouterr().err
 
 
 def test_transform_on_product_metric_exits_2():

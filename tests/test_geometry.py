@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from pmcgraph.grid import build_grid, constant_field, field_from_expr
+from pmcgraph.grid import build_grid, constant_field, field_from_expr, variables
 from pmcgraph.geometry import (
-    FACTOR_VARS,
     ConformalFactor,
     WarpedProfile,
     conformal_mean_curvature,
@@ -14,10 +13,12 @@ from pmcgraph.geometry import (
     warped_to_conformal,
 )
 from pmcgraph.expr import EvalDomainError
-from pmcgraph.pmc import PMC_VARS, graph_normal_env, parse_pmc, pmc_residual
+from pmcgraph.pmc import graph_normal_env, parse_pmc, pmc_residual
 
 TWO_PI = 6.283185307179586
 LN4 = 1.3862943611198906
+# a factor's variables over the 2-D base: the base point, then the height
+FACTOR_2D = (*variables(2)[:2], "r")
 
 
 def interior_collar(grid, width):
@@ -38,16 +39,16 @@ def interior_collar(grid, width):
 def test_factor_from_expr():
     F = ConformalFactor.from_expr("-ln(r)")
     assert F.derivative_mode == "analytic"
-    assert F.eval(dict(zip(FACTOR_VARS, (0.0, 0.0, 1.0)))) == 0.0
-    assert F.partial("r", dict(zip(FACTOR_VARS, (0.0, 0.0, 2.0)))) == -0.5
-    assert F.partial("x1", dict(zip(FACTOR_VARS, (0.0, 0.0, 2.0)))) == 0.0
+    assert F.eval(dict(zip(FACTOR_2D, (0.0, 0.0, 1.0)))) == 0.0
+    assert F.partial("r", dict(zip(FACTOR_2D, (0.0, 0.0, 2.0)))) == -0.5
+    assert F.partial("x1", dict(zip(FACTOR_2D, (0.0, 0.0, 2.0)))) == 0.0
 
 
 def test_factor_from_callable_fd():
     F = ConformalFactor.from_callable(lambda x1, x2, r: 0.5 * r * r + x1)
     assert F.derivative_mode == "fd"
-    assert F.partial("r", dict(zip(FACTOR_VARS, (0.0, 0.0, 3.0)))) == pytest.approx(3.0, abs=1e-7)
-    assert F.partial("x1", dict(zip(FACTOR_VARS, (0.0, 0.0, 3.0)))) == pytest.approx(1.0, abs=1e-7)
+    assert F.partial("r", dict(zip(FACTOR_2D, (0.0, 0.0, 3.0)))) == pytest.approx(3.0, abs=1e-7)
+    assert F.partial("x1", dict(zip(FACTOR_2D, (0.0, 0.0, 3.0)))) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_factor_from_callable_analytic():
@@ -56,7 +57,7 @@ def test_factor_from_callable_analytic():
         d_base=(lambda x1, x2, r: 0.0 * r, lambda x1, x2, r: 0.0 * r),
         d_r=lambda x1, x2, r: -1.0 / r)
     assert F.derivative_mode == "analytic"
-    assert F.partial("r", dict(zip(FACTOR_VARS, (0.0, 0.0, 2.0)))) == -0.5
+    assert F.partial("r", dict(zip(FACTOR_2D, (0.0, 0.0, 2.0)))) == -0.5
 
 
 # -- conformal curvature ------------------------------------------------------
@@ -115,10 +116,10 @@ def test_transform_minimal_in_hyperbolic_slab():
     Hp = conformal_transform_pmc(H, F, 2)
     assert Hp.provenance == "transformed"
     assert Hp.has_exact_partials
-    assert Hp.eval(dict(zip(PMC_VARS, (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)))) == pytest.approx(2.0, abs=1e-15)
-    assert Hp.eval(dict(zip(PMC_VARS, (0.0, 0.0, 2.0, 0.0, 0.0, 0.5)))) == pytest.approx(0.5, abs=1e-15)
+    assert Hp.eval(dict(zip(variables(2), (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)))) == pytest.approx(2.0, abs=1e-15)
+    assert Hp.eval(dict(zip(variables(2), (0.0, 0.0, 2.0, 0.0, 0.0, 0.5)))) == pytest.approx(0.5, abs=1e-15)
     # d/dz of 2t/z at z=1, t=1 is -2
-    assert Hp.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)))) == pytest.approx(-2.0, abs=1e-15)
+    assert Hp.partial("z", dict(zip(variables(2), (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)))) == pytest.approx(-2.0, abs=1e-15)
 
 
 def test_transform_residual_identity():
@@ -132,7 +133,7 @@ def test_transform_residual_identity():
     res_prod = pmc_residual(g, u, Hp)
     res_conf = pmc_residual(g, u, H, F=F)
     pos = g.node_positions()
-    f = F.eval(dict(zip(FACTOR_VARS, (pos[0], pos[1], u.values))))
+    f = F.eval(dict(zip(FACTOR_2D, (pos[0], pos[1], u.values))))
     gap = res_prod.values - np.exp(f) * res_conf.values
     gap[g.boundary_mask] = 0.0
     assert np.max(np.abs(gap)) < 1e-12
@@ -142,7 +143,7 @@ def test_transform_callable_path():
     H = parse_pmc("0")
     F = ConformalFactor.from_callable(lambda x1, x2, r: -np.log(r))
     Hp = conformal_transform_pmc(H, F, 2)
-    assert Hp.eval(dict(zip(PMC_VARS, (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)))) == pytest.approx(2.0, abs=1e-7)
+    assert Hp.eval(dict(zip(variables(2), (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)))) == pytest.approx(2.0, abs=1e-7)
 
 
 # -- warped products ----------------------------------------------------------
@@ -154,8 +155,8 @@ def test_warped_reparam_exponential_profile():
     assert abs(s_hi - LN4) < 1e-10
     # f(s) = ln r(s) = s + ln(0.5); the height derivative is h'(r(s)) = 1
     s = np.linspace(0.0, s_hi, 7)
-    assert np.max(np.abs(F.eval(dict(zip(FACTOR_VARS, (0.0, 0.0, s)))) - (s + np.log(0.5)))) < 1e-9
-    assert np.max(np.abs(F.partial("r", dict(zip(FACTOR_VARS, (0.0, 0.0, s)))) - 1.0)) < 1e-12
+    assert np.max(np.abs(F.eval({"r": s}) - (s + np.log(0.5)))) < 1e-9
+    assert np.max(np.abs(F.partial("r", {"r": s}) - 1.0)) < 1e-12
     assert F.derivative_mode == "analytic"
 
 
@@ -180,8 +181,7 @@ def test_warped_transform_has_exact_height_partial():
     s = np.array([0.05, 0.2, 0.35, 0.45])
     t = np.array([1.0, 0.8, 0.5, 0.3])
     r = 1.0 / (1.0 - s)
-    zero = np.zeros_like(s)
-    dz = Hp.partial("z", dict(zip(PMC_VARS, (zero, zero, s, zero, zero, t))))
+    dz = Hp.partial("z", dict(zip(variables(1), (np.zeros_like(s), s, np.zeros_like(s), t))))
     np.testing.assert_allclose(dz, -2.0 * r * r * t, rtol=1e-8, atol=0.0)
 
 
@@ -339,21 +339,19 @@ def test_jacobi_residual_catenoid():
 def test_factor_domain_errors_keep_their_labels(name, label):
     F = ConformalFactor.from_expr("sqrt(x1) + sqrt(x2) + sqrt(r)")
     # the value is finite at 0, its derivatives 0.5/sqrt(0) are not
-    env = dict(zip(FACTOR_VARS, (0.0, 0.0, -1.0 if name is None else 0.0)))
+    env = dict(zip(FACTOR_2D, (0.0, 0.0, -1.0 if name is None else 0.0)))
     with pytest.raises(EvalDomainError, match=f"^{label} evaluated to a non-finite value"):
         F.eval(env) if name is None else F.partial(name, env)
 
 
-def test_one_dimensional_factor_reads_x2_as_zero():
-    # a 1-D factor environment holds x1, x2 = 0 and r, and no normal
+def test_callable_factor_reads_its_base_off_its_parameter_count():
+    # a 1-D factor f(x1, r) under the 1-D conformal curvature
     grid = build_grid(1, 8, 1.0, "dirichlet")
-    u = field_from_expr(grid, "x1")
-    F = ConformalFactor.from_expr("x2 + sqrt(r)")
-    with pytest.raises(EvalDomainError) as err:
-        conformal_mean_curvature(grid, u, F)
-    assert str(err.value) == ("factor height derivative evaluated to a non-finite "
-                              "value at (r=0, x1=0, x2=0)")
-    G = ConformalFactor.from_expr("-ln(r) + 5*x2")
-    assert np.array_equal(conformal_mean_curvature(grid, constant_field(grid, 1.5), G).values,
+    F = ConformalFactor.from_callable(lambda x1, r: -np.log(r), d_base=(lambda x1, r: 0.0 * r,),
+                                      d_r=lambda x1, r: -1.0 / r)
+    assert F.ast.variables() == {"x1", "r"}
+    assert np.array_equal(conformal_mean_curvature(grid, constant_field(grid, 1.5), F).values,
                           conformal_mean_curvature(grid, constant_field(grid, 1.5),
                                                    ConformalFactor.from_expr("-ln(r)")).values)
+    with pytest.raises(ValueError, match="callable of 1 parameters"):
+        ConformalFactor.from_callable(lambda r: -np.log(r))

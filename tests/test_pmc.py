@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmcgraph.grid import build_grid, constant_field, field_from_expr
+from pmcgraph.grid import build_grid, constant_field, field_from_expr, variables
 from pmcgraph.expr import EvalDomainError, ParseError, Var
 from pmcgraph.pmc import (
     MONOTONE_TOL,
-    PMC_VARS,
     PMCFunction,
     QuasiDecomposition,
     WorkingBox,
@@ -26,7 +25,7 @@ TWO_PI = 6.283185307179586
 
 def test_parse_and_eval():
     H = parse_pmc("0.5*sin(z) + 0.1*sin(6.283185307179586*x1)")
-    assert abs(H.eval(dict(zip(PMC_VARS, (0.25, 0.0, 0.0, 0.0, 0.0, 1.0)))) - 0.1) < 1e-15
+    assert abs(H.eval(dict(zip(variables(2), (0.25, 0.0, 0.0, 0.0, 0.0, 1.0)))) - 0.1) < 1e-15
     assert H.provenance == "expression"
     assert H.has_exact_partials
 
@@ -34,23 +33,23 @@ def test_parse_and_eval():
 def test_symbolic_partials():
     H = parse_pmc("z^2*t - 0.5*y1")
     # d/dz = 2 z t, d/dt = z^2, d/dy1 = -0.5
-    assert H.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 3.0, 0.0, 0.0, 0.5)))) == pytest.approx(3.0, abs=1e-15)
-    assert H.partial("t", dict(zip(PMC_VARS, (0.0, 0.0, 3.0, 0.0, 0.0, 0.5)))) == pytest.approx(9.0, abs=1e-15)
-    assert H.partial("y1", dict(zip(PMC_VARS, (0.0, 0.0, 3.0, 0.2, 0.0, 0.5)))) == -0.5
+    assert H.partial("z", dict(zip(variables(2), (0.0, 0.0, 3.0, 0.0, 0.0, 0.5)))) == pytest.approx(3.0, abs=1e-15)
+    assert H.partial("t", dict(zip(variables(2), (0.0, 0.0, 3.0, 0.0, 0.0, 0.5)))) == pytest.approx(9.0, abs=1e-15)
+    assert H.partial("y1", dict(zip(variables(2), (0.0, 0.0, 3.0, 0.2, 0.0, 0.5)))) == -0.5
 
 
 def test_absent_variable_partial_is_exact_zero():
     H = parse_pmc("1 + 0.5*y1")
     # the height partial folds to the literal constant 0, so monotonicity
     # checks on height-free prescriptions pass with worst value exactly 0.0
-    assert H.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 100.0, 0.5, 0.0, 0.5)))) == 0.0
+    assert H.partial("z", dict(zip(variables(2), (0.0, 0.0, 100.0, 0.5, 0.0, 0.5)))) == 0.0
 
 
 def test_callable_fd_partials():
     H = PMCFunction.from_callable(lambda x1, x2, z, y1, y2, t: z * z * t)
     assert not H.has_exact_partials
-    assert H.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 3.0, 0.0, 0.0, 0.5)))) == pytest.approx(3.0, rel=1e-8)
-    assert H.partial("t", dict(zip(PMC_VARS, (0.0, 0.0, 3.0, 0.0, 0.0, 0.5)))) == pytest.approx(9.0, rel=1e-8)
+    assert H.partial("z", dict(zip(variables(2), (0.0, 0.0, 3.0, 0.0, 0.0, 0.5)))) == pytest.approx(3.0, rel=1e-8)
+    assert H.partial("t", dict(zip(variables(2), (0.0, 0.0, 3.0, 0.0, 0.0, 0.5)))) == pytest.approx(9.0, rel=1e-8)
 
 
 def test_parse_rejects_unknown_variable():
@@ -117,17 +116,14 @@ def test_lattice_matches_the_filtered_full_meshgrid(dimension, samples):
     axes.append(np.linspace(box.z_min, box.z_max, samples))
     axes += [np.linspace(-1.0, 1.0, samples)] * dimension
     axes.append(np.linspace(0.0, 1.0, samples))
-    names = ("x1", "x2", "z", "y1", "y2", "t")
-    if dimension == 1:
-        names = ("x1", "z", "y1", "t")
+    names = variables(dimension)
     mesh = np.meshgrid(*axes, indexing="ij")
     full = {k: m.reshape(-1) for k, m in zip(names, mesh)}
     normal = [full[k] for k in names[dimension + 1:]]
     keep = sum(a * a for a in normal) <= 1.0 + 1e-12
+    assert tuple(env) == names
     for k in names:
         np.testing.assert_array_equal(env[k], full[k][keep])
-    if dimension == 1:
-        assert not np.any(env["x2"]) and not np.any(env["y2"])
 
 
 # -- monotonicity checks ------------------------------------------------------
@@ -200,7 +196,7 @@ def _expressions(names):
 @st.composite
 def _range_cases(draw):
     dimension = draw(st.sampled_from((1, 2)))
-    reads = draw(st.sets(st.sampled_from(PMC_VARS)))
+    reads = draw(st.sets(st.sampled_from(variables(dimension))))
     text = draw(_expressions(sorted(reads)))
     # a 2-D half-ball keeps no normal at 2 samples per axis
     samples = draw(st.sampled_from((3, 4, 5, 9) + ((2,) if dimension == 1 else ())))
@@ -218,7 +214,7 @@ def _range_or_error(*args, **kwargs):
 def _first_of_class(env, reads, samples):
     """Flat indices of the first lattice point of each class agreeing on `reads`."""
     key = np.zeros(env["z"].size, dtype=np.int64)
-    for k in PMC_VARS:
+    for k in env:
         if k in reads:
             key = key * samples + np.unique(env[k], return_inverse=True)[1]
     return np.sort(np.unique(key, return_index=True)[1])
@@ -237,8 +233,8 @@ def test_sampled_range_on_read_variables_equals_full_lattice(case):
     # the reduced lattice is the first point of each class, in lattice order
     sub = box.sample_lattice(samples, reads)
     rows = _first_of_class(full, reads, samples)
-    assert set(sub) == set(PMC_VARS)
-    for k in PMC_VARS:
+    assert tuple(sub) == variables(dimension)
+    for k in sub:
         np.testing.assert_array_equal(sub[k], full[k][rows])
 
 
@@ -246,7 +242,7 @@ def test_reduced_lattice_of_an_empty_half_ball_is_empty():
     # at 2 samples per axis no 2-D normal lies in the closed half-ball
     box = WorkingBox((0.0, 1.0), ((0.0, 1.0), (0.0, 1.0)))
     env = box.sample_lattice(2, {"z", "t"})
-    assert set(env) == set(PMC_VARS)
+    assert tuple(env) == variables(2)
     assert all(v.shape == (0,) for v in env.values())
 
 
@@ -272,9 +268,9 @@ def test_callable_prescription_samples_the_full_lattice(monkeypatch):
 def test_quasi_decomposition_composite():
     D = QuasiDecomposition.from_exprs("-z", "0.3")
     H = D.composite()
-    assert H.eval(dict(zip(PMC_VARS, (0.0, 0.0, 2.0, 0.0, 0.0, 0.5)))) == pytest.approx(-1.85, abs=1e-15)
-    assert H.partial("t", dict(zip(PMC_VARS, (0.0, 0.0, 2.0, 0.0, 0.0, 0.5)))) == pytest.approx(0.3, abs=1e-15)
-    assert H.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 2.0, 0.0, 0.0, 0.5)))) == -1.0
+    assert H.eval(dict(zip(variables(2), (0.0, 0.0, 2.0, 0.0, 0.0, 0.5)))) == pytest.approx(-1.85, abs=1e-15)
+    assert H.partial("t", dict(zip(variables(2), (0.0, 0.0, 2.0, 0.0, 0.0, 0.5)))) == pytest.approx(0.3, abs=1e-15)
+    assert H.partial("z", dict(zip(variables(2), (0.0, 0.0, 2.0, 0.0, 0.0, 0.5)))) == -1.0
     assert H.provenance == "composite"
 
 
@@ -301,8 +297,8 @@ def test_check_quasi_decreasing():
 def test_check_quasi_decreasing_flags_sneaky_h2(slope):
     # an H2 that smuggles height dependence in through a callable, rising or
     # falling: either sign of dH2/dz breaks the split
-    h1 = PMCFunction.from_callable(lambda x1, x2, z, y1, y2, t: -z)
-    h2 = PMCFunction.from_callable(lambda x1, x2, z, y1, y2, t: slope * z)
+    h1 = PMCFunction.from_callable(lambda x1, z, y1, t: -z)
+    h2 = PMCFunction.from_callable(lambda x1, z, y1, t: slope * z)
     box = WorkingBox((1.0, 2.0), ((0.0, 1.0),))
     out = check_quasi_decreasing(QuasiDecomposition(h1, h2), box)
     assert not out["h2_height_free"]
@@ -473,31 +469,39 @@ def test_shared_evaluation_computes_a_common_subtree_once():
     assert counter.calls == 1
 
 
-# -- the 1-D rule -----------------------------------------------------------
+# -- one vocabulary per base ------------------------------------------------
 
-def test_one_dimensional_prescription_reads_x2_and_y2_as_zero():
-    H = parse_pmc("1 + x2 + 3*y2")
-    box = WorkingBox((0.5, 2.0), ((0.0, 1.0),))
-    lattice = box.sample_lattice(5)
-    assert tuple(lattice) == PMC_VARS
-    assert np.all(lattice["x2"] == 0.0) and np.all(lattice["y2"] == 0.0)
-    assert np.all(H.eval(lattice) == 1.0)
-    grid = build_grid(1, 8, 1.0, "periodic")
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_every_environment_holds_exactly_its_base_variables(dimension):
+    from pmcgraph.geometry import _factor_env
+
+    box = WorkingBox((0.5, 2.0), ((0.0, 1.0), (0.0, 1.0))[:dimension])
+    assert tuple(box.sample_lattice(5)) == variables(dimension)
+    assert tuple(box.sample_lattice(5, {"z"})) == variables(dimension)
+    grid = build_grid(dimension, 8, 1.0, "periodic")
     u = field_from_expr(grid, f"1 + 0.1*sin({TWO_PI}*x1)")
     env, _ = graph_normal_env(grid, u.values)
-    assert tuple(env) == PMC_VARS
-    assert np.all(env["x2"] == 0.0) and np.all(env["y2"] == 0.0)
-    assert np.all(H.eval(env) == 1.0)
-    assert np.all(H.partial("y2", env) == 3.0)
+    assert tuple(env) == variables(dimension)
+    assert tuple(_factor_env(grid.node_positions(), u.values)) == (
+        *variables(dimension)[:dimension], "r")
 
 
 @pytest.mark.parametrize("ranges, names", [
     (((0.0, 1.0),), ("x1", "z", "y1", "t")),
-    (((0.0, 1.0), (0.0, 1.0)), PMC_VARS),
+    (((0.0, 1.0), (0.0, 1.0)), ("x1", "x2", "z", "y1", "y2", "t")),
 ])
 def test_worst_point_names_the_box_variables_only(ranges, names):
     box = WorkingBox((0.5, 2.0), ranges)
-    rep = check_monotone(parse_pmc("-z + x2*y2"), box, samples=5)
+    rep = check_monotone(parse_pmc("-z + x1*y1"), box, samples=5)
     assert tuple(rep["worst_point"]) == names
-    for point in sampled_range(parse_pmc("z + x2"), box, samples=5)[2:]:
+    for point in sampled_range(parse_pmc("z + x1"), box, samples=5)[2:]:
         assert tuple(point) == names
+
+
+def test_callable_prescription_reads_its_base_off_its_parameter_count():
+    assert PMCFunction.from_callable(lambda x1, z, y1, t: z).ast.variables() == set(variables(1))
+    assert PMCFunction.from_callable(
+        lambda x1, x2, z, y1, y2, t: z).ast.variables() == set(variables(2))
+    # 2d + 2 is even: five parameters fit no base
+    with pytest.raises(ValueError, match="callable of 5 parameters"):
+        PMCFunction.from_callable(lambda x1, x2, z, y1, t: z)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from pmcgraph.expr import Var
-from pmcgraph.grid import ScalarField, build_grid, sup_norm
+from pmcgraph.grid import ScalarField, build_grid, sup_norm, variables
 from pmcgraph.pmc import (
-    PMC_VARS,
     PMCFunction,
     QuasiDecomposition,
     WorkingBox,
@@ -82,7 +81,8 @@ def test_jacobian_matches_finite_differences_mixed_grid(shape, topology):
     u = 0.4 * rng.standard_normal(grid.shape)
     F = parse_pmc(
         "0.4*z - 0.3*t + 0.2*sin(y1) + 0.1*y1*y2 + 0.02*x2 "
-        "- 0.05*cos(6.283185307179586*x1)")
+        "- 0.05*cos(6.283185307179586*x1)" if grid.dimension == 2 else
+        "0.4*z - 0.3*t + 0.2*sin(y1) - 0.05*cos(6.283185307179586*x1)")
     n = int(np.count_nonzero(~grid.boundary_mask))
     columns = rng.choice(n, size=min(n, 30), replace=False)
     J, diffs = _jacobian_and_differences(grid, u, F, columns)
@@ -154,7 +154,7 @@ def test_penalized_prescription_is_uniformly_decreasing():
     gamma = gamma_for(H, slab)[0]["gamma"]
     # the penalty gamma*(u - anchor) gives the inner problem the height
     # slope d/dz of H - gamma*z = 0.5*cos(z) - gamma, equal to -0.025 at z=0
-    dz = H.partial("z", dict(zip(PMC_VARS, (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))) - gamma
+    dz = H.partial("z", dict(zip(variables(1), (0.0, 0.0, 0.0, 1.0)))) - gamma
     assert abs(dz + 0.025) < 1e-14
     # at every sample of the slab, 5% of the sampled sup below 0
     slope = H.partial("z", slab.sample_lattice(9)) - gamma
@@ -236,6 +236,18 @@ def test_inner_solve_linear_height_coupling():
     u2, _ = solve_inner(grid, parse_pmc("1.7 - z"), None,
                         ScalarField(grid, np.zeros(grid.shape)))
     assert np.max(np.abs(u2.values - 1.7)) < 1e-9
+
+
+def test_four_parameter_callable_prescription_solves_on_a_1d_grid():
+    # the callable's 2d + 2 = 4 parameters make it a prescription of the
+    # 1-D base, whose environments hold x1, z, y1 and t only
+    grid = build_grid(1, (16,), (1.0,), ("periodic",))
+    H = PMCFunction.from_callable(lambda x1, z, y1, t: 1.7 - z + 0.0 * (x1 + y1 + t))
+    pair = BarrierPair(ScalarField(grid, np.zeros(grid.shape)),
+                       ScalarField(grid, np.full(grid.shape, 3.0)))
+    v, rep = outer_iterate(H, pair, SolveConfig())
+    assert rep.consistency_ok
+    assert np.max(np.abs(v.values - 1.7)) < 1e-8
 
 
 def test_inner_solve_pins_mean_when_gauge_free():
@@ -1299,8 +1311,9 @@ def test_jacobian_entries_stay_in_their_rows_neighbourhood():
 def test_jacobian_stencil_sums_every_chain_entry_into_its_slot():
     from pmcgraph.solver import _jacobian_plan
 
-    F = parse_pmc("0.4*z - 0.3*t + 0.2*sin(y1) + 0.1*y1*y2 "
-                  "- 0.05*cos(6.283185307179586*x1)")
+    # the prescription of each base: y2 only on the 2-D one
+    F = {dim: parse_pmc("0.4*z - 0.3*t + 0.2*sin(y1) " + "+ 0.1*y1*y2 " * (dim == 2)
+                        + "- 0.05*cos(6.283185307179586*x1)") for dim in (1, 2)}
     for shape, topology in _WRAPPED + _WRAPPED_ENDS + _DIRICHLET + _MORE:
         grid = build_grid(len(shape), shape, (1.0,) * len(shape), topology)
         r, c, w, q = chain_entries(grid)
@@ -1311,8 +1324,8 @@ def test_jacobian_stencil_sums_every_chain_entry_into_its_slot():
         if n > 1500:
             continue
         u = 0.4 * np.random.default_rng(7).standard_normal(grid.shape)
-        dense = dense_jacobian(grid, u, F)
-        J = assemble_jacobian(grid, u, F).toarray()
+        dense = dense_jacobian(grid, u, F[grid.dimension])
+        J = assemble_jacobian(grid, u, F[grid.dimension]).toarray()
         assert np.max(np.abs(J - dense)) <= 1e-12 * np.max(np.abs(dense)), (shape, topology)
 
 

@@ -8,7 +8,7 @@ per linear solve, reads the Jacobian's pattern size and system size, and
 sees every residual evaluation of the inner solve and its normal
 environment.  Since the tracer sees public names only, no module of the
 package may import a private name of another.  And no module spells a
-variable name such as "x2" that `pmc.variables` derives from the dimension.
+variable name such as "x2" that `grid.variables` derives from the dimension.
 """
 
 import ast
@@ -152,7 +152,7 @@ def _docstrings(tree):
 
 
 def test_no_module_spells_a_variable_name_outside_the_vocabulary():
-    # `pmc.variables` builds the names x1..xn and y1..yn from the dimension
+    # `grid.variables` builds the names x1..xn and y1..yn from the dimension
     # (f-strings hold no such constant); every other module derives its
     # vocabulary, environments and headers from it, so a literal "x2" or
     # "y1" anywhere is a list that the dimension does not reach
