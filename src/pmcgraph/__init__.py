@@ -54,7 +54,6 @@ from .solver import (
     solve_quasi,
 )
 from .analysis import (
-    RefinementReport,
     area_functional,
     blowup_diagnostics,
     domain_volume,

@@ -26,7 +26,6 @@ __all__ = [
     "total_variation",
     "domain_volume",
     "mesh_area_oracle",
-    "RefinementReport",
     "blowup_diagnostics",
 ]
 
@@ -92,36 +91,6 @@ def mesh_area_oracle(grid, u):
 # refinement studies
 
 
-class RefinementReport:
-    """Per-level metrics of a refinement study, with Richardson-style orders.
-
-    orders are estimated from consecutive level triples of each functional
-    (log2 ratio of successive differences), so they need >= 3 levels; with
-    two levels the lists are empty.
-    """
-
-    def __init__(self, rows, orders, suspected_nongraphical, errors):
-        if len(rows) < 2:
-            raise ValueError("a refinement study needs at least 2 levels")
-        self.rows = rows
-        self.orders = orders
-        self.suspected_nongraphical = bool(suspected_nongraphical)
-        self.errors = errors
-
-    @property
-    def levels(self):
-        return [row["spacing"] for row in self.rows]
-
-    def to_dict(self):
-        return {
-            "levels": self.levels,
-            "rows": self.rows,
-            "orders": self.orders,
-            "suspected_nongraphical": self.suspected_nongraphical,
-            "errors": self.errors,
-        }
-
-
 def _triple_orders(values):
     out = []
     for a, b, c in zip(values, values[1:], values[2:]):
@@ -163,6 +132,18 @@ def blowup_diagnostics(prescription, build, grid, cfg=None, levels=2):
     would carry curvature noise that a fine level's residual check cannot
     absorb.  An error building the coarsest pair is raised; one building a
     finer level's is recorded like a failed solve of that level.
+
+    Returns a JSON-ready dict:
+
+    - `levels`: each level's spacing, coarsest first;
+    - `rows`: per level its `level`, `spacing`, `shape` and `converged`,
+      and then either `max_grad`, `min_theta`, `total_variation`, `area`,
+      `final_residual` and `consistency_ok`, or the solve's `error`;
+    - `orders`: for `total_variation`, `area` and `max_grad`, the
+      Richardson-style orders of consecutive level triples (log2 ratio of
+      successive differences), so empty lists at two levels;
+    - `suspected_nongraphical`: the flag above;
+    - `errors`: the `level` and `error` of each failed level.
     """
     if int(levels) < 2:
         raise ValueError("a refinement study needs at least 2 levels")
@@ -186,14 +167,14 @@ def blowup_diagnostics(prescription, build, grid, cfg=None, levels=2):
             row.update({
                 "converged": True,
                 "max_grad": float(np.max(slope)),
-                "min_theta": rep.min_theta,
+                "min_theta": rep["min_theta"],
                 "total_variation": total_variation(grid, v),
                 "area": area_functional(grid, v),
-                "final_residual": rep.final_residual,
-                "consistency_ok": rep.consistency_ok,
+                "final_residual": rep["final_residual"],
+                "consistency_ok": rep["consistency_ok"],
             })
             max_grads.append(row["max_grad"])
-            all_pass = all_pass and rep.consistency_ok
+            all_pass = all_pass and rep["consistency_ok"]
         except (SolverFailure, ValueError) as exc:
             row.update({"converged": False, "error": str(exc)})
             errors.append({"level": level, "error": str(exc)})
@@ -205,4 +186,5 @@ def blowup_diagnostics(prescription, build, grid, cfg=None, levels=2):
         series = [row.get(key, float("nan")) for row in rows]
         orders[key] = _triple_orders(series)
     flag = _suspect_flag(max_grads, all_pass and len(max_grads) == len(rows))
-    return RefinementReport(rows, orders, flag, errors)
+    return {"levels": [row["spacing"] for row in rows], "rows": rows, "orders": orders,
+            "suspected_nongraphical": flag, "errors": errors}

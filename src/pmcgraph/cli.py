@@ -546,9 +546,9 @@ def _cmd_solve(cfg, args):
     build = _barrier_builder(cfg, p.grid, p.solk)
     try:
         if p.kind == "split":
-            v, rep = solve_quasi(p.presc, build, p.grid, p.solk)
+            v, payload = solve_quasi(p.presc, build, p.grid, p.solk)
         else:
-            v, rep = outer_iterate(p.H, build(p.grid), p.solk)
+            v, payload = outer_iterate(p.H, build(p.grid), p.solk)
     except SolverFailure as exc:
         payload = {
             "converged": False,
@@ -569,7 +569,6 @@ def _cmd_solve(cfg, args):
         return payload, 3
     except ValueError as exc:
         return _check_payload(str(exc)), 1
-    payload = rep.to_dict()
     if p.factor is not None:
         payload["conformal"] = p.meta
         res = pmc_residual(p.grid, v, p.presc, F=p.factor)
@@ -668,10 +667,9 @@ def _cmd_diagnose(cfg, args):
     if levels < 2:
         raise CLIConfigError("--levels must be at least 2")
     try:
-        report = blowup_diagnostics(p.H, build, p.grid, cfg=p.solk, levels=levels)
+        payload = blowup_diagnostics(p.H, build, p.grid, cfg=p.solk, levels=levels)
     except (SolverFailure, ValueError) as exc:
         return _check_payload(str(exc)), 1
-    payload = report.to_dict()
     if p.meta is not None:
         payload["conformal"] = p.meta
     return payload, 0

@@ -637,12 +637,22 @@ def eval_checked(node, env, label="expression"):
     are evaluated together, each subtree they share (by identity) once,
     and checked in order, so the list of results and the first error are
     those of one call per node.
+
+    A tree that reads a variable `env` lacks fails with a ValueError naming
+    that variable and the environment's variables.
     """
     shared = isinstance(node, list)
     nodes, labels = (node, label) if shared else ([node], [label])
     memo = {} if shared else None
-    with np.errstate(all="ignore"):
-        outs = [np.asarray(n.eval(env, memo), dtype=float) for n in nodes]
+    try:
+        with np.errstate(all="ignore"):
+            outs = [np.asarray(n.eval(env, memo), dtype=float) for n in nodes]
+    except KeyError as exc:
+        reads = [lab for n, lab in zip(nodes, labels) if exc.args[0] in n.variables()]
+        if not reads:
+            raise
+        raise ValueError(f"{reads[0]} reads variable '{exc.args[0]}', which is not among the "
+                         f"variables it is evaluated over ({', '.join(env)})") from None
     for out, name in zip(outs, labels):
         bad = ~np.isfinite(out)
         if bad.any():

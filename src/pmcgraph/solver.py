@@ -106,7 +106,6 @@ from .pmc import (
 __all__ = [
     "BarrierPair",
     "SolveConfig",
-    "SolveReport",
     "SolverFailure",
     "MonotonicityError",
     "LaggedLU",
@@ -1025,56 +1024,6 @@ def solve_inner(grid, H, psi, init, cfg=None, penalty=None,
 # outer iteration
 
 
-@dataclasses.dataclass
-class SolveReport:
-    """Everything observable about one solve, JSON-ready via to_dict().
-
-    The `_QUASI` fields are the quasi-decreasing certificate; only
-    solve_quasi sets them, and to_dict omits them from every other report.
-    """
-
-    converged: bool
-    mode: str
-    gamma: float
-    gamma_history: list
-    gamma_certificate: object
-    cutoff: object
-    outer_count: int
-    accelerated_steps: int
-    rejected_steps: int
-    factorizations: int
-    krylov_iterations: int
-    linear_solves: int
-    inner_newton_counts: list
-    residual_history: list
-    step_history: list
-    monotonicity_violations: list
-    confinement_violations: list
-    final_residual: float
-    rounding_floor: float
-    consistency_bound: float
-    consistency_ok: bool
-    min_theta: float
-    sup_abs_u: float
-    sup_abs_curvature: float
-    barrier_check: dict
-    box: dict
-    grid: dict
-    quasi_check: object = None
-    theta_threshold: object = None
-    graphical: object = None
-    jacobi_sup: object = None
-    refinement: object = None
-
-    _QUASI = ("quasi_check", "theta_threshold", "graphical", "jacobi_sup",
-              "refinement")
-
-    def to_dict(self):
-        skip = self._QUASI if self.quasi_check is None else ()
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-                if f.name not in skip}
-
-
 def _anderson_candidate(f_hist, g_hist):
     """Anderson's proposal for the next anchor of the penalized sweeps.
 
@@ -1210,6 +1159,24 @@ def outer_iterate(H, B, cfg=None):
     box.  A plateau that does not lie strictly inside the working box, as
     rounding leaves it when an explicit box lies within an ulp of the
     barrier range, is refused with a ValueError.
+
+    Returns (solution field, report dict), the dict JSON-ready with keys:
+
+    - the ten an exit-3 `partial` shares: `mode`, `gamma`,
+      `gamma_history`, `outer_count` (counted sweeps), `rejected_steps`,
+      the linear algebra's `factorizations`, `krylov_iterations` and
+      `linear_solves`, and the counted sweeps' `residual_history` and
+      `step_history`;
+    - `converged` (True), `gamma_certificate` (`gamma_for`'s dict, None
+      under an explicit gamma), `cutoff` (the plateau's `c1` and `c2`),
+      `accelerated_steps`, and per counted sweep `inner_newton_counts`,
+      `monotonicity_violations` and `confinement_violations`;
+    - `final_residual`, `rounding_floor`, `consistency_bound` and
+      `consistency_ok` (final_residual <= consistency_bound);
+    - `min_theta`, `sup_abs_u` and `sup_abs_curvature` of the returned
+      field, `barrier_check` (`check_barrier`'s dict), `box` (`z_min`,
+      `z_max`) and `grid` (the grid's dimension, shape, lengths, topology
+      and origin).
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -1391,27 +1358,27 @@ def outer_iterate(H, B, cfg=None):
     final_residual = float(np.max(np.abs(residual[interior]), initial=0.0))
     floor = irep["floor"]
     bound = max(cfg.tol_inner, floor) + gamma_history[-1] * max(step_history[-1], 0.0)
-    report = SolveReport(
+    report = {
         **partial(residual_history),
-        converged=True,
-        gamma_certificate=gamma_cert,
-        cutoff={"c1": c1, "c2": c2},
-        accelerated_steps=accelerated,
-        inner_newton_counts=inner_counts,
-        monotonicity_violations=mono_viol,
-        confinement_violations=conf_viol,
-        final_residual=final_residual,
-        rounding_floor=floor,
-        consistency_bound=bound,
-        consistency_ok=bool(final_residual <= bound),
-        min_theta=float(np.min(1.0 / omega)),
-        sup_abs_u=float(np.max(np.abs(v.values))),
-        sup_abs_curvature=float(np.max(np.abs(
+        "converged": True,
+        "gamma_certificate": gamma_cert,
+        "cutoff": {"c1": c1, "c2": c2},
+        "accelerated_steps": accelerated,
+        "inner_newton_counts": inner_counts,
+        "monotonicity_violations": mono_viol,
+        "confinement_violations": conf_viol,
+        "final_residual": final_residual,
+        "rounding_floor": floor,
+        "consistency_bound": bound,
+        "consistency_ok": bool(final_residual <= bound),
+        "min_theta": float(np.min(1.0 / omega)),
+        "sup_abs_u": float(np.max(np.abs(v.values))),
+        "sup_abs_curvature": float(np.max(np.abs(
             mean_curvature_product_values(grid, v.values, grads, faces)))),
-        barrier_check=barrier_check,
-        box={"z_min": box.z_min, "z_max": box.z_max},
-        grid=_grid_meta(grid),
-    )
+        "barrier_check": barrier_check,
+        "box": {"z_min": box.z_min, "z_max": box.z_max},
+        "grid": _grid_meta(grid),
+    }
     return v, report
 
 
@@ -1467,6 +1434,13 @@ def solve_quasi(D, build, grid, cfg=None):
     Theta, the stability-equation residual, the graphical flag, and a
     one-halving refinement comparison of min Theta, solved between barriers
     built anew on the refined grid.
+
+    Returns (solution field, report dict): `outer_iterate`'s report with
+    five keys added, `quasi_check` (`check_quasi_decreasing`'s dict),
+    `theta_threshold` (THETA_THRESHOLD), `graphical` (min_theta >=
+    theta_threshold), `jacobi_sup` (the sup of the stability-equation
+    residual) and `refinement` (`min_theta_coarse`, `stable`, and either
+    `min_theta_fine` and `relative_change` or the fine solve's `error`).
     """
     from .geometry import jacobi_residual
 
@@ -1483,26 +1457,19 @@ def solve_quasi(D, build, grid, cfg=None):
             + ")")
     H = D.composite()
     v, report = outer_iterate(H, B, cfg)
-    jac = jacobi_residual(grid, v, H)
-    report.quasi_check = qcheck
-    report.theta_threshold = THETA_THRESHOLD
-    report.graphical = bool(report.min_theta >= THETA_THRESHOLD)
-    report.jacobi_sup = float(np.max(np.abs(jac.values)))
-
+    coarse = report["min_theta"]
     try:
         _, fine_report = outer_iterate(H, build(refine_grid(grid)), cfg)
     except (ValueError, SolverFailure) as exc:
         # the fine solve, or its barriers, can fail on their own; report
         # the attempt rather than abort the whole solve
-        report.refinement = {"min_theta_coarse": report.min_theta,
-                             "error": str(exc), "stable": False}
+        refinement = {"min_theta_coarse": coarse, "error": str(exc), "stable": False}
     else:
-        coarse = report.min_theta
-        change = abs(fine_report.min_theta - coarse) / max(abs(coarse), 1e-300)
-        report.refinement = {
-            "min_theta_coarse": coarse,
-            "min_theta_fine": fine_report.min_theta,
-            "relative_change": change,
-            "stable": bool(change <= 0.2),
-        }
+        change = abs(fine_report["min_theta"] - coarse) / max(abs(coarse), 1e-300)
+        refinement = {"min_theta_coarse": coarse, "min_theta_fine": fine_report["min_theta"],
+                      "relative_change": change, "stable": bool(change <= 0.2)}
+    report.update(quasi_check=qcheck, theta_threshold=THETA_THRESHOLD,
+                  graphical=bool(coarse >= THETA_THRESHOLD),
+                  jacobi_sup=float(np.max(np.abs(jacobi_residual(grid, v, H).values))),
+                  refinement=refinement)
     return v, report

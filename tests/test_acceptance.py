@@ -218,23 +218,23 @@ def test_criterion_03_penalized_outer_iteration():
         g, v, rep = torus_sine_solution()
         # the certificate covers the barrier slab, where -dH/dz + gamma >= 0
         # at every sample
-        cert = rep.gamma_certificate
+        cert = rep["gamma_certificate"]
         margin = cert["gamma"] - cert["sup_slope"]
         slab = cert["slab"] == [0.25, PI_PLUS_QUARTER]
-        worst_mono = max(rep.monotonicity_violations)
-        worst_conf = max(rep.confinement_violations)
+        worst_mono = max(rep["monotonicity_violations"])
+        worst_conf = max(rep["confinement_violations"])
         # the penalty sized over the whole working box, with a floor of 1,
         # kept for every sweep: the same minimal solution
         H = parse_pmc(f"0.5*sin(z) + 0.1*sin({TWO_PI}*x1)")
         B = BarrierPair(constant_field(g, 0.25), constant_field(g, PI_PLUS_QUARTER))
         boxed, _ = outer_iterate(H, B, SolveConfig(gamma=1.9064653208705127))
         gap = sup_norm(v, boxed)
-        ok = (rep.converged and rep.mode == "penalized"
-              and rep.final_residual <= 1e-6
+        ok = (rep["converged"] and rep["mode"] == "penalized"
+              and rep["final_residual"] <= 1e-6
               and worst_mono <= 1e-9 and worst_conf <= 1e-9
               and slab and margin >= 0.0 and gap <= 1e-9)
         verdict(3, ok,
-                f"final residual {rep.final_residual:.2e} (<= 1e-6), "
+                f"final residual {rep['final_residual']:.2e} (<= 1e-6), "
                 f"worst downward move {worst_mono:.1e}, "
                 f"worst slab exit {worst_conf:.1e}, "
                 f"certificate margin {margin:.3f} (>= 0) over the slab "
@@ -397,14 +397,14 @@ def test_criterion_08_area_functional_inequalities():
 def test_criterion_09_quasi_decreasing_tilt_certificate():
     with criterion(9):
         _g, _v, rep = quasi_solution()
-        change = rep.refinement["relative_change"]
+        change = rep["refinement"]["relative_change"]
         bad = QuasiDecomposition(parse_pmc("z"), parse_pmc("0"))
         box = WorkingBox(( -1.0, 1.0), ((0.0, 1.0), (0.0, 1.0)))
         rejected = not check_quasi_decreasing(bad, box)["passed"]
-        ok = (rep.graphical and rep.min_theta >= 0.9
+        ok = (rep["graphical"] and rep["min_theta"] >= 0.9
               and change <= 0.2 and rejected)
         verdict(9, ok,
-                f"min theta {rep.min_theta:.3f} (>= 0.9), refinement change "
+                f"min theta {rep['min_theta']:.3f} (>= 0.9), refinement change "
                 f"{change:.1e} (<= 20%), increasing decomposition rejected: "
                 f"{rejected}")
 

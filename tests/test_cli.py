@@ -329,6 +329,33 @@ def test_solve_conformal_reports_conformal_residual(tmp_path):
     assert doc["conformal_residual_sup"] <= bound
 
 
+@pytest.mark.parametrize("argv, extra", [
+    (small_torus(), set()),
+    (["--config", cfg_path("quasi_decreasing.json"), "--override", "grid.shape=[16, 16]",
+      "--out-field", "v.csv"], {"solution_path"}),
+    (["--config", cfg_path("horosphere.json"), "--override", "grid.shape=[12, 12]",
+      "--out-field", "v.csv"], {"conformal", "conformal_residual_sup", "solution_path"}),
+], ids=["product", "split-with-field", "conformal-with-field"])
+def test_solve_payload_is_the_library_report_plus_the_cli_keys(argv, extra, tmp_path,
+                                                                monkeypatch):
+    import pmcgraph.cli as cli
+
+    returned = []
+    for name in ("outer_iterate", "solve_quasi"):
+        def keep(*args, _solve=getattr(cli, name), **kwargs):
+            v, rep = _solve(*args, **kwargs)
+            returned.append(set(rep))
+            return v, rep
+
+        monkeypatch.setattr(cli, name, keep)
+    monkeypatch.chdir(tmp_path)
+    assert run(["solve", *argv, "--out-report", "r.json"]) == 0
+    assert len(returned) == 1
+    own = {"subcommand", "config", "artifact_version", "config_sha256"} | extra
+    assert not returned[0] & own
+    assert set(read_json(tmp_path / "r.json")) == returned[0] | own
+
+
 @pytest.mark.parametrize("samples", [2, 4])
 def test_even_sample_count_is_a_config_error(samples, capsys):
     # an even count misses the normal poles; at 2 the 2-D half-ball is empty

@@ -18,7 +18,9 @@ block and a split diagnose between curved barriers, the same split in 1-D
 the one 1-D quasi-decreasing solve and the one 1-D |A|^2 in a report, and
 warped_radial between barriers of polar lines, r cos(x1 - 0.5) = const,
 the one warped solve (warped_radial alone has no barriers, so its solve
-exits 2).
+exits 2), and cap at 17x17 under H = 0.1 cos(z) between barriers built
+from phi (`from_phi` with base 0 and phi 0.1 cos(z)), the one case whose
+barriers come from `solver.barriers_from_phi`.
 Every run writes `<command>/<case>.json` (the report), `<command>/<case>.csv`
 (the field or table, when the command writes one) and `<command>/<case>.log`
 (exit code, stdout and stderr).  Paths in the reports are relative to the
@@ -85,6 +87,10 @@ EXTRA = {
     "warped_polar_lines": ("warped_radial.json", (
         'barriers={"u1": "0.25 - ln(cos(x1 - 0.5))", "u0": "0.35 - ln(cos(x1 - 0.5))",'
         ' "psi": "0.3 - ln(cos(x1 - 0.5))"}',)),
+    "cap_from_phi": ("cap.json", (
+        "grid.shape=[17,17]",
+        "pmc.expr=0.1*cos(z)",
+        'barriers={"from_phi": {"base": "0", "phi": "0.1*cos(z)"}, "psi": "0.2*x1*x2"}')),
 }
 
 
