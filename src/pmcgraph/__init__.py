@@ -28,7 +28,6 @@ from .pmc import (
     check_quasi_decreasing,
     graph_normal_env,
     parse_pmc,
-    pmc_residual,
 )
 from .geometry import (
     ConformalFactor,
@@ -37,6 +36,7 @@ from .geometry import (
     conformal_transform_pmc,
     divergence_oracle,
     jacobi_residual,
+    pmc_residual,
     second_fundamental_norm,
     warped_to_conformal,
 )

@@ -49,17 +49,17 @@ from .geometry import (
     ConformalFactor,
     WarpedProfile,
     conformal_transform_pmc,
+    pmc_residual,
     warped_to_conformal,
 )
 from .grid import (DIMENSIONS, build_grid, field_from_expr, read_field_csv, require_reads,
-                   variables, write_field_csv)
+                   variables, write_field_csv, write_rows)
 from .pmc import (
     QuasiDecomposition,
     WorkingBox,
     check_monotone,
     check_quasi_decreasing,
     parse_pmc,
-    pmc_residual,
 )
 from .solver import (
     BarrierPair,
@@ -528,15 +528,6 @@ def _check_payload(message):
     return {"passed": False, "message": message}
 
 
-def _float_rows(path, header, columns):
-    rows = len(columns[0])
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    cells = np.column_stack(columns).astype(float).reshape(-1).tolist()
-    with open(path, "w") as fh:
-        fh.write(header + "\n" + (row * rows) % tuple(cells))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # subcommands (each returns payload dict + exit code)
 
@@ -632,8 +623,8 @@ def _cmd_transform(cfg, args):
     }
     if args.out_field is not None:
         # the lattice holds exactly the config's own `variables(dimension)`
-        _float_rows(args.out_field, ",".join(env) + ",original,transformed",
-                    [*env.values(), original, transformed])
+        write_rows(args.out_field, ",".join(env) + ",original,transformed",
+                   [*env.values(), original, transformed])
         payload["table_path"] = args.out_field
     return payload, 0
 
@@ -655,7 +646,7 @@ def _cmd_reparam(cfg, args):
         "table_path": None,
     }
     if args.out_field is not None:
-        _float_rows(args.out_field, "r,s,f", [r, s, f])
+        write_rows(args.out_field, "r,s,f", [r, s, f])
         payload["table_path"] = args.out_field
     return payload, 0
 

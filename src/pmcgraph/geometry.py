@@ -1,5 +1,7 @@
-"""Conformal product metrics, warped-product reduction, and the graph
-geometry fields (tilt, second fundamental form, stability residual).
+"""Conformal product metrics, warped-product reduction, the
+prescribed-curvature residual of a stored field in the product or the
+conformal metric, and the graph geometry fields (tilt, second fundamental
+form, stability residual).
 
 The ambient metric is either the flat product or its conformal rescale by
 e^{2f(x,r)}.  Curvature of a graph in the rescaled metric relates to the
@@ -28,6 +30,7 @@ __all__ = [
     "WarpedProfile",
     "conformal_mean_curvature",
     "conformal_mean_curvature_values",
+    "pmc_residual",
     "divergence_oracle",
     "conformal_transform_pmc",
     "warped_to_conformal",
@@ -131,6 +134,30 @@ def conformal_mean_curvature(grid, u, F):
     (x, u(x)).  Boundary nodes carry 0.
     """
     return ScalarField(grid, conformal_mean_curvature_values(grid, u.values, F))
+
+
+def pmc_residual(grid, u, H, F=None, box=None):
+    """Residual field of the prescribed-curvature equation at the graph of u.
+
+    Product metric: mean_curvature_product(u) - H(x, u, -Du/omega, 1/omega);
+    with a conformal factor `F` the curvature operator is the conformal one.
+    Boundary nodes carry 0.  If a working box is supplied the height values
+    must stay inside its z-range: leaving it is an error naming offending
+    nodes, never a silent clamp.
+    """
+    if u.grid != grid:
+        raise ValueError("field is not defined on the supplied grid")
+    if box is not None:
+        box.require_values(u.values)
+    grads = node_gradients(grid, u.values)
+    env, _ = graph_normal_env(grid, u.values, grads)
+    if F is None:
+        base = mean_curvature_product_values(grid, u.values, grads)
+    else:
+        base = conformal_mean_curvature_values(grid, u.values, F, grads)
+    res = base - H.eval(env)
+    res[grid.boundary_mask] = 0.0
+    return ScalarField(grid, res)
 
 
 def divergence_oracle(grid, u, F):

@@ -27,6 +27,7 @@ __all__ = [
     "constant_field",
     "sup_norm",
     "write_field_csv",
+    "write_rows",
     "read_field_csv",
     "refine_grid",
     "face_positions",
@@ -257,7 +258,8 @@ def sup_norm(a, b=None):
 
 # ---------------------------------------------------------------------------
 # Field CSV round-trip.  Header then one node value per line, row-major
-# (first axis slowest).
+# (first axis slowest).  Every float a CSV holds is written as %.17g, which
+# reads back to the same double.
 
 
 def _fmt(x):
@@ -273,9 +275,16 @@ def write_field_csv(field, path):
         f" topology={','.join(t[0] for t in grid.topology)}"
         f" origin={','.join(_fmt(o) for o in grid.origin)}"
     )
-    values = field.values.reshape(-1).tolist()
+    write_rows(path, head, [field.values.reshape(-1)])
+
+
+def write_rows(path, header, columns):
+    """Write `header`, then one line per row of the equal-length `columns`,
+    comma-separated, each entry as %.17g."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    cells = np.column_stack(columns).astype(float).reshape(-1).tolist()
     with open(path, "w") as fh:
-        fh.write(head + "\n" + ("%.17g\n" * len(values)) % tuple(values))
+        fh.write(header + "\n" + (row * len(columns[0])) % tuple(cells))
 
 
 def read_field_csv(path):

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .calculus import mean_curvature_product_values, node_gradients
+from .calculus import node_gradients
 from .expr import (
     Add,
     Func,
@@ -45,7 +45,7 @@ from .expr import (
     shared_subtrees,
     takes_differences,
 )
-from .grid import DIMENSIONS, ScalarField, variables
+from .grid import DIMENSIONS, variables
 
 __all__ = [
     "PMCFunction",
@@ -56,7 +56,6 @@ __all__ = [
     "check_quasi_decreasing",
     "sampled_range",
     "graph_normal_env",
-    "pmc_residual",
     "callable_variables",
     "MONOTONE_TOL",
 ]
@@ -344,29 +343,3 @@ def graph_normal_env(grid, values, grads=None):
     omega = np.sqrt(1.0 + sum(g * g for g in grads))
     columns = [*grid.node_positions(), values, *(-g / omega for g in grads), 1.0 / omega]
     return dict(zip(variables(grid.dimension), columns)), omega
-
-
-def pmc_residual(grid, u, H, F=None, box=None):
-    """Residual field of the prescribed-curvature equation at the graph of u.
-
-    Product metric: mean_curvature_product(u) - H(x, u, -Du/omega, 1/omega);
-    with a conformal factor `F` the curvature operator is the conformal one.
-    Boundary nodes carry 0.  If a working box is supplied the height values
-    must stay inside its z-range: leaving it is an error naming offending
-    nodes, never a silent clamp.
-    """
-    if u.grid != grid:
-        raise ValueError("field is not defined on the supplied grid")
-    if box is not None:
-        box.require_values(u.values)
-    grads = node_gradients(grid, u.values)
-    env, _ = graph_normal_env(grid, u.values, grads)
-    if F is None:
-        base = mean_curvature_product_values(grid, u.values, grads)
-    else:
-        from .geometry import conformal_mean_curvature_values
-
-        base = conformal_mean_curvature_values(grid, u.values, F, grads)
-    res = base - H.eval(env)
-    res[grid.boundary_mask] = 0.0
-    return ScalarField(grid, res)

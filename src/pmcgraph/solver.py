@@ -48,7 +48,8 @@ area factors, and the prescription's partials, evaluated with its value.
 That evaluation is of the prescription H itself: the penalty
 gamma*(u - anchor) is added to its residual after it, and gamma to the
 Jacobian's diagonal.  So one evaluation of a field serves every use of it,
-whatever the anchor or gamma: the inner solve seeded at it, the outer
+whatever the anchor or gamma: the inner solve seeded at it (the first
+sweep's seed u1 included, which the barrier check evaluated), the outer
 iteration's gate, a sweep after gamma drops, and the report of the
 returned field.
 
@@ -93,13 +94,13 @@ from .calculus import (
     operators,
 )
 from .expr import Var
+from .geometry import jacobi_residual
 from .grid import ScalarField, refine_grid, sup_norm, variables
 from .pmc import (
     PMCFunction,
     WorkingBox,
     check_quasi_decreasing,
     graph_normal_env,
-    pmc_residual,
     sampled_range,
 )
 
@@ -349,8 +350,16 @@ def check_barrier(B, H, allowance=10.0):
     truncation error.  Interior ordering u1 < u0 is a hard error.  Under a
     conformal metric H is the `conformal_transform_pmc` pullback, as in
     `outer_iterate`: its residual is the conformal one times e^f > 0, so
-    the signs agree and the tolerance is the solver's own.
+    the signs agree and the tolerance is the solver's own.  The barriers
+    are evaluated as the solver evaluates its iterates, with H's partials,
+    so a partial that is not finite at a barrier raises EvalDomainError.
     """
+    return _barrier_residuals(B, H, allowance)[0]
+
+
+def _barrier_residuals(B, H, allowance):
+    """`check_barrier`'s dict, and the `_graph_residual` of u1, which the
+    outer iteration's first sweep reads when u1 is its seed."""
     grid = B.grid
     interior = ~grid.boundary_mask
     gap = (B.u0.values - B.u1.values)[interior]
@@ -361,9 +370,9 @@ def check_barrier(B, H, allowance=10.0):
             f"barriers are not strictly ordered in the interior (flat node {idx})")
     h = grid.max_spacing()
     tol = 1e-8 + allowance * h * h
-    r1 = pmc_residual(grid, B.u1, H).values
-    r0 = pmc_residual(grid, B.u0, H).values
-    worst_sub = float(np.max(r1[interior])) if gap.size else 0.0
+    lower = _graph_residual(grid, B.u1.values, H)
+    r0 = _graph_residual(grid, B.u0.values, H)[0]
+    worst_sub = float(np.max(lower[0][interior])) if gap.size else 0.0
     worst_super = float(np.min(r0[interior])) if gap.size else 0.0
     return {
         "passed": bool(worst_sub <= tol and worst_super >= -tol),
@@ -371,7 +380,7 @@ def check_barrier(B, H, allowance=10.0):
         "worst_super": worst_super,
         "tol": tol,
         "allowance_constant": float(allowance),
-    }
+    }, lower
 
 
 # ---------------------------------------------------------------------------
@@ -1141,8 +1150,11 @@ def outer_iterate(H, B, cfg=None):
     A proposal stays pending until the next counted sweep replaces it, so
     a sweep redone after a discard is plain by rule 1.
 
-    Every sweep's Newton solve starts from its anchor.  A penalized sweep's
-    inner solve stops at tol_k = max(tol_inner,
+    The barrier check evaluates u1 and u0 as the sweeps evaluate their
+    iterates (`_graph_residual`), and on a fully periodic grid, where the
+    first sweep's seed is u1, that sweep starts from the check's evaluation
+    of u1.  Every sweep's Newton solve starts from its anchor.  A penalized
+    sweep's inner solve stops at tol_k = max(tol_inner,
     SWEEP_FORCING * |R(seed)| / max(gamma, 1)), with R(seed) the residual
     of its Newton seed in its own problem.  A sweep whose step is at most
     max(tol_outer, tol_k) is finished to tol_inner from the same anchor and
@@ -1182,7 +1194,7 @@ def outer_iterate(H, B, cfg=None):
         cfg = SolveConfig()
     grid = B.grid
     box = working_box(B, cfg)
-    barrier_check = check_barrier(B, H, allowance=cfg.allowance_constant)
+    barrier_check, lower = _barrier_residuals(B, H, cfg.allowance_constant)
     if not barrier_check["passed"]:
         raise ValueError(
             "barrier check failed (worst sub-solution residual "
@@ -1240,9 +1252,10 @@ def outer_iterate(H, B, cfg=None):
     accelerated = 0
     rejected = 0
     lagged = LaggedLU()
-    # the evaluation of u_prev once a solve returned it, for the next plain
-    # sweep (`solve_inner`'s `evaluation`)
-    evaluation = None
+    # the evaluation of u_prev, for the next plain sweep (`solve_inner`'s
+    # `evaluation`): the barrier check's of u1 while the first sweep's seed
+    # is u1, then that of each output a solve returned
+    evaluation = lower if B.psi is None else None
     # Anderson's proposal from the last counted sweeps, which the gate
     # judges at every pass until the next counted sweep replaces it
     proposal = None
@@ -1442,8 +1455,6 @@ def solve_quasi(D, build, grid, cfg=None):
     residual) and `refinement` (`min_theta_coarse`, `stable`, and either
     `min_theta_fine` and `relative_change` or the fine solve's `error`).
     """
-    from .geometry import jacobi_residual
-
     if cfg is None:
         cfg = SolveConfig()
     B = build(grid)

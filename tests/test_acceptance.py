@@ -31,6 +31,7 @@ from pmcgraph.geometry import (
     conformal_mean_curvature,
     divergence_oracle,
     jacobi_residual,
+    pmc_residual,
     warped_to_conformal,
 )
 from pmcgraph.grid import (
@@ -46,7 +47,6 @@ from pmcgraph.pmc import (
     WorkingBox,
     check_quasi_decreasing,
     parse_pmc,
-    pmc_residual,
 )
 from pmcgraph.solver import (
     BarrierPair,

@@ -9,11 +9,12 @@ from pmcgraph.geometry import (
     conformal_transform_pmc,
     divergence_oracle,
     jacobi_residual,
+    pmc_residual,
     second_fundamental_norm,
     warped_to_conformal,
 )
 from pmcgraph.expr import EvalDomainError
-from pmcgraph.pmc import graph_normal_env, parse_pmc, pmc_residual
+from pmcgraph.pmc import graph_normal_env, parse_pmc
 
 TWO_PI = 6.283185307179586
 LN4 = 1.3862943611198906

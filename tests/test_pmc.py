@@ -14,9 +14,9 @@ from pmcgraph.pmc import (
     check_quasi_decreasing,
     graph_normal_env,
     parse_pmc,
-    pmc_residual,
     sampled_range,
 )
+from pmcgraph.geometry import pmc_residual
 
 TWO_PI = 6.283185307179586
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pmcgraph.expr import Var
+from pmcgraph.expr import EvalDomainError, Var
 from pmcgraph.grid import ScalarField, build_grid, sup_norm, variables
 from pmcgraph.pmc import (
     PMCFunction,
@@ -9,8 +9,8 @@ from pmcgraph.pmc import (
     WorkingBox,
     check_monotone,
     parse_pmc,
-    pmc_residual,
 )
+from pmcgraph.geometry import pmc_residual
 from pmcgraph.solver import (
     BarrierPair,
     LaggedLU,
@@ -1101,9 +1101,14 @@ def test_only_loose_solves_force_at_forcing_max(monkeypatch):
 
 
 # the torus at its box-sized penalty, whose sweeps evaluate no field twice;
-# at the slab-sized one see the next test
-@pytest.mark.parametrize("case, evals, every", [("torus_sine", 30, 45),
-                                                ("horosphere", 14, 20)])
+# at the slab-sized one see the next test.  The counts hold the barrier
+# check's evaluations of u1 and u0, and the first sweep, seeded at u1 on
+# these periodic grids, reads the check's evaluation of u1 (30/45 and 14/20
+# when the check evaluated both through a second residual function and the
+# first sweep evaluated u1 again)
+@pytest.mark.parametrize("case, evals, every", [("torus_sine", 31, 47),
+                                                ("horosphere", 15, 22)],
+                         ids=["torus_sine", "horosphere"])
 def test_each_iterate_is_evaluated_once(monkeypatch, case, evals, every):
     import pmcgraph.solver as solver
 
@@ -1122,7 +1127,7 @@ def test_each_iterate_is_evaluated_once(monkeypatch, case, evals, every):
     assert len({c.tobytes() for c in calls}) == evals
     # each solve evaluating its own seed gives the same solve, bit for bit;
     # the gate still evaluates each candidate, so an admitted one is
-    # evaluated twice
+    # evaluated twice, and so is u1, by the barrier check and the first sweep
     calls.clear()
     inner = solver.solve_inner
     monkeypatch.setattr(solver, "solve_inner",
@@ -1136,11 +1141,14 @@ def test_each_iterate_is_evaluated_once(monkeypatch, case, evals, every):
 def test_the_direct_sweep_after_the_penalty_drops_starts_from_an_evaluation(monkeypatch):
     import pmcgraph.solver as solver
 
-    # the 64x64 torus_sine config: two sweeps at its slab-sized penalty,
-    # then the direct sweep from the second output, seeded with that
-    # output's evaluation.  The one field evaluated twice is the full
-    # Newton step clipped to u = c2, a trial of the first sweep and of the
-    # direct one
+    # the 64x64 torus_sine config: the barrier check evaluates u1 and u0,
+    # then two sweeps at its slab-sized penalty, the first seeded with the
+    # check's evaluation of u1, then the direct sweep from the second output,
+    # seeded with that output's evaluation.  The one field evaluated twice is
+    # the full Newton step clipped to u = c2, a trial of the first sweep and
+    # of the direct one.  (14 calls of 13 fields when the check evaluated the
+    # barriers through a second residual function and the first sweep
+    # evaluated u1 again)
     grid, H, B, _ = _torus_sine_64()
     real, inner = solver._graph_residual, solver.solve_inner
     log = []
@@ -1159,14 +1167,81 @@ def test_the_direct_sweep_after_the_penalty_drops_starts_from_an_evaluation(monk
     assert rep["gamma_history"] == [rep["gamma"], rep["gamma"], 0.0] and rep["gamma"] > 0.0
     sweeps = [i for i, e in enumerate(log) if e is None]
     calls = [e for e in log if e is not None]
-    assert len(sweeps) == 3 and len(calls) == 14
-    assert len({c.tobytes() for c in calls}) == 13
+    assert len(sweeps) == 3 and len(calls) == 15
+    assert len({c.tobytes() for c in calls}) == 14
+    # u1 and u0, before the first sweep, which evaluates no seed
+    assert sweeps[0] == 2
+    assert np.array_equal(log[0], B.u1.values) and np.array_equal(log[1], B.u0.values)
     twice = [i for i, e in enumerate(log) if e is not None
              and sum(c.tobytes() == e.tobytes() for c in calls) == 2]
     assert len(twice) == 2 and np.all(log[twice[0]] == rep["cutoff"]["c2"])
     assert sweeps[0] < twice[0] < sweeps[1] and sweeps[2] < twice[1]
     # the direct sweep evaluates no seed: its first call is that trial
     assert twice[1] == sweeps[2] + 1
+
+
+@pytest.mark.parametrize("problem", [_torus_sine_64, _cap_17, _horosphere_16],
+                         ids=["torus-64", "cap", "horosphere"])
+def test_the_barrier_check_reads_the_residual_of_a_stored_field(problem):
+    # the check evaluates the barriers as the sweeps evaluate their
+    # iterates, and its extremes are bit for bit those of the residual of
+    # the stored barriers: periodic, dirichlet, and the conformal pullback
+    grid, H, B, _ = problem()
+    chk = check_barrier(B, H)
+    interior = ~grid.boundary_mask
+    assert chk["worst_sub"] == float(np.max(pmc_residual(grid, B.u1, H).values[interior]))
+    assert chk["worst_super"] == float(np.min(pmc_residual(grid, B.u0, H).values[interior]))
+    assert chk["worst_sub"] != 0.0 and chk["worst_super"] != 0.0
+
+
+def test_the_barrier_check_refuses_a_partial_that_is_not_finite_at_a_barrier():
+    # the check evaluates H's partials at the barriers, as the solver does
+    # at its iterates: d/dz of sqrt(z) is not finite at u1 = 0
+    grid = build_grid(2, (9, 9), (1.0, 1.0), ("dirichlet", "dirichlet"),
+                      origin=(-0.5, -0.5))
+    B = BarrierPair(ScalarField(grid, np.zeros(grid.shape)),
+                    ScalarField(grid, np.ones(grid.shape)),
+                    ScalarField(grid, np.full(grid.shape, 0.5)))
+    with pytest.raises(EvalDomainError, match="d/dz of curvature"):
+        check_barrier(B, parse_pmc("sqrt(z)"))
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: (*_torus_sine_64()[:3], SolveConfig()), _horosphere_16, _cap_17],
+    ids=["torus-64", "horosphere", "cap"])
+def test_only_a_dirichlet_first_sweep_evaluates_its_seed(monkeypatch, problem):
+    import pmcgraph.solver as solver
+
+    # the barrier check evaluates u1 and u0 before any sweep.  A fully
+    # periodic first sweep is seeded at u1 with the check's evaluation, so
+    # u1 is evaluated once; a dirichlet one is seeded at the clipped trace
+    # clip(psi, u1, u0), which it evaluates first
+    grid, H, B, cfg = problem()
+    real, inner = solver._graph_residual, solver.solve_inner
+    log = []
+
+    def evaluating(grid, values, H):
+        log.append(values.copy())
+        return real(grid, values, H)
+
+    def solving(*args, evaluation=None, **kwargs):
+        log.append(evaluation is None)
+        return inner(*args, evaluation=evaluation, **kwargs)
+
+    monkeypatch.setattr(solver, "_graph_residual", evaluating)
+    monkeypatch.setattr(solver, "solve_inner", solving)
+    outer_iterate(H, B, cfg)
+    first = next(i for i, e in enumerate(log) if isinstance(e, bool))
+    assert first == 2
+    assert np.array_equal(log[0], B.u1.values) and np.array_equal(log[1], B.u0.values)
+    calls = [e for e in log if not isinstance(e, bool)]
+    if B.psi is None:
+        assert log[first] is False
+        assert sum(np.array_equal(c, B.u1.values) for c in calls) == 1
+    else:
+        assert log[first] is True
+        assert np.array_equal(log[first + 1],
+                              np.clip(B.psi.values, B.u1.values, B.u0.values))
 
 
 @pytest.mark.parametrize("problem", [
