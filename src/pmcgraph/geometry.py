@@ -10,8 +10,6 @@ normal, which is what `conformal_transform_pmc` bakes into a prescription
 so that every solve runs against the product operator.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .calculus import (
@@ -255,7 +253,14 @@ class WarpedProfile:
 
 
 GL_NODES = 10
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
+# numpy.polynomial.legendre.leggauss(GL_NODES), written out so that no command
+# imports numpy.polynomial (nine modules): the rule is symmetric, so its
+# positive nodes and their weights, mirrored; repr round-trips each float
+_GL_X = np.array([0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+                  0.8650633666889845, 0.9739065285171717])
+_GL_W = np.array([0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+                  0.1494513491505804, 0.06667134430868814])
+_GL_X, _GL_W = np.concatenate((-_GL_X[::-1], _GL_X)), np.concatenate((_GL_W[::-1], _GL_W))
 MAX_PANELS = 2048
 QUAD_TOL = 1e-12
 MAX_NEWTON = 100
@@ -269,8 +274,7 @@ def quad(fn, a, b):
     sum runs node by node, so an entry does not depend on the shape of a
     and b: an array call equals the per-scalar calls bit for bit.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
     vals = fn((a + half)[..., None] + half[..., None] * _GL_X)
     acc = _GL_W[0] * vals[..., 0]

@@ -769,6 +769,27 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     assert out.strip() == "False"
 
 
+def test_only_the_cli_import_freezes_and_it_loads_no_unused_numpy_package():
+    # fresh interpreters: the library's import leaves the host's GC alone,
+    # the process layer's freezes what its imports leave, so that the
+    # collections at exit skip them, and neither loads numpy.polynomial
+    # (the quadrature nodes are written out), numpy.random or numpy.ma
+    src = os.path.dirname(os.path.dirname(pmcgraph.__file__))
+    probe = ("import gc, importlib, json, sys; importlib.import_module(sys.argv[1]); "
+             "print(json.dumps([gc.get_freeze_count(), sorted(sys.modules)]))")
+    env = {**os.environ, "PYTHONPATH": src}
+    seen = {}
+    for module in ("pmcgraph", "pmcgraph.cli"):
+        out = subprocess.run([sys.executable, "-c", probe, module], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        seen[module] = json.loads(out)
+    assert seen["pmcgraph"][0] == 0
+    assert seen["pmcgraph.cli"][0] > 0
+    unused = ("numpy.polynomial", "numpy.random", "numpy.ma", "scipy")
+    assert [m for m in seen["pmcgraph.cli"][1]
+            if any(m == u or m.startswith(u + ".") for u in unused)] == []
+
+
 def _modules_past_the_cli_import(tmp_path, *argvs):
     """Run each argv through ``cli.main`` in turn in one fresh interpreter
     (this one has imported more); return the exit codes and the modules

@@ -3,8 +3,11 @@ import pytest
 
 from pmcgraph.grid import build_grid, constant_field, field_from_expr, variables
 from pmcgraph.geometry import (
+    GL_NODES,
     ConformalFactor,
     WarpedProfile,
+    _GL_W,
+    _GL_X,
     conformal_mean_curvature,
     conformal_transform_pmc,
     divergence_oracle,
@@ -159,6 +162,13 @@ def test_warped_reparam_exponential_profile():
     assert np.max(np.abs(F.eval({"r": s}) - (s + np.log(0.5)))) < 1e-9
     assert np.max(np.abs(F.partial("r", {"r": s}) - 1.0)) < 1e-12
     assert F.derivative_mode == "analytic"
+
+
+def test_gauss_legendre_rule_is_leggauss_written_out():
+    x, w = np.polynomial.legendre.leggauss(GL_NODES)
+    for written, exact in ((_GL_X, x), (_GL_W, w)):
+        assert written.dtype == np.float64 and written.shape == (GL_NODES,)
+        assert np.array_equal(written, exact)
 
 
 def test_warped_roundtrip():
